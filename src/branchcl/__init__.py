@@ -2,11 +2,12 @@
 
 from .adapters import (
     AdapterHyperparams,
+    AdapterLayer,
+    BackboneLayer,
     BranchLoRALayer,
     FrozenBackbone,
     LoRALayer,
     MoELoRALayer,
-    init_adapter,
 )
 from .analysis import efficiency_report, expert_similarity, expert_vectors
 from .checkpoint import load_model, save_model
@@ -17,7 +18,6 @@ from .config import (
     TrainConfig,
     config_from_dict,
     config_to_dict,
-    default_config,
     load_config,
     validate_config,
 )

@@ -1,6 +1,8 @@
 """Low-rank adapter layers over a frozen linear backbone.
 
-Three kinds are implemented on the same contract h = x W_f + (alpha/r) * delta:
+Every layer kind keeps one contract (`AdapterLayer`), so the model,
+checkpoints and analysis never ask which kind they hold. Three adapter
+kinds compute h = x W_f + (alpha/r) * delta:
 
 * LoRALayer: a single rank-r pair (A, B), delta = x A B.
 * MoELoRALayer: N experts (A_j, B_j) of rank r/N, densely mixed by a
@@ -10,6 +12,8 @@ Three kinds are implemented on the same contract h = x W_f + (alpha/r) * delta:
   the gate has exactly k nonzero entries. Branches can be frozen in place
   (trainable flag off) and remain routable.
 
+BackboneLayer is the zero-shot layer: h = x W_f with no parameters.
+
 A and the per-expert A_j are initialized from a zero-mean Gaussian with
 std 1/sqrt(d_in); B matrices and routers start at zero, so a fresh
 adapter layer computes exactly the backbone output.
@@ -18,10 +22,12 @@ adapter layer computes exactly the backbone output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, RoutingError
+from .errors import ParameterError, RoutingError
 from .tensor import Matrix, add, matmul, mix, row_softmax, scale, take_row, topk_mask
 
 
@@ -82,12 +88,20 @@ def _init_a(rng: np.random.Generator, d_in: int, r: int, name: str) -> Matrix:
     return Matrix.randn(rng, d_in, r, std=1.0 / np.sqrt(d_in), trainable=True, name=name)
 
 
-class LoRALayer:
-    def __init__(self, backbone: FrozenBackbone, hp: AdapterHyperparams, a: Matrix, b: Matrix):
-        self.backbone = backbone
-        self.hp = hp
-        self.a = a
-        self.b = b
+class AdapterLayer:
+    """The contract every layer kind keeps.
+
+    ``init`` draws a fresh layer (and its backbone unless one is given);
+    ``from_named`` rebuilds one from the names ``named_matrices`` gives its
+    matrices, in checkpoint order. ``forward(x, task_id)`` returns
+    ``(h, gate)``, gate None without a router. ``params(task_id)`` are the
+    matrices trained on task_id, by default all but the backbone. ``frozen``
+    (per-branch freeze flags) and ``routers`` (per-task routers) stay empty,
+    and the task hooks do nothing, unless the kind has such parts.
+    """
+
+    frozen: tuple = ()
+    routers = MappingProxyType({})
 
     @classmethod
     def init(
@@ -97,25 +111,72 @@ class LoRALayer:
         d_out: int,
         hp: AdapterHyperparams,
         backbone: FrozenBackbone | None = None,
-    ) -> "LoRALayer":
+    ) -> "AdapterLayer":
         if backbone is None:
             backbone = FrozenBackbone.init(rng, d_in, d_out)
+        return cls.draw(rng, backbone, hp)
+
+    def params(self, task_id: int | None = None) -> list[Matrix]:
+        return [m for name, m in self.named_matrices() if name != "backbone"]
+
+    def start_task(self, task_id: int, rng: np.random.Generator | None = None) -> None:
+        pass
+
+    def finish_task(self, task_id: int) -> None:
+        pass
+
+    def count_trainable_params(self, task_id: int | None = None) -> int:
+        return sum(p.data.size for p in self.params(task_id) if p.trainable)
+
+
+class BackboneLayer(AdapterLayer):
+    """The zero-shot layer: the frozen backbone alone, nothing to train."""
+
+    def __init__(self, backbone: FrozenBackbone):
+        self.backbone = backbone
+
+    @classmethod
+    def draw(cls, rng, backbone: FrozenBackbone, hp) -> "BackboneLayer":
+        return cls(backbone)
+
+    @classmethod
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
+        return cls(FrozenBackbone(tensor("backbone")))
+
+    def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, None]:
+        return self.backbone.forward(x), None
+
+    def named_matrices(self) -> list[tuple[str, Matrix]]:
+        return [("backbone", self.backbone.weight)]
+
+
+class LoRALayer(AdapterLayer):
+    def __init__(self, backbone: FrozenBackbone, hp: AdapterHyperparams, a: Matrix, b: Matrix):
+        self.backbone = backbone
+        self.hp = hp
+        self.a = a
+        self.b = b
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, backbone: FrozenBackbone, hp) -> "LoRALayer":
+        d_in, d_out = backbone.weight.shape
         a = _init_a(rng, d_in, hp.rank, "lora.A")
         b = Matrix.zeros(hp.rank, d_out, trainable=True, name="lora.B")
         return cls(backbone, hp, a, b)
 
-    def forward(self, x: Matrix) -> Matrix:
+    @classmethod
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
+        return cls(FrozenBackbone(tensor("backbone")), hp, tensor("A"), tensor("B"))
+
+    def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, None]:
         delta = matmul(matmul(x, self.a), self.b)
-        return add(self.backbone.forward(x), scale(delta, self.hp.scaling))
+        return add(self.backbone.forward(x), scale(delta, self.hp.scaling)), None
 
-    def trainable_params(self) -> list[Matrix]:
-        return [self.a, self.b]
-
-    def count_trainable_params(self) -> int:
-        return sum(p.data.size for p in self.trainable_params() if p.trainable)
+    def named_matrices(self) -> list[tuple[str, Matrix]]:
+        return [("backbone", self.backbone.weight), ("A", self.a), ("B", self.b)]
 
 
-class MoELoRALayer:
+class MoELoRALayer(AdapterLayer):
     """N rank-r/N experts mixed by a dense softmax gate from x's first row."""
 
     def __init__(
@@ -131,16 +192,8 @@ class MoELoRALayer:
         self.router = router
 
     @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        d_in: int,
-        d_out: int,
-        hp: AdapterHyperparams,
-        backbone: FrozenBackbone | None = None,
-    ) -> "MoELoRALayer":
-        if backbone is None:
-            backbone = FrozenBackbone.init(rng, d_in, d_out)
+    def draw(cls, rng: np.random.Generator, backbone: FrozenBackbone, hp) -> "MoELoRALayer":
+        d_in, d_out = backbone.weight.shape
         pr = hp.per_expert_rank
         experts = []
         for j in range(hp.experts):
@@ -150,25 +203,30 @@ class MoELoRALayer:
         router = Matrix.zeros(d_in, hp.experts, trainable=True, name="moe.router")
         return cls(backbone, hp, experts, router)
 
-    def forward(self, x: Matrix) -> tuple[Matrix, Matrix]:
+    @classmethod
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
+        experts = [
+            (tensor(f"expert{j}.A"), tensor(f"expert{j}.B")) for j in range(hp.experts)
+        ]
+        return cls(FrozenBackbone(tensor("backbone")), hp, experts, tensor("router"))
+
+    def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, Matrix]:
         gate = row_softmax(matmul(take_row(x, 0), self.router))
         parts = [matmul(matmul(x, a), b) for a, b in self.experts]
         delta = mix(gate, parts)
         h = add(self.backbone.forward(x), scale(delta, self.hp.scaling))
         return h, gate
 
-    def trainable_params(self) -> list[Matrix]:
-        out = []
-        for a, b in self.experts:
-            out.extend([a, b])
-        out.append(self.router)
+    def named_matrices(self) -> list[tuple[str, Matrix]]:
+        out = [("backbone", self.backbone.weight)]
+        for j, (a, b) in enumerate(self.experts):
+            out.append((f"expert{j}.A", a))
+            out.append((f"expert{j}.B", b))
+        out.append(("router", self.router))
         return out
 
-    def count_trainable_params(self) -> int:
-        return sum(p.data.size for p in self.trainable_params() if p.trainable)
 
-
-class BranchLoRALayer:
+class BranchLoRALayer(AdapterLayer):
     """Shared A, N branch B matrices, a sparse gate, and one router per task."""
 
     def __init__(
@@ -177,7 +235,6 @@ class BranchLoRALayer:
         hp: AdapterHyperparams,
         a_shared: Matrix,
         branches: list[Matrix],
-        d_in: int,
     ):
         self.backbone = backbone
         self.hp = hp
@@ -185,26 +242,27 @@ class BranchLoRALayer:
         self.branches = branches
         self.frozen = [False] * hp.experts
         self.routers: dict[int, Matrix] = {}
-        self.d_in = d_in
+        self.d_in = a_shared.rows
 
     @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        d_in: int,
-        d_out: int,
-        hp: AdapterHyperparams,
-        backbone: FrozenBackbone | None = None,
-    ) -> "BranchLoRALayer":
-        if backbone is None:
-            backbone = FrozenBackbone.init(rng, d_in, d_out)
+    def draw(cls, rng: np.random.Generator, backbone: FrozenBackbone, hp) -> "BranchLoRALayer":
+        d_in, d_out = backbone.weight.shape
         pr = hp.per_expert_rank
         a_shared = _init_a(rng, d_in, pr, "branch.A")
         branches = [
             Matrix.zeros(pr, d_out, trainable=True, name=f"branch.B{j}")
             for j in range(hp.experts)
         ]
-        return cls(backbone, hp, a_shared, branches, d_in)
+        return cls(backbone, hp, a_shared, branches)
+
+    @classmethod
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
+        branches = [tensor(f"branch{j}") for j in range(hp.experts)]
+        layer = cls(FrozenBackbone(tensor("backbone")), hp, tensor("A"), branches)
+        layer.frozen = list(frozen)
+        for t in router_tasks:
+            layer.routers[t] = tensor(f"router.task{t}")
+        return layer
 
     def add_router(self, task_id: int, rng: np.random.Generator | None = None) -> Matrix:
         """Register the router for a new task.
@@ -229,6 +287,12 @@ class BranchLoRALayer:
         self.routers[task_id] = router
         return router
 
+    def start_task(self, task_id: int, rng: np.random.Generator | None = None) -> None:
+        self.add_router(task_id, rng)
+
+    def finish_task(self, task_id: int) -> None:
+        self.routers[task_id].trainable = False
+
     def gate_for(self, x: Matrix, task_id: int) -> Matrix:
         router = self.routers.get(task_id)
         if router is None:
@@ -248,7 +312,7 @@ class BranchLoRALayer:
         h = add(self.backbone.forward(x), scale(delta, self.hp.scaling))
         return h, gate
 
-    def trainable_params(self, task_id: int) -> list[Matrix]:
+    def params(self, task_id: int) -> list[Matrix]:
         """Parameters that receive gradients while training task_id."""
         router = self.routers.get(task_id)
         if router is None:
@@ -258,21 +322,17 @@ class BranchLoRALayer:
         out.append(router)
         return out
 
-    def count_trainable_params(self, task_id: int) -> int:
-        return sum(p.data.size for p in self.trainable_params(task_id) if p.trainable)
+    def named_matrices(self) -> list[tuple[str, Matrix]]:
+        out = [("backbone", self.backbone.weight), ("A", self.a_shared)]
+        out.extend((f"branch{j}", b) for j, b in enumerate(self.branches))
+        out.extend((f"router.task{t}", self.routers[t]) for t in sorted(self.routers))
+        return out
 
 
-def init_adapter(
-    kind: str, d_in: int, d_out: int, hp: AdapterHyperparams, seed: int | np.random.Generator
-):
-    """Build one adapter layer of the given kind from a seed or generator."""
-    if d_in < 1 or d_out < 1:
-        raise DimensionError(f"adapter dims must be positive, got {d_in}x{d_out}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if kind == "lora":
-        return LoRALayer.init(rng, d_in, d_out, hp)
-    if kind == "moelora":
-        return MoELoRALayer.init(rng, d_in, d_out, hp)
-    if kind == "branchlora":
-        return BranchLoRALayer.init(rng, d_in, d_out, hp)
-    raise ParameterError(f"unknown adapter kind: {kind!r}")
+# Layer class per model kind, in the order the kinds are reported.
+LAYERS: dict[str, type[AdapterLayer]] = {
+    "zero_shot": BackboneLayer,
+    "lora": LoRALayer,
+    "moelora": MoELoRALayer,
+    "branchlora": BranchLoRALayer,
+}

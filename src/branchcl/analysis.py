@@ -16,7 +16,7 @@ from statistics import mean, median, pstdev
 
 import numpy as np
 
-from .adapters import BranchLoRALayer, LoRALayer, MoELoRALayer
+from .adapters import LAYERS
 from .config import ExperimentConfig
 from .errors import AnalysisError
 from .optim import make_optimizer
@@ -60,8 +60,9 @@ class _PairStats:
 def expert_vectors(snapshots) -> list[dict]:
     """Flatten per-expert weight snapshots into labeled vectors.
 
-    ``snapshots`` is the per-task list produced by the harness for a
-    mixture model: snapshots[task][layer][expert] == (A, B) arrays.
+    ``snapshots`` is the per-task list that ``cli.load_snapshots`` reads
+    from a mixture model's checkpoints:
+    snapshots[task][layer][expert] == (A, B) arrays.
     Returns one row per (matrix, task, layer, expert) with the flattened
     weight vector, ready for similarity math or CSV export.
     """
@@ -175,31 +176,11 @@ def expert_similarity(snapshots) -> dict:
 _LAYER_KINDS = ("lora", "moelora", "branchlora")
 
 
-def _build_layer(kind: str, dim: int, hp, rng: np.random.Generator):
-    if kind == "lora":
-        return LoRALayer.init(rng, dim, dim, hp)
-    if kind == "moelora":
-        return MoELoRALayer.init(rng, dim, dim, hp)
-    layer = BranchLoRALayer.init(rng, dim, dim, hp)
-    layer.add_router(0, rng)
-    return layer
+def _summary(ms: list[float]) -> dict:
+    return {"mean": mean(ms), "median": median(ms), "std": pstdev(ms)}
 
 
-def _layer_params(kind: str, layer) -> list:
-    if kind == "branchlora":
-        return layer.trainable_params(0)
-    return layer.trainable_params()
-
-
-def _layer_forward(kind: str, layer, x):
-    if kind == "lora":
-        return layer.forward(x)
-    if kind == "moelora":
-        return layer.forward(x)[0]
-    return layer.forward(x, 0)[0]
-
-
-def _one_batch(kind: str, layer, x, target, opt) -> tuple[float, float]:
+def _one_batch(layer, x, target, opt) -> tuple[float, float]:
     """Time one training batch on a single layer.
 
     Returns (forward+backward seconds, optimizer-step seconds), each the
@@ -211,7 +192,7 @@ def _one_batch(kind: str, layer, x, target, opt) -> tuple[float, float]:
     for _ in range(3):
         start = time.perf_counter()
         with Tape() as tape:
-            loss = mse_loss(_layer_forward(kind, layer, x), target)
+            loss = mse_loss(layer.forward(x, 0)[0], target)
             backward(tape, loss)
         mid = time.perf_counter()
         opt.step()
@@ -225,7 +206,7 @@ def _one_batch(kind: str, layer, x, target, opt) -> tuple[float, float]:
     return best_fb, best_step
 
 
-def _grad_coverage(kind: str, layer, params, dim: int, batch: int,
+def _grad_coverage(layer, params, dim: int, batch: int,
                    target, rng: np.random.Generator) -> int:
     """Scalars that receive a gradient at least once over repeated batches.
 
@@ -238,7 +219,7 @@ def _grad_coverage(kind: str, layer, params, dim: int, batch: int,
     for _ in range(64):
         xb = Matrix(rng.standard_normal((batch, dim)))
         with Tape() as tape:
-            loss = mse_loss(_layer_forward(kind, layer, xb), target)
+            loss = mse_loss(layer.forward(xb, 0)[0], target)
             backward(tape, loss)
         for p in params:
             if p.grad is not None:
@@ -273,13 +254,13 @@ def efficiency_report(
     layers = {}
     opts = {}
     for kind in _LAYER_KINDS:
-        layer = _build_layer(kind, dim, hp, rng)
+        layer = LAYERS[kind].init(rng, dim, dim, hp)
+        layer.start_task(0, rng)
         layers[kind] = layer
-        params = _layer_params(kind, layer)
-        declared = layer.count_trainable_params(0) if kind == "branchlora" \
-            else layer.count_trainable_params()
+        params = layer.params(0)
+        declared = layer.count_trainable_params(0)
 
-        covered = _grad_coverage(kind, layer, params, dim,
+        covered = _grad_coverage(layer, params, dim,
                                  cfg.train.batch_size, target, rng)
         if covered != declared:
             raise AnalysisError(
@@ -288,22 +269,19 @@ def efficiency_report(
             )
 
         # One real step for the per-step figure.  A sparse-gated layer
-        # only touches the top-k branches per step, so its per-step
-        # number is smaller than the declared total.
-        pr = hp.per_expert_rank
-        if kind == "branchlora":
-            expect_step = dim * pr + dim * hp.experts + hp.top_k * pr * dim
-        else:
-            expect_step = declared
+        # only touches the top-k branches per step: each branch its gate
+        # skips leaves a per-expert-rank x dim matrix out of the step.
+        with Tape() as tape:
+            h, gate = layer.forward(x, 0)
+            backward(tape, mse_loss(h, target))
+        skipped = 0 if gate is None else int(np.count_nonzero(gate.data[0] == 0.0))
+        expect_step = declared - skipped * hp.per_expert_rank * dim
         # lr is kept vanishingly small: the timed loop below reuses this
         # optimizer, and the layer should stay at its starting point so
         # every timed batch performs the identical computation.
         opt = make_optimizer(cfg.train.optimizer, params,
-                             lr=1e-12, allow_missing=kind == "branchlora")
+                             lr=1e-12, allow_missing=skipped > 0)
         opts[kind] = opt
-        with Tape() as tape:
-            loss = mse_loss(_layer_forward(kind, layer, x), target)
-            backward(tape, loss)
         updated = opt.step()
         if updated != expect_step:
             raise AnalysisError(
@@ -323,24 +301,16 @@ def efficiency_report(
     full_ms: dict[str, list[float]] = {kind: [] for kind in _LAYER_KINDS}
     for _ in range(3):
         for kind in _LAYER_KINDS:
-            _one_batch(kind, layers[kind], x, target, opts[kind])
+            _one_batch(layers[kind], x, target, opts[kind])
     for i in range(batches):
         order = _LAYER_KINDS[i % 3:] + _LAYER_KINDS[: i % 3]
         for kind in order:
-            fb, st = _one_batch(kind, layers[kind], x, target, opts[kind])
+            fb, st = _one_batch(layers[kind], x, target, opts[kind])
             fb_ms[kind].append(fb * 1000.0)
             full_ms[kind].append((fb + st) * 1000.0)
     for kind in _LAYER_KINDS:
-        methods[kind]["forward_backward_ms"] = {
-            "mean": mean(fb_ms[kind]),
-            "median": median(fb_ms[kind]),
-            "std": pstdev(fb_ms[kind]),
-        }
-        methods[kind]["train_batch_ms"] = {
-            "mean": mean(full_ms[kind]),
-            "median": median(full_ms[kind]),
-            "std": pstdev(full_ms[kind]),
-        }
+        methods[kind]["forward_backward_ms"] = _summary(fb_ms[kind])
+        methods[kind]["train_batch_ms"] = _summary(full_ms[kind])
 
     return {
         "dim": dim,

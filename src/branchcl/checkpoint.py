@@ -14,19 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (
-    AdapterHyperparams,
-    BranchLoRALayer,
-    FrozenBackbone,
-    LoRALayer,
-    MoELoRALayer,
-)
+from .adapters import LAYERS, AdapterHyperparams
 from .errors import ContractError
 from .model import ContinualModel, ModelConfig
-from .selector import TaskKeys
+from .selector import KeyStore, TaskKeys
 from .tensor import Matrix
 
 FORMAT = "branchcl-checkpoint-v1"
+
+
+def checkpoint_dir(run_dir: str | Path, seed: int, method: str, task_id: int) -> Path:
+    """Where a run keeps the checkpoint of one method after one task."""
+    return Path(run_dir) / "checkpoints" / f"seed{seed}" / method / f"task{task_id}"
 
 
 def _tensor_filename(name: str) -> str:
@@ -52,12 +51,8 @@ def save_model(directory: str | Path, model: ContinualModel) -> Path:
         "seed": model.seed,
         "model": dataclasses.asdict(model.cfg),
         "hyperparams": dataclasses.asdict(model.hp),
-        "freeze_masks": [
-            list(layer.frozen) for layer in model.layers
-        ]
-        if model.kind == "branchlora"
-        else [],
-        "router_tasks": sorted(model.layers[0].routers) if model.kind == "branchlora" else [],
+        "freeze_masks": [list(layer.frozen) for layer in model.layers if layer.frozen],
+        "router_tasks": sorted(model.layers[0].routers),
         "key_tasks": [k.task_id for k in model.keys.ordered()],
         "tensors": tensors,
     }
@@ -73,8 +68,7 @@ def _read_tensor(directory: Path, spec: dict, name: str) -> Matrix:
         raise ContractError(
             f"tensor {name}: file holds {arr.size} values, manifest says {expected}"
         )
-    m = Matrix(arr.reshape(spec["rows"], spec["cols"]), trainable=spec["trainable"], name=name)
-    return m
+    return Matrix(arr.reshape(spec["rows"], spec["cols"]), trainable=spec["trainable"], name=name)
 
 
 def load_model(directory: str | Path) -> ContinualModel:
@@ -88,6 +82,9 @@ def load_model(directory: str | Path) -> ContinualModel:
     cfg = ModelConfig(**manifest["model"])
     hp = AdapterHyperparams(**manifest["hyperparams"])
     kind = manifest["kind"]
+    layer_cls = LAYERS.get(kind)
+    if layer_cls is None:
+        raise ContractError(f"unknown model kind in manifest: {kind!r}")
     tensors = manifest["tensors"]
 
     def tensor(name: str) -> Matrix:
@@ -95,31 +92,16 @@ def load_model(directory: str | Path) -> ContinualModel:
             raise ContractError(f"manifest missing tensor {name}")
         return _read_tensor(directory, tensors[name], name)
 
-    layers = []
-    for i in range(cfg.layers):
-        prefix = f"layer{i}"
-        if kind == "zero_shot":
-            layers.append(FrozenBackbone(tensor(f"{prefix}.backbone")))
-            continue
-        backbone = FrozenBackbone(tensor(f"{prefix}.backbone"))
-        if kind == "lora":
-            layers.append(LoRALayer(backbone, hp, tensor(f"{prefix}.A"), tensor(f"{prefix}.B")))
-        elif kind == "moelora":
-            experts = [
-                (tensor(f"{prefix}.expert{j}.A"), tensor(f"{prefix}.expert{j}.B"))
-                for j in range(hp.experts)
-            ]
-            layers.append(MoELoRALayer(backbone, hp, experts, tensor(f"{prefix}.router")))
-        else:
-            branches = [tensor(f"{prefix}.branch{j}") for j in range(hp.experts)]
-            layer = BranchLoRALayer(backbone, hp, tensor(f"{prefix}.A"), branches, cfg.width)
-            layer.frozen = list(manifest["freeze_masks"][i])
-            for t in manifest["router_tasks"]:
-                layer.routers[t] = tensor(f"{prefix}.router.task{t}")
-            layers.append(layer)
-
+    masks = manifest["freeze_masks"] or [()] * cfg.layers
+    layers = [
+        layer_cls.from_named(
+            hp, lambda name, i=i: tensor(f"layer{i}.{name}"), masks[i], manifest["router_tasks"]
+        )
+        for i in range(cfg.layers)
+    ]
     model = ContinualModel(kind, cfg, hp, layers, tensor("head"), manifest["seed"])
-    for t in manifest["key_tasks"]:
-        keys = TaskKeys(t, tensor(f"keys.task{t}.img"), tensor(f"keys.task{t}.txt"))
-        model.keys._keys[t] = keys
+    model.keys = KeyStore(
+        TaskKeys(t, tensor(f"keys.task{t}.img"), tensor(f"keys.task{t}.txt"))
+        for t in manifest["key_tasks"]
+    )
     return model

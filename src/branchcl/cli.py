@@ -17,12 +17,13 @@ import csv
 import dataclasses
 import json
 import os
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import efficiency_report, expert_similarity, expert_vectors
-from .checkpoint import load_model
+from .checkpoint import checkpoint_dir, load_model
 from .config import (
     ExperimentConfig,
     config_to_dict,
@@ -146,18 +147,13 @@ def _load_run_config(run_dir: Path) -> ExperimentConfig:
     return load_config(cfg_path)
 
 
-def _load_snapshots(run_dir: Path, seed: int, tasks: int) -> list:
-    """Rebuild per-task (A, B) snapshots from a run's checkpoints."""
+def load_snapshots(run_dir: str | Path, seed: int, tasks: int) -> list:
+    """Per-task moelora (A, B) snapshots, rebuilt from a run's checkpoints:
+    snapshots[task][layer][expert] == (A, B) arrays."""
     snaps = []
     for tid in range(tasks):
-        ckpt = run_dir / "checkpoints" / f"seed{seed}" / "moelora" / f"task{tid}"
-        model = load_model(ckpt)
-        snaps.append(
-            [
-                [(a.data.copy(), b.data.copy()) for a, b in layer.experts]
-                for layer in model.layers
-            ]
-        )
+        model = load_model(checkpoint_dir(run_dir, seed, "moelora", tid))
+        snaps.append([[(a.data, b.data) for a, b in layer.experts] for layer in model.layers])
     return snaps
 
 
@@ -174,7 +170,7 @@ def cmd_analyze(args) -> int:
     missing = []
     for seed in cfg.seeds:
         for tid in range(cfg.stream.tasks):
-            ckpt = run_dir / "checkpoints" / f"seed{seed}" / "moelora" / f"task{tid}"
+            ckpt = checkpoint_dir(run_dir, seed, "moelora", tid)
             if not (ckpt / "manifest.json").is_file():
                 missing.append(str(ckpt))
     if missing:
@@ -184,14 +180,12 @@ def cmd_analyze(args) -> int:
     per_seed = {}
     all_rows = []
     for seed in cfg.seeds:
-        snaps = _load_snapshots(run_dir, seed, cfg.stream.tasks)
+        snaps = load_snapshots(run_dir, seed, cfg.stream.tasks)
         per_seed[str(seed)] = expert_similarity(snaps)
         for row in expert_vectors(snaps):
             all_rows.append((seed, row))
 
-    margins = sorted(per_seed[str(s)]["margin"] for s in cfg.seeds)
-    median_margin = margins[len(margins) // 2] if len(margins) % 2 else \
-        0.5 * (margins[len(margins) // 2 - 1] + margins[len(margins) // 2])
+    median_margin = statistics.median(per_seed[str(s)]["margin"] for s in cfg.seeds)
 
     eff = efficiency_report(cfg, batches=args.batches)
 

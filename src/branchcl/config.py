@@ -70,10 +70,6 @@ class ExperimentConfig:
     out_dir: str | None = None
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 _SECTIONS = {"stream": StreamConfig, "adapter": AdapterConfig, "train": TrainConfig}
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import save_model
+from .checkpoint import checkpoint_dir, save_model
 from .config import ExperimentConfig
 from .errors import ContractError, ParameterError
 from .metrics import EvalMatrix, compute_metrics
@@ -39,8 +39,11 @@ class ImmutabilityGuard:
     def __init__(self):
         self._frozen: dict[str, bytes] = {}
 
-    def freeze(self, name: str, m: Matrix) -> None:
-        self._frozen[name] = m.data.tobytes()
+    def track(self, named: list[tuple[str, Matrix]]) -> None:
+        """Start watching every non-trainable matrix not watched yet."""
+        for name, m in named:
+            if not m.trainable and name not in self._frozen:
+                self._frozen[name] = m.data.tobytes()
 
     def verify(self, named: list[tuple[str, Matrix]]) -> None:
         lookup = dict(named)
@@ -58,10 +61,6 @@ class TrainStats:
     last_loss: float
     batches: int
     batch_seconds: list[float] = field(default_factory=list)
-
-
-def _embeddings_for(x: np.ndarray) -> list[SampleEmbeddings]:
-    return [SampleEmbeddings.from_input(row) for row in x]
 
 
 def train_task(
@@ -145,13 +144,10 @@ def evaluate(
     hits = 0
     for i in range(x.shape[0]):
         xi = Matrix(x[i : i + 1])
-        if model.kind == "branchlora":
-            tid = task.task_id
-            if selector == "auto":
-                tid = select_task(SampleEmbeddings.from_input(x[i]), model.keys)
-            logits, _ = model.forward(xi, tid)
-        else:
-            logits, _ = model.forward(xi)
+        tid = task.task_id
+        if selector == "auto" and model.kind == "branchlora":
+            tid = select_task(SampleEmbeddings.from_input(x[i]), model.keys)
+        logits, _ = model.forward(xi, tid)
         hits += int(np.argmax(logits.data[0]) == y[i])
     return hits / x.shape[0]
 
@@ -163,35 +159,110 @@ def _freeze_after_task(
     width: int,
     by: str,
     ledger: FreezeLedger,
-) -> list[list[int]]:
-    newly_frozen = []
+) -> None:
     for li, layer in enumerate(model.layers):
         st = usage[li]
         chosen = select_freeze_set(st, width, layer.frozen, by=by)
         mass = st.normalized_mass()
         apply_freeze(layer, chosen)
         ledger.record(task_id, li, chosen, mass)
-        newly_frozen.append(chosen)
-    return newly_frozen
 
 
-def _method_kind(method: str) -> str:
-    return "lora" if method == "multitask" else method
+def _run_zero_shot(model, stream, entry, save) -> tuple[list, list[float]]:
+    """The untrained backbone, evaluated once for every stage."""
+    accs = [evaluate(model, task) for task in stream.tasks]
+    rows = [accs[: i + 1] for i in range(len(stream))]
+    entry["trainable_params_per_task"] = [0] * len(stream)
+    save(len(stream) - 1)
+    return rows, []
+
+
+def _run_multitask(model, stream, config, rng, guard, entry, save) -> tuple[list, list[float]]:
+    """One adapter trained on all tasks at once: the upper bound."""
+    t = config.train
+    x_all = np.concatenate([task.x_train for task in stream.tasks])
+    y_all = np.concatenate([task.y_train for task in stream.tasks])
+    stats = train_task(
+        model, x_all, y_all, None, t.epochs, t.batch_size, t.lr, t.optimizer, rng
+    )
+    guard.verify(model.all_named_matrices())
+    accs = [evaluate(model, task) for task in stream.tasks]
+    rows = [accs[: i + 1] for i in range(len(stream))]
+    entry["trainable_params_per_task"] = [model.count_trainable_params()]
+    save(len(stream) - 1)
+    return rows, stats.batch_seconds
+
+
+def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[list, list[float]]:
+    """Train the tasks in order; after each, evaluate every task seen so far.
+
+    branchlora also records gate usage, freezes branches after each task
+    and routes evaluation through automatic task selection.
+    """
+    a, t = config.adapter, config.train
+    branched = model.kind == "branchlora"
+    ledger = FreezeLedger()
+    rows = []
+    params_per_task = []
+    batch_seconds: list[float] = []
+    for task in stream.tasks:
+        tid = task.task_id
+        model.start_task(tid)
+        usage = None
+        embeds = None
+        if branched:
+            usage = [UsageStats(model.hp.experts, model.hp.top_k) for _ in model.layers]
+            embeds = [SampleEmbeddings.from_input(row) for row in task.x_train]
+        params_per_task.append(model.count_trainable_params(tid))
+        stats = train_task(
+            model,
+            task.x_train,
+            task.y_train,
+            tid,
+            t.epochs,
+            t.batch_size,
+            t.lr,
+            t.optimizer,
+            rng,
+            usage=usage,
+            embeds=embeds,
+        )
+        batch_seconds.extend(stats.batch_seconds)
+        # catch any drift of already-frozen state during this task
+        guard.verify(model.all_named_matrices())
+        if branched:
+            _freeze_after_task(model, tid, usage, a.effective_freeze_width(), a.freeze_by, ledger)
+        model.finish_task(tid)
+        guard.track(model.all_named_matrices())
+        selector = "auto" if branched else "oracle"
+        rows.append([evaluate(model, stream.tasks[k], selector) for k in range(tid + 1)])
+        save(tid)
+    entry["trainable_params_per_task"] = params_per_task
+    if branched:
+        entry["freeze_ledger"] = ledger.to_obj()
+        entry["oracle_final_row"] = [evaluate(model, task, "oracle") for task in stream.tasks]
+        samples = [
+            (SampleEmbeddings.from_input(x), task.task_id)
+            for task in stream.tasks
+            for x in task.x_test
+        ]
+        entry["selector_accuracy"] = selector_accuracy(samples, model.keys)
+    return rows, batch_seconds
 
 
 def run_seed(
     config: ExperimentConfig,
     seed: int,
     out_dir=None,
-    keep_snapshots: bool = False,
     stream: TaskStream | None = None,
 ) -> dict:
     """Run every configured method on one seed's stream.
 
-    Returns {"report": ..., "timings": ..., "snapshots": ..., "models": ...}.
-    Only "report" is deterministic; timings are wall-clock measurements.
+    Returns {"report": ..., "timings": ..., "models": ...}. Only "report"
+    is deterministic; timings are wall-clock measurements. With `out_dir`,
+    each method's checkpoints go under `out_dir/checkpoints`.
     """
-    s, a, t = config.stream, config.adapter, config.train
+    s = config.stream
     if stream is None:
         stream = generate_stream(
             tasks=s.tasks,
@@ -204,113 +275,30 @@ def run_seed(
             noise=s.noise,
         )
     fingerprint = stream_fingerprint(stream)
-    hp = a.hyperparams()
-    mcfg = ModelConfig(width=stream.dim, classes=stream.classes, layers=a.layers)
+    hp = config.adapter.hyperparams()
+    mcfg = ModelConfig(width=stream.dim, classes=stream.classes, layers=config.adapter.layers)
     methods_out: dict[str, dict] = {}
     timings: dict[str, dict] = {}
-    snapshots: dict[str, list] = {}
     models: dict[str, ContinualModel] = {}
 
     for method in config.methods:
-        kind = _method_kind(method)
-        model = build_model(kind, mcfg, hp, seed)
+        # multitask trains a lora model on all tasks at once
+        model = build_model("lora" if method == "multitask" else method, mcfg, hp, seed)
         models[method] = model
         guard = ImmutabilityGuard()
-        for name, m in model.all_named_matrices():
-            if not m.trainable:
-                guard.freeze(name, m)
+        guard.track(model.all_named_matrices())
+
+        def save(task_id: int) -> None:
+            if out_dir is not None:
+                save_model(checkpoint_dir(out_dir, seed, method, task_id), model)
+
         entry: dict = {"stream_fingerprint": fingerprint}
-        batch_seconds: list[float] = []
-
         if method == "zero_shot":
-            accs = [evaluate(model, task) for task in stream.tasks]
-            rows = [[accs[k] for k in range(i + 1)] for i in range(len(stream))]
-            entry["trainable_params_per_task"] = [0] * len(stream)
-        elif method == "multitask":
-            x_all = np.concatenate([task.x_train for task in stream.tasks])
-            y_all = np.concatenate([task.y_train for task in stream.tasks])
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _TRAIN_TAGS[method]]))
-            stats = train_task(
-                model, x_all, y_all, None, t.epochs, t.batch_size, t.lr, t.optimizer, rng
-            )
-            batch_seconds.extend(stats.batch_seconds)
-            guard.verify(model.all_named_matrices())
-            accs = [evaluate(model, task) for task in stream.tasks]
-            rows = [[accs[k] for k in range(i + 1)] for i in range(len(stream))]
-            entry["trainable_params_per_task"] = [model.count_trainable_params()]
+            rows, batch_seconds = _run_zero_shot(model, stream, entry, save)
         else:
+            run = _run_multitask if method == "multitask" else _run_sequential
             rng = np.random.default_rng(np.random.SeedSequence([seed, _TRAIN_TAGS[method]]))
-            ledger = FreezeLedger()
-            rows = []
-            params_per_task = []
-            method_snapshots = []
-            for task in stream.tasks:
-                tid = task.task_id
-                usage = None
-                embeds = None
-                if kind == "branchlora":
-                    model.start_task(tid)
-                    usage = [UsageStats(hp.experts, hp.top_k) for _ in model.layers]
-                    embeds = _embeddings_for(task.x_train)
-                params_per_task.append(model.count_trainable_params(tid))
-                stats = train_task(
-                    model,
-                    task.x_train,
-                    task.y_train,
-                    tid,
-                    t.epochs,
-                    t.batch_size,
-                    t.lr,
-                    t.optimizer,
-                    rng,
-                    usage=usage,
-                    embeds=embeds,
-                )
-                batch_seconds.extend(stats.batch_seconds)
-                # catch any drift of already-frozen state during this task
-                guard.verify(model.all_named_matrices())
-                if kind == "branchlora":
-                    newly_frozen = _freeze_after_task(
-                        model, tid, usage, a.effective_freeze_width(), a.freeze_by, ledger
-                    )
-                    model.finish_task(tid)
-                    for li, layer in enumerate(model.layers):
-                        for j in newly_frozen[li]:
-                            guard.freeze(f"layer{li}.branch{j}", layer.branches[j])
-                        guard.freeze(f"layer{li}.router.task{tid}", layer.routers[tid])
-                    keys = model.keys.get(tid)
-                    guard.freeze(f"keys.task{tid}.img", keys.k_img)
-                    guard.freeze(f"keys.task{tid}.txt", keys.k_txt)
-                selector = "auto" if kind == "branchlora" else "oracle"
-                rows.append(
-                    [evaluate(model, stream.tasks[k], selector) for k in range(tid + 1)]
-                )
-                if keep_snapshots and kind == "moelora":
-                    method_snapshots.append(
-                        [
-                            [(a_m.data.copy(), b_m.data.copy()) for a_m, b_m in layer.experts]
-                            for layer in model.layers
-                        ]
-                    )
-                if out_dir is not None:
-                    save_model(_ckpt_dir(out_dir, seed, method, tid), model)
-            entry["trainable_params_per_task"] = params_per_task
-            if kind == "branchlora":
-                entry["freeze_ledger"] = ledger.to_obj()
-                entry["oracle_final_row"] = [
-                    evaluate(model, task, "oracle") for task in stream.tasks
-                ]
-                samples = [
-                    (SampleEmbeddings.from_input(x), task.task_id)
-                    for task in stream.tasks
-                    for x in task.x_test
-                ]
-                entry["selector_accuracy"] = selector_accuracy(samples, model.keys)
-            if method_snapshots:
-                snapshots[method] = method_snapshots
-
-        if out_dir is not None and method in ("zero_shot", "multitask"):
-            save_model(_ckpt_dir(out_dir, seed, method, len(stream) - 1), model)
+            rows, batch_seconds = run(model, stream, config, rng, guard, entry, save)
 
         matrix = EvalMatrix(rows)
         m = compute_metrics(matrix)
@@ -331,13 +319,7 @@ def run_seed(
         "stream_fingerprint": fingerprint,
         "methods": methods_out,
     }
-    return {"report": report, "timings": timings, "snapshots": snapshots, "models": models}
-
-
-def _ckpt_dir(out_dir, seed: int, method: str, task_id: int):
-    from pathlib import Path
-
-    return Path(out_dir) / "checkpoints" / f"seed{seed}" / method / f"task{task_id}"
+    return {"report": report, "timings": timings, "models": models}
 
 
 def aggregate_reports(config_dict: dict, per_seed: dict[int, dict]) -> dict:

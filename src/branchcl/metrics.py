@@ -41,11 +41,6 @@ class EvalMatrix:
     def num_tasks(self) -> int:
         return len(self.rows)
 
-    def at(self, i: int, k: int) -> float:
-        if not 0 <= k <= i < self.num_tasks:
-            raise ContractError(f"cell ({i}, {k}) outside the lower triangle")
-        return self.rows[i][k]
-
     def final_row(self) -> list[float]:
         return list(self.rows[-1])
 

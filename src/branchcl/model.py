@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import (
-    AdapterHyperparams,
-    BranchLoRALayer,
-    FrozenBackbone,
-    LoRALayer,
-    MoELoRALayer,
-)
-from .errors import ParameterError, RoutingError
+from .adapters import LAYERS, AdapterHyperparams, AdapterLayer, FrozenBackbone
+from .errors import ParameterError
 from .selector import KeyStore
 from .tensor import Matrix, matmul, tanh
 
@@ -29,7 +23,7 @@ _ADAPTER_TAG = 12
 _KEY_TAG = 13
 _ROUTER_TAG = 14
 
-KINDS = ("zero_shot", "lora", "moelora", "branchlora")
+KINDS = tuple(LAYERS)
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class ContinualModel:
         kind: str,
         cfg: ModelConfig,
         hp: AdapterHyperparams,
-        layers: list,
+        layers: list[AdapterLayer],
         head: Matrix,
         seed: int,
     ):
@@ -73,52 +67,34 @@ class ContinualModel:
         gates: list[Matrix] = []
         h = x
         for i, layer in enumerate(self.layers):
-            if self.kind == "branchlora":
-                if task_id is None:
-                    raise RoutingError("branchlora forward needs a task id")
-                h, gate = layer.forward(h, task_id)
+            h, gate = layer.forward(h, task_id)
+            if gate is not None:
                 gates.append(gate)
-            elif self.kind == "moelora":
-                h, gate = layer.forward(h)
-                gates.append(gate)
-            elif self.kind == "lora":
-                h = layer.forward(h)
-            else:  # zero_shot: bare backbone
-                h = layer.forward(h)
             if i < len(self.layers) - 1:
                 h = tanh(h)
         logits = matmul(h, self.head)
         return logits, gates
 
     def start_task(self, task_id: int) -> None:
-        """Register the per-task router (every layer) and key pair."""
-        if self.kind != "branchlora":
-            return
+        """Register the task with every layer and, for branchlora, its key pair."""
         for layer in self.layers:
-            layer.add_router(task_id, self._router_rng)
-        self.keys.add(task_id, self.cfg.width // 2, self._key_rng)
+            layer.start_task(task_id, self._router_rng)
+        if self.kind == "branchlora":
+            self.keys.add(task_id, self.cfg.width // 2, self._key_rng)
 
     def finish_task(self, task_id: int) -> None:
         """Freeze the task's routers and keys; they must never move again."""
-        if self.kind != "branchlora":
-            return
         for layer in self.layers:
-            layer.routers[task_id].trainable = False
-        self.keys.get(task_id).freeze()
+            layer.finish_task(task_id)
+        if self.kind == "branchlora":
+            self.keys.get(task_id).freeze()
 
     def trainable_params(self, task_id: int | None = None) -> list[Matrix]:
-        if self.kind == "zero_shot":
-            return []
         out: list[Matrix] = []
-        if self.kind == "branchlora":
-            if task_id is None:
-                raise RoutingError("branchlora parameter set depends on the task id")
-            for layer in self.layers:
-                out.extend(layer.trainable_params(task_id))
+        for layer in self.layers:
+            out.extend(layer.params(task_id))
+        if task_id in self.keys:
             out.extend(self.keys.get(task_id).params())
-        else:
-            for layer in self.layers:
-                out.extend(layer.trainable_params())
         return out
 
     def count_trainable_params(self, task_id: int | None = None) -> int:
@@ -126,27 +102,11 @@ class ContinualModel:
 
     def all_named_matrices(self) -> list[tuple[str, Matrix]]:
         """Every matrix in the model, with stable names (for checkpoints)."""
-        out: list[tuple[str, Matrix]] = []
-        for i, layer in enumerate(self.layers):
-            prefix = f"layer{i}"
-            if self.kind == "zero_shot":
-                out.append((f"{prefix}.backbone", layer.weight))
-                continue
-            out.append((f"{prefix}.backbone", layer.backbone.weight))
-            if self.kind == "lora":
-                out.append((f"{prefix}.A", layer.a))
-                out.append((f"{prefix}.B", layer.b))
-            elif self.kind == "moelora":
-                for j, (a, b) in enumerate(layer.experts):
-                    out.append((f"{prefix}.expert{j}.A", a))
-                    out.append((f"{prefix}.expert{j}.B", b))
-                out.append((f"{prefix}.router", layer.router))
-            else:
-                out.append((f"{prefix}.A", layer.a_shared))
-                for j, b in enumerate(layer.branches):
-                    out.append((f"{prefix}.branch{j}", b))
-                for t in sorted(layer.routers):
-                    out.append((f"{prefix}.router.task{t}", layer.routers[t]))
+        out = [
+            (f"layer{i}.{name}", m)
+            for i, layer in enumerate(self.layers)
+            for name, m in layer.named_matrices()
+        ]
         out.append(("head", self.head))
         for keys in self.keys.ordered():
             out.append((f"keys.task{keys.task_id}.img", keys.k_img))
@@ -157,7 +117,8 @@ class ContinualModel:
 def build_model(kind: str, cfg: ModelConfig, hp: AdapterHyperparams, seed: int) -> ContinualModel:
     """Construct a model. The backbone rng depends only on the seed, so all
     kinds share identical frozen weights for a given seed."""
-    if kind not in KINDS:
+    layer_cls = LAYERS.get(kind)
+    if layer_cls is None:
         raise ParameterError(f"unknown model kind: {kind!r}")
     backbone_rng = np.random.default_rng(np.random.SeedSequence([seed, _BACKBONE_TAG]))
     backbones = [
@@ -166,17 +127,9 @@ def build_model(kind: str, cfg: ModelConfig, hp: AdapterHyperparams, seed: int) 
     head = Matrix.randn(
         backbone_rng, cfg.width, cfg.classes, std=1.0 / np.sqrt(cfg.width), name="head"
     )
-    if kind == "zero_shot":
-        layers: list = backbones
-        return ContinualModel(kind, cfg, hp, layers, head, seed)
     adapter_rng = np.random.default_rng(np.random.SeedSequence([seed, _ADAPTER_TAG]))
-    layers = []
-    for backbone in backbones:
-        if kind == "lora":
-            layer = LoRALayer.init(adapter_rng, cfg.width, cfg.width, hp, backbone=backbone)
-        elif kind == "moelora":
-            layer = MoELoRALayer.init(adapter_rng, cfg.width, cfg.width, hp, backbone=backbone)
-        else:
-            layer = BranchLoRALayer.init(adapter_rng, cfg.width, cfg.width, hp, backbone=backbone)
-        layers.append(layer)
+    layers = [
+        layer_cls.init(adapter_rng, cfg.width, cfg.width, hp, backbone=backbone)
+        for backbone in backbones
+    ]
     return ContinualModel(kind, cfg, hp, layers, head, seed)

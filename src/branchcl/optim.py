@@ -31,10 +31,8 @@ class Sgd:
         self.params = list(params)
         self.lr = float(lr)
         self.allow_missing = bool(allow_missing)
-        self.step_count = 0
 
     def step(self) -> int:
-        self.step_count += 1
         updated = 0
         for p in self.params:
             if not p.trainable:
@@ -71,13 +69,11 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.allow_missing = bool(allow_missing)
-        self.step_count = 0
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
         self._t: dict[int, int] = {}
 
     def step(self) -> int:
-        self.step_count += 1
         updated = 0
         for p in self.params:
             if not p.trainable:

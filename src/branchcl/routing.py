@@ -8,7 +8,6 @@ record of every freeze decision for later inspection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +44,6 @@ class UsageStats:
         if self.samples_seen == 0:
             raise PolicyError("no gate observations recorded")
         return self.mass / self.samples_seen
-
-    def reset(self) -> None:
-        self.mass[:] = 0.0
-        self.selections[:] = 0
-        self.samples_seen = 0
 
 
 def select_freeze_set(
@@ -120,18 +114,8 @@ class FreezeLedger:
             LedgerEntry(task_id, layer, sorted(frozen), [float(v) for v in mass])
         )
 
-    def frozen_for_layer(self, layer: int) -> list[int]:
-        out: list[int] = []
-        for e in self.entries:
-            if e.layer == layer:
-                out.extend(e.frozen)
-        return sorted(out)
-
     def to_obj(self) -> list[dict]:
         return [
             {"task": e.task_id, "layer": e.layer, "frozen": e.frozen, "mass": e.mass}
             for e in self.entries
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2)

@@ -10,6 +10,7 @@ to a sample's views wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class TaskKeys:
 class KeyStore:
     """Keys of all tasks seen so far, in task order."""
 
-    def __init__(self):
-        self._keys: dict[int, TaskKeys] = {}
+    def __init__(self, keys: Iterable[TaskKeys] = ()):
+        self._keys: dict[int, TaskKeys] = {k.task_id: k for k in keys}
 
     def add(self, task_id: int, dim: int, rng: np.random.Generator) -> TaskKeys:
         if task_id in self._keys:

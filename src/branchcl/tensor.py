@@ -92,13 +92,6 @@ class Matrix:
             raise ContractError(f"item() needs a 1x1 matrix, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def copy(self) -> "Matrix":
-        out = Matrix(self.data, trainable=self.trainable, name=self.name)
-        return out
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = self.name or "matrix"
         return f"Matrix({tag}, {self.rows}x{self.cols}, trainable={self.trainable})"
@@ -152,12 +145,6 @@ class Tape:
         backward: Callable[[np.ndarray], list],
     ) -> None:
         self.entries.append(TapeEntry(out, inputs, backward))
-
-    def clear(self) -> None:
-        self.entries = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 _TAPES: list[Tape] = []

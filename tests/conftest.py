@@ -14,19 +14,27 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import branchcl as bc
+from branchcl.cli import load_snapshots
+
+
+def run_with_snapshots(cfg, seed, out_dir):
+    """run_seed with checkpoints under out_dir; the moelora snapshots read
+    back from them go under result["snapshots"]["moelora"]."""
+    result = bc.run_seed(cfg, seed, out_dir=out_dir)
+    result["snapshots"] = {"moelora": load_snapshots(out_dir, seed, cfg.stream.tasks)}
+    return result
 
 
 @pytest.fixture(scope="session")
-def default_run():
+def default_run(tmp_path_factory):
     """All methods, all five default seeds, with parameter snapshots.
 
     Returns (per-seed results dict, wall seconds for the whole sweep).
     """
     cfg = bc.ExperimentConfig()
+    out_dir = tmp_path_factory.mktemp("default_run")
     start = time.perf_counter()
-    results = {
-        seed: bc.run_seed(cfg, seed, keep_snapshots=True) for seed in cfg.seeds
-    }
+    results = {seed: run_with_snapshots(cfg, seed, out_dir) for seed in cfg.seeds}
     elapsed = time.perf_counter() - start
     return results, elapsed
 

@@ -53,7 +53,8 @@ class TestLoRA:
         rng = make_rng(2)
         layer = bc.LoRALayer.init(rng, 8, 8, HP)
         x = bc.Matrix(rng.standard_normal((4, 8)))
-        out = layer.forward(x)
+        out, gate = layer.forward(x)
+        assert gate is None
         np.testing.assert_array_equal(out.data, layer.backbone.forward(x).data)
 
     def test_forward_matches_oracle(self):
@@ -61,7 +62,7 @@ class TestLoRA:
         layer = bc.LoRALayer.init(rng, 8, 8, HP)
         layer.b.data[:] = rng.standard_normal(layer.b.shape)
         x = rng.standard_normal((4, 8))
-        out = layer.forward(bc.Matrix(x))
+        out, _ = layer.forward(bc.Matrix(x))
         ref = oracles.lora_forward_oracle(
             x, layer.backbone.weight.data, layer.a.data, layer.b.data, HP.scaling
         )
@@ -158,7 +159,7 @@ class TestBranchLoRA:
         with pytest.raises(RoutingError):
             layer.add_router(0, rng)
         with pytest.raises(RoutingError):
-            layer.trainable_params(99)
+            layer.params(99)
 
     def test_frozen_branches_leave_param_set(self):
         _, layer = self.build()
@@ -166,7 +167,7 @@ class TestBranchLoRA:
         layer.frozen[1] = True
         reduced = layer.count_trainable_params(0)
         assert full - reduced == layer.branches[1].data.size
-        assert layer.branches[1] not in layer.trainable_params(0)
+        assert layer.branches[1] not in layer.params(0)
 
     def test_param_count(self):
         rng = make_rng(8)
@@ -186,14 +187,3 @@ def test_branch_strictly_smaller_than_moe(d, moe_expected, branch_expected):
     assert branch.count_trainable_params(0) == branch_expected
     assert branch_expected < moe_expected
 
-
-def test_init_adapter_dispatch():
-    rng = make_rng(10)
-    lora = bc.init_adapter("lora", 8, 8, HP, rng)
-    moe = bc.init_adapter("moelora", 8, 8, HP, rng)
-    branch = bc.init_adapter("branchlora", 8, 8, HP, rng)
-    assert isinstance(lora, bc.LoRALayer)
-    assert isinstance(moe, bc.MoELoRALayer)
-    assert isinstance(branch, bc.BranchLoRALayer)
-    with pytest.raises(ParameterError):
-        bc.init_adapter("adapterfusion", 8, 8, HP, rng)

@@ -7,6 +7,7 @@ import pytest
 
 import branchcl as bc
 from branchcl import AnalysisError
+from conftest import run_with_snapshots
 
 
 def random_snapshots(rng, tasks=3, layers=2, experts=4, d=8, pr=2):
@@ -168,8 +169,8 @@ class TestEfficiencyReport:
         assert report["batches"] == 8
 
 
-def test_similarity_on_real_training_run(smoke_cfg):
-    result = bc.run_seed(smoke_cfg, 0, keep_snapshots=True)
+def test_similarity_on_real_training_run(smoke_cfg, tmp_path):
+    result = run_with_snapshots(smoke_cfg, 0, tmp_path)
     summary = bc.expert_similarity(result["snapshots"]["moelora"])
     assert summary["snapshots"] == smoke_cfg.stream.tasks
     assert summary["experts"] == smoke_cfg.adapter.experts

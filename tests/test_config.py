@@ -9,7 +9,7 @@ from branchcl import ConfigError
 
 
 def test_defaults_are_valid():
-    cfg = bc.default_config()
+    cfg = bc.ExperimentConfig()
     bc.validate_config(cfg)
     assert cfg.stream.tasks == 4
     assert cfg.adapter.rank == 16
@@ -20,13 +20,13 @@ def test_defaults_are_valid():
 
 
 def test_dict_round_trip():
-    cfg = bc.default_config()
+    cfg = bc.ExperimentConfig()
     again = bc.config_from_dict(bc.config_to_dict(cfg))
     assert again == cfg
 
 
 def test_empty_object_means_defaults():
-    assert bc.config_from_dict({}) == bc.default_config()
+    assert bc.config_from_dict({}) == bc.ExperimentConfig()
 
 
 def test_partial_overrides():
@@ -105,7 +105,7 @@ def test_shipped_configs_parse(tmp_path):
 
 
 def test_config_to_dict_is_json_ready():
-    obj = bc.config_to_dict(bc.default_config())
+    obj = bc.config_to_dict(bc.ExperimentConfig())
     json.dumps(obj)  # must not raise
     assert obj["adapter"]["freeze_width"] == 1
     assert "out_dir" in obj

@@ -7,6 +7,7 @@ import pytest
 
 import branchcl as bc
 from branchcl import ContractError, ParameterError
+from conftest import run_with_snapshots
 
 
 def run_smoke(cfg, seed=0, **kw):
@@ -17,13 +18,13 @@ class TestImmutabilityGuard:
     def test_passes_while_untouched(self):
         m = bc.Matrix(np.ones((2, 2)))
         guard = bc.ImmutabilityGuard()
-        guard.freeze("w", m)
+        guard.track([("w", m)])
         guard.verify([("w", m)])
 
     def test_trips_on_any_bit_change(self):
         m = bc.Matrix(np.ones((2, 2)))
         guard = bc.ImmutabilityGuard()
-        guard.freeze("w", m)
+        guard.track([("w", m)])
         m.data[1, 1] = np.nextafter(1.0, 2.0)
         with pytest.raises(ContractError):
             guard.verify([("w", m)])
@@ -31,7 +32,7 @@ class TestImmutabilityGuard:
     def test_trips_on_disappearance(self):
         m = bc.Matrix(np.ones((2, 2)))
         guard = bc.ImmutabilityGuard()
-        guard.freeze("w", m)
+        guard.track([("w", m)])
         with pytest.raises(ContractError):
             guard.verify([])
 
@@ -60,14 +61,14 @@ class TestTrainTask:
 
 
 @pytest.fixture(scope="module")
-def smoke_run():
+def smoke_run(tmp_path_factory):
     cfg = bc.ExperimentConfig(
         stream=bc.StreamConfig(tasks=2, train_samples=64, test_samples=32, dim=16, classes=4),
         adapter=bc.AdapterConfig(rank=8, alpha=16.0, experts=4, top_k=2, freeze_width=1),
         train=bc.TrainConfig(epochs=3, batch_size=16),
         seeds=(0,),
     )
-    return cfg, bc.run_seed(cfg, 0, keep_snapshots=True)
+    return cfg, run_with_snapshots(cfg, 0, tmp_path_factory.mktemp("smoke_run"))
 
 
 class TestRunSeedReport:

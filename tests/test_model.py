@@ -41,7 +41,7 @@ class TestBuildModel:
             w = lora.layers[i].backbone.weight.data
             np.testing.assert_array_equal(w, moe.layers[i].backbone.weight.data)
             np.testing.assert_array_equal(w, branch.layers[i].backbone.weight.data)
-            np.testing.assert_array_equal(w, zero.layers[i].weight.data)
+            np.testing.assert_array_equal(w, zero.layers[i].backbone.weight.data)
         np.testing.assert_array_equal(lora.head.data, branch.head.data)
 
     def test_different_seeds_differ(self):
@@ -168,16 +168,29 @@ class TestCheckpoints:
         assert [k.task_id for k in loaded.keys.ordered()] == [0, 1]
         assert not loaded.keys.get(0).k_img.trainable
 
-    def test_loaded_model_forward_matches(self, tmp_path):
+    @pytest.mark.parametrize("kind", bc.KINDS)
+    def test_loaded_model_forward_matches(self, kind, tmp_path):
         rng = np.random.default_rng(11)
-        model = bc.build_model("moelora", CFG, HP, seed=5)
-        self.train_a_little(model, rng)
+        model = bc.build_model(kind, CFG, HP, seed=5)
+        task_ids = [None]
+        if kind == "branchlora":
+            # task 0 finished with one branch frozen, task 1 started
+            model.start_task(0)
+            self.train_a_little(model, rng, 0)
+            bc.apply_freeze(model.layers[0], [1])
+            model.finish_task(0)
+            model.start_task(1)
+            self.train_a_little(model, rng, 1)
+            task_ids = [0, 1]
+        elif kind != "zero_shot":
+            self.train_a_little(model, rng)
         bc.save_model(tmp_path / "ckpt", model)
         loaded = bc.load_model(tmp_path / "ckpt")
         x = batch(np.random.default_rng(12))
-        ours, _ = model.forward(x)
-        theirs, _ = loaded.forward(x)
-        np.testing.assert_array_equal(ours.data, theirs.data)
+        for tid in task_ids:
+            ours, _ = model.forward(x, tid)
+            theirs, _ = loaded.forward(x, tid)
+            np.testing.assert_array_equal(ours.data, theirs.data)
 
     def test_missing_manifest_is_contract_error(self, tmp_path):
         with pytest.raises(bc.ContractError):
