@@ -54,7 +54,7 @@ from .tensor import (
     Tape,
     add,
     backward,
-    cosine_similarity,
+    cosine_sum,
     cross_entropy,
     matmul,
     mix,

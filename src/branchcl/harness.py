@@ -74,12 +74,11 @@ def train_task(
     optimizer: str,
     rng: np.random.Generator,
     usage: list[UsageStats] | None = None,
-    embeds: list[SampleEmbeddings] | None = None,
 ) -> TrainStats:
     """Train the model's adapter parameters on one task's data.
 
     For branchlora runs, `usage` collects per-layer gate observations and
-    `embeds` supplies the per-sample views for the key alignment loss.
+    each batch's inputs also feed the key alignment loss.
     """
     if model.kind == "zero_shot":
         raise ParameterError("zero_shot models have nothing to train")
@@ -107,7 +106,7 @@ def train_task(
                 logits, gates = model.forward(xb, task_id)
                 loss = cross_entropy(logits, yb)
                 if keys is not None:
-                    align = alignment_loss([embeds[i] for i in idx], keys)
+                    align = alignment_loss(xb, keys)
                     loss_total = total_loss(loss, align, align_weight)
                 else:
                     loss_total = loss
@@ -208,11 +207,7 @@ def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[lis
     for task in stream.tasks:
         tid = task.task_id
         model.start_task(tid)
-        usage = None
-        embeds = None
-        if branched:
-            usage = [UsageStats(model.hp.experts, model.hp.top_k) for _ in model.layers]
-            embeds = [SampleEmbeddings.from_input(row) for row in task.x_train]
+        usage = [UsageStats(model.hp.experts) for _ in model.layers] if branched else None
         params_per_task.append(model.count_trainable_params(tid))
         stats = train_task(
             model,
@@ -225,7 +220,6 @@ def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[lis
             t.optimizer,
             rng,
             usage=usage,
-            embeds=embeds,
         )
         batch_seconds.extend(stats.batch_seconds)
         # catch any drift of already-frozen state during this task

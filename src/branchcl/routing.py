@@ -19,9 +19,8 @@ from .tensor import Matrix
 class UsageStats:
     """Accumulated gate observations for one adapter layer within one task."""
 
-    def __init__(self, experts: int, top_k: int):
+    def __init__(self, experts: int):
         self.experts = experts
-        self.top_k = top_k
         self.mass = np.zeros(experts)
         self.selections = np.zeros(experts, dtype=np.int64)
         self.samples_seen = 0

@@ -2,7 +2,7 @@
 
 Each task owns a pair of trainable key vectors, one per embedding view.
 At desk scale the two views of a sample are simply the two halves of its
-input vector. Training pulls each key toward its task's embeddings via a
+input vector. Training pulls each key toward its task's inputs via a
 cosine alignment loss; at inference the task whose keys are most similar
 to a sample's views wins.
 """
@@ -14,8 +14,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError, SelectorError
-from .tensor import Matrix, add, cosine_similarity, scale
+from .errors import ContractError, DimensionError, SelectorError
+from .tensor import Matrix, add, cosine_sum, scale
+
+
+def _views(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image and text views: the two halves of the last axis."""
+    width = a.shape[-1]
+    if width % 2 != 0:
+        raise DimensionError(f"input length {width} is odd, cannot split into two views")
+    half = width // 2
+    return a[..., :half], a[..., half:]
 
 
 @dataclass
@@ -27,11 +36,8 @@ class SampleEmbeddings:
 
     @classmethod
     def from_input(cls, x: np.ndarray) -> "SampleEmbeddings":
-        v = np.asarray(x, dtype=np.float64).ravel()
-        if v.size % 2 != 0:
-            raise DimensionError(f"input length {v.size} is odd, cannot split into two views")
-        half = v.size // 2
-        return cls(img=Matrix(v[None, :half]), txt=Matrix(v[None, half:]))
+        img, txt = _views(np.asarray(x, dtype=np.float64).ravel())
+        return cls(img=Matrix(img[None]), txt=Matrix(txt[None]))
 
 
 class TaskKeys:
@@ -88,20 +94,20 @@ class KeyStore:
         return task_id in self._keys
 
 
-def alignment_loss(batch: list[SampleEmbeddings], keys: TaskKeys) -> Matrix:
-    """sum_j (1 - cos(e_img_j, k_img)) + sum_j (1 - cos(e_txt_j, k_txt)).
+def alignment_loss(x: Matrix, keys: TaskKeys) -> Matrix:
+    """sum_j (1 - cos(img_j, k_img)) + sum_j (1 - cos(txt_j, k_txt)) over the rows of x.
 
-    Computed as 2*B minus the summed cosines, which is the same quantity
-    with fewer tape entries. Scalar-shaped output; gradients reach the keys.
+    Each row's two views are its halves, as in `SampleEmbeddings`. Computed
+    as 2*B minus the summed cosines, one `cosine_sum` per view.
+    Scalar-shaped output; the inputs are constants and gradients reach the
+    keys only.
     """
-    if not batch:
-        raise SelectorError("alignment_loss needs a non-empty batch")
-    cos_sum = None
-    for e in batch:
-        s = add(cosine_similarity(e.img, keys.k_img), cosine_similarity(e.txt, keys.k_txt))
-        cos_sum = s if cos_sum is None else add(cos_sum, s)
-    count = Matrix([[2.0 * len(batch)]])
-    return add(count, scale(cos_sum, -1.0))
+    if x.requires_grad:
+        raise ContractError("alignment_loss: the input batch must be a constant")
+    img, txt = _views(x.data)
+    cos = add(cosine_sum(Matrix(img), keys.k_img), cosine_sum(Matrix(txt), keys.k_txt))
+    count = Matrix([[2.0 * x.rows]])
+    return add(count, scale(cos, -1.0))
 
 
 def total_loss(task_loss: Matrix, align: Matrix, weight: float) -> Matrix:

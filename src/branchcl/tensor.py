@@ -1,12 +1,12 @@
 """Dense 2-D float64 matrices with reverse-mode autodiff on an explicit tape.
 
 The op set is deliberately small: matmul, add, scale, tanh, row_softmax,
-topk_mask, take_row, mix (gate-weighted sum), cosine_similarity, the two
-losses, and sum/mean reductions. Each op computes its forward value
-eagerly with numpy and, when a tape is active and a gradient path exists,
-records a backward closure. `backward` replays the tape in exact reverse
-execution order and accumulates dLoss/dParam into `.grad` of trainable
-leaves.
+topk_mask, take_row, mix (gate-weighted sum), cosine_sum (summed cosines
+of a batch's rows to one key), the two losses, and sum/mean reductions.
+Each op computes its forward value eagerly with numpy and, when a tape is
+active and a gradient path exists, records a backward closure. `backward`
+replays the tape in exact reverse execution order and accumulates
+dLoss/dParam into `.grad` of trainable leaves.
 
 Masked gate entries use a large negative sentinel instead of -inf so that
 row_softmax turns them into exact 0.0 (the exponential underflows) without
@@ -329,41 +329,43 @@ def mix(
     return out
 
 
-def _as_vector(a: Matrix, label: str) -> np.ndarray:
-    if a.rows != 1 and a.cols != 1:
-        raise DimensionError(f"cosine_similarity: {label} must be a vector, got {a.rows}x{a.cols}")
-    return a.data.ravel()
+def cosine_sum(x: Matrix, k: Matrix) -> Matrix:
+    """Sum over the rows of x of cos(x_i, k), as a 1x1 matrix.
 
-
-def cosine_similarity(a: Matrix, b: Matrix) -> Matrix:
-    """Cosine of the angle between two equal-length vectors, as a 1x1 matrix.
-
-    Returned scalar-shaped so gradient can flow to either vector; use
-    `.item()` for the plain value.
+    x is B x d and k is a 1 x d row. One tape entry covers the whole batch;
+    gradients reach both x and k.
     """
-    u = _as_vector(a, "a")
-    v = _as_vector(b, "b")
-    if u.size != v.size:
-        raise DimensionError(f"cosine_similarity: lengths differ, {u.size} vs {v.size}")
-    nu = float(np.linalg.norm(u))
+    if k.rows != 1:
+        raise DimensionError(f"cosine_sum: key must be a row vector, got {k.rows}x{k.cols}")
+    if x.cols != k.cols:
+        raise DimensionError(f"cosine_sum: widths differ, {x.cols} vs {k.cols}")
+    u = x.data
+    v = k.data[0]
+    # vecdot takes each row's dot product with the same BLAS dot as `u_i @ v`,
+    # so every cosine is bit-identical to computing that row on its own.
+    nu = np.sqrt(np.vecdot(u, u))
     nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInputError("cosine_similarity: zero-norm vector")
-    c = float(u @ v) / (nu * nv)
-    out = _result(np.array([[c]]), a.requires_grad or b.requires_grad)
+    if nv == 0.0 or np.any(nu == 0.0):
+        raise DegenerateInputError("cosine_sum: zero-norm row or key")
+    denom = nu * nv
+    c = np.vecdot(u, v) / denom
+    out = _result(np.array([[float(c.sum())]]), x.requires_grad or k.requires_grad)
 
     def backward(g: np.ndarray) -> list:
         gs = float(g[0, 0])
         contribs = []
-        if a.requires_grad:
-            da = gs * (v / (nu * nv) - c * u / (nu * nu))
-            contribs.append((a, da.reshape(a.shape)))
-        if b.requires_grad:
-            db = gs * (u / (nu * nv) - c * v / (nv * nv))
-            contribs.append((b, db.reshape(b.shape)))
+        if x.requires_grad:
+            dx = gs * (v / denom[:, None] - c[:, None] * u / (nu * nu)[:, None])
+            contribs.append((x, dx))
+        if k.requires_grad:
+            per_row = gs * (u / denom[:, None] - c[:, None] * v / (nv * nv))
+            # Summed from the last row to the first, the order in which a
+            # chain of one-row cosine ops accumulates on replay, so both
+            # give bit-identical key gradients.
+            contribs.append((k, per_row[::-1].sum(axis=0, keepdims=True)))
         return contribs
 
-    _record(out, (a, b), backward)
+    _record(out, (x, k), backward)
     return out
 
 

@@ -128,10 +128,10 @@ def case_mix_sparse(rng):
     return [scores] + parts, run
 
 
-def case_cosine_similarity(rng):
-    u = rng.standard_normal((1, 6)) + 0.1
-    v = rng.standard_normal((1, 6)) + 0.1
-    return [u, v], lambda m: bc.cosine_similarity(m[0], m[1])
+def case_cosine_sum(rng):
+    x = rng.standard_normal((4, 6)) + 0.1
+    k = rng.standard_normal((1, 6)) + 0.1
+    return [x, k], lambda m: bc.cosine_sum(m[0], m[1])
 
 
 def case_cross_entropy(rng):
@@ -213,7 +213,7 @@ OP_CASES = [
     ("take_row", case_take_row),
     ("mix_dense", case_mix_dense),
     ("mix_sparse", case_mix_sparse),
-    ("cosine_similarity", case_cosine_similarity),
+    ("cosine_sum", case_cosine_sum),
     ("cross_entropy", case_cross_entropy),
     ("mse_loss", case_mse_loss),
     ("reduce_sum", case_reduce_sum),

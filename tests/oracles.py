@@ -58,10 +58,11 @@ def cross_entropy_oracle(logits, labels):
     return float(-np.log(p[np.arange(n), labels]).mean())
 
 
-def cosine_oracle(u, v):
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+def cosine_sum_oracle(x, k):
+    """Sum over the rows x_i of x of cos(x_i, k)."""
+    x = np.asarray(x, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64).ravel()
+    return float(sum(row @ k / (np.linalg.norm(row) * np.linalg.norm(k)) for row in x))
 
 
 def lora_forward_oracle(x, w, a, b, scaling):

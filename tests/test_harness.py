@@ -1,17 +1,14 @@
 """Training harness: per-task lifecycle, report structure, invariants."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import branchcl as bc
-from branchcl import ContractError, ParameterError
+from branchcl import ContractError, ParameterError, harness
 from conftest import run_with_snapshots
-
-
-def run_smoke(cfg, seed=0, **kw):
-    return bc.run_seed(cfg, seed, **kw)
 
 
 class TestImmutabilityGuard:
@@ -212,6 +209,31 @@ class TestInvariants:
             assert frozen, "expected at least one frozen branch per layer"
             for j in frozen:
                 assert not layer.branches[j].trainable
+
+
+class TestTapeEntries:
+    def test_exact_entries_per_training_batch(self, monkeypatch):
+        # The count depends only on the model structure, so every batch of a
+        # method records the same number; branchlora's alignment loss adds
+        # one fused cosine per view, not a chain per sample.
+        cfg = bc.load_config(Path(__file__).parent.parent / "configs" / "smoke.json")
+        counts: dict[str, set[int]] = {}
+        current = []
+        train_task, backward = harness.train_task, harness.backward
+
+        def counting_train_task(model, x, y, task_id, *args, **kwargs):
+            current[:] = ["multitask" if task_id is None else model.kind]
+            return train_task(model, x, y, task_id, *args, **kwargs)
+
+        def counting_backward(tape, loss):
+            counts.setdefault(current[0], set()).add(len(tape.entries))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(harness, "train_task", counting_train_task)
+        monkeypatch.setattr(harness, "backward", counting_backward)
+        bc.run_seed(cfg, cfg.seeds[0])
+        assert counts == {"lora": {12}, "moelora": {31}, "branchlora": {30}, "multitask": {12}}
+        assert max(counts["branchlora"]) <= min(counts["moelora"])
 
 
 def test_aggregate_reports_shape(smoke_cfg):

@@ -7,8 +7,8 @@ import branchcl as bc
 from branchcl import ContractError, PolicyError
 
 
-def make_stats(gates, experts=4, top_k=2):
-    stats = bc.UsageStats(experts, top_k)
+def make_stats(gates, experts=4):
+    stats = bc.UsageStats(experts)
     for g in gates:
         stats.record_gate(np.asarray(g, dtype=np.float64))
     return stats
@@ -26,12 +26,12 @@ class TestUsageStats:
         np.testing.assert_allclose(stats.normalized_mass(), [0.5, 0.5, 0.0, 0.0])
 
     def test_accepts_matrix_gates(self):
-        stats = bc.UsageStats(2, 1)
+        stats = bc.UsageStats(2)
         stats.record_gate(bc.Matrix(np.array([[1.0, 0.0]])))
         assert stats.samples_seen == 1
 
     def test_rejects_bad_gates(self):
-        stats = bc.UsageStats(4, 2)
+        stats = bc.UsageStats(4)
         with pytest.raises(ContractError):
             stats.record_gate([0.5, 0.5])  # wrong width
         with pytest.raises(ContractError):
@@ -40,7 +40,7 @@ class TestUsageStats:
             stats.record_gate([1.5, -0.5, 0.0, 0.0])  # negative entry
 
     def test_empty_stats_refuse_queries(self):
-        stats = bc.UsageStats(4, 2)
+        stats = bc.UsageStats(4)
         with pytest.raises(PolicyError):
             stats.normalized_mass()
         with pytest.raises(PolicyError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import branchcl as bc
-from branchcl import DimensionError, SelectorError
+from branchcl import ContractError, DimensionError, SelectorError
+from oracles import cosine_sum_oracle
 
 
 def embed(img, txt):
@@ -63,46 +64,61 @@ class TestKeyStore:
         assert not any(p.trainable for p in keys.params())
 
 
+def batch(imgs, txts):
+    """One input row per sample: its image view, then its text view."""
+    return bc.Matrix(np.hstack([imgs, txts]))
+
+
 class TestAlignmentLoss:
     def test_perfect_alignment_is_zero(self):
         keys = keys_from(0, [1.0, 0.0], [0.0, 2.0])
-        batch = [embed([2.0, 0.0], [0.0, 1.0])]  # same directions, any scale
-        loss = bc.alignment_loss(batch, keys)
+        x = batch([[2.0, 0.0]], [[0.0, 1.0]])  # same directions, any scale
+        loss = bc.alignment_loss(x, keys)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_views_cost_two(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
-        batch = [embed([0.0, 1.0], [0.0, 1.0])]
-        assert bc.alignment_loss(batch, keys).item() == pytest.approx(2.0, abs=1e-12)
+        x = batch([[0.0, 1.0]], [[0.0, 1.0]])
+        assert bc.alignment_loss(x, keys).item() == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_two_b_minus_cosine_sum(self):
         rng = np.random.default_rng(3)
         keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
-        batch = [
-            embed(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(5)
-        ]
-        expected = 2.0 * len(batch)
-        for e in batch:
-            expected -= float(
-                bc.cosine_similarity(e.img, keys.k_img).item()
-                + bc.cosine_similarity(e.txt, keys.k_txt).item()
-            )
-        assert bc.alignment_loss(batch, keys).item() == pytest.approx(expected, abs=1e-12)
+        imgs = rng.standard_normal((5, 4))
+        txts = rng.standard_normal((5, 4))
+        expected = (
+            2.0 * 5
+            - cosine_sum_oracle(imgs, keys.k_img.data)
+            - cosine_sum_oracle(txts, keys.k_txt.data)
+        )
+        assert bc.alignment_loss(batch(imgs, txts), keys).item() == pytest.approx(
+            expected, abs=1e-12
+        )
 
     def test_gradient_reaches_keys(self):
         rng = np.random.default_rng(4)
         keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
-        batch = [embed(rng.standard_normal(4), rng.standard_normal(4))]
+        x = batch(rng.standard_normal((1, 4)), rng.standard_normal((1, 4)))
         with bc.Tape() as tape:
-            loss = bc.alignment_loss(batch, keys)
+            loss = bc.alignment_loss(x, keys)
             bc.backward(tape, loss)
         assert keys.k_img.grad is not None and np.any(keys.k_img.grad != 0.0)
         assert keys.k_txt.grad is not None and np.any(keys.k_txt.grad != 0.0)
 
     def test_empty_batch_rejected(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
-        with pytest.raises(SelectorError):
-            bc.alignment_loss([], keys)
+        with pytest.raises(DimensionError):
+            bc.alignment_loss(bc.Matrix(np.zeros((0, 4))), keys)
+
+    def test_odd_width_rejected(self):
+        keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DimensionError):
+            bc.alignment_loss(bc.Matrix(np.ones((2, 5))), keys)
+
+    def test_input_on_gradient_path_rejected(self):
+        keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ContractError):
+            bc.alignment_loss(bc.Matrix(np.ones((2, 4)), trainable=True), keys)
 
 
 def test_total_loss_weighting():

@@ -88,14 +88,19 @@ class TestValues:
             )
             np.testing.assert_array_equal(dense.data, sparse.data)
 
-    def test_cosine_similarity(self):
-        out = bc.cosine_similarity(mat([[1.0, 2.0, 2.0]]), mat([[2.0, 0.0, 1.0]]))
+    def test_cosine_sum(self):
+        # cos([1,2,2], [2,0,1]) = 4 / (3 sqrt 5); the second row is parallel
+        out = bc.cosine_sum(mat([[1.0, 2.0, 2.0], [4.0, 0.0, 2.0]]), mat([[2.0, 0.0, 1.0]]))
         assert out.shape == (1, 1)
-        assert out.item() == pytest.approx(0.5962847939999439, abs=1e-15)
+        assert out.item() == pytest.approx(1.5962847939999439, abs=1e-15)
 
-    def test_cosine_accepts_column_vectors(self):
-        out = bc.cosine_similarity(mat([[1.0], [0.0]]), mat([[1.0, 0.0]]))
-        assert out.item() == pytest.approx(1.0)
+    def test_cosine_sum_matches_oracle(self):
+        rng = np.random.default_rng(11)
+        for rows in (1, 3, 32):
+            x = rng.standard_normal((rows, 16))
+            k = rng.standard_normal((1, 16))
+            out = bc.cosine_sum(mat(x), mat(k))
+            assert out.item() == pytest.approx(oracles.cosine_sum_oracle(x, k), abs=1e-13)
 
     def test_cross_entropy(self):
         out = bc.cross_entropy(mat([[1.0, 2.0, 3.0]]), np.array([2]))
@@ -164,17 +169,19 @@ class TestContracts:
         with pytest.raises(ContractError):
             bc.mix(gate, parts, cols=[0, 1])
 
-    def test_cosine_zero_norm(self):
+    def test_cosine_sum_zero_norm(self):
         with pytest.raises(DegenerateInputError):
-            bc.cosine_similarity(mat([[0.0, 0.0]]), mat([[1.0, 0.0]]))
+            bc.cosine_sum(mat([[1.0, 0.0], [0.0, 0.0]]), mat([[1.0, 0.0]]))
+        with pytest.raises(DegenerateInputError):
+            bc.cosine_sum(mat([[1.0, 0.0]]), mat([[0.0, 0.0]]))
 
-    def test_cosine_needs_vectors(self):
+    def test_cosine_sum_key_must_be_row(self):
         with pytest.raises(DimensionError):
-            bc.cosine_similarity(mat([[1.0, 0.0], [0.0, 1.0]]), mat([[1.0, 0.0]]))
+            bc.cosine_sum(mat([[1.0, 0.0]]), mat([[1.0, 0.0], [0.0, 1.0]]))
 
-    def test_cosine_length_mismatch(self):
+    def test_cosine_sum_width_mismatch(self):
         with pytest.raises(DimensionError):
-            bc.cosine_similarity(mat([[1.0, 0.0]]), mat([[1.0, 0.0, 0.0]]))
+            bc.cosine_sum(mat([[1.0, 0.0]]), mat([[1.0, 0.0, 0.0]]))
 
     def test_cross_entropy_label_validation(self):
         with pytest.raises(DimensionError):
@@ -223,6 +230,23 @@ class TestGradients:
             bc.backward(tape, loss)
         assert y.grad is None
         np.testing.assert_allclose(x.grad, [[2.0]])
+
+    def test_cosine_sum_grads_match_per_row_chain_exactly(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((32, 16))
+        k = rng.standard_normal((1, 16))
+        fused_x, fused_k = mat(x, trainable=True), mat(k, trainable=True)
+        with bc.Tape() as tape:
+            bc.backward(tape, bc.cosine_sum(fused_x, fused_k))
+        rows = [mat(x[i : i + 1], trainable=True) for i in range(32)]
+        chain_k = mat(k, trainable=True)
+        with bc.Tape() as tape:
+            total = bc.cosine_sum(rows[0], chain_k)
+            for row in rows[1:]:
+                total = bc.add(total, bc.cosine_sum(row, chain_k))
+            bc.backward(tape, total)
+        np.testing.assert_array_equal(fused_k.grad, chain_k.grad)
+        np.testing.assert_array_equal(fused_x.grad, np.vstack([r.grad for r in rows]))
 
     def test_topk_masked_entries_get_zero_grad(self):
         x = mat([[3.0, 1.0, 2.0]], trainable=True)
