@@ -40,7 +40,6 @@ from .optim import Adam, Sgd, make_optimizer
 from .routing import FreezeLedger, UsageStats, apply_freeze, select_freeze_set
 from .selector import (
     KeyStore,
-    SampleEmbeddings,
     TaskKeys,
     alignment_loss,
     select_task,
@@ -49,7 +48,6 @@ from .selector import (
 )
 from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerprint
 from .tensor import (
-    MASK_VALUE,
     Matrix,
     Tape,
     add,
@@ -59,13 +57,9 @@ from .tensor import (
     matmul,
     mix,
     mse_loss,
-    reduce_mean,
-    reduce_sum,
-    row_softmax,
+    router_gate,
     scale,
-    take_row,
     tanh,
-    topk_mask,
 )
 
 __version__ = "0.1.0"

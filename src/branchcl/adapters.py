@@ -6,17 +6,18 @@ kinds compute h = x W_f + (alpha/r) * delta:
 
 * LoRALayer: a single rank-r pair (A, B), delta = x A B.
 * MoELoRALayer: N experts (A_j, B_j) of rank r/N, densely mixed by a
-  softmax router read off the first row of x.
+  softmax router read off the first row of x (`router_gate` with k = N).
 * BranchLoRALayer: one shared A of rank r/N, N branch matrices B_j, and
-  one router per task; the router's scores pass through a top-k mask so
-  the gate has exactly k nonzero entries. Branches can be frozen in place
-  (trainable flag off) and remain routable.
+  one router per task; the gate keeps the top-k router scores, so it has
+  exactly k nonzero entries. Branches can be frozen in place (trainable
+  flag off) and remain routable.
 
 BackboneLayer is the zero-shot layer: h = x W_f with no parameters.
 
 A and the per-expert A_j are initialized from a zero-mean Gaussian with
-std 1/sqrt(d_in); B matrices and routers start at zero, so a fresh
-adapter layer computes exactly the backbone output.
+std 1/sqrt(d_in); B matrices start at zero, so a fresh adapter layer
+computes exactly the backbone output. The MoELoRA router starts at zero,
+each BranchLoRA router at a tiny Gaussian.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, RoutingError
-from .tensor import Matrix, add, matmul, mix, row_softmax, scale, take_row, topk_mask
+from .tensor import Matrix, add, matmul, mix, router_gate, scale
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class AdapterLayer:
     def params(self, task_id: int | None = None) -> list[Matrix]:
         return [m for name, m in self.named_matrices() if name != "backbone"]
 
-    def start_task(self, task_id: int, rng: np.random.Generator | None = None) -> None:
+    def start_task(self, task_id: int, rng: np.random.Generator) -> None:
         pass
 
     def finish_task(self, task_id: int) -> None:
@@ -211,7 +212,7 @@ class MoELoRALayer(AdapterLayer):
         return cls(FrozenBackbone(tensor("backbone")), hp, experts, tensor("router"))
 
     def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, Matrix]:
-        gate = row_softmax(matmul(take_row(x, 0), self.router))
+        gate = router_gate(x, self.router, self.hp.experts)
         parts = [matmul(matmul(x, a), b) for a, b in self.experts]
         delta = mix(gate, parts)
         h = add(self.backbone.forward(x), scale(delta, self.hp.scaling))
@@ -264,30 +265,22 @@ class BranchLoRALayer(AdapterLayer):
             layer.routers[t] = tensor(f"router.task{t}")
         return layer
 
-    def add_router(self, task_id: int, rng: np.random.Generator | None = None) -> Matrix:
+    def add_router(self, task_id: int, rng: np.random.Generator) -> Matrix:
         """Register the router for a new task.
 
-        With an rng, the router starts at a tiny Gaussian: the gate is still
-        near-uniform but scores differ per input, so different samples pick
-        different branch subsets and the branches can specialize. Without an
-        rng the router is exactly zero and the tie-break pins selection to
-        the first top_k branches, which keeps clone branches clones; that is
-        only useful for handmade tests.
+        The router starts at a tiny Gaussian: the gate is still near-uniform
+        but scores differ per input, so different samples pick different
+        branch subsets and the branches can specialize.
         """
         if task_id in self.routers:
             raise RoutingError(f"router for task {task_id} already registered")
         name = f"branch.router.task{task_id}"
-        if rng is None:
-            router = Matrix.zeros(self.d_in, self.hp.experts, trainable=True, name=name)
-        else:
-            std = 1e-2 / np.sqrt(self.d_in)
-            router = Matrix.randn(
-                rng, self.d_in, self.hp.experts, std=std, trainable=True, name=name
-            )
+        std = 1e-2 / np.sqrt(self.d_in)
+        router = Matrix.randn(rng, self.d_in, self.hp.experts, std=std, trainable=True, name=name)
         self.routers[task_id] = router
         return router
 
-    def start_task(self, task_id: int, rng: np.random.Generator | None = None) -> None:
+    def start_task(self, task_id: int, rng: np.random.Generator) -> None:
         self.add_router(task_id, rng)
 
     def finish_task(self, task_id: int) -> None:
@@ -297,8 +290,7 @@ class BranchLoRALayer(AdapterLayer):
         router = self.routers.get(task_id)
         if router is None:
             raise RoutingError(f"no router registered for task {task_id}")
-        scores = matmul(take_row(x, 0), router)
-        return row_softmax(topk_mask(scores, self.hp.top_k))
+        return router_gate(x, router, self.hp.top_k)
 
     def forward(self, x: Matrix, task_id: int) -> tuple[Matrix, Matrix]:
         gate = self.gate_for(x, task_id)

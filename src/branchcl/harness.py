@@ -26,7 +26,7 @@ from .metrics import EvalMatrix, compute_metrics
 from .model import ContinualModel, ModelConfig, build_model
 from .optim import make_optimizer
 from .routing import FreezeLedger, UsageStats, apply_freeze, select_freeze_set
-from .selector import SampleEmbeddings, alignment_loss, select_task, selector_accuracy, total_loss
+from .selector import alignment_loss, select_task, selector_accuracy, total_loss
 from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerprint
 from .tensor import Matrix, Tape, backward, cross_entropy
 
@@ -145,7 +145,7 @@ def evaluate(
         xi = Matrix(x[i : i + 1])
         tid = task.task_id
         if selector == "auto" and model.kind == "branchlora":
-            tid = select_task(SampleEmbeddings.from_input(x[i]), model.keys)
+            tid = select_task(x[i], model.keys)
         logits, _ = model.forward(xi, tid)
         hits += int(np.argmax(logits.data[0]) == y[i])
     return hits / x.shape[0]
@@ -235,12 +235,9 @@ def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[lis
     if branched:
         entry["freeze_ledger"] = ledger.to_obj()
         entry["oracle_final_row"] = [evaluate(model, task, "oracle") for task in stream.tasks]
-        samples = [
-            (SampleEmbeddings.from_input(x), task.task_id)
-            for task in stream.tasks
-            for x in task.x_test
-        ]
-        entry["selector_accuracy"] = selector_accuracy(samples, model.keys)
+        x_test = np.concatenate([task.x_test for task in stream.tasks])
+        ids = np.concatenate([np.full(len(task.x_test), task.task_id) for task in stream.tasks])
+        entry["selector_accuracy"] = selector_accuracy(x_test, ids, model.keys)
     return rows, batch_seconds
 
 

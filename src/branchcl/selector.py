@@ -9,7 +9,6 @@ to a sample's views wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -25,19 +24,6 @@ def _views(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"input length {width} is odd, cannot split into two views")
     half = width // 2
     return a[..., :half], a[..., half:]
-
-
-@dataclass
-class SampleEmbeddings:
-    """The two fixed views of one sample, held as constant matrices."""
-
-    img: Matrix
-    txt: Matrix
-
-    @classmethod
-    def from_input(cls, x: np.ndarray) -> "SampleEmbeddings":
-        img, txt = _views(np.asarray(x, dtype=np.float64).ravel())
-        return cls(img=Matrix(img[None]), txt=Matrix(txt[None]))
 
 
 class TaskKeys:
@@ -97,7 +83,7 @@ class KeyStore:
 def alignment_loss(x: Matrix, keys: TaskKeys) -> Matrix:
     """sum_j (1 - cos(img_j, k_img)) + sum_j (1 - cos(txt_j, k_txt)) over the rows of x.
 
-    Each row's two views are its halves, as in `SampleEmbeddings`. Computed
+    Each row's two views are its halves, as in `select_task`. Computed
     as 2*B minus the summed cosines, one `cosine_sum` per view.
     Scalar-shaped output; the inputs are constants and gradients reach the
     keys only.
@@ -115,40 +101,37 @@ def total_loss(task_loss: Matrix, align: Matrix, weight: float) -> Matrix:
     return add(task_loss, scale(align, weight))
 
 
-def _view_scores(embeds: SampleEmbeddings, keys: list[TaskKeys]) -> np.ndarray:
-    ei = embeds.img.data.ravel()
-    et = embeds.txt.data.ravel()
-    ni = np.linalg.norm(ei)
-    nt = np.linalg.norm(et)
-    if ni == 0.0 or nt == 0.0:
-        raise SelectorError("sample embedding has zero norm")
-    scores = np.empty(len(keys))
-    for idx, k in enumerate(keys):
-        ki = k.k_img.data.ravel()
-        kt = k.k_txt.data.ravel()
-        nki = np.linalg.norm(ki)
-        nkt = np.linalg.norm(kt)
-        if nki == 0.0 or nkt == 0.0:
-            raise SelectorError(f"keys for task {k.task_id} have zero norm")
-        scores[idx] = ei @ ki / (ni * nki) + et @ kt / (nt * nkt)
-    return scores
+def select_task(x: np.ndarray, store: KeyStore) -> int:
+    """Return the task id whose keys best match the two views of input row x.
 
-
-def select_task(embeds: SampleEmbeddings, store: KeyStore) -> int:
-    """Return the task id whose keys best match the sample's two views.
-
-    Ties break toward the lowest task index.
+    A task scores cos(img, k_img) + cos(txt, k_txt), img and txt being the
+    two halves of x. Ties break toward the lowest task index.
     """
     keys = store.ordered()
     if not keys:
         raise SelectorError("no task keys registered")
-    scores = _view_scores(embeds, keys)
+    img, txt = _views(np.asarray(x, dtype=np.float64).ravel())
+    n_img, n_txt = np.linalg.norm(img), np.linalg.norm(txt)
+    if n_img == 0.0 or n_txt == 0.0:
+        raise SelectorError("sample embedding has zero norm")
+    k_img = np.vstack([k.k_img.data for k in keys])
+    k_txt = np.vstack([k.k_txt.data for k in keys])
+    # vecdot takes each key's dot product with the same BLAS dot as a
+    # one-key `v @ k`, so the scores match scoring the keys one at a time.
+    nk_img = np.sqrt(np.vecdot(k_img, k_img))
+    nk_txt = np.sqrt(np.vecdot(k_txt, k_txt))
+    zero = np.flatnonzero((nk_img == 0.0) | (nk_txt == 0.0))
+    if zero.size:
+        raise SelectorError(f"keys for task {keys[zero[0]].task_id} have zero norm")
+    scores = np.vecdot(k_img, img) / (n_img * nk_img) + np.vecdot(k_txt, txt) / (n_txt * nk_txt)
     return keys[int(np.argmax(scores))].task_id
 
 
-def selector_accuracy(samples: list[tuple[SampleEmbeddings, int]], store: KeyStore) -> float:
-    """Fraction of (sample, true task id) pairs routed to the right task."""
-    if not samples:
+def selector_accuracy(x: np.ndarray, task_ids: np.ndarray, store: KeyStore) -> float:
+    """Fraction of the input rows of x routed to their true task id."""
+    if len(x) == 0:
         raise SelectorError("selector_accuracy needs at least one sample")
-    hits = sum(1 for e, tid in samples if select_task(e, store) == tid)
-    return hits / len(samples)
+    if len(x) != len(task_ids):
+        raise DimensionError(f"selector_accuracy: {len(x)} rows vs {len(task_ids)} task ids")
+    hits = sum(1 for row, tid in zip(x, task_ids) if select_task(row, store) == tid)
+    return hits / len(x)

@@ -1,16 +1,12 @@
 """Dense 2-D float64 matrices with reverse-mode autodiff on an explicit tape.
 
-The op set is deliberately small: matmul, add, scale, tanh, row_softmax,
-topk_mask, take_row, mix (gate-weighted sum), cosine_sum (summed cosines
-of a batch's rows to one key), the two losses, and sum/mean reductions.
-Each op computes its forward value eagerly with numpy and, when a tape is
-active and a gradient path exists, records a backward closure. `backward`
-replays the tape in exact reverse execution order and accumulates
-dLoss/dParam into `.grad` of trainable leaves.
-
-Masked gate entries use a large negative sentinel instead of -inf so that
-row_softmax turns them into exact 0.0 (the exponential underflows) without
-ever producing NaN in the backward pass.
+The op set is deliberately small: matmul, add, scale, tanh, router_gate
+(softmax over the top-k router scores of a batch's first row), mix
+(gate-weighted sum), cosine_sum (summed cosines of a batch's rows to one
+key), and the two losses. Each op computes its forward value eagerly with
+numpy and, when a tape is active and a gradient path exists, records a
+backward closure. `backward` replays the tape in exact reverse execution
+order and accumulates dLoss/dParam into `.grad` of trainable leaves.
 """
 
 from __future__ import annotations
@@ -25,11 +21,6 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
-
-# exp(MASK_VALUE - rowmax) underflows to exactly 0.0 for any realistic score
-# scale (float64 underflows below roughly -745 after the rowmax shift).
-MASK_VALUE = -1.0e9
-
 
 class Matrix:
     """A dense float64 matrix; the only tensor carrier in the package.
@@ -218,52 +209,46 @@ def tanh(a: Matrix) -> Matrix:
     return out
 
 
-def row_softmax(a: Matrix) -> Matrix:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = _result(y, a.requires_grad)
+def router_gate(x: Matrix, router: Matrix, k: int) -> Matrix:
+    """The 1 x N gate: softmax over the k largest entries of x[0] @ router.
 
-    def backward(g: np.ndarray) -> list:
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return [(a, y * (g - dot))]
-
-    _record(out, (a,), backward)
-    return out
-
-
-def topk_mask(a: Matrix, k: int) -> Matrix:
-    """Keep the k largest entries per row, set the rest to MASK_VALUE.
-
-    Ties break toward the lowest column index. The gradient is
-    straight-through on kept entries and zero on masked ones.
+    Every other entry is exactly 0.0, and ties break toward the lowest
+    column. With k equal to the router's width this is a plain softmax and
+    no mask is built. Gradients reach row 0 of x and the router; masked
+    columns get exactly zero.
     """
-    if not 1 <= k <= a.cols:
-        raise ParameterError(f"topk_mask: k={k} out of range for {a.cols} columns")
-    order = np.argsort(-a.data, axis=1, kind="stable")
-    keep = np.zeros(a.shape, dtype=bool)
-    rows = np.arange(a.rows)[:, None]
-    keep[rows, order[:, :k]] = True
-    out = _result(np.where(keep, a.data, MASK_VALUE), a.requires_grad)
+    n = router.cols
+    if x.cols != router.rows:
+        raise DimensionError(
+            f"router_gate: x has {x.cols} columns, router has {router.rows} rows"
+        )
+    if not 1 <= k <= n:
+        raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
+    row = x.data[0:1]
+    s = row @ router.data
+    e = np.exp(s - s.max())
+    keep = None
+    if k < n:
+        keep = np.zeros(s.shape, dtype=bool)
+        keep[0, np.argsort(-s[0], kind="stable")[:k]] = True
+        e = np.where(keep, e, 0.0)
+    y = e / e.sum()
+    out = _result(y, x.requires_grad or router.requires_grad)
 
     def backward(g: np.ndarray) -> list:
-        return [(a, np.where(keep, g, 0.0))]
+        ds = y * (g - (g * y).sum())
+        if keep is not None:
+            ds = np.where(keep, ds, 0.0)
+        contribs = []
+        if router.requires_grad:
+            contribs.append((router, row.T @ ds))
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[0] = (ds @ router.data.T)[0]
+            contribs.append((x, dx))
+        return contribs
 
-    _record(out, (a,), backward)
-    return out
-
-
-def take_row(a: Matrix, i: int) -> Matrix:
-    if not 0 <= i < a.rows:
-        raise ParameterError(f"take_row: row {i} out of range for {a.rows} rows")
-    out = _result(a.data[i : i + 1].copy(), a.requires_grad)
-
-    def backward(g: np.ndarray) -> list:
-        da = np.zeros_like(a.data)
-        da[i] = g[0]
-        return [(a, da)]
-
-    _record(out, (a,), backward)
+    _record(out, (x, router), backward)
     return out
 
 
@@ -286,6 +271,7 @@ def mix(
     """
     if gate.rows != 1:
         raise DimensionError(f"mix: gate must be a row vector, got {gate.rows}x{gate.cols}")
+    w = gate.data[0]
     if cols is None:
         cols = range(gate.cols)
         if len(parts) != gate.cols:
@@ -299,14 +285,12 @@ def mix(
         for c in cols:
             if not 0 <= c < gate.cols:
                 raise DimensionError(f"mix: col {c} outside gate width {gate.cols}")
-        dropped = np.delete(gate.data[0], cols)
-        if dropped.size and np.any(dropped != 0.0):
+        if np.count_nonzero(w) != np.count_nonzero(w[cols]):
             raise ContractError("mix: omitted gate columns must be exactly 0.0")
     shape = parts[0].shape
     for p in parts[1:]:
         if p.shape != shape:
             raise DimensionError(f"mix: part shapes differ, {shape} vs {p.shape}")
-    w = gate.data[0]
     acc = np.zeros(shape)
     for c, p in zip(cols, parts):
         acc += w[c] * p.data
@@ -411,27 +395,6 @@ def mse_loss(a: Matrix, b: Matrix) -> Matrix:
         return contribs
 
     _record(out, (a, b), backward)
-    return out
-
-
-def reduce_sum(a: Matrix) -> Matrix:
-    out = _result(np.array([[float(a.data.sum())]]), a.requires_grad)
-
-    def backward(g: np.ndarray) -> list:
-        return [(a, np.full(a.shape, float(g[0, 0])))]
-
-    _record(out, (a,), backward)
-    return out
-
-
-def reduce_mean(a: Matrix) -> Matrix:
-    size = a.data.size
-    out = _result(np.array([[float(a.data.mean())]]), a.requires_grad)
-
-    def backward(g: np.ndarray) -> list:
-        return [(a, np.full(a.shape, float(g[0, 0]) / size))]
-
-    _record(out, (a,), backward)
     return out
 
 

@@ -76,32 +76,18 @@ def case_tanh(rng):
     return [a], lambda m: bc.mse_loss(bc.tanh(m[0]), t)
 
 
-def case_row_softmax(rng):
-    a = rng.standard_normal((3, 5))
-    t = _target(rng, 3, 5)
-    return [a], lambda m: bc.mse_loss(bc.row_softmax(m[0]), t)
-
-
-def case_topk_mask(rng):
-    # Target the masked slots with MASK_VALUE itself so their squared
-    # error is exactly zero; otherwise the -1e9 fill swamps the loss and
-    # finite differences cancel to noise.
-    a = _gapped_rows(rng, 3, 5)
-    k = int(rng.integers(1, 5))
-    tgt = rng.standard_normal((3, 5))
-    for r in range(3):
-        kept = np.argsort(-a[r], kind="stable")[:k]
-        masked = np.setdiff1d(np.arange(5), kept)
-        tgt[r, masked] = bc.MASK_VALUE
-    t = bc.Matrix(tgt)
-    return [a], lambda m: bc.mse_loss(bc.topk_mask(m[0], k), t)
-
-
-def case_take_row(rng):
-    a = rng.standard_normal((4, 3))
-    i = int(rng.integers(0, 4))
-    t = _target(rng, 1, 3)
-    return [a], lambda m: bc.mse_loss(bc.take_row(m[0], i), t)
+def case_router_gate(rng):
+    # Row 0 of x scores gapped by >= 1, so top-k selection is FD-stable;
+    # the other rows of x must get an exactly zero gradient.
+    rows, d, n = 3, 6, 5
+    x = rng.standard_normal((rows, d))
+    x0 = x[0]
+    router = rng.standard_normal((d, n))
+    router -= np.outer(x0, x0 @ router) / (x0 @ x0)
+    router += np.outer(x0, _gapped_rows(rng, 1, n)[0]) / (x0 @ x0)
+    k = int(rng.integers(1, n + 1))
+    t = _target(rng, 1, n)
+    return [x, router], lambda m: bc.mse_loss(bc.router_gate(m[0], m[1], k), t)
 
 
 def case_mix_dense(rng):
@@ -112,15 +98,16 @@ def case_mix_dense(rng):
 
 
 def case_mix_sparse(rng):
-    # The sparse path only ever sees gates produced by topk + softmax, so
-    # build exactly that chain; the masked columns stay exactly zero under
-    # FD perturbation thanks to the gap construction.
+    # The sparse path only ever sees top-k router gates, so build one whose
+    # router is the score row itself; the masked columns stay exactly zero
+    # under FD perturbation thanks to the gap construction.
     scores = _gapped_rows(rng, 1, 4)
     parts = [rng.standard_normal((2, 3)) for _ in range(4)]
     t = _target(rng, 2, 3)
+    one = bc.Matrix([[1.0]])
 
     def run(m):
-        gate = bc.row_softmax(bc.topk_mask(m[0], 2))
+        gate = bc.router_gate(one, m[0], 2)
         cols = [int(j) for j in np.nonzero(gate.data[0] != 0.0)[0]]
         chosen = [m[1 + j] for j in cols]
         return bc.mse_loss(bc.mix(gate, chosen, cols=cols), t)
@@ -146,18 +133,8 @@ def case_mse_loss(rng):
     return [a, b], lambda m: bc.mse_loss(m[0], m[1])
 
 
-def case_reduce_sum(rng):
-    a = rng.standard_normal((3, 4))
-    return [a], lambda m: bc.reduce_sum(m[0])
-
-
-def case_reduce_mean(rng):
-    a = rng.standard_normal((3, 4))
-    return [a], lambda m: bc.reduce_mean(m[0])
-
-
 def case_branch_layer(rng):
-    """End to end: topk gate, shared projection, mix, backbone, loss."""
+    """End to end: top-k gate, shared projection, mix, backbone, loss."""
     hp = bc.AdapterHyperparams(rank=4, alpha=8.0, experts=2, top_k=1)
     layer = bc.BranchLoRALayer.init(rng, 5, 5, hp)
     layer.add_router(0, rng)
@@ -208,16 +185,12 @@ OP_CASES = [
     ("add", case_add),
     ("scale", case_scale),
     ("tanh", case_tanh),
-    ("row_softmax", case_row_softmax),
-    ("topk_mask", case_topk_mask),
-    ("take_row", case_take_row),
+    ("router_gate", case_router_gate),
     ("mix_dense", case_mix_dense),
     ("mix_sparse", case_mix_sparse),
     ("cosine_sum", case_cosine_sum),
     ("cross_entropy", case_cross_entropy),
     ("mse_loss", case_mse_loss),
-    ("reduce_sum", case_reduce_sum),
-    ("reduce_mean", case_reduce_mean),
 ]
 
 COMPOSITE_CASES = [

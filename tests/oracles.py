@@ -65,6 +65,18 @@ def cosine_sum_oracle(x, k):
     return float(sum(row @ k / (np.linalg.norm(row) * np.linalg.norm(k)) for row in x))
 
 
+def select_task_oracle(x, keys):
+    """Index of the (k_img, k_txt) pair whose cosines with the two halves
+    of x sum highest, scored one pair at a time; the first wins ties."""
+    x = np.asarray(x, dtype=np.float64)
+    img, txt = x[: x.size // 2], x[x.size // 2 :]
+
+    def cos(u, v):
+        return u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+
+    return int(np.argmax([cos(img, ki) + cos(txt, kt) for ki, kt in keys]))
+
+
 def lora_forward_oracle(x, w, a, b, scaling):
     """Plain-numpy h = x W + scaling * x A B."""
     return x @ w + scaling * (x @ a @ b)
@@ -79,13 +91,21 @@ def moe_forward_oracle(x, w, experts, router, scaling):
     return x @ w + scaling * delta, gate
 
 
+def gate_oracle(x, router, k):
+    """Softmax over the k largest scores of x[0] @ router, zeros elsewhere.
+
+    Ties go to the lowest column.
+    """
+    scores = np.asarray(x, dtype=np.float64)[0] @ np.asarray(router, dtype=np.float64)
+    kept = np.argsort(-scores, kind="stable")[:k]
+    gate = np.zeros_like(scores)
+    gate[kept] = softmax_oracle(scores[kept])
+    return gate
+
+
 def branch_forward_oracle(x, w, a_shared, branches, router, k, scaling):
-    """Sparse-gated mixture: top-k mask, softmax, shared down-projection."""
-    scores = x[0] @ router
-    order = np.argsort(-scores, kind="stable")
-    masked = np.full_like(scores, -1.0e9)
-    masked[order[:k]] = scores[order[:k]]
-    gate = softmax_oracle(masked)
+    """Sparse-gated mixture: top-k gate, shared down-projection."""
+    gate = gate_oracle(x, router, k)
     shared = x @ a_shared
     delta = np.zeros_like(x @ w)
     for j, b in enumerate(branches):

@@ -132,7 +132,8 @@ class TestBranchLoRA:
     def test_zero_router_ties_break_to_lowest_branches(self):
         rng = make_rng(7)
         layer = bc.BranchLoRALayer.init(rng, 8, 8, HP)
-        layer.add_router(0)  # no rng: exactly-zero router
+        layer.add_router(0, rng)
+        layer.routers[0].data[:] = 0.0
         gate = layer.gate_for(bc.Matrix(rng.standard_normal((2, 8))), 0)
         np.testing.assert_allclose(gate.data, [[0.5, 0.5, 0.0, 0.0]], atol=1e-15)
 

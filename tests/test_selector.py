@@ -5,14 +5,12 @@ import pytest
 
 import branchcl as bc
 from branchcl import ContractError, DimensionError, SelectorError
-from oracles import cosine_sum_oracle
+from oracles import cosine_sum_oracle, select_task_oracle
 
 
 def embed(img, txt):
-    return bc.SampleEmbeddings(
-        img=bc.Matrix(np.array([img], dtype=np.float64)),
-        txt=bc.Matrix(np.array([txt], dtype=np.float64)),
-    )
+    """One input row: its image view, then its text view."""
+    return np.array(img + txt, dtype=np.float64)
 
 
 def keys_from(task_id, img, txt, trainable=True):
@@ -22,17 +20,6 @@ def keys_from(task_id, img, txt, trainable=True):
         bc.Matrix(np.array([txt], dtype=np.float64), trainable=trainable),
     )
     return k
-
-
-class TestSampleEmbeddings:
-    def test_split_halves(self):
-        e = bc.SampleEmbeddings.from_input(np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_array_equal(e.img.data, [[1.0, 2.0]])
-        np.testing.assert_array_equal(e.txt.data, [[3.0, 4.0]])
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(DimensionError):
-            bc.SampleEmbeddings.from_input(np.array([1.0, 2.0, 3.0]))
 
 
 class TestKeyStore:
@@ -152,9 +139,26 @@ class TestSelectTask:
         e = embed([0.4, 0.6], [1.0, 0.0])
         assert bc.select_task(e, store) == 0
 
+    def test_matches_per_key_loop(self):
+        # the stacked keys are scored with the same arithmetic as one key
+        # at a time, so even near-ties pick the same task
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            tasks = int(rng.integers(1, 9))
+            pairs = [(rng.standard_normal(8), rng.standard_normal(8)) for _ in range(tasks)]
+            store = bc.KeyStore(
+                keys_from(t, ki.tolist(), kt.tolist()) for t, (ki, kt) in enumerate(pairs)
+            )
+            x = rng.standard_normal(16)
+            assert bc.select_task(x, store) == select_task_oracle(x, pairs)
+
     def test_empty_store_rejected(self):
         with pytest.raises(SelectorError):
             bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), bc.KeyStore())
+
+    def test_odd_width_rejected(self):
+        with pytest.raises(DimensionError):
+            bc.select_task(np.array([1.0, 2.0, 3.0]), self.build_store())
 
     def test_zero_norms_rejected(self):
         store = self.build_store()
@@ -170,14 +174,20 @@ class TestSelectorAccuracy:
         store = bc.KeyStore()
         store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         store._keys[1] = keys_from(1, [0.0, 1.0], [0.0, 1.0])
-        samples = [
-            (embed([1.0, 0.0], [1.0, 0.0]), 0),
-            (embed([0.0, 1.0], [0.0, 1.0]), 1),
-            (embed([1.0, 0.0], [1.0, 0.0]), 1),  # miss
-            (embed([0.0, 1.0], [0.0, 1.0]), 0),  # miss
-        ]
-        assert bc.selector_accuracy(samples, store) == pytest.approx(0.5)
+        x = np.array([
+            embed([1.0, 0.0], [1.0, 0.0]),
+            embed([0.0, 1.0], [0.0, 1.0]),
+            embed([1.0, 0.0], [1.0, 0.0]),  # miss
+            embed([0.0, 1.0], [0.0, 1.0]),  # miss
+        ])
+        assert bc.selector_accuracy(x, np.array([0, 1, 1, 0]), store) == pytest.approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(SelectorError):
-            bc.selector_accuracy([], bc.KeyStore())
+            bc.selector_accuracy(np.zeros((0, 4)), np.zeros(0, dtype=int), bc.KeyStore())
+
+    def test_length_mismatch_rejected(self):
+        store = bc.KeyStore()
+        store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DimensionError):
+            bc.selector_accuracy(np.ones((2, 4)), np.array([0]), store)

@@ -18,6 +18,12 @@ def mat(rows, trainable=False):
     return bc.Matrix(np.array(rows, dtype=np.float64), trainable=trainable)
 
 
+def gate_of(scores, k=None):
+    """router_gate over a given score row: x = [[1]] and the row as router."""
+    router = mat(scores)
+    return bc.router_gate(mat([[1.0]]), router, router.cols if k is None else k)
+
+
 class TestValues:
     def test_matmul(self):
         out = bc.matmul(mat([[1.0, 2.0]]), mat([[3.0], [4.0]]))
@@ -32,42 +38,57 @@ class TestValues:
         np.testing.assert_allclose(out.data, [[0.46211715726000974, 0.0]], rtol=0, atol=1e-15)
 
     def test_row_softmax(self):
-        out = bc.row_softmax(mat([[0.4, 0.0]]))
+        # with k = N the gate is the plain softmax of the scores
+        out = gate_of([[0.4, 0.0]])
         np.testing.assert_allclose(
             out.data, [[0.598687660112452, 0.401312339887548]], rtol=0, atol=1e-15
         )
         assert out.data.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_row_softmax_rows_independent(self):
-        x = np.array([[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]])
-        out = bc.row_softmax(mat(x.tolist()))
-        np.testing.assert_allclose(out.data, oracles.softmax_oracle(x), atol=1e-15)
-
     def test_row_softmax_shift_invariant(self):
-        x = np.array([[700.0, 701.0, 699.0]])
-        out = bc.row_softmax(mat(x.tolist()))
-        ref = bc.row_softmax(mat((x - 700.0).tolist()))
+        x = [[700.0, 701.0, 699.0]]
+        out = gate_of(x)
+        ref = gate_of((np.array(x) - 700.0).tolist())
         np.testing.assert_allclose(out.data, ref.data, atol=1e-15)
         assert np.all(np.isfinite(out.data))
 
     def test_topk_mask_values(self):
-        out = bc.topk_mask(mat([[3.0, 1.0, 2.0, 2.0]]), 2)
-        np.testing.assert_array_equal(
-            out.data, [[3.0, bc.MASK_VALUE, 2.0, bc.MASK_VALUE]]
+        # exact zeros outside the top k; softmax over the kept scores
+        out = gate_of([[3.0, 1.0, 2.0, 2.0]], k=2)
+        assert out.data[0, 1] == 0.0 and out.data[0, 3] == 0.0
+        np.testing.assert_allclose(
+            out.data[0, [0, 2]], oracles.softmax_oracle([3.0, 2.0]), rtol=0, atol=1e-15
         )
 
     def test_topk_mask_tie_prefers_lowest_index(self):
-        out = bc.topk_mask(mat([[1.0, 1.0, 1.0]]), 1)
-        np.testing.assert_array_equal(out.data, [[1.0, bc.MASK_VALUE, bc.MASK_VALUE]])
+        np.testing.assert_array_equal(gate_of([[1.0, 1.0, 1.0]], k=1).data, [[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(gate_of([[1.0, 1.0, 1.0]], k=2).data, [[0.5, 0.5, 0.0]])
 
     def test_topk_mask_full_width_keeps_everything(self):
         x = [[0.3, -0.7, 0.1]]
-        out = bc.topk_mask(mat(x), 3)
-        np.testing.assert_array_equal(out.data, x)
+        out = gate_of(x, k=3)
+        assert np.all(out.data > 0.0)
+        np.testing.assert_allclose(out.data[0], oracles.softmax_oracle(x[0]), rtol=0, atol=1e-15)
 
-    def test_take_row(self):
-        out = bc.take_row(mat([[1.0, 2.0], [3.0, 4.0]]), 1)
-        np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
+    def test_router_gate_reads_only_row_zero(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 4))
+        router = mat(rng.standard_normal((4, 5)))
+        full = bc.router_gate(mat(x), router, 2)
+        first = bc.router_gate(mat(x[:1]), router, 2)
+        np.testing.assert_array_equal(full.data, first.data)
+
+    def test_router_gate_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            x = rng.standard_normal((int(rng.integers(1, 4)), 6))
+            router = rng.standard_normal((6, n))
+            out = bc.router_gate(mat(x), mat(router), k)
+            ref = oracles.gate_oracle(x, router, k)
+            np.testing.assert_allclose(out.data[0], ref, rtol=0, atol=1e-15)
+            assert np.count_nonzero(out.data) == k
 
     def test_mix_dense(self):
         gate = mat([[0.25, 0.75]])
@@ -116,11 +137,6 @@ class TestValues:
         out = bc.mse_loss(mat([[1.0, 2.0], [3.0, 4.0]]), mat([[0.0, 2.0], [3.0, 2.0]]))
         assert out.item() == pytest.approx(1.25)
 
-    def test_reduce_sum_and_mean(self):
-        x = mat([[1.0, 2.0], [3.0, 4.0]])
-        assert bc.reduce_sum(x).item() == pytest.approx(10.0)
-        assert bc.reduce_mean(x).item() == pytest.approx(2.5)
-
 
 class TestContracts:
     def test_matrix_rejects_non_2d(self):
@@ -139,13 +155,13 @@ class TestContracts:
 
     def test_topk_k_out_of_range(self):
         with pytest.raises(ParameterError):
-            bc.topk_mask(mat([[1.0, 2.0]]), 0)
+            gate_of([[1.0, 2.0]], k=0)
         with pytest.raises(ParameterError):
-            bc.topk_mask(mat([[1.0, 2.0]]), 3)
+            gate_of([[1.0, 2.0]], k=3)
 
-    def test_take_row_out_of_range(self):
-        with pytest.raises(ParameterError):
-            bc.take_row(mat([[1.0]]), 1)
+    def test_router_gate_width_mismatch(self):
+        with pytest.raises(DimensionError):
+            bc.router_gate(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), 1)
 
     def test_mix_gate_must_be_row(self):
         with pytest.raises(DimensionError):
@@ -168,6 +184,8 @@ class TestContracts:
         parts = [mat([[1.0]]), mat([[2.0]])]
         with pytest.raises(ContractError):
             bc.mix(gate, parts, cols=[0, 1])
+        with pytest.raises(ContractError):
+            bc.mix(mat([[0.5, 0.5, np.nan]]), parts, cols=[0, 1])
 
     def test_cosine_sum_zero_norm(self):
         with pytest.raises(DegenerateInputError):
@@ -218,7 +236,7 @@ class TestGradients:
     def test_grad_accumulates_over_reuse(self):
         x = mat([[3.0]], trainable=True)
         with bc.Tape() as tape:
-            loss = bc.reduce_sum(bc.add(x, x))
+            loss = bc.add(x, x)
             bc.backward(tape, loss)
         np.testing.assert_allclose(x.grad, [[2.0]])
 
@@ -226,7 +244,7 @@ class TestGradients:
         x = mat([[1.0]], trainable=True)
         y = mat([[1.0]], trainable=True)
         with bc.Tape() as tape:
-            loss = bc.reduce_sum(bc.scale(x, 2.0))
+            loss = bc.scale(x, 2.0)
             bc.backward(tape, loss)
         assert y.grad is None
         np.testing.assert_allclose(x.grad, [[2.0]])
@@ -249,19 +267,22 @@ class TestGradients:
         np.testing.assert_array_equal(fused_x.grad, np.vstack([r.grad for r in rows]))
 
     def test_topk_masked_entries_get_zero_grad(self):
-        x = mat([[3.0, 1.0, 2.0]], trainable=True)
-        tgt = mat([[3.0, bc.MASK_VALUE, 2.0]])
+        x = mat([[1.0, -2.0], [5.0, 7.0]], trainable=True)
+        router = mat([[3.0, 1.0, 2.0], [0.5, 2.0, -1.0]], trainable=True)  # scores 2, -3, 4
         with bc.Tape() as tape:
-            loss = bc.mse_loss(bc.topk_mask(x, 2), tgt)
+            loss = bc.mse_loss(bc.router_gate(x, router, 2), mat([[0.2, 0.3, 0.5]]))
             bc.backward(tape, loss)
-        assert x.grad[0, 1] == 0.0
+        np.testing.assert_array_equal(router.grad[:, 1], [0.0, 0.0])
+        assert np.all(router.grad[:, [0, 2]] != 0.0)
+        assert np.all(x.grad[0] != 0.0)
+        np.testing.assert_array_equal(x.grad[1], [0.0, 0.0])
 
     def test_mix_sparse_leaves_omitted_gate_grad_zero(self):
         gate = mat([[0.4, 0.0, 0.6]], trainable=True)
         parts = [mat([[1.0, 2.0]], trainable=True), mat([[3.0, 4.0]], trainable=True)]
         with bc.Tape() as tape:
             out = bc.mix(gate, parts, cols=[0, 2])
-            loss = bc.reduce_sum(out)
+            loss = bc.matmul(out, mat([[1.0], [1.0]]))
             bc.backward(tape, loss)
         assert gate.grad[0, 1] == 0.0
         np.testing.assert_allclose(gate.grad, [[3.0, 0.0, 7.0]])
@@ -349,6 +370,6 @@ def test_forward_values_identical_with_and_without_tape():
     x = rng.standard_normal((3, 4))
     w = rng.standard_normal((4, 2))
     with bc.Tape():
-        taped = bc.row_softmax(bc.matmul(bc.Matrix(x), bc.Matrix(w)))
-    bare = bc.row_softmax(bc.matmul(bc.Matrix(x), bc.Matrix(w)))
+        taped = bc.router_gate(bc.Matrix(x, trainable=True), bc.Matrix(w), 1)
+    bare = bc.router_gate(bc.Matrix(x), bc.Matrix(w), 1)
     np.testing.assert_array_equal(taped.data, bare.data)
