@@ -40,6 +40,7 @@ from .optim import Adam, Sgd, make_optimizer
 from .routing import FreezeLedger, UsageStats, apply_freeze, select_freeze_set
 from .selector import (
     KeyStore,
+    StackedKeys,
     TaskKeys,
     alignment_loss,
     select_task,

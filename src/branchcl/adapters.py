@@ -6,11 +6,17 @@ kinds compute h = x W_f + (alpha/r) * delta:
 
 * LoRALayer: a single rank-r pair (A, B), delta = x A B.
 * MoELoRALayer: N experts (A_j, B_j) of rank r/N, densely mixed by a
-  softmax router read off the first row of x (`router_gate` with k = N).
+  softmax router (`router_gate` with k = N).
 * BranchLoRALayer: one shared A of rank r/N, N branch matrices B_j, and
   one router per task; the gate keeps the top-k router scores, so it has
   exactly k nonzero entries. Branches can be frozen in place (trainable
   flag off) and remain routable.
+
+The two routed kinds gate a training batch by its first row: one 1 x N gate
+row for the whole batch. ``per_row=True`` routes each row on its own (a
+B x N gate), so a batch of rows takes the routes, and up to float rounding
+gives the outputs, of forwarding the rows one at a time; evaluation uses it
+to run a test split as one forward.
 
 BackboneLayer is the zero-shot layer: h = x W_f with no parameters.
 
@@ -94,8 +100,10 @@ class AdapterLayer:
 
     ``init`` draws a fresh layer (and its backbone unless one is given);
     ``from_named`` rebuilds one from the names ``named_matrices`` gives its
-    matrices, in checkpoint order. ``forward(x, task_id)`` returns
-    ``(h, gate)``, gate None without a router. ``params(task_id)`` are the
+    matrices, in checkpoint order. ``forward(x, task_id, per_row=False)``
+    returns ``(h, gate)``, gate None without a router; a router gates the
+    batch by its first row, or each row on its own with ``per_row``
+    (ignored by kinds without a router). ``params(task_id)`` are the
     matrices trained on task_id, by default all but the backbone. ``frozen``
     (per-branch freeze flags) and ``routers`` (per-task routers) stay empty,
     and the task hooks do nothing, unless the kind has such parts.
@@ -144,7 +152,9 @@ class BackboneLayer(AdapterLayer):
     def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
         return cls(FrozenBackbone(tensor("backbone")))
 
-    def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, None]:
+    def forward(
+        self, x: Matrix, task_id: int | None = None, per_row: bool = False
+    ) -> tuple[Matrix, None]:
         return self.backbone.forward(x), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
@@ -169,7 +179,9 @@ class LoRALayer(AdapterLayer):
     def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
         return cls(FrozenBackbone(tensor("backbone")), hp, tensor("A"), tensor("B"))
 
-    def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, None]:
+    def forward(
+        self, x: Matrix, task_id: int | None = None, per_row: bool = False
+    ) -> tuple[Matrix, None]:
         delta = matmul(matmul(x, self.a), self.b)
         return add(self.backbone.forward(x), scale(delta, self.hp.scaling)), None
 
@@ -178,7 +190,7 @@ class LoRALayer(AdapterLayer):
 
 
 class MoELoRALayer(AdapterLayer):
-    """N rank-r/N experts mixed by a dense softmax gate from x's first row."""
+    """N rank-r/N experts mixed by a dense softmax gate."""
 
     def __init__(
         self,
@@ -211,8 +223,10 @@ class MoELoRALayer(AdapterLayer):
         ]
         return cls(FrozenBackbone(tensor("backbone")), hp, experts, tensor("router"))
 
-    def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, Matrix]:
-        gate = router_gate(x, self.router, self.hp.experts)
+    def forward(
+        self, x: Matrix, task_id: int | None = None, per_row: bool = False
+    ) -> tuple[Matrix, Matrix]:
+        gate = router_gate(x, self.router, self.hp.experts, per_row)
         parts = [matmul(matmul(x, a), b) for a, b in self.experts]
         delta = mix(gate, parts)
         h = add(self.backbone.forward(x), scale(delta, self.hp.scaling))
@@ -286,19 +300,24 @@ class BranchLoRALayer(AdapterLayer):
     def finish_task(self, task_id: int) -> None:
         self.routers[task_id].trainable = False
 
-    def gate_for(self, x: Matrix, task_id: int) -> Matrix:
+    def gate_for(self, x: Matrix, task_id: int, per_row: bool = False) -> Matrix:
         router = self.routers.get(task_id)
         if router is None:
             raise RoutingError(f"no router registered for task {task_id}")
-        return router_gate(x, router, self.hp.top_k)
+        return router_gate(x, router, self.hp.top_k, per_row)
 
-    def forward(self, x: Matrix, task_id: int) -> tuple[Matrix, Matrix]:
-        gate = self.gate_for(x, task_id)
+    def forward(
+        self, x: Matrix, task_id: int, per_row: bool = False
+    ) -> tuple[Matrix, Matrix]:
+        gate = self.gate_for(x, task_id, per_row)
         shared = matmul(x, self.a_shared)
-        # Only the k selected branches execute; the masked ones carry an
+        # Only the branches some row selects execute; the others carry an
         # exact 0.0 gate weight, so skipping them changes no value and no
         # gradient (a skipped branch matrix simply never joins the tape).
-        selected = [int(j) for j in np.nonzero(gate.data[0] != 0.0)[0]]
+        # With per-row gates, a row adds an exact 0.0 times each branch it
+        # did not select, which leaves its sum as it is on its own.
+        live = (gate.data != 0.0).any(axis=0) if per_row else gate.data[0] != 0.0
+        selected = [int(j) for j in np.nonzero(live)[0]]
         parts = [matmul(shared, self.branches[j]) for j in selected]
         delta = mix(gate, parts, cols=selected)
         h = add(self.backbone.forward(x), scale(delta, self.hp.scaling))

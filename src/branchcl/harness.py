@@ -131,24 +131,27 @@ def evaluate(
 ) -> float:
     """Accuracy on a task's test split. `selector` matters only for
     branchlora: "oracle" routes by the true task id, "auto" picks the
-    task via key similarity per sample."""
+    task via key similarity per sample.
+
+    The whole split runs as one forward with every row routed on its own
+    (``per_row``). branchlora still runs one forward per row: the
+    benchmark's per-sample timer (``bench/worker.py``) charges the time up
+    to each forward to that forward's rows, so grouping rows by selected
+    task would charge the whole split's task selection to the first group.
+    """
     if selector not in ("oracle", "auto"):
         raise ParameterError(f"selector must be 'oracle' or 'auto', got {selector!r}")
     x, y = task.x_test, task.y_test
-    if model.kind in ("zero_shot", "lora"):
-        # no router: rows are independent, evaluate as one batch
-        logits, _ = model.forward(Matrix(x))
-        pred = np.argmax(logits.data, axis=1)
-        return float((pred == y).mean())
+    if model.kind != "branchlora":
+        logits, _ = model.forward(Matrix(x), task.task_id, per_row=True)
+        return int(np.count_nonzero(np.argmax(logits.data, axis=1) == y)) / len(y)
+    keys = model.keys.stack() if selector == "auto" else None
     hits = 0
-    for i in range(x.shape[0]):
-        xi = Matrix(x[i : i + 1])
-        tid = task.task_id
-        if selector == "auto" and model.kind == "branchlora":
-            tid = select_task(x[i], model.keys)
-        logits, _ = model.forward(xi, tid)
-        hits += int(np.argmax(logits.data[0]) == y[i])
-    return hits / x.shape[0]
+    for row, label in zip(x, y):
+        tid = task.task_id if keys is None else select_task(row, keys)
+        logits, _ = model.forward(Matrix(row[None]), tid)
+        hits += int(np.argmax(logits.data[0]) == label)
+    return hits / len(y)
 
 
 def _freeze_after_task(

@@ -61,13 +61,16 @@ class ContinualModel:
         self._key_rng = np.random.default_rng(np.random.SeedSequence([seed, _KEY_TAG]))
         self._router_rng = np.random.default_rng(np.random.SeedSequence([seed, _ROUTER_TAG]))
 
-    def forward(self, x: Matrix, task_id: int | None = None) -> tuple[Matrix, list[Matrix]]:
+    def forward(
+        self, x: Matrix, task_id: int | None = None, per_row: bool = False
+    ) -> tuple[Matrix, list[Matrix]]:
         """Run the stack; returns (logits, per-layer gates). Gates are empty
-        for kinds without a router."""
+        for kinds without a router. Routers gate the batch by its first row,
+        or each row on its own with ``per_row``."""
         gates: list[Matrix] = []
         h = x
         for i, layer in enumerate(self.layers):
-            h, gate = layer.forward(h, task_id)
+            h, gate = layer.forward(h, task_id, per_row)
             if gate is not None:
                 gates.append(gate)
             if i < len(self.layers) - 1:

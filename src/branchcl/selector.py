@@ -73,11 +73,57 @@ class KeyStore:
     def ordered(self) -> list[TaskKeys]:
         return [self._keys[t] for t in sorted(self._keys)]
 
+    def stack(self) -> "StackedKeys":
+        """Every task's keys as stacked matrices, for scoring inputs."""
+        return StackedKeys(self.ordered())
+
     def __len__(self) -> int:
         return len(self._keys)
 
     def __contains__(self, task_id: int) -> bool:
         return task_id in self._keys
+
+
+class StackedKeys:
+    """The keys of every task in a store, stacked one row per task, with
+    their norms: what scoring an input against all tasks reads.
+
+    A snapshot: keys added or trained after stacking are not seen, so stack
+    again after training a task.
+    """
+
+    __slots__ = ("task_ids", "k_img", "k_txt", "nk_img", "nk_txt")
+
+    def __init__(self, keys: list[TaskKeys]):
+        if not keys:
+            raise SelectorError("no task keys registered")
+        self.task_ids = [k.task_id for k in keys]
+        self.k_img = np.vstack([k.k_img.data for k in keys])
+        self.k_txt = np.vstack([k.k_txt.data for k in keys])
+        # vecdot takes each key's dot product with the same BLAS dot as a
+        # one-key `v @ k`, so the scores match scoring the keys one at a time.
+        self.nk_img = np.sqrt(np.vecdot(self.k_img, self.k_img))
+        self.nk_txt = np.sqrt(np.vecdot(self.k_txt, self.k_txt))
+        zero = np.flatnonzero((self.nk_img == 0.0) | (self.nk_txt == 0.0))
+        if zero.size:
+            raise SelectorError(f"keys for task {self.task_ids[zero[0]]} have zero norm")
+
+    def scores(self, img: np.ndarray, txt: np.ndarray) -> np.ndarray:
+        """The B x T matrix of cos(img_i, k_img) + cos(txt_i, k_txt) for
+        the B rows of the two views and the T tasks.
+
+        Each cosine takes one BLAS dot per (row, key), as scoring a single
+        row against a single key does, so a batch scores bit-identically
+        to its rows scored one at a time.
+        """
+        n_img = np.sqrt(np.vecdot(img, img))[:, None]
+        n_txt = np.sqrt(np.vecdot(txt, txt))[:, None]
+        if np.any(n_img == 0.0) or np.any(n_txt == 0.0):
+            raise SelectorError("sample embedding has zero norm")
+        return (
+            np.vecdot(self.k_img, img[:, None, :]) / (n_img * self.nk_img)
+            + np.vecdot(self.k_txt, txt[:, None, :]) / (n_txt * self.nk_txt)
+        )
 
 
 def alignment_loss(x: Matrix, keys: TaskKeys) -> Matrix:
@@ -101,37 +147,28 @@ def total_loss(task_loss: Matrix, align: Matrix, weight: float) -> Matrix:
     return add(task_loss, scale(align, weight))
 
 
-def select_task(x: np.ndarray, store: KeyStore) -> int:
+def select_task(x: np.ndarray, keys: StackedKeys) -> int:
     """Return the task id whose keys best match the two views of input row x.
 
     A task scores cos(img, k_img) + cos(txt, k_txt), img and txt being the
     two halves of x. Ties break toward the lowest task index.
     """
-    keys = store.ordered()
-    if not keys:
-        raise SelectorError("no task keys registered")
-    img, txt = _views(np.asarray(x, dtype=np.float64).ravel())
-    n_img, n_txt = np.linalg.norm(img), np.linalg.norm(txt)
-    if n_img == 0.0 or n_txt == 0.0:
-        raise SelectorError("sample embedding has zero norm")
-    k_img = np.vstack([k.k_img.data for k in keys])
-    k_txt = np.vstack([k.k_txt.data for k in keys])
-    # vecdot takes each key's dot product with the same BLAS dot as a
-    # one-key `v @ k`, so the scores match scoring the keys one at a time.
-    nk_img = np.sqrt(np.vecdot(k_img, k_img))
-    nk_txt = np.sqrt(np.vecdot(k_txt, k_txt))
-    zero = np.flatnonzero((nk_img == 0.0) | (nk_txt == 0.0))
-    if zero.size:
-        raise SelectorError(f"keys for task {keys[zero[0]].task_id} have zero norm")
-    scores = np.vecdot(k_img, img) / (n_img * nk_img) + np.vecdot(k_txt, txt) / (n_txt * nk_txt)
-    return keys[int(np.argmax(scores))].task_id
+    img, txt = _views(np.asarray(x, dtype=np.float64).reshape(1, -1))
+    return keys.task_ids[int(np.argmax(keys.scores(img, txt)[0]))]
 
 
 def selector_accuracy(x: np.ndarray, task_ids: np.ndarray, store: KeyStore) -> float:
-    """Fraction of the input rows of x routed to their true task id."""
+    """Fraction of the input rows of x routed to their true task id.
+
+    The keys are stacked once and every row is scored in one broadcast
+    pass; each row picks the task `select_task` picks for it.
+    """
     if len(x) == 0:
         raise SelectorError("selector_accuracy needs at least one sample")
     if len(x) != len(task_ids):
         raise DimensionError(f"selector_accuracy: {len(x)} rows vs {len(task_ids)} task ids")
-    hits = sum(1 for row, tid in zip(x, task_ids) if select_task(row, store) == tid)
+    keys = store.stack()
+    img, txt = _views(np.asarray(x, dtype=np.float64))
+    chosen = np.asarray(keys.task_ids)[np.argmax(keys.scores(img, txt), axis=1)]
+    hits = int(np.count_nonzero(chosen == np.asarray(task_ids)))
     return hits / len(x)

@@ -1,9 +1,11 @@
 """Dense 2-D float64 matrices with reverse-mode autodiff on an explicit tape.
 
 The op set is deliberately small: matmul, add, scale, tanh, router_gate
-(softmax over the top-k router scores of a batch's first row), mix
-(gate-weighted sum), cosine_sum (summed cosines of a batch's rows to one
-key), and the two losses. Each op computes its forward value eagerly with
+(softmax over the top-k router scores, of a batch's first row or of each
+row), mix (gate-weighted sum, with one gate row shared by the batch or one
+per row), cosine_sum (summed cosines of a batch's rows to one key), and the
+two losses. Training routes a batch by its first row; evaluation routes
+each row on its own. Each op computes its forward value eagerly with
 numpy and, when a tape is active and a gradient path exists, records a
 backward closure. `backward` replays the tape in exact reverse execution
 order and accumulates dLoss/dParam into `.grad` of trainable leaves.
@@ -209,13 +211,16 @@ def tanh(a: Matrix) -> Matrix:
     return out
 
 
-def router_gate(x: Matrix, router: Matrix, k: int) -> Matrix:
-    """The 1 x N gate: softmax over the k largest entries of x[0] @ router.
+def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Matrix:
+    """The gate: softmax over the k largest router scores, zeros elsewhere.
 
-    Every other entry is exactly 0.0, and ties break toward the lowest
-    column. With k equal to the router's width this is a plain softmax and
-    no mask is built. Gradients reach row 0 of x and the router; masked
-    columns get exactly zero.
+    By default the scores are x[0] @ router and the gate is 1 x N, shared by
+    every row of x. With ``per_row`` each row of x gets its own gate row
+    from its own scores, a B x N gate. Every entry outside the top k is
+    exactly 0.0, and ties break toward the lowest column of each row. With k
+    equal to the router's width this is a plain softmax and no mask is
+    built. Gradients reach the rows of x that were scored and the router;
+    masked columns get exactly zero.
     """
     n = router.cols
     if x.cols != router.rows:
@@ -224,27 +229,30 @@ def router_gate(x: Matrix, router: Matrix, k: int) -> Matrix:
         )
     if not 1 <= k <= n:
         raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
-    row = x.data[0:1]
-    s = row @ router.data
-    e = np.exp(s - s.max())
+    rows = x.data if per_row else x.data[0:1]
+    s = rows @ router.data
+    e = np.exp(s - s.max(axis=1, keepdims=True))
     keep = None
     if k < n:
         keep = np.zeros(s.shape, dtype=bool)
-        keep[0, np.argsort(-s[0], kind="stable")[:k]] = True
+        top = np.argsort(-s, axis=1, kind="stable")[:, :k]
+        keep[np.arange(len(s))[:, None], top] = True
         e = np.where(keep, e, 0.0)
-    y = e / e.sum()
+    y = e / e.sum(axis=1, keepdims=True)
     out = _result(y, x.requires_grad or router.requires_grad)
 
     def backward(g: np.ndarray) -> list:
-        ds = y * (g - (g * y).sum())
+        ds = y * (g - (g * y).sum(axis=1, keepdims=True))
         if keep is not None:
             ds = np.where(keep, ds, 0.0)
         contribs = []
         if router.requires_grad:
-            contribs.append((router, row.T @ ds))
+            contribs.append((router, rows.T @ ds))
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[0] = (ds @ router.data.T)[0]
+            dx = ds @ router.data.T
+            if not per_row:  # only row 0 was scored
+                dx, scored = np.zeros_like(x.data), dx
+                dx[0] = scored[0]
             contribs.append((x, dx))
         return contribs
 
@@ -257,21 +265,21 @@ def mix(
     parts: Sequence[Matrix],
     cols: Sequence[int] | None = None,
 ) -> Matrix:
-    """Gate-weighted sum of same-shape matrices: sum_j gate[0,j] * parts[j].
+    """Gate-weighted sum of same-shape matrices: sum_j gate[:, j] * parts[j].
 
-    Gradients reach both the gate (d gate_j = <g, parts_j>) and every part
-    (d part_j = gate_j * g); a part weighted by an exact 0.0 gate entry
-    receives an exactly zero gradient.
+    The gate is either one row shared by every row of the parts (1 x N), or
+    one row per row of the parts (B x N, row i weighting row i). Gradients
+    reach both the gate (d gate_j = <g, parts_j>, per row for a B x N gate)
+    and every part (d part_j = gate_j * g); a part weighted by an exact 0.0
+    gate entry receives an exactly zero gradient.
 
-    With ``cols``, parts[i] is weighted by gate[0, cols[i]] and the other
+    With ``cols``, parts[i] is weighted by gate column cols[i] and the other
     gate columns are treated as exact zeros.  This lets a sparse-gated
     caller skip building terms it knows are zeroed out: the result and
     every gradient match the dense call as long as the omitted columns
     really hold 0.0 (checked).
     """
-    if gate.rows != 1:
-        raise DimensionError(f"mix: gate must be a row vector, got {gate.rows}x{gate.cols}")
-    w = gate.data[0]
+    w = gate.data
     if cols is None:
         cols = range(gate.cols)
         if len(parts) != gate.cols:
@@ -285,28 +293,38 @@ def mix(
         for c in cols:
             if not 0 <= c < gate.cols:
                 raise DimensionError(f"mix: col {c} outside gate width {gate.cols}")
-        if np.count_nonzero(w) != np.count_nonzero(w[cols]):
+        if np.count_nonzero(w) != np.count_nonzero(w.take(cols, axis=1)):
             raise ContractError("mix: omitted gate columns must be exactly 0.0")
     shape = parts[0].shape
     for p in parts[1:]:
         if p.shape != shape:
             raise DimensionError(f"mix: part shapes differ, {shape} vs {p.shape}")
+    shared = gate.rows == 1
+    if not shared and gate.rows != shape[0]:
+        raise DimensionError(
+            f"mix: gate has {gate.rows} rows, need 1 or one per part row ({shape[0]})"
+        )
+    if shared:
+        w = w[0]  # one scalar weight per part; else one column per part
     acc = np.zeros(shape)
     for c, p in zip(cols, parts):
-        acc += w[c] * p.data
+        acc += (w[c] if shared else w[:, c : c + 1]) * p.data
     flow = gate.requires_grad or any(p.requires_grad for p in parts)
     out = _result(acc, flow)
 
     def backward(g: np.ndarray) -> list:
         contribs = []
         if gate.requires_grad:
-            dg = np.zeros((1, gate.cols))
+            dg = np.zeros(gate.shape)
             for c, p in zip(cols, parts):
-                dg[0, c] = float((g * p.data).sum())
+                if shared:
+                    dg[0, c] = float((g * p.data).sum())
+                else:
+                    dg[:, c] = (g * p.data).sum(axis=1)
             contribs.append((gate, dg))
         for c, p in zip(cols, parts):
             if p.requires_grad:
-                contribs.append((p, w[c] * g))
+                contribs.append((p, (w[c] if shared else w[:, c : c + 1]) * g))
         return contribs
 
     _record(out, (gate, *parts), backward)
@@ -364,14 +382,14 @@ def cross_entropy(logits: Matrix, labels) -> Matrix:
         )
     z = logits.data
     m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    e = np.exp(z - m)
+    lse = m[:, 0] + np.log(e.sum(axis=1))
     n = z.shape[0]
     losses = lse - z[np.arange(n), y]
     out = _result(np.array([[losses.mean()]]), logits.requires_grad)
 
     def backward(g: np.ndarray) -> list:
-        p = np.exp(z - m)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(n), y] -= 1.0
         return [(logits, float(g[0, 0]) * p / n)]
 

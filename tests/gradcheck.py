@@ -90,6 +90,20 @@ def case_router_gate(rng):
     return [x, router], lambda m: bc.mse_loss(bc.router_gate(m[0], m[1], k), t)
 
 
+def case_router_gate_rows(rng):
+    # Per-row gates: every row's scores gapped by >= 1, so each row's top-k
+    # selection is FD-stable; the router is solved so that x @ router hits
+    # those scores, and every row of x gets a gradient.
+    rows, d, n = 3, 6, 5
+    x = rng.standard_normal((rows, d))
+    pinv = np.linalg.pinv(x)
+    router = rng.standard_normal((d, n))
+    router += pinv @ (_gapped_rows(rng, rows, n) - x @ router)
+    k = int(rng.integers(1, n + 1))
+    t = _target(rng, rows, n)
+    return [x, router], lambda m: bc.mse_loss(bc.router_gate(m[0], m[1], k, per_row=True), t)
+
+
 def case_mix_dense(rng):
     gate = rng.standard_normal((1, 3))
     parts = [rng.standard_normal((2, 4)) for _ in range(3)]
@@ -109,6 +123,30 @@ def case_mix_sparse(rng):
     def run(m):
         gate = bc.router_gate(one, m[0], 2)
         cols = [int(j) for j in np.nonzero(gate.data[0] != 0.0)[0]]
+        chosen = [m[1 + j] for j in cols]
+        return bc.mse_loss(bc.mix(gate, chosen, cols=cols), t)
+
+    return [scores] + parts, run
+
+
+def case_mix_rows_dense(rng):
+    gate = rng.standard_normal((2, 3))
+    parts = [rng.standard_normal((2, 4)) for _ in range(3)]
+    t = _target(rng, 2, 4)
+    return [gate] + parts, lambda m: bc.mse_loss(bc.mix(m[0], m[1:]), t)
+
+
+def case_mix_rows_sparse(rng):
+    # One top-2 gate row per part row, from gapped scores; only the union
+    # of the columns some row selects is passed, as BranchLoRA does.
+    scores = _gapped_rows(rng, 2, 5)
+    parts = [rng.standard_normal((2, 3)) for _ in range(5)]
+    t = _target(rng, 2, 3)
+    eye = bc.Matrix(np.eye(2))
+
+    def run(m):
+        gate = bc.router_gate(eye, m[0], 2, per_row=True)
+        cols = [int(j) for j in np.flatnonzero((gate.data != 0.0).any(axis=0))]
         chosen = [m[1 + j] for j in cols]
         return bc.mse_loss(bc.mix(gate, chosen, cols=cols), t)
 
@@ -186,8 +224,11 @@ OP_CASES = [
     ("scale", case_scale),
     ("tanh", case_tanh),
     ("router_gate", case_router_gate),
+    ("router_gate_rows", case_router_gate_rows),
     ("mix_dense", case_mix_dense),
     ("mix_sparse", case_mix_sparse),
+    ("mix_rows_dense", case_mix_rows_dense),
+    ("mix_rows_sparse", case_mix_rows_sparse),
     ("cosine_sum", case_cosine_sum),
     ("cross_entropy", case_cross_entropy),
     ("mse_loss", case_mse_loss),

@@ -103,6 +103,13 @@ def gate_oracle(x, router, k):
     return gate
 
 
+def gate_rows_oracle(x, router, k):
+    """One gate row per row of x: each row's softmax over the k largest of
+    its own scores, zeros elsewhere, ties to the lowest column."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.vstack([gate_oracle(row[None, :], router, k) for row in x])
+
+
 def branch_forward_oracle(x, w, a_shared, branches, router, k, scaling):
     """Sparse-gated mixture: top-k gate, shared down-projection."""
     gate = gate_oracle(x, router, k)

@@ -237,6 +237,38 @@ class TestTapeEntries:
         assert max(counts["branchlora"]) <= min(counts["moelora"])
 
 
+class TestForwardCalls:
+    def test_one_forward_per_split_and_one_per_row_for_branchlora(self, monkeypatch):
+        # Evaluation routes every row on its own inside one batched forward,
+        # so a test split costs one ContinualModel.forward; branchlora, with
+        # either selector, still forwards its rows one at a time.
+        cfg = bc.load_config(Path(__file__).parent.parent / "configs" / "smoke.json")
+        forward, evaluate = bc.ContinualModel.forward, harness.evaluate
+        calls = []
+        seen = []
+
+        def counting_forward(model, x, *args, **kwargs):
+            calls.append(x.rows)
+            return forward(model, x, *args, **kwargs)
+
+        def counting_evaluate(model, task, selector="oracle"):
+            calls.clear()
+            accuracy = evaluate(model, task, selector)
+            seen.append((model.kind, selector, list(calls)))
+            return accuracy
+
+        monkeypatch.setattr(bc.ContinualModel, "forward", counting_forward)
+        monkeypatch.setattr(harness, "evaluate", counting_evaluate)
+        bc.run_seed(cfg, cfg.seeds[0])
+        rows = cfg.stream.test_samples
+        for kind, selector, got in seen:
+            expected = [1] * rows if kind == "branchlora" else [rows]
+            assert got == expected, (kind, selector)
+        # zero_shot 2, lora 3, moelora 3, branchlora 3 + its 2-task oracle row, multitask 2
+        assert len(seen) == 15
+        assert sum(1 for e in seen if e[:2] == ("branchlora", "auto")) == 3
+
+
 def test_aggregate_reports_shape(smoke_cfg):
     r0 = bc.run_seed(smoke_cfg, 0)["report"]
     r1 = bc.run_seed(smoke_cfg, 1)["report"]

@@ -124,20 +124,20 @@ class TestSelectTask:
 
     def test_picks_best_aligned_task(self):
         store = self.build_store()
-        assert bc.select_task(embed([0.9, 0.1], [1.0, 0.0]), store) == 0
-        assert bc.select_task(embed([0.1, 0.9], [0.0, 1.0]), store) == 1
+        assert bc.select_task(embed([0.9, 0.1], [1.0, 0.0]), store.stack()) == 0
+        assert bc.select_task(embed([0.1, 0.9], [0.0, 1.0]), store.stack()) == 1
 
     def test_tie_breaks_to_lowest_task(self):
         store = bc.KeyStore()
         store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         store._keys[1] = keys_from(1, [1.0, 0.0], [1.0, 0.0])
-        assert bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), store) == 0
+        assert bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), store.stack()) == 0
 
     def test_one_view_can_outvote_the_other(self):
         # img view slightly prefers task 1, txt view strongly prefers task 0
         store = self.build_store()
         e = embed([0.4, 0.6], [1.0, 0.0])
-        assert bc.select_task(e, store) == 0
+        assert bc.select_task(e, store.stack()) == 0
 
     def test_matches_per_key_loop(self):
         # the stacked keys are scored with the same arithmetic as one key
@@ -150,23 +150,23 @@ class TestSelectTask:
                 keys_from(t, ki.tolist(), kt.tolist()) for t, (ki, kt) in enumerate(pairs)
             )
             x = rng.standard_normal(16)
-            assert bc.select_task(x, store) == select_task_oracle(x, pairs)
+            assert bc.select_task(x, store.stack()) == select_task_oracle(x, pairs)
 
     def test_empty_store_rejected(self):
         with pytest.raises(SelectorError):
-            bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), bc.KeyStore())
+            bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), bc.KeyStore().stack())
 
     def test_odd_width_rejected(self):
         with pytest.raises(DimensionError):
-            bc.select_task(np.array([1.0, 2.0, 3.0]), self.build_store())
+            bc.select_task(np.array([1.0, 2.0, 3.0]), self.build_store().stack())
 
     def test_zero_norms_rejected(self):
         store = self.build_store()
         with pytest.raises(SelectorError):
-            bc.select_task(embed([0.0, 0.0], [1.0, 0.0]), store)
+            bc.select_task(embed([0.0, 0.0], [1.0, 0.0]), store.stack())
         store._keys[0] = keys_from(0, [0.0, 0.0], [1.0, 0.0])
         with pytest.raises(SelectorError):
-            bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), store)
+            bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), store.stack())
 
 
 class TestSelectorAccuracy:
@@ -181,6 +181,32 @@ class TestSelectorAccuracy:
             embed([0.0, 1.0], [0.0, 1.0]),  # miss
         ])
         assert bc.selector_accuracy(x, np.array([0, 1, 1, 0]), store) == pytest.approx(0.5)
+
+    def test_matches_select_task_row_by_row(self):
+        # one broadcast pass over all rows scores each row bit-identically
+        # to select_task's scoring of that row alone
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            tasks = int(rng.integers(1, 9))
+            store = bc.KeyStore(
+                keys_from(t, rng.standard_normal(8).tolist(), rng.standard_normal(8).tolist())
+                for t in range(tasks)
+            )
+            keys = store.stack()
+            x = rng.standard_normal((int(rng.integers(1, 40)), 16))
+            ids = rng.integers(0, tasks, size=len(x))
+            batch_scores = keys.scores(x[:, :8], x[:, 8:])
+            for i, row in enumerate(x):
+                np.testing.assert_array_equal(batch_scores[i], keys.scores(row[None, :8], row[None, 8:])[0])
+            hits = sum(bc.select_task(row, keys) == tid for row, tid in zip(x, ids))
+            assert bc.selector_accuracy(x, ids, store) == hits / len(x)
+
+    def test_zero_norm_row_rejected(self):
+        store = bc.KeyStore()
+        store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
+        x = np.array([embed([1.0, 0.0], [1.0, 0.0]), embed([0.0, 0.0], [1.0, 0.0])])
+        with pytest.raises(SelectorError):
+            bc.selector_accuracy(x, np.array([0, 0]), store)
 
     def test_empty_rejected(self):
         with pytest.raises(SelectorError):

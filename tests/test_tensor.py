@@ -90,6 +90,41 @@ class TestValues:
             np.testing.assert_allclose(out.data[0], ref, rtol=0, atol=1e-15)
             assert np.count_nonzero(out.data) == k
 
+    def test_router_gate_per_row_matches_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            x = rng.standard_normal((int(rng.integers(1, 6)), 6))
+            router = rng.standard_normal((6, n))
+            out = bc.router_gate(mat(x), mat(router), k, per_row=True)
+            assert out.shape == (x.shape[0], n)
+            ref = oracles.gate_rows_oracle(x, router, k)
+            np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(out.data != 0.0, ref != 0.0)
+            np.testing.assert_array_equal(np.count_nonzero(out.data, axis=1), k)
+
+    def test_router_gate_per_row_of_one_row_is_the_shared_gate(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((1, 4))
+        router = mat(rng.standard_normal((4, 5)))
+        for k in range(1, 6):
+            np.testing.assert_array_equal(
+                bc.router_gate(mat(x), router, k, per_row=True).data,
+                bc.router_gate(mat(x), router, k).data,
+            )
+
+    def test_router_gate_per_row_ties_prefer_lowest_index(self):
+        # row scores [1, 1, 1] and [0, 3, 3]: each row keeps its own lowest tied columns
+        router = mat([[1.0, 1.0, 1.0], [0.0, 3.0, 3.0]])
+        eye = mat(np.eye(2))
+        np.testing.assert_array_equal(
+            bc.router_gate(eye, router, 1, per_row=True).data, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        )
+        np.testing.assert_array_equal(
+            bc.router_gate(eye, router, 2, per_row=True).data, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
+        )
+
     def test_mix_dense(self):
         gate = mat([[0.25, 0.75]])
         parts = [mat([[4.0, 0.0]]), mat([[0.0, 4.0]])]
@@ -108,6 +143,22 @@ class TestValues:
                 mat(g.tolist()), [mat(parts[c].tolist()) for c in cols], cols=cols
             )
             np.testing.assert_array_equal(dense.data, sparse.data)
+
+    def test_mix_per_row_gate_matches_row_by_row(self):
+        # a B x N gate weights row i of every part by gate row i, exactly as
+        # mixing row i alone with a one-row gate does; dense and sparse
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            g = rng.uniform(0.1, 1.0, size=(3, 4))
+            g[rng.random((3, 4)) < 0.4] = 0.0
+            parts = [rng.standard_normal((3, 2)) for _ in range(4)]
+            cols = [int(c) for c in np.flatnonzero((g != 0.0).any(axis=0))] or [0]
+            dense = bc.mix(mat(g), [mat(p) for p in parts])
+            sparse = bc.mix(mat(g), [mat(parts[c]) for c in cols], cols=cols)
+            for i in range(3):
+                one = bc.mix(mat(g[i : i + 1]), [mat(p[i : i + 1]) for p in parts])
+                np.testing.assert_array_equal(dense.data[i], one.data[0])
+                np.testing.assert_array_equal(sparse.data[i], one.data[0])
 
     def test_cosine_sum(self):
         # cos([1,2,2], [2,0,1]) = 4 / (3 sqrt 5); the second row is parallel
@@ -166,6 +217,16 @@ class TestContracts:
     def test_mix_gate_must_be_row(self):
         with pytest.raises(DimensionError):
             bc.mix(mat([[1.0], [0.0]]), [mat([[1.0]]), mat([[2.0]])])
+
+    def test_mix_gate_rows_must_be_one_or_part_rows(self):
+        parts = [mat(np.ones((3, 2))), mat(np.ones((3, 2)))]
+        for rows in (2, 4):
+            with pytest.raises(DimensionError):
+                bc.mix(mat(np.full((rows, 2), 0.5)), parts)
+            with pytest.raises(DimensionError):
+                bc.mix(mat(np.tile([1.0, 0.0], (rows, 1))), parts[:1], cols=[0])
+        for rows in (1, 3):
+            assert bc.mix(mat(np.full((rows, 2), 0.5)), parts).shape == (3, 2)
 
     def test_mix_width_mismatch(self):
         with pytest.raises(DimensionError):
@@ -276,6 +337,43 @@ class TestGradients:
         assert np.all(router.grad[:, [0, 2]] != 0.0)
         assert np.all(x.grad[0] != 0.0)
         np.testing.assert_array_equal(x.grad[1], [0.0, 0.0])
+
+    def test_router_gate_per_row_grads_reach_every_row(self):
+        # per row, the gradients are those of that row's own one-row gate;
+        # the router's is their sum
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((4, 5))
+        router = rng.standard_normal((5, 6))
+        target = rng.standard_normal((4, 6))
+        xs, rs = mat(x, trainable=True), mat(router, trainable=True)
+        with bc.Tape() as tape:
+            gate = bc.router_gate(xs, rs, 3, per_row=True)
+            bc.backward(tape, bc.scale(bc.mse_loss(gate, mat(target)), 4 * 6))
+        router_sum = np.zeros_like(router)
+        for i in range(4):
+            xi, ri = mat(x[i : i + 1], trainable=True), mat(router, trainable=True)
+            with bc.Tape() as tape:
+                gi = bc.router_gate(xi, ri, 3)
+                bc.backward(tape, bc.scale(bc.mse_loss(gi, mat(target[i : i + 1])), 6))
+            np.testing.assert_allclose(xs.grad[i], xi.grad[0], rtol=0, atol=1e-12)
+            router_sum += ri.grad
+            assert np.all(xs.grad[i] != 0.0)
+        np.testing.assert_allclose(rs.grad, router_sum, rtol=0, atol=1e-12)
+
+    def test_cross_entropy_grad_matches_recomputed_softmax_exactly(self):
+        # the backward reuses the forward's exponentials; the gradient is
+        # bit-identical to recomputing the softmax from the logits
+        rng = np.random.default_rng(14)
+        for rows, cols in ((1, 2), (5, 3), (32, 8)):
+            z = rng.standard_normal((rows, cols)) * 3.0
+            labels = rng.integers(0, cols, size=rows)
+            logits = mat(z, trainable=True)
+            with bc.Tape() as tape:
+                bc.backward(tape, bc.scale(bc.cross_entropy(logits, labels), 0.7))
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            p[np.arange(rows), labels] -= 1.0
+            np.testing.assert_array_equal(logits.grad, 0.7 * p / rows)
 
     def test_mix_sparse_leaves_omitted_gate_grad_zero(self):
         gate = mat([[0.4, 0.0, 0.6]], trainable=True)
