@@ -51,12 +51,12 @@ from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerpri
 from .tensor import (
     Matrix,
     Tape,
+    adapter,
     add,
     backward,
     cosine_sum,
     cross_entropy,
     matmul,
-    mix,
     mse_loss,
     router_gate,
     scale,

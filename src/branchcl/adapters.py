@@ -2,15 +2,17 @@
 
 Every layer kind keeps one contract (`AdapterLayer`), so the model,
 checkpoints and analysis never ask which kind they hold. Three adapter
-kinds compute h = x W_f + (alpha/r) * delta:
+kinds compute h = x W_f + (alpha/r) * delta, each as one `tensor.adapter`
+op after its gate (if any):
 
 * LoRALayer: a single rank-r pair (A, B), delta = x A B.
 * MoELoRALayer: N experts (A_j, B_j) of rank r/N, densely mixed by a
   softmax router (`router_gate` with k = N).
 * BranchLoRALayer: one shared A of rank r/N, N branch matrices B_j, and
   one router per task; the gate keeps the top-k router scores, so it has
-  exactly k nonzero entries. Branches can be frozen in place (trainable
-  flag off) and remain routable.
+  exactly k nonzero entries, and only the branches some row selects run.
+  Branches can be frozen in place (trainable flag off) and remain
+  routable.
 
 The two routed kinds gate a training batch by its first row: one 1 x N gate
 row for the whole batch. ``per_row=True`` routes each row on its own (a
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, RoutingError
-from .tensor import Matrix, add, matmul, mix, router_gate, scale
+from .tensor import Matrix, adapter, matmul, router_gate
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,7 @@ class LoRALayer(AdapterLayer):
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
     ) -> tuple[Matrix, None]:
-        delta = matmul(matmul(x, self.a), self.b)
-        return add(self.backbone.forward(x), scale(delta, self.hp.scaling)), None
+        return adapter(x, self.backbone.weight, [self.a], [self.b], self.hp.scaling), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         return [("backbone", self.backbone.weight), ("A", self.a), ("B", self.b)]
@@ -227,10 +228,8 @@ class MoELoRALayer(AdapterLayer):
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
     ) -> tuple[Matrix, Matrix]:
         gate = router_gate(x, self.router, self.hp.experts, per_row)
-        parts = [matmul(matmul(x, a), b) for a, b in self.experts]
-        delta = mix(gate, parts)
-        h = add(self.backbone.forward(x), scale(delta, self.hp.scaling))
-        return h, gate
+        a, b = zip(*self.experts)
+        return adapter(x, self.backbone.weight, a, b, self.hp.scaling, gate), gate
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         out = [("backbone", self.backbone.weight)]
@@ -310,17 +309,9 @@ class BranchLoRALayer(AdapterLayer):
         self, x: Matrix, task_id: int, per_row: bool = False
     ) -> tuple[Matrix, Matrix]:
         gate = self.gate_for(x, task_id, per_row)
-        shared = matmul(x, self.a_shared)
-        # Only the branches some row selects execute; the others carry an
-        # exact 0.0 gate weight, so skipping them changes no value and no
-        # gradient (a skipped branch matrix simply never joins the tape).
-        # With per-row gates, a row adds an exact 0.0 times each branch it
-        # did not select, which leaves its sum as it is on its own.
-        live = (gate.data != 0.0).any(axis=0) if per_row else gate.data[0] != 0.0
-        selected = [int(j) for j in np.nonzero(live)[0]]
-        parts = [matmul(shared, self.branches[j]) for j in selected]
-        delta = mix(gate, parts, cols=selected)
-        h = add(self.backbone.forward(x), scale(delta, self.hp.scaling))
+        h = adapter(
+            x, self.backbone.weight, [self.a_shared], self.branches, self.hp.scaling, gate
+        )
         return h, gate
 
     def params(self, task_id: int) -> list[Matrix]:

@@ -19,7 +19,6 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import efficiency_report, expert_similarity, expert_vectors
@@ -53,15 +52,6 @@ def _resolve_out(args_out, cfg_out) -> Path:
     return Path(out)
 
 
-def _run_one(cfg_dict: dict, seed: int, out_dir: str) -> tuple[int, dict, dict]:
-    """Worker for one seed; module-level so process pools can pickle it."""
-    from .config import config_from_dict
-
-    cfg = config_from_dict(cfg_dict)
-    result = run_seed(cfg, seed, out_dir=out_dir)
-    return seed, result["report"], result["timings"]
-
-
 def cmd_run(args) -> int:
     if args.config is not None:
         cfg = load_config(args.config)
@@ -76,28 +66,14 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cfg_dict = config_to_dict(cfg)
-    jobs = args.jobs
-    if jobs < 1:
-        raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
     per_seed: dict[int, dict] = {}
     timings: dict[int, dict] = {}
-    if jobs == 1 or len(cfg.seeds) == 1:
-        for seed in cfg.seeds:
-            _, rep, tim = _run_one(cfg_dict, seed, str(out_dir))
-            per_seed[seed] = rep
-            timings[seed] = tim
-            print(f"seed {seed} done")
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_one, cfg_dict, seed, str(out_dir))
-                for seed in cfg.seeds
-            ]
-            for fut in futures:
-                seed, rep, tim = fut.result()
-                per_seed[seed] = rep
-                timings[seed] = tim
-                print(f"seed {seed} done")
+    for seed in cfg.seeds:
+        result = run_seed(cfg, seed, out_dir=str(out_dir))
+        per_seed[seed] = result["report"]
+        timings[seed] = result["timings"]
+        del result  # else its trained models stay alive through the next seed
+        print(f"seed {seed} done")
 
     # The report must not depend on where it was written.
     report_cfg = dict(cfg_dict)
@@ -340,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", action="append", type=int, default=None,
         help="override config seeds; repeatable",
     )
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel seed processes")
     p_run.add_argument("--out", help="output directory (or $BRANCHCL_OUT)")
     p_run.set_defaults(func=cmd_run)
 

@@ -1,9 +1,10 @@
 """Sequential training harness over a synthetic task stream.
 
 `run_seed` trains and evaluates each configured method on one stream and
-assembles a per-seed report; `run_experiment` repeats that over seeds and
-aggregates medians. Wall-clock timings are collected separately from the
-report so reports stay byte-for-byte reproducible.
+assembles a per-seed report; `branchcl run` calls it once per seed, and
+`aggregate_reports` combines the per-seed reports with medians. Wall-clock
+timings are collected separately from the report so reports stay
+byte-for-byte reproducible.
 
 Frozen state is actively policed: after every task boundary the harness
 re-reads the bytes of everything that is supposed to be immutable

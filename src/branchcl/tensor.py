@@ -2,13 +2,14 @@
 
 The op set is deliberately small: matmul, add, scale, tanh, router_gate
 (softmax over the top-k router scores, of a batch's first row or of each
-row), mix (gate-weighted sum, with one gate row shared by the batch or one
-per row), cosine_sum (summed cosines of a batch's rows to one key), and the
-two losses. Training routes a batch by its first row; evaluation routes
-each row on its own. Each op computes its forward value eagerly with
-numpy and, when a tape is active and a gradient path exists, records a
-backward closure. `backward` replays the tape in exact reverse execution
-order and accumulates dLoss/dParam into `.grad` of trainable leaves.
+row), adapter (one adapter layer's x W + s * sum_j g_j x A_j B_j, running
+only the gated columns), cosine_sum (summed cosines of a batch's rows to
+one key), and the two losses. Training routes a batch by its first row;
+evaluation routes each row on its own. Each op computes its forward value
+eagerly with numpy and, when a tape is active and a gradient path exists,
+records a backward closure. `backward` replays the tape in exact reverse
+execution order and accumulates dLoss/dParam into `.grad` of the trainable
+leaves the loss reaches; any other leaf's grad stays as it was.
 """
 
 from __future__ import annotations
@@ -101,16 +102,10 @@ def _result(arr: np.ndarray, flow: bool) -> Matrix:
 
 
 class TapeEntry:
-    __slots__ = ("out", "inputs", "backward")
+    __slots__ = ("out", "backward")
 
-    def __init__(
-        self,
-        out: Matrix,
-        inputs: tuple[Matrix, ...],
-        backward: Callable[[np.ndarray], list],
-    ):
+    def __init__(self, out: Matrix, backward: Callable[[np.ndarray], list]):
         self.out = out
-        self.inputs = inputs
         self.backward = backward
 
 
@@ -131,13 +126,8 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPES.pop()
 
-    def record(
-        self,
-        out: Matrix,
-        inputs: tuple[Matrix, ...],
-        backward: Callable[[np.ndarray], list],
-    ) -> None:
-        self.entries.append(TapeEntry(out, inputs, backward))
+    def record(self, out: Matrix, backward: Callable[[np.ndarray], list]) -> None:
+        self.entries.append(TapeEntry(out, backward))
 
 
 _TAPES: list[Tape] = []
@@ -147,10 +137,10 @@ def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _record(out: Matrix, inputs: tuple[Matrix, ...], backward: Callable[[np.ndarray], list]) -> None:
+def _record(out: Matrix, backward: Callable[[np.ndarray], list]) -> None:
     tape = _active_tape()
     if tape is not None and out._flow:
-        tape.record(out, inputs, backward)
+        tape.record(out, backward)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -168,7 +158,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             contribs.append((b, a.data.T @ g))
         return contribs
 
-    _record(out, (a, b), backward)
+    _record(out, backward)
     return out
 
 
@@ -185,7 +175,7 @@ def add(a: Matrix, b: Matrix) -> Matrix:
             contribs.append((b, g))
         return contribs
 
-    _record(out, (a, b), backward)
+    _record(out, backward)
     return out
 
 
@@ -196,7 +186,7 @@ def scale(a: Matrix, c: float) -> Matrix:
     def backward(g: np.ndarray) -> list:
         return [(a, g * c)]
 
-    _record(out, (a,), backward)
+    _record(out, backward)
     return out
 
 
@@ -207,7 +197,7 @@ def tanh(a: Matrix) -> Matrix:
     def backward(g: np.ndarray) -> list:
         return [(a, g * (1.0 - y * y))]
 
-    _record(out, (a,), backward)
+    _record(out, backward)
     return out
 
 
@@ -256,78 +246,120 @@ def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Mat
             contribs.append((x, dx))
         return contribs
 
-    _record(out, (x, router), backward)
+    _record(out, backward)
     return out
 
 
-def mix(
-    gate: Matrix,
-    parts: Sequence[Matrix],
-    cols: Sequence[int] | None = None,
+def adapter(
+    x: Matrix,
+    w: Matrix,
+    a: Sequence[Matrix],
+    b: Sequence[Matrix],
+    scaling: float,
+    gate: Matrix | None = None,
 ) -> Matrix:
-    """Gate-weighted sum of same-shape matrices: sum_j gate[:, j] * parts[j].
+    """Every adapter layer's output, x W + scaling * sum_j g_j (x A_j B_j).
 
-    The gate is either one row shared by every row of the parts (1 x N), or
-    one row per row of the parts (B x N, row i weighting row i). Gradients
-    reach both the gate (d gate_j = <g, parts_j>, per row for a B x N gate)
-    and every part (d part_j = gate_j * g); a part weighted by an exact 0.0
-    gate entry receives an exactly zero gradient.
+    ``a`` holds one down-projection per matrix of ``b``, or one A shared by
+    all of them. With no gate, ``b`` holds one matrix and its term is added
+    with weight one. The gate is either one row shared by every row of x
+    (1 x N), or one row per row of x (B x N, row i weighting row i). Only
+    the columns that some gate row holds nonzero run: a column that is 0.0
+    in every row contributes nothing, its B gets no gradient and its gate
+    entries get exactly zero. W is a constant (the frozen backbone).
 
-    With ``cols``, parts[i] is weighted by gate column cols[i] and the other
-    gate columns are treated as exact zeros.  This lets a sparse-gated
-    caller skip building terms it knows are zeroed out: the result and
-    every gradient match the dense call as long as the omitted columns
-    really hold 0.0 (checked).
+    Gradients are bit-identical to those of the same sum built from matmul,
+    scale and add ops with the backbone term recorded last: dx starts as
+    g W^T and adds each term's share from the last term to the first, and a
+    shared A's adjoint sums its terms from the last to the first.
     """
-    w = gate.data
-    if cols is None:
-        cols = range(gate.cols)
-        if len(parts) != gate.cols:
-            raise DimensionError(f"mix: gate width {gate.cols} != {len(parts)} parts")
-    else:
-        cols = [int(c) for c in cols]
-        if len(parts) != len(cols):
-            raise DimensionError(f"mix: {len(cols)} cols != {len(parts)} parts")
-        if len(set(cols)) != len(cols):
-            raise DimensionError(f"mix: duplicate cols {cols}")
-        for c in cols:
-            if not 0 <= c < gate.cols:
-                raise DimensionError(f"mix: col {c} outside gate width {gate.cols}")
-        if np.count_nonzero(w) != np.count_nonzero(w.take(cols, axis=1)):
-            raise ContractError("mix: omitted gate columns must be exactly 0.0")
-    shape = parts[0].shape
-    for p in parts[1:]:
-        if p.shape != shape:
-            raise DimensionError(f"mix: part shapes differ, {shape} vs {p.shape}")
-    shared = gate.rows == 1
-    if not shared and gate.rows != shape[0]:
+    s = float(scaling)
+    n = len(b)
+    shared_a = len(a) == 1
+    if not shared_a and len(a) != n:
+        raise DimensionError(f"adapter: {len(a)} A matrices for {n} B matrices, need 1 or {n}")
+    d_in, d_out = w.shape
+    if (
+        x.cols != d_in
+        or any(aj.rows != d_in for aj in a)
+        or any(bj.cols != d_out for bj in b)
+        or any(a[0 if shared_a else j].cols != bj.rows for j, bj in enumerate(b))
+    ):
         raise DimensionError(
-            f"mix: gate has {gate.rows} rows, need 1 or one per part row ({shape[0]})"
+            f"adapter: shapes do not chain, x {x.shape}, w {w.shape}, "
+            f"a {[aj.shape for aj in a]}, b {[bj.shape for bj in b]}"
         )
-    if shared:
-        w = w[0]  # one scalar weight per part; else one column per part
-    acc = np.zeros(shape)
-    for c, p in zip(cols, parts):
-        acc += (w[c] if shared else w[:, c : c + 1]) * p.data
-    flow = gate.requires_grad or any(p.requires_grad for p in parts)
-    out = _result(acc, flow)
+    if w.requires_grad:
+        raise ContractError("adapter: w must be a constant")
+    if gate is None:
+        if n != 1:
+            raise DimensionError(f"adapter: without a gate b must hold one matrix, got {n}")
+        live = [0]
+    else:
+        if gate.cols != n:
+            raise DimensionError(f"adapter: gate width {gate.cols} != {n} B matrices")
+        if gate.rows not in (1, x.rows):
+            raise DimensionError(
+                f"adapter: gate has {gate.rows} rows, need 1 or one per row of x ({x.rows})"
+            )
+        live = [int(j) for j in np.flatnonzero((gate.data != 0.0).any(axis=0))]
+    shared_gate = gate is not None and gate.rows == 1
+
+    def weight(j: int):
+        return gate.data[0, j] if shared_gate else gate.data[:, j : j + 1]
+
+    flow = any(m.requires_grad for m in (x, *a, *b)) or (gate is not None and gate.requires_grad)
+    # The gate's gradient needs each unweighted term; keep them only when a
+    # tape will record this op, so an untaped forward frees each term at once.
+    keep = gate is not None and gate.requires_grad and _active_tape() is not None
+    xa = {}  # x A_k, keyed by the index of A
+    parts = []
+    delta = None if gate is None else np.zeros((x.rows, d_out))
+    for j in live:
+        k = 0 if shared_a else j
+        if k not in xa:
+            xa[k] = x.data @ a[k].data
+        p = xa[k] @ b[j].data
+        if gate is None:
+            delta = p
+        else:
+            delta += weight(j) * p
+        if keep:
+            parts.append(p)
+    h = x.data @ w.data
+    delta *= s
+    h += delta
+    out = _result(h, flow)
 
     def backward(g: np.ndarray) -> list:
+        gs = g * s
         contribs = []
-        if gate.requires_grad:
+        if gate is not None and gate.requires_grad:
             dg = np.zeros(gate.shape)
-            for c, p in zip(cols, parts):
-                if shared:
-                    dg[0, c] = float((g * p.data).sum())
-                else:
-                    dg[:, c] = (g * p.data).sum(axis=1)
+            for j, p in zip(live, parts):
+                dg[:, j] = (gs * p).sum() if shared_gate else (gs * p).sum(axis=1)
             contribs.append((gate, dg))
-        for c, p in zip(cols, parts):
-            if p.requires_grad:
-                contribs.append((p, (w[c] if shared else w[:, c : c + 1]) * g))
+        # Last term first: the summation order the docstring fixes.
+        d_xa = {}
+        for j in reversed(live):
+            k = 0 if shared_a else j
+            gp = gs if gate is None else weight(j) * gs
+            if b[j].requires_grad:
+                contribs.append((b[j], xa[k].T @ gp))
+            if x.requires_grad or a[k].requires_grad:
+                d = gp @ b[j].data.T
+                d_xa[k] = d_xa[k] + d if k in d_xa else d
+        dx = g @ w.data.T if x.requires_grad else None
+        for k, d in d_xa.items():
+            if a[k].requires_grad:
+                contribs.append((a[k], x.data.T @ d))
+            if dx is not None:
+                dx = dx + d @ a[k].data.T
+        if dx is not None:
+            contribs.append((x, dx))
         return contribs
 
-    _record(out, (gate, *parts), backward)
+    _record(out, backward)
     return out
 
 
@@ -367,7 +399,7 @@ def cosine_sum(x: Matrix, k: Matrix) -> Matrix:
             contribs.append((k, per_row[::-1].sum(axis=0, keepdims=True)))
         return contribs
 
-    _record(out, (x, k), backward)
+    _record(out, backward)
     return out
 
 
@@ -393,7 +425,7 @@ def cross_entropy(logits: Matrix, labels) -> Matrix:
         p[np.arange(n), y] -= 1.0
         return [(logits, float(g[0, 0]) * p / n)]
 
-    _record(out, (logits,), backward)
+    _record(out, backward)
     return out
 
 
@@ -412,15 +444,15 @@ def mse_loss(a: Matrix, b: Matrix) -> Matrix:
             contribs.append((b, -gs * diff))
         return contribs
 
-    _record(out, (a, b), backward)
+    _record(out, backward)
     return out
 
 
 def backward(tape: Tape, loss: Matrix) -> None:
-    """Accumulate dLoss/dParam into .grad of every trainable leaf on the tape.
+    """Accumulate dLoss/dParam into .grad of every trainable leaf the loss reaches.
 
-    Trainable leaves touched by any recorded op get a zero-initialized grad
-    even when disconnected from this particular loss. Replaying an empty
+    A trainable leaf that the loss does not reach keeps its grad as it was
+    (None if it had none), even if a recorded op used it. Replaying an empty
     tape is a no-op.
     """
     if loss.data.shape != (1, 1):
@@ -441,9 +473,3 @@ def backward(tape: Tape, loss: Matrix) -> None:
                     adjoint[key] = adjoint[key] + contrib
                 else:
                     adjoint[key] = contrib
-    # Zero-fill grads of trainable leaves that appeared on the tape but were
-    # not reachable from this loss, so "disconnected => zero gradient" holds.
-    for entry in tape.entries:
-        for m in entry.inputs:
-            if m.trainable and m.grad is None:
-                m.grad = np.zeros_like(m.data)

@@ -104,53 +104,66 @@ def case_router_gate_rows(rng):
     return [x, router], lambda m: bc.mse_loss(bc.router_gate(m[0], m[1], k, per_row=True), t)
 
 
-def case_mix_dense(rng):
-    gate = rng.standard_normal((1, 3))
-    parts = [rng.standard_normal((2, 4)) for _ in range(3)]
-    t = _target(rng, 2, 4)
-    return [gate] + parts, lambda m: bc.mse_loss(bc.mix(m[0], m[1:]), t)
+def _adapter_inputs(rng, n_a, n_b):
+    """x, the A and B matrices, a constant W, a scaling and a target."""
+    rows, d_in, r, d_out = 2, 4, 2, 3
+    x = rng.standard_normal((rows, d_in))
+    a = [rng.standard_normal((d_in, r)) for _ in range(n_a)]
+    b = [rng.standard_normal((r, d_out)) for _ in range(n_b)]
+    w = bc.Matrix(rng.standard_normal((d_in, d_out)))
+    s = float(rng.uniform(0.5, 2.0))
+    return x, a, b, w, s, _target(rng, rows, d_out)
 
 
-def case_mix_sparse(rng):
-    # The sparse path only ever sees top-k router gates, so build one whose
-    # router is the score row itself; the masked columns stay exactly zero
-    # under FD perturbation thanks to the gap construction.
-    scores = _gapped_rows(rng, 1, 4)
-    parts = [rng.standard_normal((2, 3)) for _ in range(4)]
-    t = _target(rng, 2, 3)
-    one = bc.Matrix([[1.0]])
-
-    def run(m):
-        gate = bc.router_gate(one, m[0], 2)
-        cols = [int(j) for j in np.nonzero(gate.data[0] != 0.0)[0]]
-        chosen = [m[1 + j] for j in cols]
-        return bc.mse_loss(bc.mix(gate, chosen, cols=cols), t)
-
-    return [scores] + parts, run
+def case_adapter(rng):
+    # No gate: one (A, B) pair added with weight one, as LoRA does.
+    x, a, b, w, s, t = _adapter_inputs(rng, 1, 1)
+    return [x, *a, *b], lambda m: bc.mse_loss(bc.adapter(m[0], w, m[1:2], m[2:], s), t)
 
 
-def case_mix_rows_dense(rng):
-    gate = rng.standard_normal((2, 3))
-    parts = [rng.standard_normal((2, 4)) for _ in range(3)]
-    t = _target(rng, 2, 4)
-    return [gate] + parts, lambda m: bc.mse_loss(bc.mix(m[0], m[1:]), t)
-
-
-def case_mix_rows_sparse(rng):
-    # One top-2 gate row per part row, from gapped scores; only the union
-    # of the columns some row selects is passed, as BranchLoRA does.
-    scores = _gapped_rows(rng, 2, 5)
-    parts = [rng.standard_normal((2, 3)) for _ in range(5)]
-    t = _target(rng, 2, 3)
-    eye = bc.Matrix(np.eye(2))
+def _adapter_dense(rng, gate_rows):
+    # One A per B and a gate with every entry nonzero, as MoELoRA has.
+    n = 3
+    x, a, b, w, s, t = _adapter_inputs(rng, n, n)
+    gate = rng.standard_normal((gate_rows, n))
 
     def run(m):
-        gate = bc.router_gate(eye, m[0], 2, per_row=True)
-        cols = [int(j) for j in np.flatnonzero((gate.data != 0.0).any(axis=0))]
-        chosen = [m[1 + j] for j in cols]
-        return bc.mse_loss(bc.mix(gate, chosen, cols=cols), t)
+        return bc.mse_loss(bc.adapter(m[0], w, m[2 : 2 + n], m[2 + n :], s, m[1]), t)
 
-    return [scores] + parts, run
+    return [x, gate, *a, *b], run
+
+
+def case_adapter_dense(rng):
+    return _adapter_dense(rng, 1)
+
+
+def case_adapter_dense_rows(rng):
+    return _adapter_dense(rng, 2)
+
+
+def _adapter_sparse(rng, per_row):
+    # A shared A and a top-2 gate over 4 branches, as BranchLoRA has. The
+    # gate comes from gapped scores, one row or one per row of x (each row
+    # of the identity reads its own score row), so the unselected columns
+    # stay exactly zero under FD perturbation.
+    n = 4
+    x, a, b, w, s, t = _adapter_inputs(rng, 1, n)
+    scores = _gapped_rows(rng, x.shape[0] if per_row else 1, n)
+    score_x = bc.Matrix(np.eye(x.shape[0]) if per_row else [[1.0]])
+
+    def run(m):
+        gate = bc.router_gate(score_x, m[1], 2, per_row=per_row)
+        return bc.mse_loss(bc.adapter(m[0], w, m[2:3], m[3:], s, gate), t)
+
+    return [x, scores, *a, *b], run
+
+
+def case_adapter_sparse(rng):
+    return _adapter_sparse(rng, per_row=False)
+
+
+def case_adapter_sparse_rows(rng):
+    return _adapter_sparse(rng, per_row=True)
 
 
 def case_cosine_sum(rng):
@@ -172,7 +185,7 @@ def case_mse_loss(rng):
 
 
 def case_branch_layer(rng):
-    """End to end: top-k gate, shared projection, mix, backbone, loss."""
+    """End to end: top-k gate, then the adapter op with a shared A, then the loss."""
     hp = bc.AdapterHyperparams(rank=4, alpha=8.0, experts=2, top_k=1)
     layer = bc.BranchLoRALayer.init(rng, 5, 5, hp)
     layer.add_router(0, rng)
@@ -225,10 +238,11 @@ OP_CASES = [
     ("tanh", case_tanh),
     ("router_gate", case_router_gate),
     ("router_gate_rows", case_router_gate_rows),
-    ("mix_dense", case_mix_dense),
-    ("mix_sparse", case_mix_sparse),
-    ("mix_rows_dense", case_mix_rows_dense),
-    ("mix_rows_sparse", case_mix_rows_sparse),
+    ("adapter", case_adapter),
+    ("adapter_dense", case_adapter_dense),
+    ("adapter_dense_rows", case_adapter_dense_rows),
+    ("adapter_sparse", case_adapter_sparse),
+    ("adapter_sparse_rows", case_adapter_sparse_rows),
     ("cosine_sum", case_cosine_sum),
     ("cross_entropy", case_cross_entropy),
     ("mse_loss", case_mse_loss),

@@ -112,9 +112,6 @@ class TestRunErrors:
         assert main(["run", "--config", SMOKE, "--seed", "0", "--seed", "0"]) == 2
         assert "duplicate" in capsys.readouterr().err
 
-    def test_bad_jobs(self, capsys):
-        assert main(["run", "--config", SMOKE, "--jobs", "0"]) == 2
-
 
 class TestAnalyze:
     def test_writes_analysis_files(self, run_dir):

@@ -214,9 +214,10 @@ class TestInvariants:
 class TestTapeEntries:
     def test_exact_entries_per_training_batch(self, monkeypatch):
         # The count depends only on the model structure, so every batch of a
-        # method records the same number; branchlora's alignment loss adds
-        # one fused cosine per view, not a chain per sample, and each
-        # layer's gate is one router_gate entry.
+        # method records the same number: each adapter layer is one adapter
+        # entry, after one router_gate entry for the routed kinds, and
+        # branchlora's alignment loss adds one fused cosine per view, not a
+        # chain per sample.
         cfg = bc.load_config(Path(__file__).parent.parent / "configs" / "smoke.json")
         counts: dict[str, set[int]] = {}
         current = []
@@ -233,8 +234,14 @@ class TestTapeEntries:
         monkeypatch.setattr(harness, "train_task", counting_train_task)
         monkeypatch.setattr(harness, "backward", counting_backward)
         bc.run_seed(cfg, cfg.seeds[0])
-        assert counts == {"lora": {12}, "moelora": {28}, "branchlora": {25}, "multitask": {12}}
-        assert max(counts["branchlora"]) <= min(counts["moelora"])
+        assert counts == {"lora": {5}, "moelora": {7}, "branchlora": {14}, "multitask": {5}}
+        # branchlora's layers record what moelora's do; the rest is its
+        # key-alignment loss, which moelora does not have
+        keys = bc.KeyStore().add(0, cfg.stream.dim // 2, np.random.default_rng(0))
+        xb = bc.Matrix(np.ones((cfg.train.batch_size, cfg.stream.dim)))
+        with bc.Tape() as tape:
+            bc.total_loss(bc.Matrix([[1.0]]), bc.alignment_loss(xb, keys), cfg.adapter.align_weight)
+        assert counts["branchlora"] == {min(counts["moelora"]) + len(tape.entries)}
 
 
 class TestForwardCalls:

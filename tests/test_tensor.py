@@ -125,40 +125,56 @@ class TestValues:
             bc.router_gate(eye, router, 2, per_row=True).data, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
         )
 
-    def test_mix_dense(self):
-        gate = mat([[0.25, 0.75]])
-        parts = [mat([[4.0, 0.0]]), mat([[0.0, 4.0]])]
-        out = bc.mix(gate, parts)
+    def test_adapter_weighs_each_gated_pair(self):
+        # x = [[1]] and A = [[1]]: each B row is weighted by its gate entry
+        out = bc.adapter(
+            mat([[1.0]]), mat([[0.0, 0.0]]), [mat([[1.0]])],
+            [mat([[4.0, 0.0]]), mat([[0.0, 4.0]])], 1.0, mat([[0.25, 0.75]]),
+        )
         np.testing.assert_allclose(out.data, [[1.0, 3.0]])
 
-    def test_mix_sparse_matches_dense(self):
+    def test_adapter_matches_oracles(self):
+        # ungated: LoRA; distinct A with a dense gate: MoELoRA; shared A with
+        # a top-k gate, whose zero columns never run: BranchLoRA
         rng = np.random.default_rng(7)
         for _ in range(25):
-            g = np.zeros((1, 4))
-            cols = sorted(rng.choice(4, size=2, replace=False).tolist())
-            g[0, cols] = rng.uniform(0.2, 0.8, size=2)
-            parts = [rng.standard_normal((3, 2)) for _ in range(4)]
-            dense = bc.mix(mat(g.tolist()), [mat(p.tolist()) for p in parts])
-            sparse = bc.mix(
-                mat(g.tolist()), [mat(parts[c].tolist()) for c in cols], cols=cols
+            x = rng.standard_normal((3, 5))
+            w = rng.standard_normal((5, 4))
+            s = float(rng.uniform(0.5, 3.0))
+            a = [rng.standard_normal((5, 2)) for _ in range(4)]
+            b = [rng.standard_normal((2, 4)) for _ in range(4)]
+            router = rng.standard_normal((5, 4))
+            out = bc.adapter(mat(x), mat(w), [mat(a[0])], [mat(b[0])], s)
+            np.testing.assert_allclose(
+                out.data, oracles.lora_forward_oracle(x, w, a[0], b[0], s), rtol=0, atol=1e-12
             )
-            np.testing.assert_array_equal(dense.data, sparse.data)
+            gate = bc.router_gate(mat(x), mat(router), 4)
+            out = bc.adapter(mat(x), mat(w), [mat(m) for m in a], [mat(m) for m in b], s, gate)
+            want, _ = oracles.moe_forward_oracle(x, w, list(zip(a, b)), router, s)
+            np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+            for k in (1, 2, 3):
+                gate = bc.router_gate(mat(x), mat(router), k)
+                out = bc.adapter(mat(x), mat(w), [mat(a[0])], [mat(m) for m in b], s, gate)
+                want, _ = oracles.branch_forward_oracle(x, w, a[0], b, router, k, s)
+                np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
-    def test_mix_per_row_gate_matches_row_by_row(self):
-        # a B x N gate weights row i of every part by gate row i, exactly as
-        # mixing row i alone with a one-row gate does; dense and sparse
+    def test_adapter_per_row_gate_matches_row_by_row(self):
+        # a B x N gate weights row i of every term by gate row i, as the
+        # adapter over row i alone with a one-row gate does; with one A per
+        # B and with a shared A, and with zero columns that never run
         rng = np.random.default_rng(8)
         for _ in range(25):
             g = rng.uniform(0.1, 1.0, size=(3, 4))
             g[rng.random((3, 4)) < 0.4] = 0.0
-            parts = [rng.standard_normal((3, 2)) for _ in range(4)]
-            cols = [int(c) for c in np.flatnonzero((g != 0.0).any(axis=0))] or [0]
-            dense = bc.mix(mat(g), [mat(p) for p in parts])
-            sparse = bc.mix(mat(g), [mat(parts[c]) for c in cols], cols=cols)
-            for i in range(3):
-                one = bc.mix(mat(g[i : i + 1]), [mat(p[i : i + 1]) for p in parts])
-                np.testing.assert_array_equal(dense.data[i], one.data[0])
-                np.testing.assert_array_equal(sparse.data[i], one.data[0])
+            x = rng.standard_normal((3, 5))
+            w = mat(rng.standard_normal((5, 2)))
+            b = [mat(rng.standard_normal((2, 2))) for _ in range(4)]
+            distinct = [mat(rng.standard_normal((5, 2))) for _ in range(4)]
+            for a in (distinct, distinct[:1]):
+                rows = bc.adapter(mat(x), w, a, b, 1.5, mat(g))
+                for i in range(3):
+                    one = bc.adapter(mat(x[i : i + 1]), w, a, b, 1.5, mat(g[i : i + 1]))
+                    np.testing.assert_allclose(rows.data[i], one.data[0], rtol=0, atol=1e-12)
 
     def test_cosine_sum(self):
         # cos([1,2,2], [2,0,1]) = 4 / (3 sqrt 5); the second row is parallel
@@ -214,39 +230,50 @@ class TestContracts:
         with pytest.raises(DimensionError):
             bc.router_gate(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), 1)
 
-    def test_mix_gate_must_be_row(self):
+    def test_adapter_gate_width_must_match_b(self):
         with pytest.raises(DimensionError):
-            bc.mix(mat([[1.0], [0.0]]), [mat([[1.0]]), mat([[2.0]])])
+            bc.adapter(mat([[1.0]]), mat([[1.0]]), [mat([[1.0]])], [mat([[1.0]])], 1.0, mat([[0.5, 0.5]]))
+
+    def test_mix_gate_must_be_row(self):
+        # the gate that mixes the adapter pairs: a one-row x takes only a one-row gate
+        with pytest.raises(DimensionError):
+            bc.adapter(mat([[1.0]]), mat([[1.0]]), [mat([[1.0]])], [mat([[1.0]])] * 2, 1.0,
+                       mat([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_mix_gate_rows_must_be_one_or_part_rows(self):
-        parts = [mat(np.ones((3, 2))), mat(np.ones((3, 2)))]
+        # the mixing gate has 1 row (shared by every row of x) or one row per row of x
+        x, w, a = mat(np.ones((3, 2))), mat(np.ones((2, 2))), [mat(np.ones((2, 1)))]
+        b = [mat(np.ones((1, 2))), mat(np.ones((1, 2)))]
         for rows in (2, 4):
             with pytest.raises(DimensionError):
-                bc.mix(mat(np.full((rows, 2), 0.5)), parts)
+                bc.adapter(x, w, a, b, 1.0, mat(np.full((rows, 2), 0.5)))
             with pytest.raises(DimensionError):
-                bc.mix(mat(np.tile([1.0, 0.0], (rows, 1))), parts[:1], cols=[0])
+                bc.adapter(x, w, a, b, 1.0, mat(np.tile([1.0, 0.0], (rows, 1))))
         for rows in (1, 3):
-            assert bc.mix(mat(np.full((rows, 2), 0.5)), parts).shape == (3, 2)
+            assert bc.adapter(x, w, a, b, 1.0, mat(np.full((rows, 2), 0.5))).shape == (3, 2)
 
-    def test_mix_width_mismatch(self):
+    def test_adapter_a_count_must_be_one_or_len_b(self):
+        x, w = mat(np.ones((1, 2))), mat(np.ones((2, 2)))
+        a = [mat(np.ones((2, 1))) for _ in range(3)]
+        b = [mat(np.ones((1, 2))) for _ in range(3)]
+        gate = mat([[0.2, 0.3, 0.5]])
         with pytest.raises(DimensionError):
-            bc.mix(mat([[0.5, 0.5]]), [mat([[1.0]])])
+            bc.adapter(x, w, a[:2], b, 1.0, gate)
+        for n_a in (1, 3):
+            assert bc.adapter(x, w, a[:n_a], b, 1.0, gate).shape == (1, 2)
+        with pytest.raises(DimensionError):  # no gate: exactly one pair
+            bc.adapter(x, w, a[:1], b[:2], 1.0)
 
-    def test_mix_sparse_rejects_duplicate_and_oob_cols(self):
-        gate = mat([[0.5, 0.5, 0.0]])
-        parts = [mat([[1.0]]), mat([[2.0]])]
-        with pytest.raises(DimensionError):
-            bc.mix(gate, parts, cols=[0, 0])
-        with pytest.raises(DimensionError):
-            bc.mix(gate, parts, cols=[0, 3])
-
-    def test_mix_sparse_rejects_nonzero_omitted_columns(self):
-        gate = mat([[0.5, 0.5, 1e-12]])
-        parts = [mat([[1.0]]), mat([[2.0]])]
+    def test_adapter_shapes_must_chain_and_w_be_constant(self):
+        x, w = mat(np.ones((1, 2))), mat(np.ones((2, 3)))
+        a, b = mat(np.ones((2, 1))), mat(np.ones((1, 3)))
+        assert bc.adapter(x, w, [a], [b], 1.0).shape == (1, 3)
+        for args in ((mat(np.ones((1, 3))), w, a, b), (x, w, mat(np.ones((3, 1))), b),
+                     (x, w, a, mat(np.ones((2, 3)))), (x, w, a, mat(np.ones((1, 2))))):
+            with pytest.raises(DimensionError):
+                bc.adapter(args[0], args[1], [args[2]], [args[3]], 1.0)
         with pytest.raises(ContractError):
-            bc.mix(gate, parts, cols=[0, 1])
-        with pytest.raises(ContractError):
-            bc.mix(mat([[0.5, 0.5, np.nan]]), parts, cols=[0, 1])
+            bc.adapter(x, mat(np.ones((2, 3)), trainable=True), [a], [b], 1.0)
 
     def test_cosine_sum_zero_norm(self):
         with pytest.raises(DegenerateInputError):
@@ -304,10 +331,13 @@ class TestGradients:
     def test_untouched_leaf_keeps_none_grad(self):
         x = mat([[1.0]], trainable=True)
         y = mat([[1.0]], trainable=True)
+        z = mat([[1.0]], trainable=True)
         with bc.Tape() as tape:
+            bc.scale(z, 3.0)  # recorded, but the loss does not reach it
             loss = bc.scale(x, 2.0)
             bc.backward(tape, loss)
         assert y.grad is None
+        assert z.grad is None
         np.testing.assert_allclose(x.grad, [[2.0]])
 
     def test_cosine_sum_grads_match_per_row_chain_exactly(self):
@@ -375,17 +405,65 @@ class TestGradients:
             p[np.arange(rows), labels] -= 1.0
             np.testing.assert_array_equal(logits.grad, 0.7 * p / rows)
 
-    def test_mix_sparse_leaves_omitted_gate_grad_zero(self):
-        gate = mat([[0.4, 0.0, 0.6]], trainable=True)
-        parts = [mat([[1.0, 2.0]], trainable=True), mat([[3.0, 4.0]], trainable=True)]
+    def test_adapter_zero_gate_column_gets_no_grad(self):
+        # x = [[1]] and A = [[1]], so each B row is a term; column 1 is 0.0
+        # in every gate row: its gate entries get exactly zero and its B no grad
+        for g in ([[0.4, 0.0, 0.6]], [[0.4, 0.0, 0.6], [0.4, 0.0, 0.6]]):
+            gate = mat(g, trainable=True)
+            b = [mat([[1.0, 2.0]], trainable=True), mat([[5.0, 6.0]], trainable=True),
+                 mat([[3.0, 4.0]], trainable=True)]
+            x = mat(np.ones((len(g), 1)))
+            with bc.Tape() as tape:
+                out = bc.adapter(x, mat([[0.0, 0.0]]), [mat([[1.0]])], b, 1.0, gate)
+                loss = bc.matmul(mat(np.ones((1, len(g)))), bc.matmul(out, mat([[1.0], [1.0]])))
+                bc.backward(tape, loss)
+            assert np.all(gate.grad[:, 1] == 0.0)
+            np.testing.assert_allclose(gate.grad, [[3.0, 0.0, 7.0]] * len(g))
+            assert b[1].grad is None
+            np.testing.assert_allclose(b[0].grad, [[0.4 * len(g)] * 2])
+            np.testing.assert_allclose(b[2].grad, [[0.6 * len(g)] * 2])
+
+    def test_adapter_runs_every_nonzero_column(self):
+        # a tiny weight still runs its term and trains its B; NaN propagates
+        gate = mat([[0.5, 0.5, 1e-12]])
+        b = [mat([[1.0]], trainable=True), mat([[2.0]], trainable=True),
+             mat([[4.0]], trainable=True)]
+        x, w, a = mat([[1.0]]), mat([[0.0]]), [mat([[1.0]])]
         with bc.Tape() as tape:
-            out = bc.mix(gate, parts, cols=[0, 2])
-            loss = bc.matmul(out, mat([[1.0], [1.0]]))
-            bc.backward(tape, loss)
-        assert gate.grad[0, 1] == 0.0
-        np.testing.assert_allclose(gate.grad, [[3.0, 0.0, 7.0]])
-        np.testing.assert_allclose(parts[0].grad, [[0.4, 0.4]])
-        np.testing.assert_allclose(parts[1].grad, [[0.6, 0.6]])
+            out = bc.adapter(x, w, a, b, 1.0, gate)
+            bc.backward(tape, out)
+        assert out.item() == 0.5 + 1.0 + 4e-12
+        assert b[2].grad[0, 0] == 1e-12
+        assert np.isnan(bc.adapter(x, w, a, b, 1.0, mat([[0.5, 0.5, np.nan]])).item())
+
+    def test_adapter_grads_match_op_chain_exactly(self):
+        # the backward sums in the order of the matmul, scale and add chain
+        # the op replaces (the backbone term last on the tape, so first on
+        # replay), with one A per B and with a shared A
+        rng = np.random.default_rng(15)
+        x0, w = rng.standard_normal((6, 5)), mat(rng.standard_normal((5, 4)))
+        weights = [0.1, 0.3, 0.6]
+        b0 = [rng.standard_normal((2, 4)) for _ in weights]
+        for a0 in ([rng.standard_normal((5, 2)) for _ in weights], [rng.standard_normal((5, 2))]):
+            grads = []
+            for fused in (True, False):
+                x = mat(x0, trainable=True)
+                a = [mat(m, trainable=True) for m in a0]
+                b = [mat(m, trainable=True) for m in b0]
+                with bc.Tape() as tape:
+                    if fused:
+                        h = bc.adapter(x, w, a, b, 1.7, mat([weights]))
+                    else:
+                        xa = [bc.matmul(x, m) for m in a]
+                        delta = None
+                        for j, (bj, gj) in enumerate(zip(b, weights)):
+                            term = bc.scale(bc.matmul(xa[j if len(a) > 1 else 0], bj), gj)
+                            delta = term if delta is None else bc.add(delta, term)
+                        h = bc.add(bc.matmul(x, w), bc.scale(delta, 1.7))
+                    bc.backward(tape, bc.mse_loss(bc.tanh(h), mat(np.zeros((6, 4)))))
+                grads.append([x.grad] + [m.grad for m in a + b])
+            for fused_grad, chain_grad in zip(*grads):
+                np.testing.assert_array_equal(fused_grad, chain_grad)
 
 
 class TestOptim:
