@@ -45,21 +45,18 @@ from .selector import (
     alignment_loss,
     select_task,
     selector_accuracy,
-    total_loss,
 )
 from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerprint
 from .tensor import (
     Matrix,
     Tape,
     adapter,
-    add,
     backward,
-    cosine_sum,
+    cosine_loss,
     cross_entropy,
     matmul,
     mse_loss,
     router_gate,
-    scale,
     tanh,
 )
 

@@ -27,7 +27,7 @@ from .metrics import EvalMatrix, compute_metrics
 from .model import ContinualModel, ModelConfig, build_model
 from .optim import make_optimizer
 from .routing import FreezeLedger, UsageStats, apply_freeze, select_freeze_set
-from .selector import alignment_loss, select_task, selector_accuracy, total_loss
+from .selector import alignment_loss, select_task, selector_accuracy
 from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerprint
 from .tensor import Matrix, Tape, backward, cross_entropy
 
@@ -107,11 +107,9 @@ def train_task(
                 logits, gates = model.forward(xb, task_id)
                 loss = cross_entropy(logits, yb)
                 if keys is not None:
-                    align = alignment_loss(xb, keys)
-                    loss_total = total_loss(loss, align, align_weight)
+                    backward(tape, loss, alignment_loss(xb, keys, align_weight))
                 else:
-                    loss_total = loss
-                backward(tape, loss_total)
+                    backward(tape, loss)
             opt.step()
             batch_seconds.append(time.perf_counter() - t0)
             if usage is not None:

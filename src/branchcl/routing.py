@@ -25,9 +25,9 @@ class UsageStats:
         self.selections = np.zeros(experts, dtype=np.int64)
         self.samples_seen = 0
 
-    def record_gate(self, gate) -> None:
-        """Accumulate one observed gate distribution (length-N, sums to 1)."""
-        row = gate.data[0] if isinstance(gate, Matrix) else np.asarray(gate, dtype=np.float64).ravel()
+    def record_gate(self, gate: Matrix) -> None:
+        """Accumulate one observed gate distribution (1 x N, sums to 1)."""
+        row = gate.data[0]
         if row.size != self.experts:
             raise ContractError(f"gate has {row.size} entries, expected {self.experts}")
         total = float(row.sum())

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ContractError, DimensionError, SelectorError
-from .tensor import Matrix, add, cosine_sum, scale
+from .tensor import Matrix, cosine_loss
 
 
 def _views(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,25 +126,19 @@ class StackedKeys:
         )
 
 
-def alignment_loss(x: Matrix, keys: TaskKeys) -> Matrix:
-    """sum_j (1 - cos(img_j, k_img)) + sum_j (1 - cos(txt_j, k_txt)) over the rows of x.
+def alignment_loss(x: Matrix, keys: TaskKeys, weight: float) -> Matrix:
+    """weight * (sum_j (1 - cos(img_j, k_img)) + sum_j (1 - cos(txt_j, k_txt)))
+    over the rows of x, as one `cosine_loss` entry.
 
-    Each row's two views are its halves, as in `select_task`. Computed
-    as 2*B minus the summed cosines, one `cosine_sum` per view.
-    Scalar-shaped output; the inputs are constants and gradients reach the
-    keys only.
+    Each row's two views are its halves, as in `select_task`. Scalar-shaped
+    output, to be passed to `backward` beside the task loss; the inputs are
+    constants and gradients reach the keys only. Weight 0 still gives the
+    keys an all-zero gradient.
     """
     if x.requires_grad:
         raise ContractError("alignment_loss: the input batch must be a constant")
     img, txt = _views(x.data)
-    cos = add(cosine_sum(Matrix(img), keys.k_img), cosine_sum(Matrix(txt), keys.k_txt))
-    count = Matrix([[2.0 * x.rows]])
-    return add(count, scale(cos, -1.0))
-
-
-def total_loss(task_loss: Matrix, align: Matrix, weight: float) -> Matrix:
-    """task loss + weight * alignment loss; weight 0 leaves it untouched."""
-    return add(task_loss, scale(align, weight))
+    return cosine_loss([(img, keys.k_img), (txt, keys.k_txt)], weight)
 
 
 def select_task(x: np.ndarray, keys: StackedKeys) -> int:

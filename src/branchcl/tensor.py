@@ -1,15 +1,17 @@
 """Dense 2-D float64 matrices with reverse-mode autodiff on an explicit tape.
 
-The op set is deliberately small: matmul, add, scale, tanh, router_gate
-(softmax over the top-k router scores, of a batch's first row or of each
-row), adapter (one adapter layer's x W + s * sum_j g_j x A_j B_j, running
-only the gated columns), cosine_sum (summed cosines of a batch's rows to
-one key), and the two losses. Training routes a batch by its first row;
+The op set is deliberately small: matmul, tanh, router_gate (softmax over
+the top-k router scores, of a batch's first row or of each row), adapter
+(one adapter layer's x W + s * sum_j g_j x A_j B_j, running only the gated
+columns), and the losses: cosine_loss (the weighted key-alignment loss,
+sum_i 1 - cos(rows_i, k) over each pair of a constant batch and a key),
+cross_entropy and mse_loss. Training routes a batch by its first row;
 evaluation routes each row on its own. Each op computes its forward value
 eagerly with numpy and, when a tape is active and a gradient path exists,
-records a backward closure. `backward` replays the tape in exact reverse
-execution order and accumulates dLoss/dParam into `.grad` of the trainable
-leaves the loss reaches; any other leaf's grad stays as it was.
+records a backward closure. `backward(tape, *losses)` seeds each 1x1 loss
+with an adjoint of one, replays the tape in exact reverse execution order
+and accumulates the gradient of the losses' sum into `.grad` of the
+trainable leaves they reach; any other leaf's grad stays as it was.
 """
 
 from __future__ import annotations
@@ -157,34 +159,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         if b.requires_grad:
             contribs.append((b, a.data.T @ g))
         return contribs
-
-    _record(out, backward)
-    return out
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    out = _result(a.data + b.data, a.requires_grad or b.requires_grad)
-
-    def backward(g: np.ndarray) -> list:
-        contribs = []
-        if a.requires_grad:
-            contribs.append((a, g))
-        if b.requires_grad:
-            contribs.append((b, g))
-        return contribs
-
-    _record(out, backward)
-    return out
-
-
-def scale(a: Matrix, c: float) -> Matrix:
-    c = float(c)
-    out = _result(a.data * c, a.requires_grad)
-
-    def backward(g: np.ndarray) -> list:
-        return [(a, g * c)]
 
     _record(out, backward)
     return out
@@ -363,40 +337,46 @@ def adapter(
     return out
 
 
-def cosine_sum(x: Matrix, k: Matrix) -> Matrix:
-    """Sum over the rows of x of cos(x_i, k), as a 1x1 matrix.
+def cosine_loss(pairs: Sequence[tuple[np.ndarray, Matrix]], weight: float) -> Matrix:
+    """weight * sum over (rows, k) of sum_i (1 - cos(rows_i, k)), as a 1x1 matrix.
 
-    x is B x d and k is a 1 x d row. One tape entry covers the whole batch;
-    gradients reach both x and k.
+    Each pair is a constant B x d batch and a 1 x d key. One tape entry
+    covers every pair; gradients reach the keys only. The entry is recorded
+    even with weight 0, so a trainable key then gets an all-zero gradient.
     """
-    if k.rows != 1:
-        raise DimensionError(f"cosine_sum: key must be a row vector, got {k.rows}x{k.cols}")
-    if x.cols != k.cols:
-        raise DimensionError(f"cosine_sum: widths differ, {x.cols} vs {k.cols}")
-    u = x.data
-    v = k.data[0]
-    # vecdot takes each row's dot product with the same BLAS dot as `u_i @ v`,
-    # so every cosine is bit-identical to computing that row on its own.
-    nu = np.sqrt(np.vecdot(u, u))
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0 or np.any(nu == 0.0):
-        raise DegenerateInputError("cosine_sum: zero-norm row or key")
-    denom = nu * nv
-    c = np.vecdot(u, v) / denom
-    out = _result(np.array([[float(c.sum())]]), x.requires_grad or k.requires_grad)
+    w = float(weight)
+    count = 0
+    total = 0.0
+    terms = []
+    for u, k in pairs:
+        if k.rows != 1:
+            raise DimensionError(f"cosine_loss: key must be a row vector, got {k.rows}x{k.cols}")
+        if u.ndim != 2 or u.shape[1] != k.cols:
+            raise DimensionError(f"cosine_loss: rows of shape {u.shape} vs a key of width {k.cols}")
+        v = k.data[0]
+        # vecdot takes each row's dot product with the same BLAS dot as
+        # `u_i @ v`, so every cosine is bit-identical to that row on its own.
+        nu = np.sqrt(np.vecdot(u, u))
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0 or np.any(nu == 0.0):
+            raise DegenerateInputError("cosine_loss: zero-norm row or key")
+        denom = nu * nv
+        c = np.vecdot(u, v) / denom
+        count += len(u)
+        total += float(c.sum())
+        terms.append((u, k, v, nv, denom, c))
+    out = _result(np.array([[w * (count - total)]]), any(k.requires_grad for _, k in pairs))
 
     def backward(g: np.ndarray) -> list:
-        gs = float(g[0, 0])
+        gs = -w * float(g[0, 0])
         contribs = []
-        if x.requires_grad:
-            dx = gs * (v / denom[:, None] - c[:, None] * u / (nu * nu)[:, None])
-            contribs.append((x, dx))
-        if k.requires_grad:
-            per_row = gs * (u / denom[:, None] - c[:, None] * v / (nv * nv))
-            # Summed from the last row to the first, the order in which a
-            # chain of one-row cosine ops accumulates on replay, so both
-            # give bit-identical key gradients.
-            contribs.append((k, per_row[::-1].sum(axis=0, keepdims=True)))
+        for u, k, v, nv, denom, c in terms:
+            if k.requires_grad:
+                per_row = gs * (u / denom[:, None] - c[:, None] * v / (nv * nv))
+                # Summed from the last row to the first, the order in which a
+                # chain of one-row cosine ops accumulates on replay, so both
+                # give bit-identical key gradients.
+                contribs.append((k, per_row[::-1].sum(axis=0, keepdims=True)))
         return contribs
 
     _record(out, backward)
@@ -448,16 +428,23 @@ def mse_loss(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def backward(tape: Tape, loss: Matrix) -> None:
-    """Accumulate dLoss/dParam into .grad of every trainable leaf the loss reaches.
+def backward(tape: Tape, *losses: Matrix) -> None:
+    """Accumulate the gradient of the losses' sum into .grad of every
+    trainable leaf they reach.
 
-    A trainable leaf that the loss does not reach keeps its grad as it was
-    (None if it had none), even if a recorded op used it. Replaying an empty
-    tape is a no-op.
+    Each loss must be 1x1 and its adjoint starts at one; a loss passed
+    twice counts twice. A trainable leaf that no loss reaches keeps its
+    grad as it was (None if it had none), even if a recorded op used it.
+    Replaying an empty tape is a no-op.
     """
-    if loss.data.shape != (1, 1):
-        raise ContractError(f"backward: loss must be 1x1, got {loss.data.shape}")
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    if not losses:
+        raise ContractError("backward: needs at least one loss")
+    adjoint: dict[int, np.ndarray] = {}
+    for loss in losses:
+        if loss.data.shape != (1, 1):
+            raise ContractError(f"backward: loss must be 1x1, got {loss.data.shape}")
+        key = id(loss)
+        adjoint[key] = adjoint[key] + 1.0 if key in adjoint else np.ones((1, 1))
     for entry in reversed(tape.entries):
         g = adjoint.pop(id(entry.out), None)
         if g is None:

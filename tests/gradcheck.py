@@ -56,20 +56,6 @@ def case_matmul(rng):
     return [a, b], lambda m: bc.mse_loss(bc.matmul(m[0], m[1]), t)
 
 
-def case_add(rng):
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((3, 4))
-    t = _target(rng, 3, 4)
-    return [a, b], lambda m: bc.mse_loss(bc.add(m[0], m[1]), t)
-
-
-def case_scale(rng):
-    a = rng.standard_normal((2, 5))
-    c = float(rng.uniform(-2.0, 2.0)) or 0.5
-    t = _target(rng, 2, 5)
-    return [a], lambda m: bc.mse_loss(bc.scale(m[0], c), t)
-
-
 def case_tanh(rng):
     a = rng.standard_normal((3, 3))
     t = _target(rng, 3, 3)
@@ -166,10 +152,15 @@ def case_adapter_sparse_rows(rng):
     return _adapter_sparse(rng, per_row=True)
 
 
-def case_cosine_sum(rng):
-    x = rng.standard_normal((4, 6)) + 0.1
-    k = rng.standard_normal((1, 6)) + 0.1
-    return [x, k], lambda m: bc.cosine_sum(m[0], m[1])
+def case_cosine_loss(rng):
+    # Two pairs of a constant batch and a trainable key, as the two views of
+    # the alignment loss are; the batches are not parameters.
+    x1 = rng.standard_normal((4, 6)) + 0.1
+    x2 = rng.standard_normal((3, 6)) + 0.1
+    k1 = rng.standard_normal((1, 6)) + 0.1
+    k2 = rng.standard_normal((1, 6)) + 0.1
+    w = float(rng.uniform(0.1, 2.0))
+    return [k1, k2], lambda m: bc.cosine_loss([(x1, m[0]), (x2, m[1])], w)
 
 
 def case_cross_entropy(rng):
@@ -233,8 +224,6 @@ def case_moe_layer(rng):
 
 OP_CASES = [
     ("matmul", case_matmul),
-    ("add", case_add),
-    ("scale", case_scale),
     ("tanh", case_tanh),
     ("router_gate", case_router_gate),
     ("router_gate_rows", case_router_gate_rows),
@@ -243,7 +232,7 @@ OP_CASES = [
     ("adapter_dense_rows", case_adapter_dense_rows),
     ("adapter_sparse", case_adapter_sparse),
     ("adapter_sparse_rows", case_adapter_sparse_rows),
-    ("cosine_sum", case_cosine_sum),
+    ("cosine_loss", case_cosine_loss),
     ("cross_entropy", case_cross_entropy),
     ("mse_loss", case_mse_loss),
 ]

@@ -2,10 +2,16 @@
 
 Everything here is written directly from the defining formulas, with no
 imports from the package under test, so agreement between the two is
-meaningful.
+meaningful. The one exception is the taped reference ops `add` and `scale`
+at the end: they record on the package's tape, so that a fused op's
+gradients can be checked bit for bit against the chain of small ops it
+replaces.
 """
 
 import numpy as np
+
+from branchcl.errors import DimensionError
+from branchcl.tensor import Matrix, _record, _result
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -119,3 +125,34 @@ def branch_forward_oracle(x, w, a_shared, branches, router, k, scaling):
         if gate[j] != 0.0:
             delta += gate[j] * (shared @ b)
     return x @ w + scaling * delta, gate
+
+
+# Taped reference ops, for the chains the fused ops replace.
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    out = _result(a.data + b.data, a.requires_grad or b.requires_grad)
+
+    def backward(g: np.ndarray) -> list:
+        contribs = []
+        if a.requires_grad:
+            contribs.append((a, g))
+        if b.requires_grad:
+            contribs.append((b, g))
+        return contribs
+
+    _record(out, backward)
+    return out
+
+
+def scale(a: Matrix, c: float) -> Matrix:
+    c = float(c)
+    out = _result(a.data * c, a.requires_grad)
+
+    def backward(g: np.ndarray) -> list:
+        return [(a, g * c)]
+
+    _record(out, backward)
+    return out

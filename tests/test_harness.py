@@ -216,8 +216,8 @@ class TestTapeEntries:
         # The count depends only on the model structure, so every batch of a
         # method records the same number: each adapter layer is one adapter
         # entry, after one router_gate entry for the routed kinds, and
-        # branchlora's alignment loss adds one fused cosine per view, not a
-        # chain per sample.
+        # branchlora's key-alignment loss adds one cosine_loss entry for
+        # both views, passed to backward beside the task loss.
         cfg = bc.load_config(Path(__file__).parent.parent / "configs" / "smoke.json")
         counts: dict[str, set[int]] = {}
         current = []
@@ -227,20 +227,21 @@ class TestTapeEntries:
             current[:] = ["multitask" if task_id is None else model.kind]
             return train_task(model, x, y, task_id, *args, **kwargs)
 
-        def counting_backward(tape, loss):
+        def counting_backward(tape, *losses):
             counts.setdefault(current[0], set()).add(len(tape.entries))
-            return backward(tape, loss)
+            return backward(tape, *losses)
 
         monkeypatch.setattr(harness, "train_task", counting_train_task)
         monkeypatch.setattr(harness, "backward", counting_backward)
         bc.run_seed(cfg, cfg.seeds[0])
-        assert counts == {"lora": {5}, "moelora": {7}, "branchlora": {14}, "multitask": {5}}
+        assert counts == {"lora": {5}, "moelora": {7}, "branchlora": {8}, "multitask": {5}}
         # branchlora's layers record what moelora's do; the rest is its
         # key-alignment loss, which moelora does not have
         keys = bc.KeyStore().add(0, cfg.stream.dim // 2, np.random.default_rng(0))
         xb = bc.Matrix(np.ones((cfg.train.batch_size, cfg.stream.dim)))
         with bc.Tape() as tape:
-            bc.total_loss(bc.Matrix([[1.0]]), bc.alignment_loss(xb, keys), cfg.adapter.align_weight)
+            bc.alignment_loss(xb, keys, cfg.adapter.align_weight)
+        assert len(tape.entries) == 1
         assert counts["branchlora"] == {min(counts["moelora"]) + len(tape.entries)}
 
 

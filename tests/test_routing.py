@@ -10,7 +10,7 @@ from branchcl import ContractError, PolicyError
 def make_stats(gates, experts=4):
     stats = bc.UsageStats(experts)
     for g in gates:
-        stats.record_gate(np.asarray(g, dtype=np.float64))
+        stats.record_gate(bc.Matrix([g]))
     return stats
 
 
@@ -33,11 +33,12 @@ class TestUsageStats:
     def test_rejects_bad_gates(self):
         stats = bc.UsageStats(4)
         with pytest.raises(ContractError):
-            stats.record_gate([0.5, 0.5])  # wrong width
+            stats.record_gate(bc.Matrix([[0.5, 0.5]]))  # wrong width
         with pytest.raises(ContractError):
-            stats.record_gate([0.5, 0.4, 0.0, 0.0])  # not normalized
+            stats.record_gate(bc.Matrix([[0.5, 0.4, 0.0, 0.0]]))  # not normalized
         with pytest.raises(ContractError):
-            stats.record_gate([1.5, -0.5, 0.0, 0.0])  # negative entry
+            stats.record_gate(bc.Matrix([[1.5, -0.5, 0.0, 0.0]]))  # negative entry
+        assert stats.samples_seen == 0
 
     def test_empty_stats_refuse_queries(self):
         stats = bc.UsageStats(4)

@@ -60,13 +60,13 @@ class TestAlignmentLoss:
     def test_perfect_alignment_is_zero(self):
         keys = keys_from(0, [1.0, 0.0], [0.0, 2.0])
         x = batch([[2.0, 0.0]], [[0.0, 1.0]])  # same directions, any scale
-        loss = bc.alignment_loss(x, keys)
+        loss = bc.alignment_loss(x, keys, 1.0)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_views_cost_two(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         x = batch([[0.0, 1.0]], [[0.0, 1.0]])
-        assert bc.alignment_loss(x, keys).item() == pytest.approx(2.0, abs=1e-12)
+        assert bc.alignment_loss(x, keys, 1.0).item() == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_two_b_minus_cosine_sum(self):
         rng = np.random.default_rng(3)
@@ -78,7 +78,7 @@ class TestAlignmentLoss:
             - cosine_sum_oracle(imgs, keys.k_img.data)
             - cosine_sum_oracle(txts, keys.k_txt.data)
         )
-        assert bc.alignment_loss(batch(imgs, txts), keys).item() == pytest.approx(
+        assert bc.alignment_loss(batch(imgs, txts), keys, 1.0).item() == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -87,32 +87,44 @@ class TestAlignmentLoss:
         keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
         x = batch(rng.standard_normal((1, 4)), rng.standard_normal((1, 4)))
         with bc.Tape() as tape:
-            loss = bc.alignment_loss(x, keys)
+            loss = bc.alignment_loss(x, keys, 1.0)
             bc.backward(tape, loss)
         assert keys.k_img.grad is not None and np.any(keys.k_img.grad != 0.0)
         assert keys.k_txt.grad is not None and np.any(keys.k_txt.grad != 0.0)
+        # weight 0 still records the entry: the keys get zeros, not None, so
+        # the optimizer updates (and counts) them as it does at any weight
+        for k in keys.params():
+            k.grad = None
+        with bc.Tape() as tape:
+            loss = bc.alignment_loss(x, keys, 0.0)
+            bc.backward(tape, loss)
+        assert len(tape.entries) == 1 and loss.item() == 0.0
+        for k in keys.params():
+            np.testing.assert_array_equal(k.grad, np.zeros((1, 4)))
 
     def test_empty_batch_rejected(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         with pytest.raises(DimensionError):
-            bc.alignment_loss(bc.Matrix(np.zeros((0, 4))), keys)
+            bc.alignment_loss(bc.Matrix(np.zeros((0, 4))), keys, 1.0)
 
     def test_odd_width_rejected(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         with pytest.raises(DimensionError):
-            bc.alignment_loss(bc.Matrix(np.ones((2, 5))), keys)
+            bc.alignment_loss(bc.Matrix(np.ones((2, 5))), keys, 1.0)
 
     def test_input_on_gradient_path_rejected(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         with pytest.raises(ContractError):
-            bc.alignment_loss(bc.Matrix(np.ones((2, 4)), trainable=True), keys)
+            bc.alignment_loss(bc.Matrix(np.ones((2, 4)), trainable=True), keys, 1.0)
 
 
-def test_total_loss_weighting():
-    task = bc.Matrix([[1.5]])
-    align = bc.Matrix([[0.25]])
-    assert bc.total_loss(task, align, 0.0).item() == pytest.approx(1.5)
-    assert bc.total_loss(task, align, 2.0).item() == pytest.approx(2.0)
+def test_alignment_loss_weighting():
+    rng = np.random.default_rng(5)
+    keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
+    x = batch(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+    one = bc.alignment_loss(x, keys, 1.0).item()
+    assert one > 0.0
+    assert bc.alignment_loss(x, keys, 2.0).item() == 2.0 * one
 
 
 class TestSelectTask:

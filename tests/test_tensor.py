@@ -29,10 +29,6 @@ class TestValues:
         out = bc.matmul(mat([[1.0, 2.0]]), mat([[3.0], [4.0]]))
         np.testing.assert_allclose(out.data, [[11.0]])
 
-    def test_add_scale(self):
-        out = bc.scale(bc.add(mat([[1.0, 2.0]]), mat([[3.0, -1.0]])), 0.5)
-        np.testing.assert_allclose(out.data, [[2.0, 0.5]])
-
     def test_tanh(self):
         out = bc.tanh(mat([[0.5, 0.0]]))
         np.testing.assert_allclose(out.data, [[0.46211715726000974, 0.0]], rtol=0, atol=1e-15)
@@ -177,18 +173,29 @@ class TestValues:
                     np.testing.assert_allclose(rows.data[i], one.data[0], rtol=0, atol=1e-12)
 
     def test_cosine_sum(self):
-        # cos([1,2,2], [2,0,1]) = 4 / (3 sqrt 5); the second row is parallel
-        out = bc.cosine_sum(mat([[1.0, 2.0, 2.0], [4.0, 0.0, 2.0]]), mat([[2.0, 0.0, 1.0]]))
+        # the summed cosines inside cosine_loss: cos([1,2,2], [2,0,1]) =
+        # 4 / (3 sqrt 5) and the second row is parallel, so with weight 1
+        # the loss is 2 minus their sum, and the weight scales it
+        x, k = np.array([[1.0, 2.0, 2.0], [4.0, 0.0, 2.0]]), mat([[2.0, 0.0, 1.0]])
+        out = bc.cosine_loss([(x, k)], 1.0)
         assert out.shape == (1, 1)
-        assert out.item() == pytest.approx(1.5962847939999439, abs=1e-15)
+        assert out.item() == pytest.approx(2.0 - 1.5962847939999439, abs=1e-15)
+        assert bc.cosine_loss([(x, k)], 2.5).item() == 2.5 * out.item()
+        assert bc.cosine_loss([(x, k)], 0.0).item() == 0.0
 
     def test_cosine_sum_matches_oracle(self):
+        # one pair, and several pairs of different batch sizes summed
         rng = np.random.default_rng(11)
+        pairs, want = [], 0.0
         for rows in (1, 3, 32):
             x = rng.standard_normal((rows, 16))
             k = rng.standard_normal((1, 16))
-            out = bc.cosine_sum(mat(x), mat(k))
-            assert out.item() == pytest.approx(oracles.cosine_sum_oracle(x, k), abs=1e-13)
+            w = float(rng.uniform(0.1, 2.0))
+            out = bc.cosine_loss([(x, mat(k))], w)
+            assert out.item() == pytest.approx(w * (rows - oracles.cosine_sum_oracle(x, k)), abs=1e-12)
+            pairs.append((x, mat(k)))
+            want += rows - oracles.cosine_sum_oracle(x, k)
+        assert bc.cosine_loss(pairs, 0.5).item() == pytest.approx(0.5 * want, abs=1e-12)
 
     def test_cross_entropy(self):
         out = bc.cross_entropy(mat([[1.0, 2.0, 3.0]]), np.array([2]))
@@ -215,10 +222,6 @@ class TestContracts:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(DimensionError):
             bc.matmul(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]))
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            bc.add(mat([[1.0]]), mat([[1.0, 2.0]]))
 
     def test_topk_k_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -275,19 +278,26 @@ class TestContracts:
         with pytest.raises(ContractError):
             bc.adapter(x, mat(np.ones((2, 3)), trainable=True), [a], [b], 1.0)
 
+    # The cosine_sum contracts hold for the summed cosines of cosine_loss,
+    # in any of its pairs.
     def test_cosine_sum_zero_norm(self):
-        with pytest.raises(DegenerateInputError):
-            bc.cosine_sum(mat([[1.0, 0.0], [0.0, 0.0]]), mat([[1.0, 0.0]]))
-        with pytest.raises(DegenerateInputError):
-            bc.cosine_sum(mat([[1.0, 0.0]]), mat([[0.0, 0.0]]))
+        ok = (np.array([[1.0, 0.0]]), mat([[1.0, 0.0]]))
+        for pair in ((np.array([[1.0, 0.0], [0.0, 0.0]]), mat([[1.0, 0.0]])),
+                     (np.array([[1.0, 0.0]]), mat([[0.0, 0.0]]))):
+            for pairs in ([pair], [ok, pair]):
+                with pytest.raises(DegenerateInputError):
+                    bc.cosine_loss(pairs, 1.0)
 
     def test_cosine_sum_key_must_be_row(self):
         with pytest.raises(DimensionError):
-            bc.cosine_sum(mat([[1.0, 0.0]]), mat([[1.0, 0.0], [0.0, 1.0]]))
+            bc.cosine_loss([(np.array([[1.0, 0.0]]), mat([[1.0, 0.0], [0.0, 1.0]]))], 1.0)
 
     def test_cosine_sum_width_mismatch(self):
+        ok = (np.array([[1.0, 0.0]]), mat([[1.0, 0.0]]))
         with pytest.raises(DimensionError):
-            bc.cosine_sum(mat([[1.0, 0.0]]), mat([[1.0, 0.0, 0.0]]))
+            bc.cosine_loss([ok, (np.array([[1.0, 0.0]]), mat([[1.0, 0.0, 0.0]]))], 1.0)
+        with pytest.raises(DimensionError):  # the rows must form a 2-D batch
+            bc.cosine_loss([(np.array([1.0, 0.0]), mat([[1.0, 0.0]]))], 1.0)
 
     def test_cross_entropy_label_validation(self):
         with pytest.raises(DimensionError):
@@ -298,11 +308,16 @@ class TestContracts:
             bc.cross_entropy(mat([[1.0, 2.0]]), np.array([-1]))
 
     def test_backward_requires_scalar_loss(self):
+        # every loss must be 1x1, the second as much as the first, and a
+        # call must pass at least one
         x = mat([[1.0, 2.0]], trainable=True)
         with bc.Tape() as tape:
-            y = bc.scale(x, 2.0)
-            with pytest.raises(ContractError):
-                bc.backward(tape, y)
+            y = bc.tanh(x)
+            scalar = bc.mse_loss(y, mat([[0.0, 0.0]]))
+            for losses in ((y,), (scalar, y), ()):
+                with pytest.raises(ContractError):
+                    bc.backward(tape, *losses)
+        assert x.grad is None
 
     def test_item_requires_1x1(self):
         with pytest.raises(ContractError):
@@ -322,40 +337,45 @@ class TestGradients:
         assert worst < 1e-4, f"{name}: rel err {worst:.3e}"
 
     def test_grad_accumulates_over_reuse(self):
-        x = mat([[3.0]], trainable=True)
-        with bc.Tape() as tape:
-            loss = bc.add(x, x)
-            bc.backward(tape, loss)
-        np.testing.assert_allclose(x.grad, [[2.0]])
+        # a leaf used twice, and a loss passed to backward twice
+        for times in (1, 2):
+            x = mat([[3.0]], trainable=True)
+            with bc.Tape() as tape:
+                loss = bc.matmul(x, x)
+                bc.backward(tape, *[loss] * times)
+            np.testing.assert_allclose(x.grad, [[6.0 * times]])
 
     def test_untouched_leaf_keeps_none_grad(self):
         x = mat([[1.0]], trainable=True)
         y = mat([[1.0]], trainable=True)
         z = mat([[1.0]], trainable=True)
         with bc.Tape() as tape:
-            bc.scale(z, 3.0)  # recorded, but the loss does not reach it
-            loss = bc.scale(x, 2.0)
+            bc.tanh(z)  # recorded, but the loss does not reach it
+            loss = bc.matmul(x, mat([[2.0]]))
             bc.backward(tape, loss)
         assert y.grad is None
         assert z.grad is None
         np.testing.assert_allclose(x.grad, [[2.0]])
 
-    def test_cosine_sum_grads_match_per_row_chain_exactly(self):
+    def test_cosine_loss_grads_match_per_row_chain_exactly(self):
+        # one entry over two views against one weight-1 loss per row, scaled
+        # by the weight as the add/scale chain it replaces did, replayed last
+        # row first: bit-identical key gradients, for any weight, 0 included
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((32, 16))
-        k = rng.standard_normal((1, 16))
-        fused_x, fused_k = mat(x, trainable=True), mat(k, trainable=True)
-        with bc.Tape() as tape:
-            bc.backward(tape, bc.cosine_sum(fused_x, fused_k))
-        rows = [mat(x[i : i + 1], trainable=True) for i in range(32)]
-        chain_k = mat(k, trainable=True)
-        with bc.Tape() as tape:
-            total = bc.cosine_sum(rows[0], chain_k)
-            for row in rows[1:]:
-                total = bc.add(total, bc.cosine_sum(row, chain_k))
-            bc.backward(tape, total)
-        np.testing.assert_array_equal(fused_k.grad, chain_k.grad)
-        np.testing.assert_array_equal(fused_x.grad, np.vstack([r.grad for r in rows]))
+        xs = [rng.standard_normal((32, 16)), rng.standard_normal((32, 16))]
+        k0 = [rng.standard_normal((1, 16)), rng.standard_normal((1, 16))]
+        for w in (1.0, 0.37, 0.0):
+            fused = [mat(k, trainable=True) for k in k0]
+            with bc.Tape() as tape:
+                bc.backward(tape, bc.cosine_loss(list(zip(xs, fused)), w))
+            chain = [mat(k, trainable=True) for k in k0]
+            with bc.Tape() as tape:
+                losses = [oracles.scale(bc.cosine_loss([(x[i : i + 1], k)], 1.0), w)
+                          for x, k in zip(xs, chain) for i in range(32)]
+                bc.backward(tape, *losses)
+            for f, c in zip(fused, chain):
+                np.testing.assert_array_equal(f.grad, c.grad)
+            assert all(np.all(f.grad == 0.0) for f in fused) == (w == 0.0)
 
     def test_topk_masked_entries_get_zero_grad(self):
         x = mat([[1.0, -2.0], [5.0, 7.0]], trainable=True)
@@ -378,13 +398,13 @@ class TestGradients:
         xs, rs = mat(x, trainable=True), mat(router, trainable=True)
         with bc.Tape() as tape:
             gate = bc.router_gate(xs, rs, 3, per_row=True)
-            bc.backward(tape, bc.scale(bc.mse_loss(gate, mat(target)), 4 * 6))
+            bc.backward(tape, bc.matmul(bc.mse_loss(gate, mat(target)), mat([[4.0 * 6]])))
         router_sum = np.zeros_like(router)
         for i in range(4):
             xi, ri = mat(x[i : i + 1], trainable=True), mat(router, trainable=True)
             with bc.Tape() as tape:
                 gi = bc.router_gate(xi, ri, 3)
-                bc.backward(tape, bc.scale(bc.mse_loss(gi, mat(target[i : i + 1])), 6))
+                bc.backward(tape, bc.matmul(bc.mse_loss(gi, mat(target[i : i + 1])), mat([[6.0]])))
             np.testing.assert_allclose(xs.grad[i], xi.grad[0], rtol=0, atol=1e-12)
             router_sum += ri.grad
             assert np.all(xs.grad[i] != 0.0)
@@ -399,7 +419,7 @@ class TestGradients:
             labels = rng.integers(0, cols, size=rows)
             logits = mat(z, trainable=True)
             with bc.Tape() as tape:
-                bc.backward(tape, bc.scale(bc.cross_entropy(logits, labels), 0.7))
+                bc.backward(tape, bc.matmul(bc.cross_entropy(logits, labels), mat([[0.7]])))
             p = np.exp(z - z.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(rows), labels] -= 1.0
@@ -457,9 +477,9 @@ class TestGradients:
                         xa = [bc.matmul(x, m) for m in a]
                         delta = None
                         for j, (bj, gj) in enumerate(zip(b, weights)):
-                            term = bc.scale(bc.matmul(xa[j if len(a) > 1 else 0], bj), gj)
-                            delta = term if delta is None else bc.add(delta, term)
-                        h = bc.add(bc.matmul(x, w), bc.scale(delta, 1.7))
+                            term = oracles.scale(bc.matmul(xa[j if len(a) > 1 else 0], bj), gj)
+                            delta = term if delta is None else oracles.add(delta, term)
+                        h = oracles.add(bc.matmul(x, w), oracles.scale(delta, 1.7))
                     bc.backward(tape, bc.mse_loss(bc.tanh(h), mat(np.zeros((6, 4)))))
                 grads.append([x.grad] + [m.grad for m in a + b])
             for fused_grad, chain_grad in zip(*grads):
@@ -522,8 +542,7 @@ class TestOptim:
         opt.step()
         p.grad = None
         with bc.Tape() as tape:
-            loss = bc.add(bc.mse_loss(p, mat([[0.0]])), bc.mse_loss(q, mat([[0.0]])))
-            bc.backward(tape, loss)
+            bc.backward(tape, bc.mse_loss(p, mat([[0.0]])), bc.mse_loss(q, mat([[0.0]])))
         q_grad = q.grad.copy()
         opt.step()
 
