@@ -5,7 +5,6 @@ from .adapters import (
     AdapterLayer,
     BackboneLayer,
     BranchLoRALayer,
-    FrozenBackbone,
     LoRALayer,
     MoELoRALayer,
 )

@@ -20,7 +20,8 @@ B x N gate), so a batch of rows takes the routes, and up to float rounding
 gives the outputs, of forwarding the rows one at a time; evaluation uses it
 to run a test split as one forward.
 
-BackboneLayer is the zero-shot layer: h = x W_f with no parameters.
+BackboneLayer is the zero-shot layer: h = x W_f with no parameters. Every
+layer holds W_f as a plain non-trainable Matrix (`draw_backbone`).
 
 A and the per-expert A_j are initialized from a zero-mean Gaussian with
 std 1/sqrt(d_in); B matrices start at zero, so a fresh adapter layer
@@ -77,20 +78,9 @@ class AdapterHyperparams:
         return self.alpha / self.rank
 
 
-class FrozenBackbone:
-    """The pretrained weight W_f. Never trainable."""
-
-    def __init__(self, weight: Matrix):
-        weight.trainable = False
-        self.weight = weight
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, d_out: int) -> "FrozenBackbone":
-        w = Matrix.randn(rng, d_in, d_out, std=1.0 / np.sqrt(d_in), name="backbone")
-        return cls(w)
-
-    def forward(self, x: Matrix) -> Matrix:
-        return matmul(x, self.weight)
+def draw_backbone(rng: np.random.Generator, d_in: int, d_out: int) -> Matrix:
+    """The pretrained weight W_f: a constant, never trainable."""
+    return Matrix.randn(rng, d_in, d_out, std=1.0 / np.sqrt(d_in), name="backbone")
 
 
 def _init_a(rng: np.random.Generator, d_in: int, r: int, name: str) -> Matrix:
@@ -105,13 +95,13 @@ class AdapterLayer:
     matrices, in checkpoint order. ``forward(x, task_id, per_row=False)``
     returns ``(h, gate)``, gate None without a router; a router gates the
     batch by its first row, or each row on its own with ``per_row``
-    (ignored by kinds without a router). ``params(task_id)`` are the
-    matrices trained on task_id, by default all but the backbone. ``frozen``
-    (per-branch freeze flags) and ``routers`` (per-task routers) stay empty,
-    and the task hooks do nothing, unless the kind has such parts.
+    (ignored by kinds without a router). ``params()`` are the matrices of
+    ``named_matrices`` whose ``trainable`` flag is on, in that order: the
+    flag is the only record of what trains, so freezing a matrix is turning
+    it off. ``routers`` (per-task routers) stays empty, and the task hooks
+    do nothing, unless the kind has such parts.
     """
 
-    frozen: tuple = ()
     routers = MappingProxyType({})
 
     @classmethod
@@ -121,14 +111,14 @@ class AdapterLayer:
         d_in: int,
         d_out: int,
         hp: AdapterHyperparams,
-        backbone: FrozenBackbone | None = None,
+        backbone: Matrix | None = None,
     ) -> "AdapterLayer":
         if backbone is None:
-            backbone = FrozenBackbone.init(rng, d_in, d_out)
+            backbone = draw_backbone(rng, d_in, d_out)
         return cls.draw(rng, backbone, hp)
 
-    def params(self, task_id: int | None = None) -> list[Matrix]:
-        return [m for name, m in self.named_matrices() if name != "backbone"]
+    def params(self) -> list[Matrix]:
+        return [m for _, m in self.named_matrices() if m.trainable]
 
     def start_task(self, task_id: int, rng: np.random.Generator) -> None:
         pass
@@ -136,58 +126,58 @@ class AdapterLayer:
     def finish_task(self, task_id: int) -> None:
         pass
 
-    def count_trainable_params(self, task_id: int | None = None) -> int:
-        return sum(p.data.size for p in self.params(task_id) if p.trainable)
+    def count_trainable_params(self) -> int:
+        return sum(p.data.size for p in self.params())
 
 
 class BackboneLayer(AdapterLayer):
     """The zero-shot layer: the frozen backbone alone, nothing to train."""
 
-    def __init__(self, backbone: FrozenBackbone):
+    def __init__(self, backbone: Matrix):
         self.backbone = backbone
 
     @classmethod
-    def draw(cls, rng, backbone: FrozenBackbone, hp) -> "BackboneLayer":
+    def draw(cls, rng, backbone: Matrix, hp) -> "BackboneLayer":
         return cls(backbone)
 
     @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
-        return cls(FrozenBackbone(tensor("backbone")))
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
+        return cls(tensor("backbone"))
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
     ) -> tuple[Matrix, None]:
-        return self.backbone.forward(x), None
+        return matmul(x, self.backbone), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
-        return [("backbone", self.backbone.weight)]
+        return [("backbone", self.backbone)]
 
 
 class LoRALayer(AdapterLayer):
-    def __init__(self, backbone: FrozenBackbone, hp: AdapterHyperparams, a: Matrix, b: Matrix):
+    def __init__(self, backbone: Matrix, hp: AdapterHyperparams, a: Matrix, b: Matrix):
         self.backbone = backbone
         self.hp = hp
         self.a = a
         self.b = b
 
     @classmethod
-    def draw(cls, rng: np.random.Generator, backbone: FrozenBackbone, hp) -> "LoRALayer":
-        d_in, d_out = backbone.weight.shape
+    def draw(cls, rng: np.random.Generator, backbone: Matrix, hp) -> "LoRALayer":
+        d_in, d_out = backbone.shape
         a = _init_a(rng, d_in, hp.rank, "lora.A")
         b = Matrix.zeros(hp.rank, d_out, trainable=True, name="lora.B")
         return cls(backbone, hp, a, b)
 
     @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
-        return cls(FrozenBackbone(tensor("backbone")), hp, tensor("A"), tensor("B"))
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
+        return cls(tensor("backbone"), hp, tensor("A"), tensor("B"))
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
     ) -> tuple[Matrix, None]:
-        return adapter(x, self.backbone.weight, [self.a], [self.b], self.hp.scaling), None
+        return adapter(x, self.backbone, [self.a], [self.b], self.hp.scaling), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
-        return [("backbone", self.backbone.weight), ("A", self.a), ("B", self.b)]
+        return [("backbone", self.backbone), ("A", self.a), ("B", self.b)]
 
 
 class MoELoRALayer(AdapterLayer):
@@ -195,7 +185,7 @@ class MoELoRALayer(AdapterLayer):
 
     def __init__(
         self,
-        backbone: FrozenBackbone,
+        backbone: Matrix,
         hp: AdapterHyperparams,
         experts: list[tuple[Matrix, Matrix]],
         router: Matrix,
@@ -206,8 +196,8 @@ class MoELoRALayer(AdapterLayer):
         self.router = router
 
     @classmethod
-    def draw(cls, rng: np.random.Generator, backbone: FrozenBackbone, hp) -> "MoELoRALayer":
-        d_in, d_out = backbone.weight.shape
+    def draw(cls, rng: np.random.Generator, backbone: Matrix, hp) -> "MoELoRALayer":
+        d_in, d_out = backbone.shape
         pr = hp.per_expert_rank
         experts = []
         for j in range(hp.experts):
@@ -218,21 +208,21 @@ class MoELoRALayer(AdapterLayer):
         return cls(backbone, hp, experts, router)
 
     @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
         experts = [
             (tensor(f"expert{j}.A"), tensor(f"expert{j}.B")) for j in range(hp.experts)
         ]
-        return cls(FrozenBackbone(tensor("backbone")), hp, experts, tensor("router"))
+        return cls(tensor("backbone"), hp, experts, tensor("router"))
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
     ) -> tuple[Matrix, Matrix]:
         gate = router_gate(x, self.router, self.hp.experts, per_row)
         a, b = zip(*self.experts)
-        return adapter(x, self.backbone.weight, a, b, self.hp.scaling, gate), gate
+        return adapter(x, self.backbone, a, b, self.hp.scaling, gate), gate
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
-        out = [("backbone", self.backbone.weight)]
+        out = [("backbone", self.backbone)]
         for j, (a, b) in enumerate(self.experts):
             out.append((f"expert{j}.A", a))
             out.append((f"expert{j}.B", b))
@@ -245,7 +235,7 @@ class BranchLoRALayer(AdapterLayer):
 
     def __init__(
         self,
-        backbone: FrozenBackbone,
+        backbone: Matrix,
         hp: AdapterHyperparams,
         a_shared: Matrix,
         branches: list[Matrix],
@@ -254,13 +244,12 @@ class BranchLoRALayer(AdapterLayer):
         self.hp = hp
         self.a_shared = a_shared
         self.branches = branches
-        self.frozen = [False] * hp.experts
         self.routers: dict[int, Matrix] = {}
         self.d_in = a_shared.rows
 
     @classmethod
-    def draw(cls, rng: np.random.Generator, backbone: FrozenBackbone, hp) -> "BranchLoRALayer":
-        d_in, d_out = backbone.weight.shape
+    def draw(cls, rng: np.random.Generator, backbone: Matrix, hp) -> "BranchLoRALayer":
+        d_in, d_out = backbone.shape
         pr = hp.per_expert_rank
         a_shared = _init_a(rng, d_in, pr, "branch.A")
         branches = [
@@ -270,10 +259,9 @@ class BranchLoRALayer(AdapterLayer):
         return cls(backbone, hp, a_shared, branches)
 
     @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], frozen, router_tasks):
+    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
         branches = [tensor(f"branch{j}") for j in range(hp.experts)]
-        layer = cls(FrozenBackbone(tensor("backbone")), hp, tensor("A"), branches)
-        layer.frozen = list(frozen)
+        layer = cls(tensor("backbone"), hp, tensor("A"), branches)
         for t in router_tasks:
             layer.routers[t] = tensor(f"router.task{t}")
         return layer
@@ -309,23 +297,16 @@ class BranchLoRALayer(AdapterLayer):
         self, x: Matrix, task_id: int, per_row: bool = False
     ) -> tuple[Matrix, Matrix]:
         gate = self.gate_for(x, task_id, per_row)
-        h = adapter(
-            x, self.backbone.weight, [self.a_shared], self.branches, self.hp.scaling, gate
-        )
+        h = adapter(x, self.backbone, [self.a_shared], self.branches, self.hp.scaling, gate)
         return h, gate
 
-    def params(self, task_id: int) -> list[Matrix]:
-        """Parameters that receive gradients while training task_id."""
-        router = self.routers.get(task_id)
-        if router is None:
-            raise RoutingError(f"no router registered for task {task_id}")
-        out = [self.a_shared]
-        out.extend(b for j, b in enumerate(self.branches) if not self.frozen[j])
-        out.append(router)
-        return out
+    @property
+    def frozen(self) -> list[bool]:
+        """Per-branch freeze flags, read off each branch's trainable flag."""
+        return [not b.trainable for b in self.branches]
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
-        out = [("backbone", self.backbone.weight), ("A", self.a_shared)]
+        out = [("backbone", self.backbone), ("A", self.a_shared)]
         out.extend((f"branch{j}", b) for j, b in enumerate(self.branches))
         out.extend((f"router.task{t}", self.routers[t]) for t in sorted(self.routers))
         return out

@@ -257,8 +257,8 @@ def efficiency_report(
         layer = LAYERS[kind].init(rng, dim, dim, hp)
         layer.start_task(0, rng)
         layers[kind] = layer
-        params = layer.params(0)
-        declared = layer.count_trainable_params(0)
+        params = layer.params()
+        declared = layer.count_trainable_params()
 
         covered = _grad_coverage(layer, params, dim,
                                  cfg.train.batch_size, target, rng)

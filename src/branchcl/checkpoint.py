@@ -1,9 +1,12 @@
 """Model checkpoints: a JSON manifest plus one flat binary file per matrix.
 
 Arrays are written row-major as little-endian 64-bit floats with no
-header; the manifest records shape, trainability, and everything needed
-to rebuild the model object (kind, dims, hyperparams, freeze masks,
-router and key task ids).
+header; the manifest records each matrix's shape and trainability, and
+everything else needed to rebuild the model object (kind, dims,
+hyperparams, router and key task ids). A frozen branch, router or key is
+a matrix saved with ``trainable: false``; nothing else records it. Older
+manifests also list per-layer freeze flags; the loader ignores them, as
+the tensors' flags say the same.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ def save_model(directory: str | Path, model: ContinualModel) -> Path:
         "seed": model.seed,
         "model": dataclasses.asdict(model.cfg),
         "hyperparams": dataclasses.asdict(model.hp),
-        "freeze_masks": [list(layer.frozen) for layer in model.layers if layer.frozen],
         "router_tasks": sorted(model.layers[0].routers),
         "key_tasks": [k.task_id for k in model.keys.ordered()],
         "tensors": tensors,
@@ -61,13 +63,15 @@ def save_model(directory: str | Path, model: ContinualModel) -> Path:
 
 
 def _read_tensor(directory: Path, spec: dict, name: str) -> Matrix:
-    raw = (directory / spec["file"]).read_bytes()
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    expected = spec["rows"] * spec["cols"]
-    if arr.size != expected:
+    path = directory / spec["file"]
+    raw = path.read_bytes()
+    expected = 8 * spec["rows"] * spec["cols"]
+    if len(raw) != expected:
         raise ContractError(
-            f"tensor {name}: file holds {arr.size} values, manifest says {expected}"
+            f"tensor {name}: {path} holds {len(raw)} bytes, manifest says "
+            f"{spec['rows']}x{spec['cols']} float64 = {expected} bytes"
         )
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return Matrix(arr.reshape(spec["rows"], spec["cols"]), trainable=spec["trainable"], name=name)
 
 
@@ -76,7 +80,10 @@ def load_model(directory: str | Path) -> ContinualModel:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise ContractError(f"no manifest.json in {directory}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ContractError(f"{manifest_path} is not valid JSON: {err}") from err
     if manifest.get("format") != FORMAT:
         raise ContractError(f"unsupported checkpoint format: {manifest.get('format')!r}")
     cfg = ModelConfig(**manifest["model"])
@@ -92,10 +99,9 @@ def load_model(directory: str | Path) -> ContinualModel:
             raise ContractError(f"manifest missing tensor {name}")
         return _read_tensor(directory, tensors[name], name)
 
-    masks = manifest["freeze_masks"] or [()] * cfg.layers
     layers = [
         layer_cls.from_named(
-            hp, lambda name, i=i: tensor(f"layer{i}.{name}"), masks[i], manifest["router_tasks"]
+            hp, lambda name, i=i: tensor(f"layer{i}.{name}"), manifest["router_tasks"]
         )
         for i in range(cfg.layers)
     ]

@@ -59,8 +59,6 @@ def cmd_run(args) -> int:
         cfg = ExperimentConfig()
     if args.seed:
         cfg = dataclasses.replace(cfg, seeds=tuple(args.seed))
-        if len(set(cfg.seeds)) != len(cfg.seeds):
-            raise ConfigError("seeds: duplicate entries")
         validate_config(cfg)
     out_dir = _resolve_out(args.out, cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -133,8 +133,6 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds: expected a non-empty list")
     seeds = [_coerce(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds: duplicate entries")
 
     out_dir = obj.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -189,6 +187,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"train.lr: must be positive, got {t.lr}")
     if t.optimizer not in ("adam", "sgd"):
         raise ConfigError(f"train.optimizer: must be 'adam' or 'sgd', got {t.optimizer!r}")
+    for i, seed in enumerate(cfg.seeds):
+        if seed < 0:
+            raise ConfigError(f"seeds[{i}]: must be >= 0, got {seed}")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError("seeds: duplicate entries")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

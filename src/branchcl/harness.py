@@ -83,7 +83,7 @@ def train_task(
     """
     if model.kind == "zero_shot":
         raise ParameterError("zero_shot models have nothing to train")
-    params = model.trainable_params(task_id)
+    params = model.trainable_params()
     # Sparse gating keeps unselected branches off the tape, so a branch
     # model's optimizer must tolerate parameters with no gradient.
     opt = make_optimizer(
@@ -210,7 +210,7 @@ def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[lis
         tid = task.task_id
         model.start_task(tid)
         usage = [UsageStats(model.hp.experts) for _ in model.layers] if branched else None
-        params_per_task.append(model.count_trainable_params(tid))
+        params_per_task.append(model.count_trainable_params())
         stats = train_task(
             model,
             task.x_train,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import LAYERS, AdapterHyperparams, AdapterLayer, FrozenBackbone
+from .adapters import LAYERS, AdapterHyperparams, AdapterLayer, draw_backbone
 from .errors import ParameterError
 from .selector import KeyStore
 from .tensor import Matrix, matmul, tanh
@@ -92,16 +92,15 @@ class ContinualModel:
         if self.kind == "branchlora":
             self.keys.get(task_id).freeze()
 
-    def trainable_params(self, task_id: int | None = None) -> list[Matrix]:
-        out: list[Matrix] = []
-        for layer in self.layers:
-            out.extend(layer.params(task_id))
-        if task_id in self.keys:
-            out.extend(self.keys.get(task_id).params())
-        return out
+    def trainable_params(self) -> list[Matrix]:
+        """The matrices whose trainable flag is on, in checkpoint order.
+        After ``start_task(t)`` these are each layer's unfrozen adapter
+        matrices and router t, then keys t: ``finish_task`` froze every
+        earlier router and key, and the backbone and head never train."""
+        return [m for _, m in self.all_named_matrices() if m.trainable]
 
-    def count_trainable_params(self, task_id: int | None = None) -> int:
-        return sum(p.data.size for p in self.trainable_params(task_id) if p.trainable)
+    def count_trainable_params(self) -> int:
+        return sum(p.data.size for p in self.trainable_params())
 
     def all_named_matrices(self) -> list[tuple[str, Matrix]]:
         """Every matrix in the model, with stable names (for checkpoints)."""
@@ -124,9 +123,7 @@ def build_model(kind: str, cfg: ModelConfig, hp: AdapterHyperparams, seed: int) 
     if layer_cls is None:
         raise ParameterError(f"unknown model kind: {kind!r}")
     backbone_rng = np.random.default_rng(np.random.SeedSequence([seed, _BACKBONE_TAG]))
-    backbones = [
-        FrozenBackbone.init(backbone_rng, cfg.width, cfg.width) for _ in range(cfg.layers)
-    ]
+    backbones = [draw_backbone(backbone_rng, cfg.width, cfg.width) for _ in range(cfg.layers)]
     head = Matrix.randn(
         backbone_rng, cfg.width, cfg.classes, std=1.0 / np.sqrt(cfg.width), name="head"
     )

@@ -81,10 +81,9 @@ def apply_freeze(layer, indices: list[int]) -> None:
     for j in indices:
         if not 0 <= j < len(layer.branches):
             raise PolicyError(f"branch index {j} out of range for {len(layer.branches)} branches")
-        if layer.frozen[j]:
+        if not layer.branches[j].trainable:
             raise PolicyError(f"branch {j} is already frozen")
     for j in indices:
-        layer.frozen[j] = True
         layer.branches[j].trainable = False
 
 

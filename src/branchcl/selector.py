@@ -47,9 +47,6 @@ class TaskKeys:
         self.k_img.trainable = False
         self.k_txt.trainable = False
 
-    def params(self) -> list[Matrix]:
-        return [self.k_img, self.k_txt]
-
 
 class KeyStore:
     """Keys of all tasks seen so far, in task order."""

@@ -113,7 +113,7 @@ def test_criterion_5_efficiency_direction():
             branch = bc.BranchLoRALayer.init(rng, dim, dim, hp)
             branch.add_router(0, rng)
             n_moe = moe.count_trainable_params()
-            n_branch = branch.count_trainable_params(0)
+            n_branch = branch.count_trainable_params()
             assert n_branch < n_moe, (dim, rank, experts, n_branch, n_moe)
             checked += 1
 

@@ -5,6 +5,7 @@ import pytest
 
 import branchcl as bc
 from branchcl import ParameterError, RoutingError
+from branchcl.adapters import draw_backbone
 import oracles
 
 
@@ -37,15 +38,20 @@ class TestHyperparams:
 
 class TestBackbone:
     def test_never_trainable(self):
-        bb = bc.FrozenBackbone.init(make_rng(), 8, 8)
-        assert not bb.weight.trainable
+        bb = draw_backbone(make_rng(), 8, 8)
+        assert bb.shape == (8, 8)
+        assert not bb.trainable
+        layer = bc.BackboneLayer.init(make_rng(), 8, 8, HP)
+        assert layer.params() == []
+        assert layer.count_trainable_params() == 0
 
     def test_forward_is_plain_matmul(self):
         rng = make_rng(1)
-        bb = bc.FrozenBackbone.init(rng, 6, 5)
+        layer = bc.BackboneLayer(draw_backbone(rng, 6, 5))
         x = rng.standard_normal((3, 6))
-        out = bb.forward(bc.Matrix(x))
-        np.testing.assert_allclose(out.data, x @ bb.weight.data, atol=1e-15)
+        out, gate = layer.forward(bc.Matrix(x))
+        assert gate is None
+        np.testing.assert_allclose(out.data, x @ layer.backbone.data, atol=1e-15)
 
 
 class TestLoRA:
@@ -55,7 +61,7 @@ class TestLoRA:
         x = bc.Matrix(rng.standard_normal((4, 8)))
         out, gate = layer.forward(x)
         assert gate is None
-        np.testing.assert_array_equal(out.data, layer.backbone.forward(x).data)
+        np.testing.assert_array_equal(out.data, x.data @ layer.backbone.data)
 
     def test_forward_matches_oracle(self):
         rng = make_rng(3)
@@ -64,7 +70,7 @@ class TestLoRA:
         x = rng.standard_normal((4, 8))
         out, _ = layer.forward(bc.Matrix(x))
         ref = oracles.lora_forward_oracle(
-            x, layer.backbone.weight.data, layer.a.data, layer.b.data, HP.scaling
+            x, layer.backbone.data, layer.a.data, layer.b.data, HP.scaling
         )
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -90,7 +96,7 @@ class TestMoELoRA:
         h, gate = layer.forward(bc.Matrix(x))
         ref_h, ref_gate = oracles.moe_forward_oracle(
             x,
-            layer.backbone.weight.data,
+            layer.backbone.data,
             [(a.data, b.data) for a, b in layer.experts],
             layer.router.data,
             HP.scaling,
@@ -118,7 +124,7 @@ class TestBranchLoRA:
         rng, layer = self.build()
         x = bc.Matrix(rng.standard_normal((4, 8)))
         h, _ = layer.forward(x, 0)
-        np.testing.assert_array_equal(h.data, layer.backbone.forward(x).data)
+        np.testing.assert_array_equal(h.data, x.data @ layer.backbone.data)
 
     def test_gate_sparsity(self):
         rng, layer = self.build(randomize=True)
@@ -143,7 +149,7 @@ class TestBranchLoRA:
         h, gate = layer.forward(bc.Matrix(x), 0)
         ref_h, ref_gate = oracles.branch_forward_oracle(
             x,
-            layer.backbone.weight.data,
+            layer.backbone.data,
             layer.a_shared.data,
             [b.data for b in layer.branches],
             layer.routers[0].data,
@@ -159,23 +165,22 @@ class TestBranchLoRA:
             layer.gate_for(bc.Matrix(rng.standard_normal((1, 8))), 99)
         with pytest.raises(RoutingError):
             layer.add_router(0, rng)
-        with pytest.raises(RoutingError):
-            layer.params(99)
 
     def test_frozen_branches_leave_param_set(self):
         _, layer = self.build()
-        full = layer.count_trainable_params(0)
-        layer.frozen[1] = True
-        reduced = layer.count_trainable_params(0)
+        full = layer.count_trainable_params()
+        layer.branches[1].trainable = False
+        reduced = layer.count_trainable_params()
         assert full - reduced == layer.branches[1].data.size
-        assert layer.branches[1] not in layer.params(0)
+        assert layer.branches[1] not in layer.params()
+        assert layer.frozen == [False, True, False, False]
 
     def test_param_count(self):
         rng = make_rng(8)
         layer = bc.BranchLoRALayer.init(rng, 32, 32, HP)
         layer.add_router(0, rng)
         pr = HP.per_expert_rank
-        assert layer.count_trainable_params(0) == 32 * pr + 4 * pr * 32 + 32 * 4
+        assert layer.count_trainable_params() == 32 * pr + 4 * pr * 32 + 32 * 4
 
 
 @pytest.mark.parametrize("d,moe_expected,branch_expected", [(32, 1152, 768), (64, 2304, 1536)])
@@ -185,6 +190,6 @@ def test_branch_strictly_smaller_than_moe(d, moe_expected, branch_expected):
     branch = bc.BranchLoRALayer.init(rng, d, d, HP)
     branch.add_router(0, rng)
     assert moe.count_trainable_params() == moe_expected
-    assert branch.count_trainable_params(0) == branch_expected
+    assert branch.count_trainable_params() == branch_expected
     assert branch_expected < moe_expected
 

@@ -112,6 +112,14 @@ class TestRunErrors:
         assert main(["run", "--config", SMOKE, "--seed", "0", "--seed", "0"]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--config", SMOKE, "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("branchcl: error: seeds[0]:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_writes_analysis_files(self, run_dir):
@@ -157,6 +165,24 @@ class TestAnalyze:
         out = tmp_path / "analysis"
         assert main(["analyze", str(broken), "--out", str(out), "--batches", "2"]) == 1
         assert "missing checkpoints" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("victim", ["expert0.A", "manifest"])
+    def test_truncated_checkpoint_file_is_one_error_line(self, run_dir, tmp_path, capsys, victim):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(run_dir, broken)
+        ckpt = broken / "checkpoints" / "seed0" / "moelora" / "task1"
+        path = ckpt / ("manifest.json" if victim == "manifest" else f"layer0.{victim}.f64")
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2] if victim == "manifest" else raw[:-3])
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(broken), "--out", str(out), "--batches", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("branchcl: error:")
+        assert err.count("\n") == 1
+        assert path.name in err
         assert not out.exists()
 
     def test_requires_moelora_in_methods(self, tmp_path, capsys):

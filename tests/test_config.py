@@ -69,6 +69,7 @@ def test_freeze_width_null_means_top_k():
         ({"seeds": [0, 0]}, "seeds"),
         ({"seeds": [0, "1"]}, "seeds[1]"),
         ({"out_dir": 5}, "out_dir"),
+        ({"seeds": [-2]}, "seeds[0]"),
     ],
 )
 def test_rejections_name_the_field(obj, fragment):

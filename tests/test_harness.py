@@ -204,11 +204,10 @@ class TestInvariants:
         model = result["models"]["branchlora"]
         ledger = result["report"]["methods"]["branchlora"]["freeze_ledger"]
         assert ledger, "policy froze nothing"
-        for layer in model.layers:
+        for li, layer in enumerate(model.layers):
             frozen = [j for j, f in enumerate(layer.frozen) if f]
             assert frozen, "expected at least one frozen branch per layer"
-            for j in frozen:
-                assert not layer.branches[j].trainable
+            assert frozen == sorted(j for e in ledger if e["layer"] == li for j in e["frozen"])
 
 
 class TestTapeEntries:

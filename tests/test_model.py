@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import branchcl as bc
-from branchcl import ParameterError, RoutingError
+from branchcl import ParameterError
 
 
 CFG = bc.ModelConfig(width=16, classes=4, layers=2)
@@ -38,17 +38,17 @@ class TestBuildModel:
         branch = bc.build_model("branchlora", CFG, HP, seed=3)
         zero = bc.build_model("zero_shot", CFG, HP, seed=3)
         for i in range(CFG.layers):
-            w = lora.layers[i].backbone.weight.data
-            np.testing.assert_array_equal(w, moe.layers[i].backbone.weight.data)
-            np.testing.assert_array_equal(w, branch.layers[i].backbone.weight.data)
-            np.testing.assert_array_equal(w, zero.layers[i].backbone.weight.data)
+            w = lora.layers[i].backbone.data
+            np.testing.assert_array_equal(w, moe.layers[i].backbone.data)
+            np.testing.assert_array_equal(w, branch.layers[i].backbone.data)
+            np.testing.assert_array_equal(w, zero.layers[i].backbone.data)
         np.testing.assert_array_equal(lora.head.data, branch.head.data)
 
     def test_different_seeds_differ(self):
         a = bc.build_model("lora", CFG, HP, seed=0)
         b = bc.build_model("lora", CFG, HP, seed=1)
         assert not np.array_equal(
-            a.layers[0].backbone.weight.data, b.layers[0].backbone.weight.data
+            a.layers[0].backbone.data, b.layers[0].backbone.data
         )
 
     def test_zero_shot_has_no_trainable_params(self):
@@ -61,8 +61,7 @@ class TestBuildModel:
             model = bc.build_model(kind, CFG, HP, seed=0)
             if kind == "branchlora":
                 model.start_task(0)
-            tid = 0 if kind == "branchlora" else None
-            assert model.head not in model.trainable_params(tid)
+            assert model.head not in model.trainable_params()
 
 
 class TestTaskLifecycle:
@@ -88,12 +87,6 @@ class TestTaskLifecycle:
         model.finish_task(0)
         assert len(model.keys) == 0
 
-    def test_branch_params_require_task_id(self):
-        model = bc.build_model("branchlora", CFG, HP, seed=0)
-        model.start_task(0)
-        with pytest.raises(RoutingError):
-            model.trainable_params()
-
     def test_param_counts(self):
         d, r, n, pr = 16, 8, 4, 2
         lora = bc.build_model("lora", CFG, HP, seed=0)
@@ -104,7 +97,7 @@ class TestTaskLifecycle:
         branch.start_task(0)
         per_layer = d * pr + n * pr * d + d * n
         keys = 2 * (d // 2)
-        assert branch.count_trainable_params(0) == 2 * per_layer + keys
+        assert branch.count_trainable_params() == 2 * per_layer + keys
 
     def test_router_inits_differ_across_tasks(self):
         model = bc.build_model("branchlora", CFG, HP, seed=0)
@@ -120,7 +113,7 @@ class TestCheckpoints:
     def train_a_little(self, model, rng, task_id=None):
         x = batch(rng, 8)
         y = rng.integers(0, 4, size=8)
-        params = model.trainable_params(task_id)
+        params = model.trainable_params()
         allow = model.kind == "branchlora"  # unselected branches get no grad
         opt = bc.make_optimizer("adam", params, lr=1e-2, allow_missing=allow)
         with bc.Tape() as tape:
