@@ -1,7 +1,10 @@
 """Low-rank adapter layers over a frozen linear backbone.
 
 Every layer kind keeps one contract (`AdapterLayer`), so the model,
-checkpoints and analysis never ask which kind they hold. Three adapter
+checkpoints and analysis never ask which kind they hold. A layer's
+constructor draws all of its matrices and ``named_matrices`` is the one
+place that names them; a checkpoint loads by building the layer afresh
+and overwriting those matrices. Three adapter
 kinds compute h = x W_f + (alpha/r) * delta, each as one `tensor.adapter`
 op after its gate (if any):
 
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable
 
 import numpy as np
 
@@ -90,9 +92,10 @@ def _init_a(rng: np.random.Generator, d_in: int, r: int, name: str) -> Matrix:
 class AdapterLayer:
     """The contract every layer kind keeps.
 
-    ``init`` draws a fresh layer (and its backbone unless one is given);
-    ``from_named`` rebuilds one from the names ``named_matrices`` gives its
-    matrices, in checkpoint order. ``forward(x, task_id, per_row=False)``
+    The constructor ``cls(rng, backbone, hp)`` draws a fresh layer over a
+    given backbone, and ``init`` does so drawing the backbone too unless one
+    is given. ``named_matrices()`` names every matrix the layer holds, in
+    checkpoint order. ``forward(x, task_id, per_row=False)``
     returns ``(h, gate)``, gate None without a router; a router gates the
     batch by its first row, or each row on its own with ``per_row``
     (ignored by kinds without a router). ``params()`` are the matrices of
@@ -115,7 +118,7 @@ class AdapterLayer:
     ) -> "AdapterLayer":
         if backbone is None:
             backbone = draw_backbone(rng, d_in, d_out)
-        return cls.draw(rng, backbone, hp)
+        return cls(rng, backbone, hp)
 
     def params(self) -> list[Matrix]:
         return [m for _, m in self.named_matrices() if m.trainable]
@@ -133,16 +136,8 @@ class AdapterLayer:
 class BackboneLayer(AdapterLayer):
     """The zero-shot layer: the frozen backbone alone, nothing to train."""
 
-    def __init__(self, backbone: Matrix):
+    def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
         self.backbone = backbone
-
-    @classmethod
-    def draw(cls, rng, backbone: Matrix, hp) -> "BackboneLayer":
-        return cls(backbone)
-
-    @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
-        return cls(tensor("backbone"))
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
@@ -154,22 +149,12 @@ class BackboneLayer(AdapterLayer):
 
 
 class LoRALayer(AdapterLayer):
-    def __init__(self, backbone: Matrix, hp: AdapterHyperparams, a: Matrix, b: Matrix):
+    def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
+        d_in, d_out = backbone.shape
         self.backbone = backbone
         self.hp = hp
-        self.a = a
-        self.b = b
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, backbone: Matrix, hp) -> "LoRALayer":
-        d_in, d_out = backbone.shape
-        a = _init_a(rng, d_in, hp.rank, "lora.A")
-        b = Matrix.zeros(hp.rank, d_out, trainable=True, name="lora.B")
-        return cls(backbone, hp, a, b)
-
-    @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
-        return cls(tensor("backbone"), hp, tensor("A"), tensor("B"))
+        self.a = _init_a(rng, d_in, hp.rank, "lora.A")
+        self.b = Matrix.zeros(hp.rank, d_out, trainable=True, name="lora.B")
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
@@ -183,36 +168,17 @@ class LoRALayer(AdapterLayer):
 class MoELoRALayer(AdapterLayer):
     """N rank-r/N experts mixed by a dense softmax gate."""
 
-    def __init__(
-        self,
-        backbone: Matrix,
-        hp: AdapterHyperparams,
-        experts: list[tuple[Matrix, Matrix]],
-        router: Matrix,
-    ):
-        self.backbone = backbone
-        self.hp = hp
-        self.experts = experts
-        self.router = router
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, backbone: Matrix, hp) -> "MoELoRALayer":
+    def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
         d_in, d_out = backbone.shape
         pr = hp.per_expert_rank
-        experts = []
+        self.backbone = backbone
+        self.hp = hp
+        self.experts = []
         for j in range(hp.experts):
             a = _init_a(rng, d_in, pr, f"moe.expert{j}.A")
             b = Matrix.zeros(pr, d_out, trainable=True, name=f"moe.expert{j}.B")
-            experts.append((a, b))
-        router = Matrix.zeros(d_in, hp.experts, trainable=True, name="moe.router")
-        return cls(backbone, hp, experts, router)
-
-    @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
-        experts = [
-            (tensor(f"expert{j}.A"), tensor(f"expert{j}.B")) for j in range(hp.experts)
-        ]
-        return cls(tensor("backbone"), hp, experts, tensor("router"))
+            self.experts.append((a, b))
+        self.router = Matrix.zeros(d_in, hp.experts, trainable=True, name="moe.router")
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
@@ -233,38 +199,18 @@ class MoELoRALayer(AdapterLayer):
 class BranchLoRALayer(AdapterLayer):
     """Shared A, N branch B matrices, a sparse gate, and one router per task."""
 
-    def __init__(
-        self,
-        backbone: Matrix,
-        hp: AdapterHyperparams,
-        a_shared: Matrix,
-        branches: list[Matrix],
-    ):
-        self.backbone = backbone
-        self.hp = hp
-        self.a_shared = a_shared
-        self.branches = branches
-        self.routers: dict[int, Matrix] = {}
-        self.d_in = a_shared.rows
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, backbone: Matrix, hp) -> "BranchLoRALayer":
+    def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
         d_in, d_out = backbone.shape
         pr = hp.per_expert_rank
-        a_shared = _init_a(rng, d_in, pr, "branch.A")
-        branches = [
+        self.backbone = backbone
+        self.hp = hp
+        self.a_shared = _init_a(rng, d_in, pr, "branch.A")
+        self.branches = [
             Matrix.zeros(pr, d_out, trainable=True, name=f"branch.B{j}")
             for j in range(hp.experts)
         ]
-        return cls(backbone, hp, a_shared, branches)
-
-    @classmethod
-    def from_named(cls, hp, tensor: Callable[[str], Matrix], router_tasks):
-        branches = [tensor(f"branch{j}") for j in range(hp.experts)]
-        layer = cls(tensor("backbone"), hp, tensor("A"), branches)
-        for t in router_tasks:
-            layer.routers[t] = tensor(f"router.task{t}")
-        return layer
+        self.routers: dict[int, Matrix] = {}
+        self.d_in = d_in
 
     def add_router(self, task_id: int, rng: np.random.Generator) -> Matrix:
         """Register the router for a new task.

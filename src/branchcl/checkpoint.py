@@ -1,12 +1,20 @@
 """Model checkpoints: a JSON manifest plus one flat binary file per matrix.
 
 Arrays are written row-major as little-endian 64-bit floats with no
-header; the manifest records each matrix's shape and trainability, and
-everything else needed to rebuild the model object (kind, dims,
-hyperparams, router and key task ids). A frozen branch, router or key is
-a matrix saved with ``trainable: false``; nothing else records it. Older
-manifests also list per-layer freeze flags; the loader ignores them, as
-the tensors' flags say the same.
+header, one per name of ``ContinualModel.all_named_matrices``; the
+manifest records each matrix's shape and trainability, and what builds
+the model object: kind, seed, dims, hyperparams and the tasks whose
+routers it holds. A frozen branch, router or key is a matrix saved with
+``trainable: false``; nothing else records it.
+
+Loading rebuilds that model (`build_model`, then ``start_task`` for each
+router task in order) and overwrites each named matrix with the saved
+bytes and flag, so the loaded model has the saved one's matrix names and
+rng states: the next task it starts draws what the saved model would
+have drawn. A manifest whose names or shapes differ from the rebuilt
+model's is rejected. The loader does not read the manifest's key task
+ids, nor the per-layer freeze flags of older manifests: the tensor names
+and flags say the same.
 """
 
 from __future__ import annotations
@@ -18,12 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import LAYERS, AdapterHyperparams
-from .errors import ContractError
-from .model import ContinualModel, ModelConfig
-from .selector import KeyStore, TaskKeys
-from .tensor import Matrix
+from .errors import ContractError, ParameterError
+from .model import ContinualModel, ModelConfig, build_model
 
 FORMAT = "branchcl-checkpoint-v1"
+_MANIFEST_KEYS = ("kind", "seed", "model", "hyperparams", "router_tasks", "tensors")
 
 
 def checkpoint_dir(run_dir: str | Path, seed: int, method: str, task_id: int) -> Path:
@@ -62,7 +69,12 @@ def save_model(directory: str | Path, model: ContinualModel) -> Path:
     return directory
 
 
-def _read_tensor(directory: Path, spec: dict, name: str) -> Matrix:
+def _read_tensor(directory: Path, spec: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
+    if (spec["rows"], spec["cols"]) != shape:
+        raise ContractError(
+            f"tensor {name}: manifest says {spec['rows']}x{spec['cols']}, "
+            f"the model it describes has {shape[0]}x{shape[1]}"
+        )
     path = directory / spec["file"]
     raw = path.read_bytes()
     expected = 8 * spec["rows"] * spec["cols"]
@@ -71,11 +83,12 @@ def _read_tensor(directory: Path, spec: dict, name: str) -> Matrix:
             f"tensor {name}: {path} holds {len(raw)} bytes, manifest says "
             f"{spec['rows']}x{spec['cols']} float64 = {expected} bytes"
         )
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return Matrix(arr.reshape(spec["rows"], spec["cols"]), trainable=spec["trainable"], name=name)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load_model(directory: str | Path) -> ContinualModel:
+    """Build the model the manifest describes, replay its task starts, then
+    overwrite every named matrix with the saved values and flags."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -84,30 +97,40 @@ def load_model(directory: str | Path) -> ContinualModel:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as err:
         raise ContractError(f"{manifest_path} is not valid JSON: {err}") from err
+    if not isinstance(manifest, dict):
+        raise ContractError(f"{manifest_path} is not a JSON object")
     if manifest.get("format") != FORMAT:
         raise ContractError(f"unsupported checkpoint format: {manifest.get('format')!r}")
-    cfg = ModelConfig(**manifest["model"])
-    hp = AdapterHyperparams(**manifest["hyperparams"])
+    for key in _MANIFEST_KEYS:
+        if key not in manifest:
+            raise ContractError(f"{manifest_path}: manifest has no {key!r}")
     kind = manifest["kind"]
-    layer_cls = LAYERS.get(kind)
-    if layer_cls is None:
-        raise ContractError(f"unknown model kind in manifest: {kind!r}")
-    tensors = manifest["tensors"]
+    if kind not in LAYERS:
+        raise ContractError(f"{manifest_path}: unknown model kind {kind!r}")
 
-    def tensor(name: str) -> Matrix:
-        if name not in tensors:
-            raise ContractError(f"manifest missing tensor {name}")
-        return _read_tensor(directory, tensors[name], name)
+    def section(key: str, cls):
+        try:
+            return cls(**manifest[key])
+        except (TypeError, ParameterError) as err:
+            raise ContractError(f"{manifest_path}: bad {key!r}: {err}") from err
 
-    layers = [
-        layer_cls.from_named(
-            hp, lambda name, i=i: tensor(f"layer{i}.{name}"), manifest["router_tasks"]
-        )
-        for i in range(cfg.layers)
-    ]
-    model = ContinualModel(kind, cfg, hp, layers, tensor("head"), manifest["seed"])
-    model.keys = KeyStore(
-        TaskKeys(t, tensor(f"keys.task{t}.img"), tensor(f"keys.task{t}.txt"))
-        for t in manifest["key_tasks"]
+    model = build_model(
+        kind, section("model", ModelConfig), section("hyperparams", AdapterHyperparams),
+        manifest["seed"],
     )
+    for t in manifest["router_tasks"]:
+        model.start_task(t)
+    tensors = manifest["tensors"]
+    named = model.all_named_matrices()
+    unexpected = sorted(set(tensors) - {name for name, _ in named})
+    missing = [name for name, _ in named if name not in tensors]
+    if unexpected or missing:
+        raise ContractError(
+            f"{manifest_path}: tensors do not match the {kind} model it describes "
+            f"(missing {missing}, unexpected {unexpected})"
+        )
+    for name, m in named:
+        spec = tensors[name]
+        m.data = _read_tensor(directory, spec, name, m.shape)
+        m.trainable = bool(spec["trainable"])
     return model

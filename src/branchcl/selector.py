@@ -9,8 +9,6 @@ to a sample's views wins.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .errors import ContractError, DimensionError, SelectorError
@@ -51,8 +49,8 @@ class TaskKeys:
 class KeyStore:
     """Keys of all tasks seen so far, in task order."""
 
-    def __init__(self, keys: Iterable[TaskKeys] = ()):
-        self._keys: dict[int, TaskKeys] = {k.task_id: k for k in keys}
+    def __init__(self):
+        self._keys: dict[int, TaskKeys] = {}
 
     def add(self, task_id: int, dim: int, rng: np.random.Generator) -> TaskKeys:
         if task_id in self._keys:
@@ -76,9 +74,6 @@ class KeyStore:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def __contains__(self, task_id: int) -> bool:
-        return task_id in self._keys
 
 
 class StackedKeys:

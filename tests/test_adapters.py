@@ -47,7 +47,7 @@ class TestBackbone:
 
     def test_forward_is_plain_matmul(self):
         rng = make_rng(1)
-        layer = bc.BackboneLayer(draw_backbone(rng, 6, 5))
+        layer = bc.BackboneLayer(rng, draw_backbone(rng, 6, 5), HP)
         x = rng.standard_normal((3, 6))
         out, gate = layer.forward(bc.Matrix(x))
         assert gate is None

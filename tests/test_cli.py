@@ -185,6 +185,27 @@ class TestAnalyze:
         assert path.name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["router_tasks", "model"])
+    def test_malformed_manifest_is_one_error_line(self, run_dir, tmp_path, capsys, key):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(run_dir, broken)
+        path = broken / "checkpoints" / "seed0" / "moelora" / "task1" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if key == "router_tasks":
+            del manifest["router_tasks"]
+        else:
+            manifest["model"]["depth"] = 3
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(broken), "--out", str(out), "--batches", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("branchcl: error:")
+        assert err.count("\n") == 1
+        assert str(path) in err and repr(key) in err
+        assert not out.exists()
+
     def test_requires_moelora_in_methods(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg = json.loads(Path(SMOKE).read_text())

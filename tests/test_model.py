@@ -1,5 +1,7 @@
 """Full model assembly, task lifecycle, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ class TestTaskLifecycle:
         model.start_task(0)
         for layer in model.layers:
             assert 0 in layer.routers
-        assert 0 in model.keys
+        assert [k.task_id for k in model.keys.ordered()] == [0]
         assert model.keys.get(0).k_img.shape == (1, 8)
 
     def test_finish_task_freezes_routers_and_keys(self):
@@ -160,6 +162,17 @@ class TestCheckpoints:
         assert loaded.layers[0].routers[1].trainable
         assert [k.task_id for k in loaded.keys.ordered()] == [0, 1]
         assert not loaded.keys.get(0).k_img.trainable
+        # the loaded model names its matrices as the built one does, and its
+        # router and key rngs continue where the saved model's left off
+        built = [m.name for _, m in model.all_named_matrices()]
+        assert [m.name for _, m in loaded.all_named_matrices()] == built
+        model.start_task(2)
+        loaded.start_task(2)
+        for ours, theirs in zip(model.layers, loaded.layers):
+            assert ours.routers[2].data.tobytes() == theirs.routers[2].data.tobytes()
+        for view in ("k_img", "k_txt"):
+            ours, theirs = getattr(model.keys.get(2), view), getattr(loaded.keys.get(2), view)
+            assert ours.data.tobytes() == theirs.data.tobytes()
 
     @pytest.mark.parametrize("kind", bc.KINDS)
     def test_loaded_model_forward_matches(self, kind, tmp_path):
@@ -188,3 +201,26 @@ class TestCheckpoints:
     def test_missing_manifest_is_contract_error(self, tmp_path):
         with pytest.raises(bc.ContractError):
             bc.load_model(tmp_path / "nothing-here")
+
+    @pytest.mark.parametrize(
+        "defect, name",
+        [("extra tensor", "layer0.router.task1"), ("missing tensor", "layer1.branch3"),
+         ("shape", "layer0.A")],
+    )
+    def test_manifest_that_differs_from_its_model_is_contract_error(self, tmp_path, defect, name):
+        model = bc.build_model("branchlora", CFG, HP, seed=7)
+        model.start_task(0)
+        path = bc.save_model(tmp_path / "ckpt", model) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        tensors = manifest["tensors"]
+        if defect == "extra tensor":
+            tensors[name] = dict(tensors["layer0.router.task0"])
+        elif defect == "missing tensor":
+            del tensors[name]
+        else:
+            # rows and cols swapped: the byte count still matches the file
+            spec = tensors[name]
+            spec["rows"], spec["cols"] = spec["cols"], spec["rows"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(bc.ContractError, match=name):
+            bc.load_model(tmp_path / "ckpt")

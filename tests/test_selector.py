@@ -30,8 +30,9 @@ class TestKeyStore:
         store.add(0, 4, rng)
         assert [k.task_id for k in store.ordered()] == [0, 1]
         assert store.get(1).task_id == 1
-        assert 0 in store and 2 not in store
         assert len(store) == 2
+        with pytest.raises(SelectorError):
+            store.get(2)
 
     def test_duplicate_and_missing(self):
         rng = np.random.default_rng(0)
@@ -158,9 +159,10 @@ class TestSelectTask:
         for _ in range(500):
             tasks = int(rng.integers(1, 9))
             pairs = [(rng.standard_normal(8), rng.standard_normal(8)) for _ in range(tasks)]
-            store = bc.KeyStore(
-                keys_from(t, ki.tolist(), kt.tolist()) for t, (ki, kt) in enumerate(pairs)
-            )
+            store = bc.KeyStore()
+            for t, (ki, kt) in enumerate(pairs):
+                keys = store.add(t, 8, np.random.default_rng(t))
+                keys.k_img.data[0], keys.k_txt.data[0] = ki, kt
             x = rng.standard_normal(16)
             assert bc.select_task(x, store.stack()) == select_task_oracle(x, pairs)
 
@@ -200,10 +202,11 @@ class TestSelectorAccuracy:
         rng = np.random.default_rng(6)
         for _ in range(100):
             tasks = int(rng.integers(1, 9))
-            store = bc.KeyStore(
-                keys_from(t, rng.standard_normal(8).tolist(), rng.standard_normal(8).tolist())
-                for t in range(tasks)
-            )
+            store = bc.KeyStore()
+            for t in range(tasks):
+                keys = store.add(t, 8, np.random.default_rng(t))
+                keys.k_img.data[0] = rng.standard_normal(8)
+                keys.k_txt.data[0] = rng.standard_normal(8)
             keys = store.stack()
             x = rng.standard_normal((int(rng.integers(1, 40)), 16))
             ids = rng.integers(0, tasks, size=len(x))
