@@ -27,6 +27,7 @@ from .errors import (
     ContractError,
     DegenerateInputError,
     DimensionError,
+    NumericError,
     ParameterError,
     PolicyError,
     RoutingError,

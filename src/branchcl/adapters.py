@@ -40,6 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterError, RoutingError
+from .optim import freeze
 from .tensor import Matrix, adapter, matmul, router_gate
 
 
@@ -231,7 +232,7 @@ class BranchLoRALayer(AdapterLayer):
         self.add_router(task_id, rng)
 
     def finish_task(self, task_id: int) -> None:
-        self.routers[task_id].trainable = False
+        freeze(self.routers[task_id])
 
     def gate_for(self, x: Matrix, task_id: int, per_row: bool = False) -> Matrix:
         router = self.routers.get(task_id)

@@ -12,9 +12,9 @@ router task in order) and overwrites each named matrix with the saved
 bytes and flag, so the loaded model has the saved one's matrix names and
 rng states: the next task it starts draws what the saved model would
 have drawn. A manifest whose names or shapes differ from the rebuilt
-model's is rejected. The loader does not read the manifest's key task
-ids, nor the per-layer freeze flags of older manifests: the tensor names
-and flags say the same.
+model's is rejected, as is a seed or a tensor entry of the wrong type.
+The loader does not read the manifest's key task ids, nor the per-layer
+freeze flags of older manifests: the tensor names and flags say the same.
 """
 
 from __future__ import annotations
@@ -69,6 +69,27 @@ def save_model(directory: str | Path, model: ContinualModel) -> Path:
     return directory
 
 
+# each key of a manifest's tensor entry: the type its value must have
+_TENSOR_KEYS = {
+    "file": (str, "a string"),
+    "rows": (int, "an integer"),
+    "cols": (int, "an integer"),
+    "trainable": (bool, "true or false"),
+}
+
+
+def _check_tensor_spec(manifest_path: Path, name: str, spec) -> None:
+    if not isinstance(spec, dict):
+        raise ContractError(f"{manifest_path}: tensor {name}: entry is not a JSON object")
+    for key, (kind, what) in _TENSOR_KEYS.items():
+        value = spec.get(key)
+        # bool is an int subclass, so it is refused where an int is wanted
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ContractError(
+                f"{manifest_path}: tensor {name}: {key!r} must be {what}, got {value!r}"
+            )
+
+
 def _read_tensor(directory: Path, spec: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
     if (spec["rows"], spec["cols"]) != shape:
         raise ContractError(
@@ -107,6 +128,9 @@ def load_model(directory: str | Path) -> ContinualModel:
     kind = manifest["kind"]
     if kind not in LAYERS:
         raise ContractError(f"{manifest_path}: unknown model kind {kind!r}")
+    seed = manifest["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ContractError(f"{manifest_path}: 'seed' must be a non-negative int, got {seed!r}")
 
     def section(key: str, cls):
         try:
@@ -116,11 +140,13 @@ def load_model(directory: str | Path) -> ContinualModel:
 
     model = build_model(
         kind, section("model", ModelConfig), section("hyperparams", AdapterHyperparams),
-        manifest["seed"],
+        seed,
     )
     for t in manifest["router_tasks"]:
         model.start_task(t)
     tensors = manifest["tensors"]
+    if not isinstance(tensors, dict):
+        raise ContractError(f"{manifest_path}: 'tensors' is not a JSON object")
     named = model.all_named_matrices()
     unexpected = sorted(set(tensors) - {name for name, _ in named})
     missing = [name for name, _ in named if name not in tensors]
@@ -131,6 +157,7 @@ def load_model(directory: str | Path) -> ContinualModel:
         )
     for name, m in named:
         spec = tensors[name]
+        _check_tensor_spec(manifest_path, name, spec)
         m.data = _read_tensor(directory, spec, name, m.shape)
-        m.trainable = bool(spec["trainable"])
+        m.trainable = spec["trainable"]
     return model

@@ -26,6 +26,10 @@ class DegenerateInputError(BranchclError):
     """Input is numerically unusable (e.g. zero-norm vector for cosine)."""
 
 
+class NumericError(BranchclError):
+    """A value became NaN or infinite during training."""
+
+
 class RoutingError(BranchclError):
     """A router lookup or gate operation failed."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import checkpoint_dir, save_model
 from .config import ExperimentConfig
-from .errors import ContractError, ParameterError
+from .errors import ContractError, NumericError, ParameterError
 from .metrics import EvalMatrix, compute_metrics
 from .model import ContinualModel, ModelConfig, build_model
 from .optim import make_optimizer
@@ -79,7 +79,9 @@ def train_task(
     """Train the model's adapter parameters on one task's data.
 
     For branchlora runs, `usage` collects per-layer gate observations and
-    each batch's inputs also feed the key alignment loss.
+    each batch's inputs also feed the key alignment loss. A NaN or inf in
+    the parameters after a step raises NumericError naming the seed,
+    method, task, batch and matrix.
     """
     if model.kind == "zero_shot":
         raise ParameterError("zero_shot models have nothing to train")
@@ -110,7 +112,18 @@ def train_task(
                     backward(tape, loss, alignment_loss(xb, keys, align_weight))
                 else:
                     backward(tape, loss)
-            opt.step()
+            try:
+                opt.step()
+            except NumericError as err:
+                method = "multitask" if task_id is None else model.kind
+                task = "all tasks" if task_id is None else f"task {task_id}"
+                name = next(
+                    (n for n, m in model.all_named_matrices() if not np.isfinite(m.data).all()), "?"
+                )
+                raise NumericError(
+                    f"seed {model.seed}, method {method}, {task}, batch {batches}: "
+                    f"tensor {name} holds a non-finite value after the optimizer step"
+                ) from err
             batch_seconds.append(time.perf_counter() - t0)
             if usage is not None:
                 for st, gate in zip(usage, gates):

@@ -1,10 +1,29 @@
-"""Parameter updates: plain gradient descent and Adam.
+"""Parameter updates: plain gradient descent and Adam, over one flat arena.
 
-An optimizer owns a list of Matrix parameters. `step()` updates every
-trainable parameter in place from its `.grad`, clears those grads, and
-returns the number of scalar values updated (used by the analysis module
-to cross-check parameter counts). Non-trainable parameters are skipped
-entirely, so freezing a matrix mid-run is just flipping its flag.
+An optimizer owns a list of Matrix parameters. Building it copies their
+values into one contiguous float64 vector, the arena, and rebinds each
+matrix's ``.data`` to a reshaped view of its segment. From then on the
+optimizer updates that view in place, so everything holding the matrix
+sees each step. Rebinding ``.data`` to another array detaches the matrix:
+the next step that would update it raises. One optimizer is built per
+``train_task``; the next one copies the current values into its own arena.
+`freeze` gives a frozen matrix its own bytes, so no frozen matrix keeps a
+finished optimizer's arena alive.
+
+`step()` updates every trainable parameter from its `.grad`, clears those
+grads, and returns the number of scalar values updated (used by the
+analysis module to cross-check parameter counts). Non-trainable parameters
+are skipped entirely, so freezing a matrix mid-run is just flipping its
+flag. The grads are copied into one buffer beside the arena, and the update
+runs as a few numpy calls over the whole of it, in passes of at most
+`_BUCKET` elements so that scratch never exceeds one bucket. A pass makes
+the same elementwise operations in the same order as an update of one
+matrix at a time, so the results are bit for bit the same. A skipped
+parameter keeps its values, moments and step count: a large one splits
+the pass, a small one is computed with the rest and then gets its old
+values back (see `_GAP`). After the step each bucket of the arena is
+checked once: a NaN or inf raises `NumericError` naming the first matrix
+that holds one.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
@@ -16,39 +35,176 @@ advance, matching the usual sparse-update convention).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, NumericError, ParameterError
 from .tensor import Matrix
 
+# elements per fused pass; the default shapes fit in one
+_BUCKET = 1 << 14
+# A skipped parameter smaller than this stays inside the pass around it:
+# computing it and putting its old values back costs less than the dozen
+# numpy calls of one more pass. A larger one splits the pass.
+_GAP = 1 << 10
 
-class Sgd:
-    """w <- w - lr * grad."""
+
+def freeze(m: Matrix) -> None:
+    """Turn off m's trainable flag and give it its own copy of its values,
+    so that it does not keep an optimizer's whole arena alive."""
+    m.trainable = False
+    m.data = m.data.copy()
+
+
+class _Arena:
+    """The arena, grad buffer and scratch that Sgd and Adam share, and the
+    parts of a step that do not depend on the update rule."""
+
+    kind = ""
+    scratch_rows = 1
 
     def __init__(self, params: list[Matrix], lr: float = 1e-3, allow_missing: bool = False):
         if lr <= 0:
-            raise ParameterError(f"sgd: lr must be positive, got {lr}")
+            raise ParameterError(f"{self.kind}: lr must be positive, got {lr}")
         self.params = list(params)
+        seen: set[int] = set()
+        for p in self.params:
+            if id(p) in seen:
+                raise ContractError(f"{self.kind}: parameter {p.name or 'matrix'} is listed twice")
+            seen.add(id(p))
         self.lr = float(lr)
         self.allow_missing = bool(allow_missing)
+        self._sizes = [p.data.size for p in self.params]
+        self._starts = np.cumsum([0] + self._sizes).tolist()
+        # how many parameters before each one are too large to compute
+        # when skipped (see _GAP)
+        self._large_before = np.cumsum([0] + [n >= _GAP for n in self._sizes]).tolist()
+        total = self._starts[-1]
+        self._flat = np.empty(total)
+        # zeros: a skipped parameter's stale grad may enter a pass (see _GAP)
+        self._grad = np.zeros(total)
+        # per parameter: the matrix, its arena view, its grad slot, its size
+        self._slots = []
+        for p, lo, hi in zip(self.params, self._starts, self._starts[1:]):
+            view = self._flat[lo:hi].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            self._slots.append((p, view, self._grad[lo:hi].reshape(p.shape), hi - lo))
+        self._bucket = _BUCKET
+        self._buckets = self._cut(0, total, None)
+        self._scratch = np.empty((self.scratch_rows, min(total, self._bucket)))
+        finite = np.empty(min(total, self._bucket), dtype=bool)
+        # each bucket of the arena, and where its finite check writes
+        self._checks = [(self._flat[lo:hi], finite[: hi - lo]) for lo, hi, *_ in self._buckets]
 
-    def step(self) -> int:
+    def _cut(self, start: int, stop: int, on: list[bool] | None) -> list:
+        """Arena range [start, stop) as passes of at most a bucket each:
+        (lo, hi, group, counts, skipped), where group is the slice of the
+        parameters the pass overlaps, counts how many of each one's
+        elements it holds, and skipped the ranges, relative to lo, of those
+        the step skips. The pass computes them with the rest and then puts
+        their old values back."""
+        starts = self._starts
+        passes = []
+        for lo in range(start, stop, self._bucket):
+            hi = min(lo + self._bucket, stop)
+            a, b = bisect_right(starts, lo) - 1, bisect_left(starts, hi)
+            # the group's sizes, with its first and last cut to [lo, hi)
+            counts = self._sizes[a:b]
+            counts[0] = min(starts[a + 1], hi) - lo
+            counts[-1] = hi - max(starts[b - 1], lo)
+            skipped = [] if on is None else [
+                (max(starts[j], lo) - lo, min(starts[j + 1], hi) - lo)
+                for j in range(a, b)
+                if not on[j]
+            ]
+            passes.append((lo, hi, slice(a, b), counts, skipped))
+        return passes
+
+    def _gather(self) -> tuple[list[int], int]:
+        """The indices of the parameters this step updates, and how many
+        scalars they hold. Their grads are copied into the grad buffer and
+        cleared."""
+        active = []
         updated = 0
-        for p in self.params:
+        for i, (p, view, grad, size) in enumerate(self._slots):
             if not p.trainable:
                 continue
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 if self.allow_missing:
                     continue
-                raise ContractError(f"sgd: trainable parameter {p.name or 'matrix'} has no gradient")
-            p.data -= self.lr * p.grad
+                raise ContractError(
+                    f"{self.kind}: trainable parameter {p.name or 'matrix'} has no gradient"
+                )
+            if p.data is not view:
+                raise ContractError(
+                    f"{self.kind}: parameter {p.name or 'matrix'} no longer views the "
+                    "optimizer's arena (its .data was rebound)"
+                )
+            grad[...] = g
             p.grad = None
-            updated += p.data.size
+            active.append(i)
+            updated += size
+        return active, updated
+
+    def _passes(self, active: list[int]) -> list:
+        """The passes of a step that updates the parameters `active`."""
+        if len(active) == len(self._slots):
+            return self._buckets
+        on = [False] * len(self._slots)
+        for i in active:
+            on[i] = True
+        # runs [first, last] of active parameters with no large skipped
+        # parameter between them
+        large = self._large_before
+        runs: list[list[int]] = []
+        for i in active:
+            if runs and large[i] == large[runs[-1][1] + 1]:
+                runs[-1][1] = i
+            else:
+                runs.append([i, i])
+        starts = self._starts
+        return [
+            piece for first, last in runs for piece in self._cut(starts[first], starts[last + 1], on)
+        ]
+
+    def _check(self) -> None:
+        for w, finite in self._checks:
+            if not np.isfinite(w, out=finite).all():
+                name = next((p.name for p in self.params if not np.isfinite(p.data).all()), "")
+                raise NumericError(
+                    f"{self.kind}: parameter {name or 'matrix'} holds a non-finite value after the step"
+                )
+
+
+class Sgd(_Arena):
+    """w <- w - lr * grad."""
+
+    kind = "sgd"
+
+    def step(self) -> int:
+        active, updated = self._gather()
+        if not active:
+            return 0
+        for lo, hi, _, _, skipped in self._passes(active):
+            g, w = self._grad[lo:hi], self._flat[lo:hi]
+            kept = [(a, b, w[a:b].copy()) for a, b in skipped]
+            upd = self._scratch[0, : hi - lo]
+            np.multiply(g, self.lr, out=upd)
+            np.subtract(w, upd, out=w)
+            for a, b, old in kept:
+                w[a:b] = old
+        self._check()
         return updated
 
 
-class Adam:
-    """Adam with bias correction; moments and step counts keyed per parameter."""
+class Adam(_Arena):
+    """Adam with bias correction; moments and step counts kept per parameter."""
+
+    kind = "adam"
+    scratch_rows = 2
 
     def __init__(
         self,
@@ -59,49 +215,61 @@ class Adam:
         eps: float = 1e-8,
         allow_missing: bool = False,
     ):
-        if lr <= 0:
-            raise ParameterError(f"adam: lr must be positive, got {lr}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ParameterError(f"adam: betas must lie in [0, 1), got {beta1}, {beta2}")
-        self.params = list(params)
-        self.lr = float(lr)
+        super().__init__(params, lr, allow_missing)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.allow_missing = bool(allow_missing)
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._t: dict[int, int] = {}
+        # rows m and v, so that one call updates both moments
+        self._moments = np.zeros((2, self._flat.size))
+        self._decay = np.array([[self.beta1], [self.beta2]])
+        self._mix = np.array([[1.0 - self.beta1], [1.0 - self.beta2]])
+        self._t = [0] * len(self.params)
 
     def step(self) -> int:
-        updated = 0
-        for p in self.params:
-            if not p.trainable:
-                continue
-            if p.grad is None:
-                if self.allow_missing:
-                    continue
-                raise ContractError(f"adam: trainable parameter {p.name or 'matrix'} has no gradient")
-            key = id(p)
-            m = self._m.get(key)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self._m[key] = m
-                self._v[key] = np.zeros_like(p.data)
-                self._t[key] = 0
-            v = self._v[key]
-            self._t[key] += 1
-            t = self._t[key]
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / (1.0 - self.beta1**t)
-            vhat = v / (1.0 - self.beta2**t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.grad = None
-            updated += p.data.size
+        active, updated = self._gather()
+        if not active:
+            return 0
+        t = self._t
+        for i in active:
+            t[i] += 1
+        b1, b2 = self.beta1, self.beta2
+        steps = {t[i] for i in active}
+        if len(steps) == 1:
+            (k,) = steps
+            c = np.array([[1.0 - b1**k], [1.0 - b2**k]])
+            per_param = None
+        else:
+            # a parameter skipped before its first step may still enter a
+            # pass; a correction of 1 keeps its discarded values finite
+            per_param = np.array([
+                [1.0 - b1**k if k else 1.0 for k in t],
+                [1.0 - b2**k if k else 1.0 for k in t],
+            ])
+        for lo, hi, group, counts, skipped in self._passes(active):
+            if per_param is not None:
+                c = per_param[:, group].repeat(counts, axis=1)
+            g, mv, w = self._grad[lo:hi], self._moments[:, lo:hi], self._flat[lo:hi]
+            kept = [(a, b, mv[:, a:b].copy(), w[a:b].copy()) for a, b in skipped]
+            s = self._scratch[:, : hi - lo]
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+            np.multiply(mv, self._decay, out=mv)
+            np.multiply(g, self._mix, out=s)
+            np.multiply(s[1], g, out=s[1])
+            np.add(mv, s, out=mv)
+            # w -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
+            np.divide(mv, c, out=s)
+            upd, root = s
+            np.multiply(upd, self.lr, out=upd)
+            np.sqrt(root, out=root)
+            np.add(root, self.eps, out=root)
+            np.divide(upd, root, out=upd)
+            np.subtract(w, upd, out=w)
+            for a, b, old_mv, old_w in kept:
+                mv[:, a:b] = old_mv
+                w[a:b] = old_w
+        self._check()
         return updated
 
 

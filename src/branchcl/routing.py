@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, PolicyError
+from .optim import freeze
 from .tensor import Matrix
 
 
@@ -84,7 +85,7 @@ def apply_freeze(layer, indices: list[int]) -> None:
         if not layer.branches[j].trainable:
             raise PolicyError(f"branch {j} is already frozen")
     for j in indices:
-        layer.branches[j].trainable = False
+        freeze(layer.branches[j])
 
 
 @dataclass

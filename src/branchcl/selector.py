@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError, SelectorError
+from .optim import freeze
 from .tensor import Matrix, cosine_loss
 
 
@@ -42,8 +43,8 @@ class TaskKeys:
         return cls(task_id, k_img, k_txt)
 
     def freeze(self) -> None:
-        self.k_img.trainable = False
-        self.k_txt.trainable = False
+        freeze(self.k_img)
+        freeze(self.k_txt)
 
 
 class KeyStore:

@@ -2,15 +2,16 @@
 
 Everything here is written directly from the defining formulas, with no
 imports from the package under test, so agreement between the two is
-meaningful. The one exception is the taped reference ops `add` and `scale`
-at the end: they record on the package's tape, so that a fused op's
-gradients can be checked bit for bit against the chain of small ops it
-replaces.
+meaningful. The exceptions are the per-matrix optimizers `RefSgd` and
+`RefAdam`, which raise the package's ContractError, and the taped
+reference ops `add` and `scale` at the end: they record on the package's
+tape, so that a fused op's gradients can be checked bit for bit against
+the chain of small ops it replaces.
 """
 
 import numpy as np
 
-from branchcl.errors import DimensionError
+from branchcl.errors import ContractError, DimensionError
 from branchcl.tensor import Matrix, _record, _result
 
 
@@ -125,6 +126,75 @@ def branch_forward_oracle(x, w, a_shared, branches, router, k, scaling):
         if gate[j] != 0.0:
             delta += gate[j] * (shared @ b)
     return x @ w + scaling * delta, gate
+
+
+# Per-matrix optimizers: one update of a dozen numpy calls per matrix,
+# the rule the flat-arena optimizers must reproduce bit for bit.
+
+
+class RefSgd:
+    def __init__(self, params, lr, allow_missing=False):
+        self.params = list(params)
+        self.lr = float(lr)
+        self.allow_missing = bool(allow_missing)
+
+    def step(self) -> int:
+        updated = 0
+        for p in self.params:
+            if not p.trainable:
+                continue
+            if p.grad is None:
+                if self.allow_missing:
+                    continue
+                raise ContractError(f"sgd: trainable parameter {p.name or 'matrix'} has no gradient")
+            p.data -= self.lr * p.grad
+            p.grad = None
+            updated += p.data.size
+        return updated
+
+
+class RefAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, allow_missing=False):
+        self.params = list(params)
+        self.lr = float(lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.allow_missing = bool(allow_missing)
+        self._m: dict[int, np.ndarray] = {}
+        self._v: dict[int, np.ndarray] = {}
+        self._t: dict[int, int] = {}
+
+    def step(self) -> int:
+        updated = 0
+        for p in self.params:
+            if not p.trainable:
+                continue
+            if p.grad is None:
+                if self.allow_missing:
+                    continue
+                raise ContractError(f"adam: trainable parameter {p.name or 'matrix'} has no gradient")
+            key = id(p)
+            m = self._m.get(key)
+            if m is None:
+                m = np.zeros_like(p.data)
+                self._m[key] = m
+                self._v[key] = np.zeros_like(p.data)
+                self._t[key] = 0
+            v = self._v[key]
+            self._t[key] += 1
+            t = self._t[key]
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            mhat = m / (1.0 - self.beta1**t)
+            vhat = v / (1.0 - self.beta2**t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.grad = None
+            updated += p.data.size
+        return updated
 
 
 # Taped reference ops, for the chains the fused ops replace.

@@ -70,6 +70,21 @@ class TestRun:
         assert "branchlora" in out and "acc=" in out and "bwt=" in out
         assert f"wrote {other}/report.json" in out
 
+    def test_nan_in_a_training_batch_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        from branchcl import harness
+
+        def poisoned(**kwargs):
+            stream = generate(**kwargs)
+            stream.tasks[0].x_train[5, 0] = np.nan
+            return stream
+
+        generate = harness.generate_stream
+        monkeypatch.setattr(harness, "generate_stream", poisoned)
+        assert main(["run", "--config", SMOKE, "--out", str(tmp_path / "nan")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("branchcl: error: seed 0, method lora, task 0, batch ")
+        assert err.count("\n") == 1
+
     def test_seed_override(self, tmp_path):
         out = tmp_path / "s1"
         assert main(["run", "--config", SMOKE, "--seed", "1", "--out", str(out)]) == 0
@@ -185,7 +200,9 @@ class TestAnalyze:
         assert path.name in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["router_tasks", "model"])
+    @pytest.mark.parametrize(
+        "key", ["router_tasks", "model", "seed", "file", "rows", "cols", "trainable"]
+    )
     def test_malformed_manifest_is_one_error_line(self, run_dir, tmp_path, capsys, key):
         import shutil
 
@@ -193,10 +210,19 @@ class TestAnalyze:
         shutil.copytree(run_dir, broken)
         path = broken / "checkpoints" / "seed0" / "moelora" / "task1" / "manifest.json"
         manifest = json.loads(path.read_text())
+        entry = next(iter(manifest["tensors"].values()))
         if key == "router_tasks":
             del manifest["router_tasks"]
-        else:
+        elif key == "model":
             manifest["model"]["depth"] = 3
+        elif key == "seed":
+            manifest["seed"] = "zero"
+        elif key == "file":
+            del entry["file"]
+        elif key == "trainable":
+            entry["trainable"] = "yes"
+        else:
+            entry[key] = float(entry[key])
         path.write_text(json.dumps(manifest))
         out = tmp_path / "analysis"
         assert main(["analyze", str(broken), "--out", str(out), "--batches", "2"]) == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import branchcl as bc
-from branchcl import ContractError, ParameterError, harness
+from branchcl import ContractError, NumericError, ParameterError, harness
 from conftest import run_with_snapshots
 
 
@@ -46,6 +46,37 @@ class TestTrainTask:
         stats = bc.train_task(model, task.x_train, task.y_train, None, 10, 16, 3e-3, "adam", rng)
         assert stats.last_loss < stats.first_loss
         assert stats.batches == 10 * 4
+
+    @pytest.mark.parametrize(
+        "method, first",
+        [
+            ("lora", "layer0.A"),
+            ("moelora", "layer0.expert0.A"),
+            ("branchlora", "layer0.A"),
+            ("multitask", "layer0.A"),
+        ],
+    )
+    def test_nan_batch_raises_naming_seed_method_task_batch_tensor(self, smoke_cfg, method, first):
+        task = bc.generate_stream(
+            tasks=1, train_samples=64, test_samples=32, dim=16, classes=4, seed=0
+        ).tasks[0]
+        x = task.x_train.copy()
+        x[37, 3] = np.nan
+        kind = "lora" if method == "multitask" else method
+        model = bc.build_model(kind, bc.ModelConfig(width=16, classes=4, layers=2),
+                               smoke_cfg.adapter.hyperparams(), seed=3)
+        task_id = None if method == "multitask" else 0
+        if kind == "branchlora":
+            model.start_task(0)
+        # the first epoch's permutation puts row 37 in this batch
+        batch = list(np.random.default_rng(5).permutation(64)).index(37) // 16
+        with pytest.raises(NumericError) as info:
+            bc.train_task(model, x, task.y_train, task_id, 2, 16, 3e-3, "adam",
+                          np.random.default_rng(5))
+        where = "all tasks" if task_id is None else "task 0"
+        assert str(info.value).startswith(
+            f"seed 3, method {method}, {where}, batch {batch}: tensor {first} "
+        )
 
     def test_zero_shot_refuses_training(self, smoke_cfg):
         hp = smoke_cfg.adapter.hyperparams()
