@@ -40,7 +40,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterError, RoutingError
-from .optim import freeze
 from .tensor import Matrix, adapter, matmul, router_gate
 
 
@@ -232,7 +231,7 @@ class BranchLoRALayer(AdapterLayer):
         self.add_router(task_id, rng)
 
     def finish_task(self, task_id: int) -> None:
-        freeze(self.routers[task_id])
+        self.routers[task_id].trainable = False
 
     def gate_for(self, x: Matrix, task_id: int, per_row: bool = False) -> Matrix:
         router = self.routers.get(task_id)

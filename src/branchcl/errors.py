@@ -27,7 +27,12 @@ class DegenerateInputError(BranchclError):
 
 
 class NumericError(BranchclError):
-    """A value became NaN or infinite during training."""
+    """A value became NaN or infinite during training. `index`, when set,
+    is the position of the offending matrix in the optimizer's list."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class RoutingError(BranchclError):

@@ -117,9 +117,7 @@ def train_task(
             except NumericError as err:
                 method = "multitask" if task_id is None else model.kind
                 task = "all tasks" if task_id is None else f"task {task_id}"
-                name = next(
-                    (n for n, m in model.all_named_matrices() if not np.isfinite(m.data).all()), "?"
-                )
+                name = next(n for n, m in model.all_named_matrices() if m is params[err.index])
                 raise NumericError(
                     f"seed {model.seed}, method {method}, {task}, batch {batches}: "
                     f"tensor {name} holds a non-finite value after the optimizer step"
@@ -133,6 +131,8 @@ def train_task(
                 first_loss = value
             last_loss = value
             batches += 1
+    # every matrix gets its own bytes back, so the arena dies with opt
+    opt.release()
     return TrainStats(first_loss, last_loss, batches, batch_seconds)
 
 

@@ -6,24 +6,24 @@ matrix's ``.data`` to a reshaped view of its segment. From then on the
 optimizer updates that view in place, so everything holding the matrix
 sees each step. Rebinding ``.data`` to another array detaches the matrix:
 the next step that would update it raises. One optimizer is built per
-``train_task``; the next one copies the current values into its own arena.
-`freeze` gives a frozen matrix its own bytes, so no frozen matrix keeps a
-finished optimizer's arena alive.
+``train_task``, which calls `release()` when the task ends: each matrix
+gets its own copy of its values, so no matrix, frozen or not, keeps a
+finished optimizer's arena alive. The next optimizer copies the current
+values into its own arena.
 
 `step()` updates every trainable parameter from its `.grad`, clears those
 grads, and returns the number of scalar values updated (used by the
 analysis module to cross-check parameter counts). Non-trainable parameters
 are skipped entirely, so freezing a matrix mid-run is just flipping its
 flag. The grads are copied into one buffer beside the arena, and the update
-runs as a few numpy calls over the whole of it, in passes of at most
-`_BUCKET` elements so that scratch never exceeds one bucket. A pass makes
-the same elementwise operations in the same order as an update of one
-matrix at a time, so the results are bit for bit the same. A skipped
-parameter keeps its values, moments and step count: a large one splits
-the pass, a small one is computed with the rest and then gets its old
-values back (see `_GAP`). After the step each bucket of the arena is
-checked once: a NaN or inf raises `NumericError` naming the first matrix
-that holds one.
+runs as a few numpy calls over each run of consecutive updated parameters,
+in passes of at most `_BUCKET` elements so that scratch never exceeds one
+bucket. A pass makes the same elementwise operations in the same order as
+an update of one matrix at a time, so the results are bit for bit the
+same. A skipped parameter splits the pass, so it keeps its values, moments
+and step count. Each pass then checks the values it wrote: a NaN or inf
+raises `NumericError` naming the first matrix that holds one, with its
+index in the optimizer's list.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
@@ -44,17 +44,6 @@ from .tensor import Matrix
 
 # elements per fused pass; the default shapes fit in one
 _BUCKET = 1 << 14
-# A skipped parameter smaller than this stays inside the pass around it:
-# computing it and putting its old values back costs less than the dozen
-# numpy calls of one more pass. A larger one splits the pass.
-_GAP = 1 << 10
-
-
-def freeze(m: Matrix) -> None:
-    """Turn off m's trainable flag and give it its own copy of its values,
-    so that it does not keep an optimizer's whole arena alive."""
-    m.trainable = False
-    m.data = m.data.copy()
 
 
 class _Arena:
@@ -77,13 +66,9 @@ class _Arena:
         self.allow_missing = bool(allow_missing)
         self._sizes = [p.data.size for p in self.params]
         self._starts = np.cumsum([0] + self._sizes).tolist()
-        # how many parameters before each one are too large to compute
-        # when skipped (see _GAP)
-        self._large_before = np.cumsum([0] + [n >= _GAP for n in self._sizes]).tolist()
         total = self._starts[-1]
         self._flat = np.empty(total)
-        # zeros: a skipped parameter's stale grad may enter a pass (see _GAP)
-        self._grad = np.zeros(total)
+        self._grad = np.empty(total)
         # per parameter: the matrix, its arena view, its grad slot, its size
         self._slots = []
         for p, lo, hi in zip(self.params, self._starts, self._starts[1:]):
@@ -92,19 +77,24 @@ class _Arena:
             p.data = view
             self._slots.append((p, view, self._grad[lo:hi].reshape(p.shape), hi - lo))
         self._bucket = _BUCKET
-        self._buckets = self._cut(0, total, None)
-        self._scratch = np.empty((self.scratch_rows, min(total, self._bucket)))
-        finite = np.empty(min(total, self._bucket), dtype=bool)
-        # each bucket of the arena, and where its finite check writes
-        self._checks = [(self._flat[lo:hi], finite[: hi - lo]) for lo, hi, *_ in self._buckets]
+        self._buckets = self._cut(0, total)
+        width = min(total, self._bucket)
+        self._scratch = np.empty((self.scratch_rows, width))
+        self._finite = np.empty(width, dtype=bool)
 
-    def _cut(self, start: int, stop: int, on: list[bool] | None) -> list:
+    def release(self) -> None:
+        """Give every matrix that still views the arena its own copy of its
+        values, so that the arena is freed with the optimizer. A step after
+        this raises."""
+        for p, view, _, _ in self._slots:
+            if p.data is view:
+                p.data = view.copy()
+
+    def _cut(self, start: int, stop: int) -> list:
         """Arena range [start, stop) as passes of at most a bucket each:
-        (lo, hi, group, counts, skipped), where group is the slice of the
-        parameters the pass overlaps, counts how many of each one's
-        elements it holds, and skipped the ranges, relative to lo, of those
-        the step skips. The pass computes them with the rest and then puts
-        their old values back."""
+        (lo, hi, group, counts), where group is the slice of the parameters
+        the pass overlaps and counts how many of each one's elements it
+        holds."""
         starts = self._starts
         passes = []
         for lo in range(start, stop, self._bucket):
@@ -114,12 +104,7 @@ class _Arena:
             counts = self._sizes[a:b]
             counts[0] = min(starts[a + 1], hi) - lo
             counts[-1] = hi - max(starts[b - 1], lo)
-            skipped = [] if on is None else [
-                (max(starts[j], lo) - lo, min(starts[j + 1], hi) - lo)
-                for j in range(a, b)
-                if not on[j]
-            ]
-            passes.append((lo, hi, slice(a, b), counts, skipped))
+            passes.append((lo, hi, slice(a, b), counts))
         return passes
 
     def _gather(self) -> tuple[list[int], int]:
@@ -150,33 +135,30 @@ class _Arena:
         return active, updated
 
     def _passes(self, active: list[int]) -> list:
-        """The passes of a step that updates the parameters `active`."""
+        """The passes of a step that updates the parameters `active`: each
+        run of consecutive active parameters, cut into buckets."""
         if len(active) == len(self._slots):
             return self._buckets
-        on = [False] * len(self._slots)
-        for i in active:
-            on[i] = True
-        # runs [first, last] of active parameters with no large skipped
-        # parameter between them
-        large = self._large_before
         runs: list[list[int]] = []
         for i in active:
-            if runs and large[i] == large[runs[-1][1] + 1]:
-                runs[-1][1] = i
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
             else:
-                runs.append([i, i])
+                runs.append([i, i + 1])
         starts = self._starts
-        return [
-            piece for first, last in runs for piece in self._cut(starts[first], starts[last + 1], on)
-        ]
+        return [piece for a, b in runs for piece in self._cut(starts[a], starts[b])]
 
-    def _check(self) -> None:
-        for w, finite in self._checks:
-            if not np.isfinite(w, out=finite).all():
-                name = next((p.name for p in self.params if not np.isfinite(p.data).all()), "")
-                raise NumericError(
-                    f"{self.kind}: parameter {name or 'matrix'} holds a non-finite value after the step"
-                )
+    def _check(self, lo: int, w: np.ndarray) -> None:
+        """Raise NumericError if w, the arena from lo on, holds a NaN or inf."""
+        finite = self._finite[: w.size]
+        np.isfinite(w, out=finite)
+        if not finite.all():
+            i = bisect_right(self._starts, lo + int(np.argmin(finite))) - 1
+            raise NumericError(
+                f"{self.kind}: parameter {self.params[i].name or 'matrix'} "
+                "holds a non-finite value after the step",
+                index=i,
+            )
 
 
 class Sgd(_Arena):
@@ -186,17 +168,12 @@ class Sgd(_Arena):
 
     def step(self) -> int:
         active, updated = self._gather()
-        if not active:
-            return 0
-        for lo, hi, _, _, skipped in self._passes(active):
+        for lo, hi, _, _ in self._passes(active):
             g, w = self._grad[lo:hi], self._flat[lo:hi]
-            kept = [(a, b, w[a:b].copy()) for a, b in skipped]
             upd = self._scratch[0, : hi - lo]
             np.multiply(g, self.lr, out=upd)
             np.subtract(w, upd, out=w)
-            for a, b, old in kept:
-                w[a:b] = old
-        self._check()
+            self._check(lo, w)
         return updated
 
 
@@ -241,17 +218,11 @@ class Adam(_Arena):
             c = np.array([[1.0 - b1**k], [1.0 - b2**k]])
             per_param = None
         else:
-            # a parameter skipped before its first step may still enter a
-            # pass; a correction of 1 keeps its discarded values finite
-            per_param = np.array([
-                [1.0 - b1**k if k else 1.0 for k in t],
-                [1.0 - b2**k if k else 1.0 for k in t],
-            ])
-        for lo, hi, group, counts, skipped in self._passes(active):
+            per_param = np.array([[1.0 - b1**k for k in t], [1.0 - b2**k for k in t]])
+        for lo, hi, group, counts in self._passes(active):
             if per_param is not None:
                 c = per_param[:, group].repeat(counts, axis=1)
             g, mv, w = self._grad[lo:hi], self._moments[:, lo:hi], self._flat[lo:hi]
-            kept = [(a, b, mv[:, a:b].copy(), w[a:b].copy()) for a, b in skipped]
             s = self._scratch[:, : hi - lo]
             # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
             np.multiply(mv, self._decay, out=mv)
@@ -266,10 +237,7 @@ class Adam(_Arena):
             np.add(root, self.eps, out=root)
             np.divide(upd, root, out=upd)
             np.subtract(w, upd, out=w)
-            for a, b, old_mv, old_w in kept:
-                mv[:, a:b] = old_mv
-                w[a:b] = old_w
-        self._check()
+            self._check(lo, w)
         return updated
 
 

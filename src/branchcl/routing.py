@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, PolicyError
-from .optim import freeze
 from .tensor import Matrix
 
 
@@ -85,7 +84,7 @@ def apply_freeze(layer, indices: list[int]) -> None:
         if not layer.branches[j].trainable:
             raise PolicyError(f"branch {j} is already frozen")
     for j in indices:
-        freeze(layer.branches[j])
+        layer.branches[j].trainable = False
 
 
 @dataclass

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError, SelectorError
-from .optim import freeze
 from .tensor import Matrix, cosine_loss
 
 
@@ -43,8 +42,8 @@ class TaskKeys:
         return cls(task_id, k_img, k_txt)
 
     def freeze(self) -> None:
-        freeze(self.k_img)
-        freeze(self.k_txt)
+        self.k_img.trainable = False
+        self.k_txt.trainable = False
 
 
 class KeyStore:

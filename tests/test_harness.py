@@ -78,6 +78,18 @@ class TestTrainTask:
             f"seed 3, method {method}, {where}, batch {batch}: tensor {first} "
         )
 
+    def test_no_matrix_views_a_finished_arena(self, smoke_cfg):
+        task = bc.generate_stream(
+            tasks=1, train_samples=32, test_samples=8, dim=16, classes=4, seed=0
+        ).tasks[0]
+        model = bc.build_model("branchlora", bc.ModelConfig(width=16, classes=4, layers=2),
+                               smoke_cfg.adapter.hyperparams(), seed=0)
+        model.start_task(0)
+        bc.train_task(model, task.x_train, task.y_train, 0, 1, 16, 3e-3, "adam",
+                      np.random.default_rng(0))
+        model.finish_task(0)
+        assert all(m.data.base is None for _, m in model.all_named_matrices())
+
     def test_zero_shot_refuses_training(self, smoke_cfg):
         hp = smoke_cfg.adapter.hyperparams()
         model = bc.build_model("zero_shot", bc.ModelConfig(width=16, classes=4, layers=2), hp, 0)

@@ -52,19 +52,17 @@ def step_both(ref, opt, ref_params, params, grads):
 @given(
     kind=st.sampled_from(sorted(REFS)),
     allow_missing=st.booleans(),
-    # tiny buckets put bucket edges inside and between parameters, and a
-    # tiny gap splits passes at skipped parameters
+    # tiny buckets put bucket edges inside and between parameters
     bucket=st.sampled_from([3, 7, 16, optim._BUCKET]),
-    gap=st.sampled_from([1, 8, optim._GAP]),
     run=runs(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_matches_per_matrix_reference(kind, allow_missing, bucket, gap, run, seed):
+def test_matches_per_matrix_reference(kind, allow_missing, bucket, run, seed):
     shapes, steps = run
     rng = np.random.default_rng(seed)
     ref_params, params = twin_params(rng, shapes)
     ref = REFS[kind](ref_params, lr=0.05, allow_missing=allow_missing)
-    with mock.patch.multiple(optim, _BUCKET=bucket, _GAP=gap):
+    with mock.patch.object(optim, "_BUCKET", bucket):
         opt = bc.make_optimizer(kind, params, lr=0.05, allow_missing=allow_missing)
     for has_grad, flips in steps:
         for p, q, flip in zip(params, ref_params, flips):
@@ -123,25 +121,30 @@ def test_rebound_data_is_rejected():
         opt.step()
 
 
-def test_non_finite_update_raises_naming_the_first_matrix():
+@pytest.mark.parametrize("kind", sorted(REFS))
+def test_non_finite_update_raises_naming_the_first_matrix(kind):
     params = [bc.Matrix(np.ones((2, 3)), trainable=True, name=f"p{i}") for i in range(3)]
-    opt = bc.make_optimizer("adam", params, lr=0.1)
+    opt = bc.make_optimizer(kind, params, lr=0.1)
     params[0].grad = np.ones((2, 3))
     params[1].grad = np.full((2, 3), np.nan)
     params[2].grad = np.full((2, 3), np.nan)
-    with pytest.raises(NumericError, match="parameter p1 "):
+    with pytest.raises(NumericError, match="parameter p1 ") as err:
         opt.step()
+    assert err.value.index == 1
 
 
-def test_frozen_matrix_does_not_keep_a_finished_arena_alive():
+def test_release_gives_each_matrix_its_own_bytes():
     a = bc.Matrix(np.ones((4, 4)), trainable=True)
-    b = bc.Matrix(np.ones((4, 4)), trainable=True)
+    b = bc.Matrix(np.ones((4, 4)), trainable=False)
     opt = bc.make_optimizer("adam", [a, b], lr=0.1)
     arena = weakref.ref(a.data.base)
-    optim.freeze(a)
-    assert not a.trainable and a.data.base is None
-    np.testing.assert_array_equal(a.data, np.ones((4, 4)))
+    opt.release()
+    for m in (a, b):
+        assert m.data.base is None
+        np.testing.assert_array_equal(m.data, np.ones((4, 4)))
+    a.grad = np.ones((4, 4))
+    with pytest.raises(ContractError, match="rebound"):
+        opt.step()
     del opt
-    bc.make_optimizer("adam", [b], lr=0.1)  # b moves to the next arena
     gc.collect()
     assert arena() is None
