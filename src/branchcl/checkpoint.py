@@ -15,12 +15,16 @@ have drawn. A manifest whose names or shapes differ from the rebuilt
 model's is rejected, as is a seed or a tensor entry of the wrong type.
 The loader does not read the manifest's key task ids, nor the per-layer
 freeze flags of older manifests: the tensor names and flags say the same.
+
+The manifest is written last and atomically (`write_atomic`), so a save
+that stops part way leaves the previous manifest whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,18 @@ def checkpoint_dir(run_dir: str | Path, seed: int, method: str, task_id: int) ->
 
 def _tensor_filename(name: str) -> str:
     return name.replace("/", "_") + ".f64"
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path through ``<name>.tmp`` and ``os.replace``: path
+    holds either its old bytes or all of the new ones, and no ``.tmp`` file
+    is left behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_model(directory: str | Path, model: ContinualModel) -> Path:
@@ -65,7 +81,7 @@ def save_model(directory: str | Path, model: ContinualModel) -> Path:
         "key_tasks": [k.task_id for k in model.keys.ordered()],
         "tensors": tensors,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_atomic(directory / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return directory
 
 

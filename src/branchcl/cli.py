@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .analysis import efficiency_report, expert_similarity, expert_vectors
-from .checkpoint import checkpoint_dir, load_model
+from .checkpoint import checkpoint_dir, load_model, write_atomic
 from .config import (
     ExperimentConfig,
     config_to_dict,
@@ -44,7 +44,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _resolve_out(args_out, cfg_out) -> Path:

@@ -143,7 +143,9 @@ def evaluate(
 ) -> float:
     """Accuracy on a task's test split. `selector` matters only for
     branchlora: "oracle" routes by the true task id, "auto" picks the
-    task via key similarity per sample.
+    task via key similarity per sample. A NaN or inf in the test inputs
+    raises NumericError naming the method, the task and the first bad row,
+    before any forward: argmax would silently score such a row as class 0.
 
     The whole split runs as one forward with every row routed on its own
     (``per_row``). branchlora still runs one forward per row: the
@@ -154,6 +156,11 @@ def evaluate(
     if selector not in ("oracle", "auto"):
         raise ParameterError(f"selector must be 'oracle' or 'auto', got {selector!r}")
     x, y = task.x_test, task.y_test
+    if not np.isfinite(x).all():
+        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise NumericError(
+            f"method {model.kind}, task {task.task_id}: test row {row} holds a non-finite value"
+        )
     if model.kind != "branchlora":
         logits, _ = model.forward(Matrix(x), task.task_id, per_row=True)
         return int(np.count_nonzero(np.argmax(logits.data, axis=1) == y)) / len(y)

@@ -16,14 +16,16 @@ grads, and returns the number of scalar values updated (used by the
 analysis module to cross-check parameter counts). Non-trainable parameters
 are skipped entirely, so freezing a matrix mid-run is just flipping its
 flag. The grads are copied into one buffer beside the arena, and the update
-runs as a few numpy calls over each run of consecutive updated parameters,
-in passes of at most `_BUCKET` elements so that scratch never exceeds one
-bucket. A pass makes the same elementwise operations in the same order as
-an update of one matrix at a time, so the results are bit for bit the
-same. A skipped parameter splits the pass, so it keeps its values, moments
-and step count. Each pass then checks the values it wrote: a NaN or inf
-raises `NumericError` naming the first matrix that holds one, with its
-index in the optimizer's list.
+runs as a few numpy calls per pass. A pass is a run of consecutive updated
+parameters, cut only between parameters: it holds at most `_BUCKET`
+elements, unless it is one parameter larger than that. So scratch is
+never wider than the larger of a bucket and the largest parameter. A pass
+makes the same elementwise operations in the same order as an update of
+one matrix at a time, so the results are bit for bit the same. A skipped
+parameter ends the pass, so it keeps its values, moments and step count.
+Each pass then checks the values it wrote: a NaN or inf raises
+`NumericError` naming the first matrix that holds one, with its index in
+the optimizer's list.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
@@ -35,7 +37,7 @@ advance, matching the usual sparse-update convention).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
 
@@ -77,8 +79,7 @@ class _Arena:
             p.data = view
             self._slots.append((p, view, self._grad[lo:hi].reshape(p.shape), hi - lo))
         self._bucket = _BUCKET
-        self._buckets = self._cut(0, total)
-        width = min(total, self._bucket)
+        width = min(total, max([self._bucket] + self._sizes))
         self._scratch = np.empty((self.scratch_rows, width))
         self._finite = np.empty(width, dtype=bool)
 
@@ -89,23 +90,6 @@ class _Arena:
         for p, view, _, _ in self._slots:
             if p.data is view:
                 p.data = view.copy()
-
-    def _cut(self, start: int, stop: int) -> list:
-        """Arena range [start, stop) as passes of at most a bucket each:
-        (lo, hi, group, counts), where group is the slice of the parameters
-        the pass overlaps and counts how many of each one's elements it
-        holds."""
-        starts = self._starts
-        passes = []
-        for lo in range(start, stop, self._bucket):
-            hi = min(lo + self._bucket, stop)
-            a, b = bisect_right(starts, lo) - 1, bisect_left(starts, hi)
-            # the group's sizes, with its first and last cut to [lo, hi)
-            counts = self._sizes[a:b]
-            counts[0] = min(starts[a + 1], hi) - lo
-            counts[-1] = hi - max(starts[b - 1], lo)
-            passes.append((lo, hi, slice(a, b), counts))
-        return passes
 
     def _gather(self) -> tuple[list[int], int]:
         """The indices of the parameters this step updates, and how many
@@ -134,19 +118,19 @@ class _Arena:
             updated += size
         return active, updated
 
-    def _passes(self, active: list[int]) -> list:
-        """The passes of a step that updates the parameters `active`: each
-        run of consecutive active parameters, cut into buckets."""
-        if len(active) == len(self._slots):
-            return self._buckets
-        runs: list[list[int]] = []
+    def _passes(self, active: list[int]) -> list[list[int]]:
+        """The passes of a step that updates the parameters `active`, as
+        [a, b) ranges of parameters: each run of consecutive active
+        parameters, cut between parameters into at most a bucket of
+        elements each, or one parameter larger than a bucket."""
+        starts, bucket = self._starts, self._bucket
+        passes: list[list[int]] = []
         for i in active:
-            if runs and runs[-1][1] == i:
-                runs[-1][1] = i + 1
+            if passes and passes[-1][1] == i and starts[i + 1] - starts[passes[-1][0]] <= bucket:
+                passes[-1][1] = i + 1
             else:
-                runs.append([i, i + 1])
-        starts = self._starts
-        return [piece for a, b in runs for piece in self._cut(starts[a], starts[b])]
+                passes.append([i, i + 1])
+        return passes
 
     def _check(self, lo: int, w: np.ndarray) -> None:
         """Raise NumericError if w, the arena from lo on, holds a NaN or inf."""
@@ -168,7 +152,8 @@ class Sgd(_Arena):
 
     def step(self) -> int:
         active, updated = self._gather()
-        for lo, hi, _, _ in self._passes(active):
+        for a, b in self._passes(active):
+            lo, hi = self._starts[a], self._starts[b]
             g, w = self._grad[lo:hi], self._flat[lo:hi]
             upd = self._scratch[0, : hi - lo]
             np.multiply(g, self.lr, out=upd)
@@ -219,9 +204,10 @@ class Adam(_Arena):
             per_param = None
         else:
             per_param = np.array([[1.0 - b1**k for k in t], [1.0 - b2**k for k in t]])
-        for lo, hi, group, counts in self._passes(active):
+        for a, b in self._passes(active):
+            lo, hi = self._starts[a], self._starts[b]
             if per_param is not None:
-                c = per_param[:, group].repeat(counts, axis=1)
+                c = per_param[:, a:b].repeat(self._sizes[a:b], axis=1)
             g, mv, w = self._grad[lo:hi], self._moments[:, lo:hi], self._flat[lo:hi]
             s = self._scratch[:, : hi - lo]
             # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g

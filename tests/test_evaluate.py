@@ -106,3 +106,23 @@ def test_evaluate_matches_per_sample_loop_on_smoke_config(tmp_path):
     )
     model = load_model(stages[-1].parent.parent / "branchlora" / f"task{s.tasks - 1}")
     assert bc.evaluate(model, mixed, "auto") == per_sample_accuracy(model, mixed, "auto")
+
+
+@pytest.mark.parametrize("selector", ["oracle", "auto"])
+@pytest.mark.parametrize("kind", ["lora", "moelora", "branchlora"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_test_input_raises_before_any_forward(kind, selector, bad):
+    # argmax over NaN logits is class 0, so an unchecked split scores as if
+    # every row predicted class 0
+    model = trained_like(kind, seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, WIDTH))
+    x[4, 1] = x[5, 0] = bad
+    task = bc.SyntheticTask(1, x, np.zeros(6, dtype=int), x, np.zeros(6, dtype=int), x[0])
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("evaluate ran a forward on a non-finite split")
+
+    model.forward = no_forward
+    with pytest.raises(bc.NumericError, match=f"method {kind}, task 1: test row 4 "):
+        bc.evaluate(model, task, selector)

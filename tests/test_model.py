@@ -1,12 +1,20 @@
 """Full model assembly, task lifecycle, and checkpoint round trips."""
 
 import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchcl as bc
 from branchcl import ParameterError
+from branchcl.adapters import LAYERS
+from branchcl.cli import _dump_json
 
 
 CFG = bc.ModelConfig(width=16, classes=4, layers=2)
@@ -224,3 +232,66 @@ class TestCheckpoints:
         path.write_text(json.dumps(manifest))
         with pytest.raises(bc.ContractError, match=name):
             bc.load_model(tmp_path / "ckpt")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LAYERS)),
+    seed=st.integers(0, 2**16),
+    finished=st.lists(st.booleans(), max_size=4),
+    data=st.data(),
+)
+def test_checkpoint_round_trip_property(kind, seed, finished, data):
+    # router tasks 0..n-1, each finished or not; every matrix holds fresh
+    # bytes, one of them any float64 (NaN, inf, -0.0, subnormals); each
+    # branch frozen or not
+    model = bc.build_model(kind, CFG, HP, seed)
+    for t, done in enumerate(finished):
+        model.start_task(t)
+        if done:
+            model.finish_task(t)
+    rng = np.random.default_rng(seed)
+    for _, m in model.all_named_matrices():
+        m.data = rng.standard_normal(m.shape)
+        m.data.flat[0] = data.draw(st.floats(width=64))
+    for layer in model.layers:
+        for branch in getattr(layer, "branches", ()):
+            branch.trainable = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        bc.save_model(Path(tmp) / "ckpt", model)
+        loaded = bc.load_model(Path(tmp) / "ckpt")
+
+    def snapshot(m):
+        return [(name, x.data.tobytes(), x.trainable) for name, x in m.all_named_matrices()]
+
+    assert snapshot(loaded) == snapshot(model)
+    # the next task draws the router and keys the saved model would draw
+    model.start_task(len(finished))
+    loaded.start_task(len(finished))
+    assert snapshot(loaded) == snapshot(model)
+
+
+def test_interrupted_writes_leave_the_previous_files(tmp_path):
+    report = tmp_path / "report.json"
+    _dump_json(report, {"acc": 1})
+    model = bc.build_model("branchlora", CFG, HP, seed=3)
+    model.start_task(0)
+    ckpt = bc.save_model(tmp_path / "ckpt", model)
+    files = sorted(os.listdir(ckpt))
+    before = [p.read_bytes() for p in (report, ckpt / "manifest.json")]
+    # the new manifest would differ: one more branch frozen
+    model.layers[0].branches[1].trainable = False
+    # an error after each temporary file is written, before it replaces
+    with mock.patch("os.replace", side_effect=OSError("interrupted")):
+        with pytest.raises(OSError, match="interrupted"):
+            _dump_json(report, {"acc": 2})
+        with pytest.raises(OSError, match="interrupted"):
+            bc.save_model(ckpt, model)
+    assert [p.read_bytes() for p in (report, ckpt / "manifest.json")] == before
+    assert sorted(os.listdir(ckpt)) == files
+    assert not list(tmp_path.rglob("*.tmp"))
+    _dump_json(report, {"acc": 2})
+    bc.save_model(ckpt, model)
+    assert json.loads(report.read_text()) == {"acc": 2}
+    assert not bc.load_model(ckpt).layers[0].branches[1].trainable
+    assert sorted(os.listdir(ckpt)) == files
