@@ -25,7 +25,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -46,16 +48,25 @@ def _tensor_filename(name: str) -> str:
     return name.replace("/", "_") + ".f64"
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write text to path through ``<name>.tmp`` and ``os.replace``: path
-    holds either its old bytes or all of the new ones, and no ``.tmp`` file
-    is left behind."""
+@contextmanager
+def open_atomic(path: Path) -> Iterator[TextIO]:
+    """A text file, opened for writing, that replaces path when the block
+    ends: it is ``<name>.tmp``, renamed over path by ``os.replace``. If the
+    block or the rename fails, path keeps its old bytes, and no ``.tmp``
+    file is left behind either way."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path through `open_atomic`."""
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def save_model(directory: str | Path, model: ContinualModel) -> Path:

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .analysis import efficiency_report, expert_similarity, expert_vectors
-from .checkpoint import checkpoint_dir, load_model, write_atomic
+from .checkpoint import checkpoint_dir, load_model, open_atomic, write_atomic
 from .config import (
     ExperimentConfig,
     config_to_dict,
@@ -91,7 +91,7 @@ def cmd_run(args) -> int:
         ledgers[str(seed)] = entry
     _dump_json(out_dir / "ledger.json", ledgers)
 
-    with (out_dir / "report.csv").open("w", newline="") as fh:
+    with open_atomic(out_dir / "report.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "method", "metric", "value"])
         for seed in sorted(per_seed):
@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
         },
     )
 
-    with (out_dir / "efficiency.csv").open("w", newline="") as fh:
+    with open_atomic(out_dir / "efficiency.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -197,18 +197,15 @@ def cmd_analyze(args) -> int:
                 ]
             )
 
-    with (out_dir / "vectors.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
+    # what csv.writer would write: no field needs quoting (ints, "A" or "B",
+    # float reprs), and joining each vector's reprs is faster
+    with open_atomic(out_dir / "vectors.csv") as fh:
         width = len(all_rows[0][1]["vector"]) if all_rows else 0
-        writer.writerow(
-            ["seed", "matrix", "task", "layer", "expert"]
-            + [f"v{i}" for i in range(width)]
-        )
+        fh.write(",".join(["seed", "matrix", "task", "layer", "expert"]
+                          + [f"v{i}" for i in range(width)]) + "\r\n")
         for seed, row in all_rows:
-            writer.writerow(
-                [seed, row["matrix"], row["task"], row["layer"], row["expert"]]
-                + [repr(float(v)) for v in row["vector"]]
-            )
+            fh.write(f"{seed},{row['matrix']},{row['task']},{row['layer']},{row['expert']},"
+                     + ",".join(map(repr, row["vector"].tolist())) + "\r\n")
 
     print(f"median similarity margin: {median_margin:+.4f}")
     for method, entry in eff["methods"].items():
@@ -290,7 +287,7 @@ def cmd_report(args) -> int:
                 )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "maa_curve.csv").open("w", newline="") as fh:
+    with open_atomic(out_dir / "maa_curve.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "method", "task", "maa"])
         for seed_key, method, tid, value in curves:

@@ -11,21 +11,32 @@ gets its own copy of its values, so no matrix, frozen or not, keeps a
 finished optimizer's arena alive. The next optimizer copies the current
 values into its own arena.
 
+The optimizer also owns the gradients. Beside the arena sits a grad
+buffer of the same layout, zeroed when it is built, and each matrix's
+``_slot`` is its segment of that buffer until `release()` clears it.
+`tensor.backward` writes a matrix's first contribution into its slot and
+makes the slot its `.grad`, so the step reads it where it lies. A grad
+assigned any other way (by hand, as tests do) is copied into the slot.
+`release()` also drops every `.grad` that is still a slot, so the buffer
+is freed with the arena.
+
 `step()` updates every trainable parameter from its `.grad`, clears those
 grads, and returns the number of scalar values updated (used by the
 analysis module to cross-check parameter counts). Non-trainable parameters
 are skipped entirely, so freezing a matrix mid-run is just flipping its
-flag. The grads are copied into one buffer beside the arena, and the update
-runs as a few numpy calls per pass. A pass is a run of consecutive updated
-parameters, cut only between parameters: it holds at most `_BUCKET`
-elements, unless it is one parameter larger than that. So scratch is
-never wider than the larger of a bucket and the largest parameter. A pass
-makes the same elementwise operations in the same order as an update of
-one matrix at a time, so the results are bit for bit the same. A skipped
-parameter ends the pass, so it keeps its values, moments and step count.
-Each pass then checks the values it wrote: a NaN or inf raises
-`NumericError` naming the first matrix that holds one, with its index in
-the optimizer's list.
+flag. The update runs as a few numpy calls per pass. When the updated
+parameters, from the first to the last, span at most `_BUCKET` elements,
+the step is one pass over that span: each parameter inside it that the
+step skips has its values (and Adam's moments) saved before the pass and
+written back after it, so it keeps its values, moments and step count.
+A wider step has a pass per run of consecutive updated parameters, cut
+only between parameters into at most `_BUCKET` elements, unless it is one
+parameter larger than that. So scratch is never wider than the larger of
+a bucket and the largest parameter. A pass makes the same elementwise
+operations in the same order as an update of one matrix at a time, so the
+results are bit for bit the same. Each pass then checks the values of the
+parameters it updated: a NaN or inf raises `NumericError` naming the
+first matrix that holds one, with its index in the optimizer's list.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
@@ -36,8 +47,6 @@ advance, matching the usual sparse-update convention).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -70,14 +79,18 @@ class _Arena:
         self._starts = np.cumsum([0] + self._sizes).tolist()
         total = self._starts[-1]
         self._flat = np.empty(total)
-        self._grad = np.empty(total)
+        # zeroed, so that no slot a pass reads holds uninitialised bytes
+        self._grad = np.zeros(total)
+        # the arrays a pass writes, whose skipped segments it puts back
+        self._state = [self._flat]
         # per parameter: the matrix, its arena view, its grad slot, its size
         self._slots = []
         for p, lo, hi in zip(self.params, self._starts, self._starts[1:]):
             view = self._flat[lo:hi].reshape(p.shape)
             view[...] = p.data
             p.data = view
-            self._slots.append((p, view, self._grad[lo:hi].reshape(p.shape), hi - lo))
+            p._slot = self._grad[lo:hi].reshape(p.shape)
+            self._slots.append((p, view, p._slot, hi - lo))
         self._bucket = _BUCKET
         width = min(total, max([self._bucket] + self._sizes))
         self._scratch = np.empty((self.scratch_rows, width))
@@ -85,19 +98,24 @@ class _Arena:
 
     def release(self) -> None:
         """Give every matrix that still views the arena its own copy of its
-        values, so that the arena is freed with the optimizer. A step after
-        this raises."""
-        for p, view, _, _ in self._slots:
+        values, and drop the grad slots and every grad that is still one,
+        so that the arena and grad buffer are freed with the optimizer. A
+        step after this raises."""
+        for p, view, slot, _ in self._slots:
             if p.data is view:
                 p.data = view.copy()
+            if p.grad is slot:
+                p.grad = None
+            if p._slot is slot:
+                p._slot = None
 
     def _gather(self) -> tuple[list[int], int]:
         """The indices of the parameters this step updates, and how many
-        scalars they hold. Their grads are copied into the grad buffer and
-        cleared."""
+        scalars they hold. A grad that is not already in its slot is copied
+        there; every one is cleared."""
         active = []
         updated = 0
-        for i, (p, view, grad, size) in enumerate(self._slots):
+        for i, (p, view, slot, size) in enumerate(self._slots):
             if not p.trainable:
                 continue
             g = p.grad
@@ -112,37 +130,71 @@ class _Arena:
                     f"{self.kind}: parameter {p.name or 'matrix'} no longer views the "
                     "optimizer's arena (its .data was rebound)"
                 )
-            grad[...] = g
+            if g is not slot:
+                slot[...] = g
             p.grad = None
             active.append(i)
             updated += size
         return active, updated
 
-    def _passes(self, active: list[int]) -> list[list[int]]:
+    def _passes(self, active: list[int]) -> tuple[list[list[int]], list[int]]:
         """The passes of a step that updates the parameters `active`, as
-        [a, b) ranges of parameters: each run of consecutive active
-        parameters, cut between parameters into at most a bucket of
-        elements each, or one parameter larger than a bucket."""
+        [a, b) ranges of parameters, and the parameters inside them that
+        the step skips. If the active parameters span at most a bucket of
+        elements, that span is one pass. Otherwise each run of consecutive
+        active parameters is cut between parameters into at most a bucket
+        of elements each, or one parameter larger than a bucket."""
         starts, bucket = self._starts, self._bucket
+        a, b = active[0], active[-1] + 1
+        if starts[b] - starts[a] <= bucket:
+            if b - a == len(active):
+                return [[a, b]], []
+            on = set(active)
+            return [[a, b]], [i for i in range(a, b) if i not in on]
         passes: list[list[int]] = []
         for i in active:
             if passes and passes[-1][1] == i and starts[i + 1] - starts[passes[-1][0]] <= bucket:
                 passes[-1][1] = i + 1
             else:
                 passes.append([i, i + 1])
-        return passes
+        return passes, []
 
-    def _check(self, lo: int, w: np.ndarray) -> None:
-        """Raise NumericError if w, the arena from lo on, holds a NaN or inf."""
+    def _hold(self, skipped: list[int]) -> list:
+        """Copies of what a pass writes in each skipped parameter's segment.
+        A skipped slot that is not its parameter's grad is zeroed first:
+        its stale grad could overflow in the pass's discarded arithmetic."""
+        held = []
+        starts = self._starts
+        for i in skipped:
+            p, _, slot, _ = self._slots[i]
+            if p.grad is not slot:
+                slot[...] = 0.0
+            lo, hi = starts[i], starts[i + 1]
+            held.append((lo, hi, [s[..., lo:hi].copy() for s in self._state]))
+        return held
+
+    def _put_back(self, held: list) -> None:
+        for lo, hi, saved in held:
+            for s, v in zip(self._state, saved):
+                s[..., lo:hi] = v
+
+    def _check(self, a: int, b: int, skipped: list[int]) -> None:
+        """Raise NumericError if a parameter in [a, b) that the step
+        updated holds a NaN or inf."""
+        starts = self._starts
+        lo = starts[a]
+        w = self._flat[lo : starts[b]]
         finite = self._finite[: w.size]
         np.isfinite(w, out=finite)
-        if not finite.all():
-            i = bisect_right(self._starts, lo + int(np.argmin(finite))) - 1
-            raise NumericError(
-                f"{self.kind}: parameter {self.params[i].name or 'matrix'} "
-                "holds a non-finite value after the step",
-                index=i,
-            )
+        if finite.all():
+            return
+        for i in range(a, b):
+            if i not in skipped and not finite[starts[i] - lo : starts[i + 1] - lo].all():
+                raise NumericError(
+                    f"{self.kind}: parameter {self.params[i].name or 'matrix'} "
+                    "holds a non-finite value after the step",
+                    index=i,
+                )
 
 
 class Sgd(_Arena):
@@ -152,13 +204,18 @@ class Sgd(_Arena):
 
     def step(self) -> int:
         active, updated = self._gather()
-        for a, b in self._passes(active):
+        if not active:
+            return 0
+        passes, skipped = self._passes(active)
+        held = self._hold(skipped)
+        for a, b in passes:
             lo, hi = self._starts[a], self._starts[b]
             g, w = self._grad[lo:hi], self._flat[lo:hi]
             upd = self._scratch[0, : hi - lo]
             np.multiply(g, self.lr, out=upd)
             np.subtract(w, upd, out=w)
-            self._check(lo, w)
+            self._put_back(held)
+            self._check(a, b, skipped)
         return updated
 
 
@@ -185,6 +242,7 @@ class Adam(_Arena):
         self.eps = float(eps)
         # rows m and v, so that one call updates both moments
         self._moments = np.zeros((2, self._flat.size))
+        self._state.append(self._moments)
         self._decay = np.array([[self.beta1], [self.beta2]])
         self._mix = np.array([[1.0 - self.beta1], [1.0 - self.beta2]])
         self._t = [0] * len(self.params)
@@ -197,14 +255,20 @@ class Adam(_Arena):
         for i in active:
             t[i] += 1
         b1, b2 = self.beta1, self.beta2
+        passes, skipped = self._passes(active)
         steps = {t[i] for i in active}
-        if len(steps) == 1:
+        if len(steps) == 1 and not skipped:
             (k,) = steps
             c = np.array([[1.0 - b1**k], [1.0 - b2**k]])
             per_param = None
         else:
-            per_param = np.array([[1.0 - b1**k for k in t], [1.0 - b2**k for k in t]])
-        for a, b in self._passes(active):
+            # a skipped parameter's own correction keeps the pass's discarded
+            # arithmetic on it within what its last step computed; one with
+            # no step yet must not divide by zero
+            ks = [max(k, 1) for k in t]
+            per_param = np.array([[1.0 - b1**k for k in ks], [1.0 - b2**k for k in ks]])
+        held = self._hold(skipped)
+        for a, b in passes:
             lo, hi = self._starts[a], self._starts[b]
             if per_param is not None:
                 c = per_param[:, a:b].repeat(self._sizes[a:b], axis=1)
@@ -223,7 +287,8 @@ class Adam(_Arena):
             np.add(root, self.eps, out=root)
             np.divide(upd, root, out=upd)
             np.subtract(w, upd, out=w)
-            self._check(lo, w)
+            self._put_back(held)
+            self._check(a, b, skipped)
         return updated
 
 

@@ -32,10 +32,12 @@ class Matrix:
 
     `trainable` marks leaf parameters that should receive gradients.
     Frozen parameters are plain matrices with trainable=False: ops treat
-    them as constants and the optimizer never touches them.
+    them as constants and the optimizer never touches them. An optimizer
+    sets `_slot`, the matrix's segment of its grad buffer, until it is
+    released; `backward` writes the matrix's grad there.
     """
 
-    __slots__ = ("data", "grad", "trainable", "name", "_flow")
+    __slots__ = ("data", "grad", "trainable", "name", "_flow", "_slot")
 
     def __init__(self, data, trainable: bool = False, name: str = ""):
         arr = np.array(data, dtype=np.float64)
@@ -50,6 +52,7 @@ class Matrix:
         self.trainable = bool(trainable)
         self.name = name
         self._flow = False  # set on op outputs that carry a gradient path
+        self._slot: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, rows: int, cols: int, trainable: bool = False, name: str = "") -> "Matrix":
@@ -94,6 +97,7 @@ class Matrix:
 
 
 def _result(arr: np.ndarray, flow: bool) -> Matrix:
+    # op outputs are never trainable, so backward never reads their _slot
     out = object.__new__(Matrix)
     out.data = arr
     out.grad = None
@@ -436,6 +440,11 @@ def backward(tape: Tape, *losses: Matrix) -> None:
     twice counts twice. A trainable leaf that no loss reaches keeps its
     grad as it was (None if it had none), even if a recorded op used it.
     Replaying an empty tape is a no-op.
+
+    A leaf whose grad is None gets a new one from its first contribution:
+    a copy in its optimizer's grad slot if it has one, so the step reads
+    it in place, and a new array otherwise. Later contributions add to
+    the grad in place, whichever array it is.
     """
     if not losses:
         raise ContractError("backward: needs at least one loss")
@@ -451,9 +460,14 @@ def backward(tape: Tape, *losses: Matrix) -> None:
             continue
         for m, contrib in entry.backward(g):
             if m.trainable:
-                if m.grad is None:
+                if m.grad is not None:
+                    m.grad += contrib
+                elif m._slot is not None:
+                    m._slot[...] = contrib
+                    m.grad = m._slot
+                else:
                     m.grad = np.zeros_like(m.data)
-                m.grad += contrib
+                    m.grad += contrib
             else:
                 key = id(m)
                 if key in adjoint:

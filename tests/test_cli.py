@@ -1,6 +1,7 @@
 """Command-line interface: files written, exit codes, determinism."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import branchcl as bc
-from branchcl.cli import main
+from branchcl.cli import load_snapshots, main
 
 SMOKE = str(Path(__file__).parent.parent / "configs" / "smoke.json")
 
@@ -164,6 +165,19 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir), "--out", str(second), "--batches", "2"]) == 0
         assert (first / "similarity.json").read_bytes() == (second / "similarity.json").read_bytes()
         assert (first / "vectors.csv").read_bytes() == (second / "vectors.csv").read_bytes()
+
+    def test_vectors_csv_matches_a_csv_writer(self, run_dir, tmp_path):
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(run_dir), "--out", str(out), "--batches", "2"]) == 0
+        rows = bc.expert_vectors(load_snapshots(run_dir, 0, 2))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["seed", "matrix", "task", "layer", "expert"]
+                        + [f"v{i}" for i in range(len(rows[0]["vector"]))])
+        for row in rows:
+            writer.writerow([0, row["matrix"], row["task"], row["layer"], row["expert"]]
+                            + [repr(float(v)) for v in row["vector"]])
+        assert (out / "vectors.csv").read_bytes() == buf.getvalue().encode()
 
     def test_not_a_run_dir(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path)]) == 1

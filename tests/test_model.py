@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import branchcl as bc
 from branchcl import ParameterError
 from branchcl.adapters import LAYERS
-from branchcl.cli import _dump_json
+from branchcl.cli import _dump_json, main
 
 
+SMOKE = str(Path(__file__).parent.parent / "configs" / "smoke.json")
 CFG = bc.ModelConfig(width=16, classes=4, layers=2)
 HP = bc.AdapterHyperparams(rank=8, alpha=16.0, experts=4, top_k=2)
 
@@ -295,3 +296,31 @@ def test_interrupted_writes_leave_the_previous_files(tmp_path):
     assert json.loads(report.read_text()) == {"acc": 2}
     assert not bc.load_model(ckpt).layers[0].branches[1].trainable
     assert sorted(os.listdir(ckpt)) == files
+
+    # each CSV file, written by the command that makes it, failing at its
+    # own replace: the file keeps the bytes it had. Each command writes
+    # what the next one reads before it fails.
+    run = tmp_path / "run"
+    run.mkdir()
+    commands = {
+        "report.csv": ["run", "--config", SMOKE, "--out", str(run)],
+        "efficiency.csv": ["analyze", str(run), "--batches", "2"],
+        "vectors.csv": ["analyze", str(run), "--batches", "2"],
+        "maa_curve.csv": ["report", str(run)],
+    }
+    replace = os.replace
+
+    def replace_except(name):
+        def fake(src, dst):
+            if Path(dst).name == name:
+                raise OSError("interrupted")
+            replace(src, dst)
+
+        return fake
+
+    for name, argv in commands.items():
+        (run / name).write_bytes(b"previous\r\n")
+        with mock.patch("os.replace", side_effect=replace_except(name)):
+            assert main(argv) == 1
+        assert (run / name).read_bytes() == b"previous\r\n"
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -1,6 +1,7 @@
 """The flat-arena optimizers against the per-matrix reference rule."""
 
 import gc
+import warnings
 import weakref
 from unittest import mock
 
@@ -60,7 +61,8 @@ def step_both(ref, opt, ref_params, params, grads):
     seed=st.integers(0, 2**32 - 1),
 )
 # a parameter skipped between two updated ones, after it has moments and a
-# stale grad slot: the pass must end at it, though all three fit a bucket
+# stale grad slot: all three fit a bucket, so one pass runs over it and must
+# put its values and moments back
 @example(kind="sgd", allow_missing=True, bucket=optim._BUCKET, run=SKIP_MIDDLE, seed=0)
 @example(kind="adam", allow_missing=True, bucket=optim._BUCKET, run=SKIP_MIDDLE, seed=0)
 def test_matches_per_matrix_reference(kind, allow_missing, bucket, run, seed):
@@ -139,6 +141,22 @@ def test_non_finite_update_raises_naming_the_first_matrix(kind):
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("kind", sorted(REFS))
+def test_skipped_non_finite_parameter_is_not_named(kind):
+    params = [bc.Matrix(np.ones((2, 3)), trainable=True, name=f"p{i}") for i in range(3)]
+    params[1].data[0, 0] = np.inf
+    params[1].trainable = False
+    opt = bc.make_optimizer(kind, params, lr=0.1)
+    params[0].grad = np.ones((2, 3))
+    params[2].grad = np.ones((2, 3))
+    assert opt.step() == 12
+    params[0].grad = np.ones((2, 3))
+    params[2].grad = np.full((2, 3), np.nan)
+    with pytest.raises(NumericError, match="parameter p2 ") as err:
+        opt.step()
+    assert err.value.index == 2
+
+
 def test_release_gives_each_matrix_its_own_bytes():
     a = bc.Matrix(np.ones((4, 4)), trainable=True)
     b = bc.Matrix(np.ones((4, 4)), trainable=False)
@@ -154,3 +172,118 @@ def test_release_gives_each_matrix_its_own_bytes():
     del opt
     gc.collect()
     assert arena() is None
+
+
+def reach(params, x, t, middle):
+    """Grads of three losses through a real backward: p0 and p2 each get
+    two contributions, and p1 only when `middle` is set."""
+    w0, w1, w2, w3 = params
+    with bc.Tape() as tape:
+        h = bc.tanh(bc.matmul(x, w0))
+        if middle:
+            h = bc.tanh(bc.matmul(h, w1))
+        again = bc.tanh(bc.matmul(x, w0))
+        bc.backward(
+            tape,
+            bc.mse_loss(bc.matmul(h, w2), t),
+            bc.mse_loss(bc.matmul(again, w2), t),
+            bc.mse_loss(bc.matmul(x, w3), t),
+        )
+
+
+@pytest.mark.parametrize("kind", sorted(REFS))
+def test_backward_into_slots_matches_reference(kind):
+    rng = np.random.default_rng(5)
+    ref_params, params = twin_params(rng, [(4, 3), (3, 3), (3, 2), (4, 2)])
+    ref = REFS[kind](ref_params, lr=0.05, allow_missing=True)
+    opt = bc.make_optimizer(kind, params, lr=0.05, allow_missing=True)
+    # p1 is first skipped with no step yet, later after steps of its own;
+    # once it is frozen after its backward, so it keeps that grad in its
+    # slot through the step, and the next backward adds to it
+    for middle, frozen in ((False, False), (True, False), (False, False),
+                           (True, True), (True, False), (False, False), (True, False)):
+        x = bc.Matrix(rng.standard_normal((5, 4)))
+        t = bc.Matrix(rng.standard_normal((5, 2)))
+        reach(ref_params, x, t, middle)
+        reach(params, x, t, middle)
+        params[1].trainable = ref_params[1].trainable = not frozen
+        for p, q in zip(params, ref_params):
+            assert (p.grad is None) == (q.grad is None)
+            if p.grad is not None:
+                assert p.grad is p._slot
+                assert p.grad.tobytes() == q.grad.tobytes()
+        kept = params[1].data.tobytes()
+        assert opt.step() == ref.step()
+        for p, q in zip(params, ref_params):
+            assert p.data.tobytes() == q.data.tobytes()
+        if frozen:
+            assert params[1].data.tobytes() == kept
+            assert params[1].grad is params[1]._slot
+            assert params[1].grad.tobytes() == ref_params[1].grad.tobytes()
+            params[1].trainable = ref_params[1].trainable = True
+
+
+@pytest.mark.parametrize("kind", ["moelora", "branchlora"])
+def test_backward_allocates_no_grad_for_optimized_leaves(kind):
+    model = bc.build_model(kind, bc.ModelConfig(width=16, classes=4, layers=2),
+                           bc.AdapterHyperparams(rank=8, alpha=16.0, experts=4, top_k=2), seed=0)
+    model.start_task(0)
+    leaves = model.trainable_params()
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((16, 16)), rng.integers(0, 4, 16)
+    zeros_like = np.zeros_like
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(any(a is p.data for p in leaves))
+        return zeros_like(a, *args, **kwargs)
+
+    # one batch: the whole set, one epoch
+    with mock.patch.object(np, "zeros_like", counted):
+        bc.train_task(model, x, y, 0, 1, 16, 1e-3, "adam", rng)
+    assert not any(calls)
+    # outside an optimizer, backward still allocates each leaf's grad
+    with mock.patch.object(np, "zeros_like", counted):
+        with bc.Tape() as tape:
+            bc.backward(tape, bc.mse_loss(bc.matmul(bc.Matrix(x), leaves[0]),
+                                          bc.Matrix(np.zeros((16, leaves[0].cols)))))
+    assert any(calls)
+
+
+def test_release_drops_the_grad_slots():
+    w = bc.Matrix(np.ones((2, 2)), trainable=True)
+    x = bc.Matrix(np.arange(6.0).reshape(3, 2))
+
+    def grad_of_loss():
+        with bc.Tape() as tape:
+            bc.backward(tape, bc.mse_loss(bc.matmul(x, w), x))
+
+    opt = bc.make_optimizer("adam", [w], lr=0.1)
+    grad_of_loss()
+    buffer = weakref.ref(w.grad.base)
+    assert w.grad is w._slot
+    opt.release()
+    assert w.grad is None and w._slot is None
+    grad_of_loss()
+    assert w.grad.base is None
+    del opt
+    gc.collect()
+    assert buffer() is None
+
+
+def test_skipped_parameter_with_a_large_stale_slot_is_unchanged():
+    # p1's grad is large enough that one more step's arithmetic on it, with
+    # the stale grad still in its slot or the correction of a later step
+    # count, would overflow
+    rng = np.random.default_rng(2)
+    shapes = [(2, 2)] * 3
+    ref_params, params = twin_params(rng, shapes)
+    ref = RefAdam(ref_params, lr=0.05, allow_missing=True)
+    opt = bc.make_optimizer("adam", params, lr=0.05, allow_missing=True)
+    big = np.full((2, 2), 1.3e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grads in ([None, big, None], [None, big, None],
+                      [rng.standard_normal((2, 2)), None, rng.standard_normal((2, 2))],
+                      [rng.standard_normal((2, 2)) for _ in shapes]):
+            step_both(ref, opt, ref_params, params, grads)
