@@ -147,11 +147,16 @@ def evaluate(
     raises NumericError naming the method, the task and the first bad row,
     before any forward: argmax would silently score such a row as class 0.
 
-    The whole split runs as one forward with every row routed on its own
-    (``per_row``). branchlora still runs one forward per row: the
-    benchmark's per-sample timer (``bench/worker.py``) charges the time up
-    to each forward to that forward's rows, so grouping rows by selected
-    task would charge the whole split's task selection to the first group.
+    The other kinds run the whole split as one forward with every row
+    routed on its own (``per_row``). branchlora runs one `select_task` call
+    and one forward per row. That is the benchmark's contract: its
+    per-sample timer (``bench/worker.py``) charges the time up to each
+    forward to that forward's rows, and its tests pin one forward per row,
+    so grouping rows by selected task (ROADMAP item 4) waits for a change
+    to the benchmark. Such a row costs about 70 us at eval-many-tasks
+    shapes (two 32-wide layers, eight task keys, a shared 2-core x86
+    machine), almost all of it the fixed cost of a few dozen small numpy
+    calls; a batched moelora row costs about 1.6 us.
     """
     if selector not in ("oracle", "auto"):
         raise ParameterError(f"selector must be 'oracle' or 'auto', got {selector!r}")
@@ -169,7 +174,7 @@ def evaluate(
     for row, label in zip(x, y):
         tid = task.task_id if keys is None else select_task(row, keys)
         logits, _ = model.forward(Matrix(row[None]), tid)
-        hits += int(np.argmax(logits.data[0]) == label)
+        hits += int(logits.data[0].argmax() == label)
     return hits / len(y)
 
 

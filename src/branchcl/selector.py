@@ -15,13 +15,13 @@ from .errors import ContractError, DimensionError, SelectorError
 from .tensor import Matrix, cosine_loss
 
 
-def _views(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The image and text views: the two halves of the last axis."""
-    width = a.shape[-1]
+def _views(a: np.ndarray) -> np.ndarray:
+    """The image and text views of the rows of a B x d array, its two
+    halves along d, as one B x 2 x d/2 view."""
+    rows, width = a.shape
     if width % 2 != 0:
         raise DimensionError(f"input length {width} is odd, cannot split into two views")
-    half = width // 2
-    return a[..., :half], a[..., half:]
+    return a.reshape(rows, 2, width // 2)
 
 
 class TaskKeys:
@@ -84,38 +84,44 @@ class StackedKeys:
     again after training a task.
     """
 
-    __slots__ = ("task_ids", "k_img", "k_txt", "nk_img", "nk_txt")
+    __slots__ = ("task_ids", "keys", "norms")
 
     def __init__(self, keys: list[TaskKeys]):
         if not keys:
             raise SelectorError("no task keys registered")
         self.task_ids = [k.task_id for k in keys]
-        self.k_img = np.vstack([k.k_img.data for k in keys])
-        self.k_txt = np.vstack([k.k_txt.data for k in keys])
+        # (2, T, half): the image keys of every task, then the text keys
+        self.keys = np.stack(
+            [np.vstack([k.k_img.data for k in keys]), np.vstack([k.k_txt.data for k in keys])]
+        )
         # vecdot takes each key's dot product with the same BLAS dot as a
         # one-key `v @ k`, so the scores match scoring the keys one at a time.
-        self.nk_img = np.sqrt(np.vecdot(self.k_img, self.k_img))
-        self.nk_txt = np.sqrt(np.vecdot(self.k_txt, self.k_txt))
-        zero = np.flatnonzero((self.nk_img == 0.0) | (self.nk_txt == 0.0))
+        self.norms = np.sqrt(np.vecdot(self.keys, self.keys))
+        zero = np.flatnonzero((self.norms == 0.0).any(axis=0))
         if zero.size:
             raise SelectorError(f"keys for task {self.task_ids[zero[0]]} have zero norm")
 
-    def scores(self, img: np.ndarray, txt: np.ndarray) -> np.ndarray:
+    def scores(self, x: np.ndarray) -> np.ndarray:
         """The B x T matrix of cos(img_i, k_img) + cos(txt_i, k_txt) for
-        the B rows of the two views and the T tasks.
+        the B input rows of x, img_i and txt_i being the halves of row i,
+        and the T tasks.
 
         Each cosine takes one BLAS dot per (row, key), as scoring a single
         row against a single key does, so a batch scores bit-identically
         to its rows scored one at a time.
         """
-        n_img = np.sqrt(np.vecdot(img, img))[:, None]
-        n_txt = np.sqrt(np.vecdot(txt, txt))[:, None]
-        if np.any(n_img == 0.0) or np.any(n_txt == 0.0):
+        if x.ndim != 2:
+            raise DimensionError(f"scores takes a B x d matrix of input rows, got shape {x.shape}")
+        v = _views(x)  # (B, 2, half)
+        if v.shape[-1] != self.keys.shape[-1]:
+            raise DimensionError(
+                f"input views are {v.shape[-1]} wide, the task keys are {self.keys.shape[-1]} wide"
+            )
+        n = np.sqrt(np.vecdot(v, v))
+        if not n.all():
             raise SelectorError("sample embedding has zero norm")
-        return (
-            np.vecdot(self.k_img, img[:, None, :]) / (n_img * self.nk_img)
-            + np.vecdot(self.k_txt, txt[:, None, :]) / (n_txt * self.nk_txt)
-        )
+        c = np.vecdot(self.keys, v[:, :, None, :]) / (n[:, :, None] * self.norms)
+        return c[:, 0] + c[:, 1]
 
 
 def alignment_loss(x: Matrix, keys: TaskKeys, weight: float) -> Matrix:
@@ -129,18 +135,23 @@ def alignment_loss(x: Matrix, keys: TaskKeys, weight: float) -> Matrix:
     """
     if x.requires_grad:
         raise ContractError("alignment_loss: the input batch must be a constant")
-    img, txt = _views(x.data)
-    return cosine_loss([(img, keys.k_img), (txt, keys.k_txt)], weight)
+    v = _views(x.data)
+    return cosine_loss([(v[:, 0], keys.k_img), (v[:, 1], keys.k_txt)], weight)
 
 
 def select_task(x: np.ndarray, keys: StackedKeys) -> int:
     """Return the task id whose keys best match the two views of input row x.
 
-    A task scores cos(img, k_img) + cos(txt, k_txt), img and txt being the
-    two halves of x. Ties break toward the lowest task index.
+    x is one row: a 1-D array or a 1 x d matrix. A task scores
+    cos(img, k_img) + cos(txt, k_txt), img and txt being the two halves of
+    x. Ties break toward the lowest task index.
     """
-    img, txt = _views(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return keys.task_ids[int(np.argmax(keys.scores(img, txt)[0]))]
+    row = np.asarray(x, dtype=np.float64)
+    if row.ndim == 1:
+        row = row[None]
+    elif row.ndim != 2 or row.shape[0] != 1:
+        raise DimensionError(f"select_task takes one input row, got shape {row.shape}")
+    return keys.task_ids[keys.scores(row)[0].argmax()]
 
 
 def selector_accuracy(x: np.ndarray, task_ids: np.ndarray, store: KeyStore) -> float:
@@ -154,7 +165,7 @@ def selector_accuracy(x: np.ndarray, task_ids: np.ndarray, store: KeyStore) -> f
     if len(x) != len(task_ids):
         raise DimensionError(f"selector_accuracy: {len(x)} rows vs {len(task_ids)} task ids")
     keys = store.stack()
-    img, txt = _views(np.asarray(x, dtype=np.float64))
-    chosen = np.asarray(keys.task_ids)[np.argmax(keys.scores(img, txt), axis=1)]
+    scores = keys.scores(np.asarray(x, dtype=np.float64))
+    chosen = np.asarray(keys.task_ids)[np.argmax(scores, axis=1)]
     hits = int(np.count_nonzero(chosen == np.asarray(task_ids)))
     return hits / len(x)

@@ -190,10 +190,10 @@ def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Mat
     built. Gradients reach the rows of x that were scored and the router;
     masked columns get exactly zero.
     """
-    n = router.cols
-    if x.cols != router.rows:
+    d, n = router.data.shape
+    if x.data.shape[1] != d:
         raise DimensionError(
-            f"router_gate: x has {x.cols} columns, router has {router.rows} rows"
+            f"router_gate: x has {x.data.shape[1]} columns, router has {d} rows"
         )
     if not 1 <= k <= n:
         raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
@@ -202,10 +202,11 @@ def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Mat
     e = np.exp(s - s.max(axis=1, keepdims=True))
     keep = None
     if k < n:
-        keep = np.zeros(s.shape, dtype=bool)
-        top = np.argsort(-s, axis=1, kind="stable")[:, :k]
-        keep[np.arange(len(s))[:, None], top] = True
-        e = np.where(keep, e, 0.0)
+        # a column's rank in its row's stable descending order: the k
+        # columns ranked below k are kept, the lowest first among ties
+        rank = (-s).argsort(axis=1, kind="stable").argsort(axis=1, kind="stable")
+        keep = rank < k
+        e *= keep
     y = e / e.sum(axis=1, keepdims=True)
     out = _result(y, x.requires_grad or router.requires_grad)
 
@@ -256,16 +257,20 @@ def adapter(
     shared_a = len(a) == 1
     if not shared_a and len(a) != n:
         raise DimensionError(f"adapter: {len(a)} A matrices for {n} B matrices, need 1 or {n}")
-    d_in, d_out = w.shape
+    rows, d_in = x.data.shape
+    d_w, d_out = w.data.shape
+    a_shapes = [aj.data.shape for aj in a]
+    b_shapes = [bj.data.shape for bj in b]
+    # B_j must be r x d_out, r the width of the A it follows
+    ranks = [sa[1] for sa in a_shapes] * (n if shared_a else 1)
     if (
-        x.cols != d_in
-        or any(aj.rows != d_in for aj in a)
-        or any(bj.cols != d_out for bj in b)
-        or any(a[0 if shared_a else j].cols != bj.rows for j, bj in enumerate(b))
+        d_w != d_in
+        or [sa[0] for sa in a_shapes] != [d_in] * len(a)
+        or b_shapes != [(r, d_out) for r in ranks]
     ):
         raise DimensionError(
-            f"adapter: shapes do not chain, x {x.shape}, w {w.shape}, "
-            f"a {[aj.shape for aj in a]}, b {[bj.shape for bj in b]}"
+            f"adapter: shapes do not chain, x {x.data.shape}, w {w.data.shape}, "
+            f"a {a_shapes}, b {b_shapes}"
         )
     if w.requires_grad:
         raise ContractError("adapter: w must be a constant")
@@ -273,18 +278,25 @@ def adapter(
         if n != 1:
             raise DimensionError(f"adapter: without a gate b must hold one matrix, got {n}")
         live = [0]
+        weights = [None]
+        shared_gate = False
     else:
-        if gate.cols != n:
-            raise DimensionError(f"adapter: gate width {gate.cols} != {n} B matrices")
-        if gate.rows not in (1, x.rows):
+        g_rows, g_cols = gate.data.shape
+        if g_cols != n:
+            raise DimensionError(f"adapter: gate width {g_cols} != {n} B matrices")
+        shared_gate = g_rows == 1
+        if shared_gate:
+            # one shared row: its live columns and their weights as floats
+            row = gate.data[0].tolist()
+            live = [j for j, v in enumerate(row) if v != 0.0]
+            weights = [row[j] for j in live]
+        elif g_rows == rows:
+            live = np.flatnonzero((gate.data != 0.0).any(axis=0)).tolist()
+            weights = [gate.data[:, j : j + 1] for j in live]
+        else:
             raise DimensionError(
-                f"adapter: gate has {gate.rows} rows, need 1 or one per row of x ({x.rows})"
+                f"adapter: gate has {g_rows} rows, need 1 or one per row of x ({rows})"
             )
-        live = [int(j) for j in np.flatnonzero((gate.data != 0.0).any(axis=0))]
-    shared_gate = gate is not None and gate.rows == 1
-
-    def weight(j: int):
-        return gate.data[0, j] if shared_gate else gate.data[:, j : j + 1]
 
     flow = any(m.requires_grad for m in (x, *a, *b)) or (gate is not None and gate.requires_grad)
     # The gate's gradient needs each unweighted term; keep them only when a
@@ -292,8 +304,8 @@ def adapter(
     keep = gate is not None and gate.requires_grad and _active_tape() is not None
     xa = {}  # x A_k, keyed by the index of A
     parts = []
-    delta = None if gate is None else np.zeros((x.rows, d_out))
-    for j in live:
+    delta = None if gate is None else np.zeros((rows, d_out))
+    for j, wj in zip(live, weights):
         k = 0 if shared_a else j
         if k not in xa:
             xa[k] = x.data @ a[k].data
@@ -301,7 +313,7 @@ def adapter(
         if gate is None:
             delta = p
         else:
-            delta += weight(j) * p
+            delta += wj * p
         if keep:
             parts.append(p)
     h = x.data @ w.data
@@ -319,9 +331,9 @@ def adapter(
             contribs.append((gate, dg))
         # Last term first: the summation order the docstring fixes.
         d_xa = {}
-        for j in reversed(live):
+        for j, wj in reversed(list(zip(live, weights))):
             k = 0 if shared_a else j
-            gp = gs if gate is None else weight(j) * gs
+            gp = gs if gate is None else wj * gs
             if b[j].requires_grad:
                 contribs.append((b[j], xa[k].T @ gp))
             if x.requires_grad or a[k].requires_grad:

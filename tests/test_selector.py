@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchcl as bc
 from branchcl import ContractError, DimensionError, SelectorError
@@ -166,6 +168,45 @@ class TestSelectTask:
             x = rng.standard_normal(16)
             assert bc.select_task(x, store.stack()) == select_task_oracle(x, pairs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(
+            st.lists(st.integers(1, 2) | st.integers(-2, -1), min_size=6, max_size=6),
+            min_size=1, max_size=3,
+        ),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        x=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+    )
+    def test_duplicated_keys_tie_to_the_lowest_task(self, pool, picks, x):
+        # each task takes its key pair from a small pool, so several tasks
+        # can hold the very same keys and score exactly alike
+        held = [p % len(pool) for p in picks]  # the pool entry each task holds
+        pairs = [(np.array(pool[i][:3], float), np.array(pool[i][3:], float)) for i in held]
+        store = bc.KeyStore()
+        for t, (ki, kt) in enumerate(pairs):
+            keys = store.add(t, 3, np.random.default_rng(t))
+            keys.k_img.data[0], keys.k_txt.data[0] = ki, kt
+        row = np.array(x, dtype=np.float64)
+        if not (row[:3].any() and row[3:].any()):
+            row[[0, 3]] = 1.0
+        chosen = bc.select_task(row, store.stack())
+        assert chosen == select_task_oracle(row, pairs)
+        assert chosen == held.index(held[chosen])
+
+    def test_takes_exactly_one_row(self):
+        store = self.build_store()
+        keys = store.stack()
+        row = embed([0.1, 0.9], [0.0, 1.0])
+        assert bc.select_task(row, keys) == bc.select_task(row[None], keys) == 1
+        for bad in (np.vstack([row, row]), row[None, None], np.float64(1.0), row[:, None]):
+            with pytest.raises(DimensionError, match="one input row"):
+                bc.select_task(bad, keys)
+
+    def test_width_mismatch_rejected(self):
+        # a 6-wide row has 3-wide views, the keys are 2 wide
+        with pytest.raises(DimensionError, match="3 wide.*2 wide"):
+            bc.select_task(np.ones(6), self.build_store().stack())
+
     def test_empty_store_rejected(self):
         with pytest.raises(SelectorError):
             bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), bc.KeyStore().stack())
@@ -210,9 +251,9 @@ class TestSelectorAccuracy:
             keys = store.stack()
             x = rng.standard_normal((int(rng.integers(1, 40)), 16))
             ids = rng.integers(0, tasks, size=len(x))
-            batch_scores = keys.scores(x[:, :8], x[:, 8:])
+            batch_scores = keys.scores(x)
             for i, row in enumerate(x):
-                np.testing.assert_array_equal(batch_scores[i], keys.scores(row[None, :8], row[None, 8:])[0])
+                np.testing.assert_array_equal(batch_scores[i], keys.scores(row[None])[0])
             hits = sum(bc.select_task(row, keys) == tid for row, tid in zip(x, ids))
             assert bc.selector_accuracy(x, ids, store) == hits / len(x)
 
@@ -226,6 +267,12 @@ class TestSelectorAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(SelectorError):
             bc.selector_accuracy(np.zeros((0, 4)), np.zeros(0, dtype=int), bc.KeyStore())
+
+    def test_width_mismatch_rejected(self):
+        store = bc.KeyStore()
+        store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DimensionError, match="3 wide.*2 wide"):
+            bc.selector_accuracy(np.ones((2, 6)), np.array([0, 0]), store)
 
     def test_length_mismatch_rejected(self):
         store = bc.KeyStore()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import branchcl as bc
 from branchcl import (
@@ -120,6 +123,27 @@ class TestValues:
         np.testing.assert_array_equal(
             bc.router_gate(eye, router, 2, per_row=True).data, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_router_gate_matches_oracle_under_ties(self, data):
+        # Scores from five integers tie often. x is the identity, so row i
+        # of the router is row i's scores, exactly.
+        rows = data.draw(st.integers(1, 5), label="rows")
+        n = data.draw(st.integers(1, 6), label="columns")
+        k = data.draw(st.integers(1, n), label="k")
+        per_row = data.draw(st.booleans(), label="per_row")
+        scores = data.draw(
+            arrays(np.float64, (rows, n), elements=st.integers(-2, 2).map(float)), label="scores"
+        )
+        x = np.eye(rows)
+        out = bc.router_gate(mat(x), mat(scores), k, per_row=per_row).data
+        ref = oracles.gate_rows_oracle(x if per_row else x[:1], scores, k)
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(out != 0.0, ref != 0.0)
+        # the oracle sums the kept entries in descending order, the op in
+        # column order: the values may differ in the last bit
+        np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0.0)
 
     def test_adapter_weighs_each_gated_pair(self):
         # x = [[1]] and A = [[1]]: each B row is weighted by its gate entry
