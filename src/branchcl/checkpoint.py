@@ -12,9 +12,10 @@ router task in order) and overwrites each named matrix with the saved
 bytes and flag, so the loaded model has the saved one's matrix names and
 rng states: the next task it starts draws what the saved model would
 have drawn. A manifest whose names or shapes differ from the rebuilt
-model's is rejected, as is a seed or a tensor entry of the wrong type.
-The loader does not read the manifest's key task ids, nor the per-layer
-freeze flags of older manifests: the tensor names and flags say the same.
+model's is rejected, as is a kind, seed, router task list or tensor entry
+of the wrong type. The loader does not read the manifest's key task ids,
+nor the per-layer freeze flags of older manifests: the tensor names and
+flags say the same.
 
 The manifest is written last and atomically (`write_atomic`), so a save
 that stops part way leaves the previous manifest whole.
@@ -105,6 +106,11 @@ _TENSOR_KEYS = {
 }
 
 
+def _is_count(value) -> bool:
+    # bool is an int subclass, so it is refused where an int is wanted
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _check_tensor_spec(manifest_path: Path, name: str, spec) -> None:
     if not isinstance(spec, dict):
         raise ContractError(f"{manifest_path}: tensor {name}: entry is not a JSON object")
@@ -153,11 +159,23 @@ def load_model(directory: str | Path) -> ContinualModel:
         if key not in manifest:
             raise ContractError(f"{manifest_path}: manifest has no {key!r}")
     kind = manifest["kind"]
-    if kind not in LAYERS:
-        raise ContractError(f"{manifest_path}: unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in LAYERS:
+        raise ContractError(
+            f"{manifest_path}: 'kind' must be one of {sorted(LAYERS)}, got {kind!r}"
+        )
     seed = manifest["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_count(seed):
         raise ContractError(f"{manifest_path}: 'seed' must be a non-negative int, got {seed!r}")
+    router_tasks = manifest["router_tasks"]
+    if (
+        not isinstance(router_tasks, list)
+        or not all(_is_count(t) for t in router_tasks)
+        or len(set(router_tasks)) != len(router_tasks)
+    ):
+        raise ContractError(
+            f"{manifest_path}: 'router_tasks' must be a list of distinct non-negative ints, "
+            f"got {router_tasks!r}"
+        )
 
     def section(key: str, cls):
         try:
@@ -169,7 +187,7 @@ def load_model(directory: str | Path) -> ContinualModel:
         kind, section("model", ModelConfig), section("hyperparams", AdapterHyperparams),
         seed,
     )
-    for t in manifest["router_tasks"]:
+    for t in router_tasks:
         model.start_task(t)
     tensors = manifest["tensors"]
     if not isinstance(tensors, dict):

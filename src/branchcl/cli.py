@@ -70,7 +70,6 @@ def cmd_run(args) -> int:
         result = run_seed(cfg, seed, out_dir=str(out_dir))
         per_seed[seed] = result["report"]
         timings[seed] = result["timings"]
-        del result  # else its trained models stay alive through the next seed
         print(f"seed {seed} done")
 
     # The report must not depend on where it was written.

@@ -276,8 +276,8 @@ def run_seed(
 ) -> dict:
     """Run every configured method on one seed's stream.
 
-    Returns {"report": ..., "timings": ..., "models": ...}. Only "report"
-    is deterministic; timings are wall-clock measurements. With `out_dir`,
+    Returns {"report": ..., "timings": ...}. Only "report" is
+    deterministic; timings are wall-clock measurements. With `out_dir`,
     each method's checkpoints go under `out_dir/checkpoints`.
     """
     s = config.stream
@@ -297,12 +297,10 @@ def run_seed(
     mcfg = ModelConfig(width=stream.dim, classes=stream.classes, layers=config.adapter.layers)
     methods_out: dict[str, dict] = {}
     timings: dict[str, dict] = {}
-    models: dict[str, ContinualModel] = {}
 
     for method in config.methods:
         # multitask trains a lora model on all tasks at once
         model = build_model("lora" if method == "multitask" else method, mcfg, hp, seed)
-        models[method] = model
         guard = ImmutabilityGuard()
         guard.track(model.all_named_matrices())
 
@@ -337,7 +335,7 @@ def run_seed(
         "stream_fingerprint": fingerprint,
         "methods": methods_out,
     }
-    return {"report": report, "timings": timings, "models": models}
+    return {"report": report, "timings": timings}
 
 
 def aggregate_reports(config_dict: dict, per_seed: dict[int, dict]) -> dict:

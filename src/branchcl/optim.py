@@ -24,19 +24,22 @@ is freed with the arena.
 grads, and returns the number of scalar values updated (used by the
 analysis module to cross-check parameter counts). Non-trainable parameters
 are skipped entirely, so freezing a matrix mid-run is just flipping its
-flag. The update runs as a few numpy calls per pass. When the updated
+flag. A step never touches a parameter it skips: its values, grad slot,
+and for Adam its moments and step count, keep their bytes.
+
+The update runs as a few numpy calls per pass. When the updated
 parameters, from the first to the last, span at most `_BUCKET` elements,
-the step is one pass over that span: each parameter inside it that the
-step skips has its values (and Adam's moments) saved before the pass and
-written back after it, so it keeps its values, moments and step count.
+the step is one pass over that span, and each call of the pass is given a
+``where=`` mask that is False on the parameters the step skips inside it.
 A wider step has a pass per run of consecutive updated parameters, cut
 only between parameters into at most `_BUCKET` elements, unless it is one
-parameter larger than that. So scratch is never wider than the larger of
-a bucket and the largest parameter. A pass makes the same elementwise
-operations in the same order as an update of one matrix at a time, so the
-results are bit for bit the same. Each pass then checks the values of the
-parameters it updated: a NaN or inf raises `NumericError` naming the
-first matrix that holds one, with its index in the optimizer's list.
+parameter larger than that; such a pass skips nothing, so it needs no
+mask. Scratch is never wider than the larger of a bucket and the largest
+parameter. A pass makes the same elementwise operations in the same order
+as an update of one matrix at a time, so the results are bit for bit the
+same. Each pass then checks the values of the parameters it updated: a
+NaN or inf raises `NumericError` naming the first matrix that holds one,
+with its index in the optimizer's list.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
@@ -55,6 +58,9 @@ from .tensor import Matrix
 
 # elements per fused pass; the default shapes fit in one
 _BUCKET = 1 << 14
+
+# Adam's decay rates of the two moments, and the eps added to sqrt(v)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class _Arena:
@@ -79,10 +85,7 @@ class _Arena:
         self._starts = np.cumsum([0] + self._sizes).tolist()
         total = self._starts[-1]
         self._flat = np.empty(total)
-        # zeroed, so that no slot a pass reads holds uninitialised bytes
         self._grad = np.zeros(total)
-        # the arrays a pass writes, whose skipped segments it puts back
-        self._state = [self._flat]
         # per parameter: the matrix, its arena view, its grad slot, its size
         self._slots = []
         for p, lo, hi in zip(self.params, self._starts, self._starts[1:]):
@@ -159,24 +162,20 @@ class _Arena:
                 passes.append([i, i + 1])
         return passes, []
 
-    def _hold(self, skipped: list[int]) -> list:
-        """Copies of what a pass writes in each skipped parameter's segment.
-        A skipped slot that is not its parameter's grad is zeroed first:
-        its stale grad could overflow in the pass's discarded arithmetic."""
-        held = []
+    def _where(self, a: int, b: int, skipped: list[int]):
+        """The ``where=`` of every call of the pass over [a, b): True if it
+        skips no parameter, else a mask over its elements that is False on
+        each skipped one. The mask lives in `_finite`, which `_check` fills
+        only after the pass."""
+        if not skipped:
+            return True
         starts = self._starts
+        lo = starts[a]
+        mask = self._finite[: starts[b] - lo]
+        mask[...] = True
         for i in skipped:
-            p, _, slot, _ = self._slots[i]
-            if p.grad is not slot:
-                slot[...] = 0.0
-            lo, hi = starts[i], starts[i + 1]
-            held.append((lo, hi, [s[..., lo:hi].copy() for s in self._state]))
-        return held
-
-    def _put_back(self, held: list) -> None:
-        for lo, hi, saved in held:
-            for s, v in zip(self._state, saved):
-                s[..., lo:hi] = v
+            mask[starts[i] - lo : starts[i + 1] - lo] = False
+        return mask
 
     def _check(self, a: int, b: int, skipped: list[int]) -> None:
         """Raise NumericError if a parameter in [a, b) that the step
@@ -207,14 +206,13 @@ class Sgd(_Arena):
         if not active:
             return 0
         passes, skipped = self._passes(active)
-        held = self._hold(skipped)
         for a, b in passes:
             lo, hi = self._starts[a], self._starts[b]
+            on = self._where(a, b, skipped)
             g, w = self._grad[lo:hi], self._flat[lo:hi]
             upd = self._scratch[0, : hi - lo]
-            np.multiply(g, self.lr, out=upd)
-            np.subtract(w, upd, out=w)
-            self._put_back(held)
+            np.multiply(g, self.lr, out=upd, where=on)
+            np.subtract(w, upd, out=w, where=on)
             self._check(a, b, skipped)
         return updated
 
@@ -224,27 +222,14 @@ class Adam(_Arena):
 
     kind = "adam"
     scratch_rows = 2
+    # per moment row m, v: its decay rate, and the weight of the new grad
+    _decay = np.array([[_BETA1], [_BETA2]])
+    _mix = 1.0 - _decay
 
-    def __init__(
-        self,
-        params: list[Matrix],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        allow_missing: bool = False,
-    ):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ParameterError(f"adam: betas must lie in [0, 1), got {beta1}, {beta2}")
+    def __init__(self, params: list[Matrix], lr: float = 1e-3, allow_missing: bool = False):
         super().__init__(params, lr, allow_missing)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         # rows m and v, so that one call updates both moments
         self._moments = np.zeros((2, self._flat.size))
-        self._state.append(self._moments)
-        self._decay = np.array([[self.beta1], [self.beta2]])
-        self._mix = np.array([[1.0 - self.beta1], [1.0 - self.beta2]])
         self._t = [0] * len(self.params)
 
     def step(self) -> int:
@@ -254,40 +239,35 @@ class Adam(_Arena):
         t = self._t
         for i in active:
             t[i] += 1
-        b1, b2 = self.beta1, self.beta2
         passes, skipped = self._passes(active)
         steps = {t[i] for i in active}
-        if len(steps) == 1 and not skipped:
+        if len(steps) == 1:
             (k,) = steps
-            c = np.array([[1.0 - b1**k], [1.0 - b2**k]])
+            c = np.array([[1.0 - _BETA1**k], [1.0 - _BETA2**k]])
             per_param = None
         else:
-            # a skipped parameter's own correction keeps the pass's discarded
-            # arithmetic on it within what its last step computed; one with
-            # no step yet must not divide by zero
-            ks = [max(k, 1) for k in t]
-            per_param = np.array([[1.0 - b1**k for k in ks], [1.0 - b2**k for k in ks]])
-        held = self._hold(skipped)
+            # 0 for a parameter with no step yet, which a mask keeps out
+            per_param = np.array([[1.0 - _BETA1**k for k in t], [1.0 - _BETA2**k for k in t]])
         for a, b in passes:
             lo, hi = self._starts[a], self._starts[b]
             if per_param is not None:
                 c = per_param[:, a:b].repeat(self._sizes[a:b], axis=1)
+            on = self._where(a, b, skipped)
             g, mv, w = self._grad[lo:hi], self._moments[:, lo:hi], self._flat[lo:hi]
             s = self._scratch[:, : hi - lo]
             # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-            np.multiply(mv, self._decay, out=mv)
-            np.multiply(g, self._mix, out=s)
-            np.multiply(s[1], g, out=s[1])
-            np.add(mv, s, out=mv)
+            np.multiply(mv, self._decay, out=mv, where=on)
+            np.multiply(g, self._mix, out=s, where=on)
+            np.multiply(s[1], g, out=s[1], where=on)
+            np.add(mv, s, out=mv, where=on)
             # w -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
-            np.divide(mv, c, out=s)
+            np.divide(mv, c, out=s, where=on)
             upd, root = s
-            np.multiply(upd, self.lr, out=upd)
-            np.sqrt(root, out=root)
-            np.add(root, self.eps, out=root)
-            np.divide(upd, root, out=upd)
-            np.subtract(w, upd, out=w)
-            self._put_back(held)
+            np.multiply(upd, self.lr, out=upd, where=on)
+            np.sqrt(root, out=root, where=on)
+            np.add(root, _EPS, out=root, where=on)
+            np.divide(upd, root, out=upd, where=on)
+            np.subtract(w, upd, out=w, where=on)
             self._check(a, b, skipped)
         return updated
 

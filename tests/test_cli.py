@@ -215,9 +215,19 @@ class TestAnalyze:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key", ["router_tasks", "model", "seed", "file", "rows", "cols", "trainable"]
+        "key, value",
+        [
+            pytest.param(key, None, id=key)
+            for key in ("router_tasks", "model", "seed", "file", "rows", "cols", "trainable")
+        ]
+        # a value that replaces the key's own
+        + [
+            pytest.param("router_tasks", 3, id="router_tasks_int"),
+            pytest.param("router_tasks", "01", id="router_tasks_str"),
+            pytest.param("kind", ["lora"], id="kind_list"),
+        ],
     )
-    def test_malformed_manifest_is_one_error_line(self, run_dir, tmp_path, capsys, key):
+    def test_malformed_manifest_is_one_error_line(self, run_dir, tmp_path, capsys, key, value):
         import shutil
 
         broken = tmp_path / "broken"
@@ -225,7 +235,9 @@ class TestAnalyze:
         path = broken / "checkpoints" / "seed0" / "moelora" / "task1" / "manifest.json"
         manifest = json.loads(path.read_text())
         entry = next(iter(manifest["tensors"].values()))
-        if key == "router_tasks":
+        if value is not None:
+            manifest[key] = value
+        elif key == "router_tasks":
             del manifest["router_tasks"]
         elif key == "model":
             manifest["model"]["depth"] = 3

@@ -182,6 +182,13 @@ class TestRunSeedReport:
         assert again["report"] == result["report"]
 
 
+def trained_branchlora(cfg, out_dir):
+    """Run `cfg` on seed 0 and load branchlora's model after its last task."""
+    result = bc.run_seed(cfg, 0, out_dir=out_dir)
+    last = out_dir / "checkpoints" / "seed0" / "branchlora" / f"task{cfg.stream.tasks - 1}"
+    return result, bc.load_model(last)
+
+
 class TestInvariants:
     def test_repeating_one_task_keeps_bwt_near_zero(self):
         # every "task" is the same data, so nothing can be forgotten; run at
@@ -199,14 +206,13 @@ class TestInvariants:
         for method, entry in result["report"]["methods"].items():
             assert abs(entry["metrics"]["bwt"]) < 0.02, method
 
-    def test_keys_never_move_when_alignment_is_off(self, smoke_cfg):
+    def test_keys_never_move_when_alignment_is_off(self, smoke_cfg, tmp_path):
         cfg = dataclasses.replace(
             smoke_cfg,
             adapter=dataclasses.replace(smoke_cfg.adapter, align_weight=0.0),
             methods=("branchlora",),
         )
-        result = bc.run_seed(cfg, 0)
-        trained = result["models"]["branchlora"]
+        _, trained = trained_branchlora(cfg, tmp_path)
         fresh = bc.build_model("branchlora", trained.cfg, trained.hp, 0)
         for tid in range(cfg.stream.tasks):
             fresh.start_task(tid)
@@ -218,10 +224,9 @@ class TestInvariants:
                 trained.keys.get(tid).k_txt.data, fresh.keys.get(tid).k_txt.data
             )
 
-    def test_keys_move_when_alignment_is_on(self, smoke_cfg):
+    def test_keys_move_when_alignment_is_on(self, smoke_cfg, tmp_path):
         cfg = dataclasses.replace(smoke_cfg, methods=("branchlora",))
-        result = bc.run_seed(cfg, 0)
-        trained = result["models"]["branchlora"]
+        _, trained = trained_branchlora(cfg, tmp_path)
         fresh = bc.build_model("branchlora", trained.cfg, trained.hp, 0)
         fresh.start_task(0)
         assert not np.array_equal(
@@ -236,15 +241,14 @@ class TestInvariants:
 
         assert statistics.median(multi) >= statistics.median(lora)
 
-    def test_frozen_branches_stay_bit_identical_across_tasks(self, smoke_cfg):
+    def test_frozen_branches_stay_bit_identical_across_tasks(self, smoke_cfg, tmp_path):
         # freeze everything the policy allows, then diff snapshots directly
         cfg = dataclasses.replace(
             smoke_cfg,
             stream=dataclasses.replace(smoke_cfg.stream, tasks=3),
             methods=("branchlora",),
         )
-        result = bc.run_seed(cfg, 0)
-        model = result["models"]["branchlora"]
+        result, model = trained_branchlora(cfg, tmp_path)
         ledger = result["report"]["methods"]["branchlora"]["freeze_ledger"]
         assert ledger, "policy froze nothing"
         for li, layer in enumerate(model.layers):

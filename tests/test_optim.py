@@ -16,6 +16,10 @@ from oracles import RefAdam, RefSgd
 
 REFS = {"adam": RefAdam, "sgd": RefSgd}
 SKIP_MIDDLE = ([(2, 2)] * 3, [([True] * 3, [False] * 3), ([True, False, True], [False] * 3)])
+ZERO_CORRECTION = (
+    [(2, 2)] * 3,
+    [(on, [False] * 3) for on in ([True, False, False], [True, False, True], [True] * 3)],
+)
 
 
 @st.composite
@@ -55,16 +59,21 @@ def step_both(ref, opt, ref_params, params, grads):
     kind=st.sampled_from(sorted(REFS)),
     allow_missing=st.booleans(),
     # tiny buckets cut passes often, only ever between parameters, and
-    # make many parameters larger than a bucket, each a pass of its own
+    # make many parameters larger than a bucket, each a pass of its own;
+    # passes that are cut skip nothing, so they run without a mask
     bucket=st.sampled_from([3, 7, 16, optim._BUCKET]),
     run=runs(),
     seed=st.integers(0, 2**32 - 1),
 )
 # a parameter skipped between two updated ones, after it has moments and a
-# stale grad slot: all three fit a bucket, so one pass runs over it and must
-# put its values and moments back
+# stale grad slot: all three fit a bucket, so one pass spans it and its mask
+# must keep the pass off its values and moments
 @example(kind="sgd", allow_missing=True, bucket=optim._BUCKET, run=SKIP_MIDDLE, seed=0)
 @example(kind="adam", allow_missing=True, bucket=optim._BUCKET, run=SKIP_MIDDLE, seed=0)
+# at the second step the updated p0 and p2 have different step counts, so
+# the per-parameter correction is 0 for p1, which has none yet: only the
+# mask keeps that 0 out of a division
+@example(kind="adam", allow_missing=True, bucket=optim._BUCKET, run=ZERO_CORRECTION, seed=0)
 def test_matches_per_matrix_reference(kind, allow_missing, bucket, run, seed):
     shapes, steps = run
     rng = np.random.default_rng(seed)
