@@ -103,9 +103,16 @@ class AdapterLayer:
     flag is the only record of what trains, so freezing a matrix is turning
     it off. ``routers`` (per-task routers) stays empty, and the task hooks
     do nothing, unless the kind has such parts.
+
+    The model and harness read two facts off a layer, never its kind: a
+    router registered by ``start_task`` gives the model a key pair for that
+    task (and with it the key alignment loss, automatic task selection and
+    branch freezing), and ``allow_missing`` tells the optimizer that a
+    trainable matrix may get no gradient in a step.
     """
 
     routers = MappingProxyType({})
+    allow_missing = False
 
     @classmethod
     def init(
@@ -199,6 +206,9 @@ class MoELoRALayer(AdapterLayer):
 class BranchLoRALayer(AdapterLayer):
     """Shared A, N branch B matrices, a sparse gate, and one router per task."""
 
+    # the sparse gate keeps unselected branches off the tape
+    allow_missing = True
+
     def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
         d_in, d_out = backbone.shape
         pr = hp.per_expert_rank
@@ -212,7 +222,7 @@ class BranchLoRALayer(AdapterLayer):
         self.routers: dict[int, Matrix] = {}
         self.d_in = d_in
 
-    def add_router(self, task_id: int, rng: np.random.Generator) -> Matrix:
+    def start_task(self, task_id: int, rng: np.random.Generator) -> None:
         """Register the router for a new task.
 
         The router starts at a tiny Gaussian: the gate is still near-uniform
@@ -223,12 +233,9 @@ class BranchLoRALayer(AdapterLayer):
             raise RoutingError(f"router for task {task_id} already registered")
         name = f"branch.router.task{task_id}"
         std = 1e-2 / np.sqrt(self.d_in)
-        router = Matrix.randn(rng, self.d_in, self.hp.experts, std=std, trainable=True, name=name)
-        self.routers[task_id] = router
-        return router
-
-    def start_task(self, task_id: int, rng: np.random.Generator) -> None:
-        self.add_router(task_id, rng)
+        self.routers[task_id] = Matrix.randn(
+            rng, self.d_in, self.hp.experts, std=std, trainable=True, name=name
+        )
 
     def finish_task(self, task_id: int) -> None:
         self.routers[task_id].trainable = False

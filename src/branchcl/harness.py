@@ -31,8 +31,6 @@ from .selector import alignment_loss, select_task, selector_accuracy
 from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerprint
 from .tensor import Matrix, Tape, backward, cross_entropy
 
-_TRAIN_TAGS = {"lora": 21, "moelora": 22, "branchlora": 23, "multitask": 24}
-
 
 class ImmutabilityGuard:
     """Byte-level watchdog over matrices that must never change again."""
@@ -78,22 +76,18 @@ def train_task(
 ) -> TrainStats:
     """Train the model's adapter parameters on one task's data.
 
-    For branchlora runs, `usage` collects per-layer gate observations and
-    each batch's inputs also feed the key alignment loss. A NaN or inf in
-    the parameters after a step raises NumericError naming the seed,
-    method, task, batch and matrix.
+    `usage` collects per-layer gate observations. When the model holds
+    task keys, each batch's inputs also feed the alignment loss of the
+    task's keys. A NaN or inf in the parameters after a step raises
+    NumericError naming the seed, method, task, batch and matrix.
     """
-    if model.kind == "zero_shot":
-        raise ParameterError("zero_shot models have nothing to train")
     params = model.trainable_params()
-    # Sparse gating keeps unselected branches off the tape, so a branch
-    # model's optimizer must tolerate parameters with no gradient.
-    opt = make_optimizer(
-        optimizer, params, lr, allow_missing=model.kind == "branchlora"
-    )
+    if not params:
+        raise ParameterError(f"{model.kind} models have nothing to train")
+    opt = make_optimizer(optimizer, params, lr, allow_missing=model.layers[0].allow_missing)
     n = x_train.shape[0]
     align_weight = model.hp.align_weight
-    keys = model.keys.get(task_id) if model.kind == "branchlora" else None
+    keys = model.keys.get(task_id) if len(model.keys) else None
     first_loss = None
     last_loss = None
     batches = 0
@@ -141,22 +135,24 @@ def evaluate(
     task: SyntheticTask,
     selector: str = "oracle",
 ) -> float:
-    """Accuracy on a task's test split. `selector` matters only for
-    branchlora: "oracle" routes by the true task id, "auto" picks the
-    task via key similarity per sample. A NaN or inf in the test inputs
-    raises NumericError naming the method, the task and the first bad row,
-    before any forward: argmax would silently score such a row as class 0.
+    """Accuracy on a task's test split. `selector` matters only for a
+    model with task keys: "oracle" routes by the true task id, "auto"
+    picks the task via key similarity per sample. A NaN or inf in the test
+    inputs raises NumericError naming the method, the task and the first
+    bad row, before any forward: argmax would silently score such a row as
+    class 0.
 
-    The other kinds run the whole split as one forward with every row
-    routed on its own (``per_row``). branchlora runs one `select_task` call
-    and one forward per row. That is the benchmark's contract: its
-    per-sample timer (``bench/worker.py``) charges the time up to each
-    forward to that forward's rows, and its tests pin one forward per row,
-    so grouping rows by selected task (ROADMAP item 4) waits for a change
-    to the benchmark. Such a row costs about 70 us at eval-many-tasks
-    shapes (two 32-wide layers, eight task keys, a shared 2-core x86
-    machine), almost all of it the fixed cost of a few dozen small numpy
-    calls; a batched moelora row costs about 1.6 us.
+    Models without task keys run the whole split as one forward with every
+    row routed on its own (``per_row``). A model with task keys runs one
+    `select_task` call and one forward per row. That is the benchmark's
+    contract: its per-sample timer (``bench/worker.py``) charges the time
+    up to each forward to that forward's rows, and its tests pin one
+    forward per row, so grouping rows by selected task waits for the
+    grouped-evaluation item of ROADMAP, which changes the benchmark first.
+    Such a row costs about 70 us at eval-many-tasks shapes (two 32-wide
+    layers, eight task keys, a shared 2-core x86 machine), almost all of it
+    the fixed cost of a few dozen small numpy calls; a batched moelora row
+    costs about 1.6 us.
     """
     if selector not in ("oracle", "auto"):
         raise ParameterError(f"selector must be 'oracle' or 'auto', got {selector!r}")
@@ -166,7 +162,7 @@ def evaluate(
         raise NumericError(
             f"method {model.kind}, task {task.task_id}: test row {row} holds a non-finite value"
         )
-    if model.kind != "branchlora":
+    if not len(model.keys):
         logits, _ = model.forward(Matrix(x), task.task_id, per_row=True)
         return int(np.count_nonzero(np.argmax(logits.data, axis=1) == y)) / len(y)
     keys = model.keys.stack() if selector == "auto" else None
@@ -178,55 +174,35 @@ def evaluate(
     return hits / len(y)
 
 
-def _freeze_after_task(
-    model: ContinualModel,
-    task_id: int,
-    usage: list[UsageStats],
-    width: int,
-    by: str,
-    ledger: FreezeLedger,
-) -> None:
-    for li, layer in enumerate(model.layers):
-        st = usage[li]
-        chosen = select_freeze_set(st, width, layer.frozen, by=by)
-        mass = st.normalized_mass()
-        apply_freeze(layer, chosen)
-        ledger.record(task_id, li, chosen, mass)
-
-
-def _run_zero_shot(model, stream, entry, save) -> tuple[list, list[float]]:
-    """The untrained backbone, evaluated once for every stage."""
+def _run_once(model, stream, config, rng, guard, entry, save) -> tuple[list, list[float]]:
+    """Train on all tasks at once, if the model has anything to train, then
+    evaluate every task once for every stage: multitask, the upper bound,
+    and zero_shot, the untrained backbone."""
+    trainable = model.count_trainable_params()
+    batch_seconds: list[float] = []
+    if trainable:
+        t = config.train
+        x_all = np.concatenate([task.x_train for task in stream.tasks])
+        y_all = np.concatenate([task.y_train for task in stream.tasks])
+        stats = train_task(
+            model, x_all, y_all, None, t.epochs, t.batch_size, t.lr, t.optimizer, rng
+        )
+        batch_seconds = stats.batch_seconds
+        guard.verify(model.all_named_matrices())
     accs = [evaluate(model, task) for task in stream.tasks]
     rows = [accs[: i + 1] for i in range(len(stream))]
-    entry["trainable_params_per_task"] = [0] * len(stream)
+    entry["trainable_params_per_task"] = [trainable] if trainable else [0] * len(stream)
     save(len(stream) - 1)
-    return rows, []
-
-
-def _run_multitask(model, stream, config, rng, guard, entry, save) -> tuple[list, list[float]]:
-    """One adapter trained on all tasks at once: the upper bound."""
-    t = config.train
-    x_all = np.concatenate([task.x_train for task in stream.tasks])
-    y_all = np.concatenate([task.y_train for task in stream.tasks])
-    stats = train_task(
-        model, x_all, y_all, None, t.epochs, t.batch_size, t.lr, t.optimizer, rng
-    )
-    guard.verify(model.all_named_matrices())
-    accs = [evaluate(model, task) for task in stream.tasks]
-    rows = [accs[: i + 1] for i in range(len(stream))]
-    entry["trainable_params_per_task"] = [model.count_trainable_params()]
-    save(len(stream) - 1)
-    return rows, stats.batch_seconds
+    return rows, batch_seconds
 
 
 def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[list, list[float]]:
     """Train the tasks in order; after each, evaluate every task seen so far.
 
-    branchlora also records gate usage, freezes branches after each task
-    and routes evaluation through automatic task selection.
+    A model with task keys also records gate usage, freezes branches after
+    each task and routes evaluation through automatic task selection.
     """
     a, t = config.adapter, config.train
-    branched = model.kind == "branchlora"
     ledger = FreezeLedger()
     rows = []
     params_per_task = []
@@ -234,7 +210,8 @@ def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[lis
     for task in stream.tasks:
         tid = task.task_id
         model.start_task(tid)
-        usage = [UsageStats(model.hp.experts) for _ in model.layers] if branched else None
+        keyed = len(model.keys) > 0
+        usage = [UsageStats(model.hp.experts) for _ in model.layers] if keyed else None
         params_per_task.append(model.count_trainable_params())
         stats = train_task(
             model,
@@ -251,21 +228,38 @@ def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[lis
         batch_seconds.extend(stats.batch_seconds)
         # catch any drift of already-frozen state during this task
         guard.verify(model.all_named_matrices())
-        if branched:
-            _freeze_after_task(model, tid, usage, a.effective_freeze_width(), a.freeze_by, ledger)
+        if keyed:
+            for li, (layer, st) in enumerate(zip(model.layers, usage)):
+                chosen = select_freeze_set(
+                    st, a.effective_freeze_width(), layer.frozen, by=a.freeze_by
+                )
+                apply_freeze(layer, chosen)
+                ledger.record(tid, li, chosen, st.normalized_mass())
         model.finish_task(tid)
         guard.track(model.all_named_matrices())
-        selector = "auto" if branched else "oracle"
+        selector = "auto" if keyed else "oracle"
         rows.append([evaluate(model, stream.tasks[k], selector) for k in range(tid + 1)])
         save(tid)
     entry["trainable_params_per_task"] = params_per_task
-    if branched:
+    if len(model.keys):
         entry["freeze_ledger"] = ledger.to_obj()
         entry["oracle_final_row"] = [evaluate(model, task, "oracle") for task in stream.tasks]
         x_test = np.concatenate([task.x_test for task in stream.tasks])
         ids = np.concatenate([np.full(len(task.x_test), task.task_id) for task in stream.tasks])
         entry["selector_accuracy"] = selector_accuracy(x_test, ids, model.keys)
     return rows, batch_seconds
+
+
+# Each method's layer kind, the tag of its training rng and its run plan.
+# multitask trains a lora model on all tasks at once; zero_shot trains
+# nothing, so it never draws from its rng.
+METHODS = {
+    "zero_shot": ("zero_shot", 20, _run_once),
+    "lora": ("lora", 21, _run_sequential),
+    "moelora": ("moelora", 22, _run_sequential),
+    "branchlora": ("branchlora", 23, _run_sequential),
+    "multitask": ("lora", 24, _run_once),
+}
 
 
 def run_seed(
@@ -299,8 +293,8 @@ def run_seed(
     timings: dict[str, dict] = {}
 
     for method in config.methods:
-        # multitask trains a lora model on all tasks at once
-        model = build_model("lora" if method == "multitask" else method, mcfg, hp, seed)
+        kind, tag, run = METHODS[method]
+        model = build_model(kind, mcfg, hp, seed)
         guard = ImmutabilityGuard()
         guard.track(model.all_named_matrices())
 
@@ -309,12 +303,8 @@ def run_seed(
                 save_model(checkpoint_dir(out_dir, seed, method, task_id), model)
 
         entry: dict = {"stream_fingerprint": fingerprint}
-        if method == "zero_shot":
-            rows, batch_seconds = _run_zero_shot(model, stream, entry, save)
-        else:
-            run = _run_multitask if method == "multitask" else _run_sequential
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _TRAIN_TAGS[method]]))
-            rows, batch_seconds = run(model, stream, config, rng, guard, entry, save)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
+        rows, batch_seconds = run(model, stream, config, rng, guard, entry, save)
 
         matrix = EvalMatrix(rows)
         m = compute_metrics(matrix)

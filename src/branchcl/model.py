@@ -79,18 +79,19 @@ class ContinualModel:
         return logits, gates
 
     def start_task(self, task_id: int) -> None:
-        """Register the task with every layer and, for branchlora, its key pair."""
+        """Register the task with every layer and, if they gave it a router,
+        its key pair."""
         for layer in self.layers:
             layer.start_task(task_id, self._router_rng)
-        if self.kind == "branchlora":
+        if task_id in self.layers[0].routers:
             self.keys.add(task_id, self.cfg.width // 2, self._key_rng)
 
     def finish_task(self, task_id: int) -> None:
-        """Freeze the task's routers and keys; they must never move again."""
+        """Freeze the task's routers and every key; they must never move again."""
         for layer in self.layers:
             layer.finish_task(task_id)
-        if self.kind == "branchlora":
-            self.keys.get(task_id).freeze()
+        for keys in self.keys.ordered():
+            keys.freeze()
 
     def trainable_params(self) -> list[Matrix]:
         """The matrices whose trainable flag is on, in checkpoint order.

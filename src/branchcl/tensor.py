@@ -374,7 +374,7 @@ def cosine_loss(pairs: Sequence[tuple[np.ndarray, Matrix]], weight: float) -> Ma
         # `u_i @ v`, so every cosine is bit-identical to that row on its own.
         nu = np.sqrt(np.vecdot(u, u))
         nv = float(np.linalg.norm(v))
-        if nv == 0.0 or np.any(nu == 0.0):
+        if nv == 0.0 or not nu.all():
             raise DegenerateInputError("cosine_loss: zero-norm row or key")
         denom = nu * nv
         c = np.vecdot(u, v) / denom

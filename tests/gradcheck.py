@@ -179,7 +179,7 @@ def case_branch_layer(rng):
     """End to end: top-k gate, then the adapter op with a shared A, then the loss."""
     hp = bc.AdapterHyperparams(rank=4, alpha=8.0, experts=2, top_k=1)
     layer = bc.BranchLoRALayer.init(rng, 5, 5, hp)
-    layer.add_router(0, rng)
+    layer.start_task(0, rng)
     router = rng.standard_normal((5, 2))
     while True:
         x = bc.Matrix(rng.standard_normal((3, 5)))

@@ -111,7 +111,7 @@ def test_criterion_5_efficiency_direction():
             rng = np.random.default_rng(0)
             moe = bc.MoELoRALayer.init(rng, dim, dim, hp)
             branch = bc.BranchLoRALayer.init(rng, dim, dim, hp)
-            branch.add_router(0, rng)
+            branch.start_task(0, rng)
             n_moe = moe.count_trainable_params()
             n_branch = branch.count_trainable_params()
             assert n_branch < n_moe, (dim, rank, experts, n_branch, n_moe)
@@ -197,7 +197,7 @@ def test_criterion_8_sparse_gate_contract():
     per_router = 1_000
     checked = 0
     for task in range(n_total // per_router):
-        layer.add_router(task, rng)
+        layer.start_task(task, rng)
         for _ in range(per_router):
             x = bc.Matrix(rng.standard_normal((1, 32)))
             gate = layer.gate_for(x, task).data[0]

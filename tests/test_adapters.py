@@ -113,7 +113,7 @@ class TestBranchLoRA:
     def build(self, seed=6, d=8, randomize=False):
         rng = make_rng(seed)
         layer = bc.BranchLoRALayer.init(rng, d, d, HP)
-        layer.add_router(0, rng)
+        layer.start_task(0, rng)
         if randomize:
             layer.routers[0].data[:] = rng.standard_normal(layer.routers[0].shape)
             for b in layer.branches:
@@ -138,7 +138,7 @@ class TestBranchLoRA:
     def test_zero_router_ties_break_to_lowest_branches(self):
         rng = make_rng(7)
         layer = bc.BranchLoRALayer.init(rng, 8, 8, HP)
-        layer.add_router(0, rng)
+        layer.start_task(0, rng)
         layer.routers[0].data[:] = 0.0
         gate = layer.gate_for(bc.Matrix(rng.standard_normal((2, 8))), 0)
         np.testing.assert_allclose(gate.data, [[0.5, 0.5, 0.0, 0.0]], atol=1e-15)
@@ -164,7 +164,7 @@ class TestBranchLoRA:
         with pytest.raises(RoutingError):
             layer.gate_for(bc.Matrix(rng.standard_normal((1, 8))), 99)
         with pytest.raises(RoutingError):
-            layer.add_router(0, rng)
+            layer.start_task(0, rng)
 
     def test_frozen_branches_leave_param_set(self):
         _, layer = self.build()
@@ -178,7 +178,7 @@ class TestBranchLoRA:
     def test_param_count(self):
         rng = make_rng(8)
         layer = bc.BranchLoRALayer.init(rng, 32, 32, HP)
-        layer.add_router(0, rng)
+        layer.start_task(0, rng)
         pr = HP.per_expert_rank
         assert layer.count_trainable_params() == 32 * pr + 4 * pr * 32 + 32 * 4
 
@@ -188,7 +188,7 @@ def test_branch_strictly_smaller_than_moe(d, moe_expected, branch_expected):
     rng = make_rng(9)
     moe = bc.MoELoRALayer.init(rng, d, d, HP)
     branch = bc.BranchLoRALayer.init(rng, d, d, HP)
-    branch.add_router(0, rng)
+    branch.start_task(0, rng)
     assert moe.count_trainable_params() == moe_expected
     assert branch.count_trainable_params() == branch_expected
     assert branch_expected < moe_expected

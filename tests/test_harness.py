@@ -1,5 +1,6 @@
 """Training harness: per-task lifecycle, report structure, invariants."""
 
+import ast
 import dataclasses
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 import branchcl as bc
 from branchcl import ContractError, NumericError, ParameterError, harness
+from branchcl.adapters import LAYERS
+from branchcl.config import ALL_METHODS
 from conftest import run_with_snapshots
 
 
@@ -336,3 +339,34 @@ def test_aggregate_reports_shape(smoke_cfg):
     )
     assert "selector_accuracy" in agg["aggregate"]["branchlora"]
     assert "selector_accuracy" not in agg["aggregate"]["lora"]
+
+
+class TestMethodProtocol:
+    def test_method_table_matches_config_and_layers(self):
+        # a method added to only one list fails here, not with a KeyError
+        # inside `branchcl run`
+        assert tuple(harness.METHODS) == ALL_METHODS
+        for kind, _, _ in harness.METHODS.values():
+            assert kind in LAYERS
+
+    @pytest.mark.parametrize("module", ["harness.py", "model.py"])
+    def test_no_comparison_of_kind_or_method_name(self, module):
+        # the harness and the model read the layer and its keys; comparing
+        # a `.kind` or a method name would add a per-kind branch again
+        names = {"zero_shot", "lora", "moelora", "branchlora", "multitask"}
+
+        def names_a_kind(operand):
+            return any(
+                (isinstance(sub, ast.Attribute) and sub.attr == "kind")
+                or (isinstance(sub, ast.Constant) and sub.value in names)
+                for sub in ast.walk(operand)
+            )
+
+        tree = ast.parse(Path(harness.__file__).with_name(module).read_text())
+        found = [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(names_a_kind(op) for op in (node.left, *node.comparators))
+        ]
+        assert found == []

@@ -86,17 +86,25 @@ class TestTaskLifecycle:
 
     def test_finish_task_freezes_routers_and_keys(self):
         model = bc.build_model("branchlora", CFG, HP, seed=0)
-        model.start_task(0)
-        model.finish_task(0)
-        for layer in model.layers:
-            assert not layer.routers[0].trainable
-        assert not model.keys.get(0).k_img.trainable
+        for task in (0, 1):
+            model.start_task(task)
+            assert model.keys.get(task).k_img.trainable
+            model.finish_task(task)
+            for layer in model.layers:
+                assert not layer.routers[task].trainable
+            for keys in model.keys.ordered():
+                assert not keys.k_img.trainable and not keys.k_txt.trainable
+        assert [k.task_id for k in model.keys.ordered()] == [0, 1]
 
-    def test_lifecycle_is_noop_for_dense_kinds(self):
-        model = bc.build_model("moelora", CFG, HP, seed=0)
+    @pytest.mark.parametrize("kind", ["zero_shot", "lora", "moelora"])
+    def test_lifecycle_is_noop_for_dense_kinds(self, kind):
+        model = bc.build_model(kind, CFG, HP, seed=0)
+        before = [(n, m.data.tobytes(), m.trainable) for n, m in model.all_named_matrices()]
         model.start_task(0)
         model.finish_task(0)
         assert len(model.keys) == 0
+        after = [(n, m.data.tobytes(), m.trainable) for n, m in model.all_named_matrices()]
+        assert after == before
 
     def test_param_counts(self):
         d, r, n, pr = 16, 8, 4, 2
@@ -125,7 +133,8 @@ class TestCheckpoints:
         x = batch(rng, 8)
         y = rng.integers(0, 4, size=8)
         params = model.trainable_params()
-        allow = model.kind == "branchlora"  # unselected branches get no grad
+        # a sparse gate leaves unselected branches without a grad
+        allow = model.layers[0].allow_missing
         opt = bc.make_optimizer("adam", params, lr=1e-2, allow_missing=allow)
         with bc.Tape() as tape:
             logits, _ = model.forward(x, task_id)

@@ -95,7 +95,7 @@ class TestApplyFreeze:
         hp = bc.AdapterHyperparams(rank=8, alpha=16.0, experts=4, top_k=2)
         rng = np.random.default_rng(0)
         layer = bc.BranchLoRALayer.init(rng, 8, 8, hp)
-        layer.add_router(0, rng)
+        layer.start_task(0, rng)
         return layer
 
     def test_freezes_in_place(self):
