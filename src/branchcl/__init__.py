@@ -52,7 +52,6 @@ from .tensor import (
     Tape,
     adapter,
     backward,
-    cosine_loss,
     cross_entropy,
     matmul,
     mse_loss,

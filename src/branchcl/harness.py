@@ -77,9 +77,10 @@ def train_task(
     """Train the model's adapter parameters on one task's data.
 
     `usage` collects per-layer gate observations. When the model holds
-    task keys, each batch's inputs also feed the alignment loss of the
-    task's keys. A NaN or inf in the parameters after a step raises
-    NumericError naming the seed, method, task, batch and matrix.
+    task keys, each batch's inputs also give the task's keys their
+    alignment gradient. A NaN or inf in the parameters after a step raises
+    NumericError naming the task, batch and matrix; `run_seed` adds the
+    seed and method.
     """
     params = model.trainable_params()
     if not params:
@@ -102,18 +103,16 @@ def train_task(
             with Tape() as tape:
                 logits, gates = model.forward(xb, task_id)
                 loss = cross_entropy(logits, yb)
-                if keys is not None:
-                    backward(tape, loss, alignment_loss(xb, keys, align_weight))
-                else:
-                    backward(tape, loss)
+                backward(tape, loss)
+            if keys is not None:
+                alignment_loss(xb, keys, align_weight)
             try:
                 opt.step()
             except NumericError as err:
-                method = "multitask" if task_id is None else model.kind
                 task = "all tasks" if task_id is None else f"task {task_id}"
                 name = next(n for n, m in model.all_named_matrices() if m is params[err.index])
                 raise NumericError(
-                    f"seed {model.seed}, method {method}, {task}, batch {batches}: "
+                    f"{task}, batch {batches}: "
                     f"tensor {name} holds a non-finite value after the optimizer step"
                 ) from err
             batch_seconds.append(time.perf_counter() - t0)
@@ -138,9 +137,9 @@ def evaluate(
     """Accuracy on a task's test split. `selector` matters only for a
     model with task keys: "oracle" routes by the true task id, "auto"
     picks the task via key similarity per sample. A NaN or inf in the test
-    inputs raises NumericError naming the method, the task and the first
-    bad row, before any forward: argmax would silently score such a row as
-    class 0.
+    inputs raises NumericError naming the task and the first bad row, before
+    any forward: argmax would silently score such a row as class 0;
+    `run_seed` adds the seed and method.
 
     Models without task keys run the whole split as one forward with every
     row routed on its own (``per_row``). A model with task keys runs one
@@ -159,9 +158,7 @@ def evaluate(
     x, y = task.x_test, task.y_test
     if not np.isfinite(x).all():
         row = int(np.argmin(np.isfinite(x).all(axis=1)))
-        raise NumericError(
-            f"method {model.kind}, task {task.task_id}: test row {row} holds a non-finite value"
-        )
+        raise NumericError(f"task {task.task_id}: test row {row} holds a non-finite value")
     if not len(model.keys):
         logits, _ = model.forward(Matrix(x), task.task_id, per_row=True)
         return int(np.count_nonzero(np.argmax(logits.data, axis=1) == y)) / len(y)
@@ -272,7 +269,9 @@ def run_seed(
 
     Returns {"report": ..., "timings": ...}. Only "report" is
     deterministic; timings are wall-clock measurements. With `out_dir`,
-    each method's checkpoints go under `out_dir/checkpoints`.
+    each method's checkpoints go under `out_dir/checkpoints`. A
+    NumericError from training or evaluation is raised again with the
+    seed and method in front of its message.
     """
     s = config.stream
     if stream is None:
@@ -304,7 +303,10 @@ def run_seed(
 
         entry: dict = {"stream_fingerprint": fingerprint}
         rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
-        rows, batch_seconds = run(model, stream, config, rng, guard, entry, save)
+        try:
+            rows, batch_seconds = run(model, stream, config, rng, guard, entry, save)
+        except NumericError as err:
+            raise NumericError(f"seed {seed}, method {method}, {err}") from err
 
         matrix = EvalMatrix(rows)
         m = compute_metrics(matrix)

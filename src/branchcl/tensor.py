@@ -3,15 +3,15 @@
 The op set is deliberately small: matmul, tanh, router_gate (softmax over
 the top-k router scores, of a batch's first row or of each row), adapter
 (one adapter layer's x W + s * sum_j g_j x A_j B_j, running only the gated
-columns), and the losses: cosine_loss (the weighted key-alignment loss,
-sum_i 1 - cos(rows_i, k) over each pair of a constant batch and a key),
-cross_entropy and mse_loss. Training routes a batch by its first row;
-evaluation routes each row on its own. Each op computes its forward value
-eagerly with numpy and, when a tape is active and a gradient path exists,
-records a backward closure. `backward(tape, *losses)` seeds each 1x1 loss
-with an adjoint of one, replays the tape in exact reverse execution order
-and accumulates the gradient of the losses' sum into `.grad` of the
-trainable leaves they reach; any other leaf's grad stays as it was.
+columns), and the losses cross_entropy and mse_loss. Training routes a
+batch by its first row; evaluation routes each row on its own. Each op
+computes its forward value eagerly with numpy and, when a tape is active
+and a gradient path exists, records a backward closure. `backward(tape,
+loss)` seeds the 1x1 loss with an adjoint of one, replays the tape in
+exact reverse execution order and accumulates the loss's gradient into
+`.grad` of the trainable leaves it reaches; any other leaf's grad stays as
+it was. The task keys' alignment gradient needs no tape:
+`selector.alignment_loss` computes it directly.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateInputError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import ContractError, DimensionError, ParameterError
 
 class Matrix:
     """A dense float64 matrix; the only tensor carrier in the package.
@@ -353,52 +348,6 @@ def adapter(
     return out
 
 
-def cosine_loss(pairs: Sequence[tuple[np.ndarray, Matrix]], weight: float) -> Matrix:
-    """weight * sum over (rows, k) of sum_i (1 - cos(rows_i, k)), as a 1x1 matrix.
-
-    Each pair is a constant B x d batch and a 1 x d key. One tape entry
-    covers every pair; gradients reach the keys only. The entry is recorded
-    even with weight 0, so a trainable key then gets an all-zero gradient.
-    """
-    w = float(weight)
-    count = 0
-    total = 0.0
-    terms = []
-    for u, k in pairs:
-        if k.rows != 1:
-            raise DimensionError(f"cosine_loss: key must be a row vector, got {k.rows}x{k.cols}")
-        if u.ndim != 2 or u.shape[1] != k.cols:
-            raise DimensionError(f"cosine_loss: rows of shape {u.shape} vs a key of width {k.cols}")
-        v = k.data[0]
-        # vecdot takes each row's dot product with the same BLAS dot as
-        # `u_i @ v`, so every cosine is bit-identical to that row on its own.
-        nu = np.sqrt(np.vecdot(u, u))
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0 or not nu.all():
-            raise DegenerateInputError("cosine_loss: zero-norm row or key")
-        denom = nu * nv
-        c = np.vecdot(u, v) / denom
-        count += len(u)
-        total += float(c.sum())
-        terms.append((u, k, v, nv, denom, c))
-    out = _result(np.array([[w * (count - total)]]), any(k.requires_grad for _, k in pairs))
-
-    def backward(g: np.ndarray) -> list:
-        gs = -w * float(g[0, 0])
-        contribs = []
-        for u, k, v, nv, denom, c in terms:
-            if k.requires_grad:
-                per_row = gs * (u / denom[:, None] - c[:, None] * v / (nv * nv))
-                # Summed from the last row to the first, the order in which a
-                # chain of one-row cosine ops accumulates on replay, so both
-                # give bit-identical key gradients.
-                contribs.append((k, per_row[::-1].sum(axis=0, keepdims=True)))
-        return contribs
-
-    _record(out, backward)
-    return out
-
-
 def cross_entropy(logits: Matrix, labels) -> Matrix:
     """Mean cross-entropy of row-wise class logits against integer labels."""
     y = np.asarray(labels, dtype=np.int64).ravel()
@@ -444,28 +393,22 @@ def mse_loss(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def backward(tape: Tape, *losses: Matrix) -> None:
-    """Accumulate the gradient of the losses' sum into .grad of every
-    trainable leaf they reach.
+def backward(tape: Tape, loss: Matrix) -> None:
+    """Accumulate the gradient of a 1x1 loss into .grad of every trainable
+    leaf it reaches.
 
-    Each loss must be 1x1 and its adjoint starts at one; a loss passed
-    twice counts twice. A trainable leaf that no loss reaches keeps its
-    grad as it was (None if it had none), even if a recorded op used it.
-    Replaying an empty tape is a no-op.
+    The loss's adjoint starts at one. A trainable leaf that the loss does
+    not reach keeps its grad as it was (None if it had none), even if a
+    recorded op used it. Replaying an empty tape is a no-op.
 
     A leaf whose grad is None gets a new one from its first contribution:
     a copy in its optimizer's grad slot if it has one, so the step reads
     it in place, and a new array otherwise. Later contributions add to
     the grad in place, whichever array it is.
     """
-    if not losses:
-        raise ContractError("backward: needs at least one loss")
-    adjoint: dict[int, np.ndarray] = {}
-    for loss in losses:
-        if loss.data.shape != (1, 1):
-            raise ContractError(f"backward: loss must be 1x1, got {loss.data.shape}")
-        key = id(loss)
-        adjoint[key] = adjoint[key] + 1.0 if key in adjoint else np.ones((1, 1))
+    if loss.data.shape != (1, 1):
+        raise ContractError(f"backward: loss must be 1x1, got {loss.data.shape}")
+    adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for entry in reversed(tape.entries):
         g = adjoint.pop(id(entry.out), None)
         if g is None:

@@ -152,17 +152,6 @@ def case_adapter_sparse_rows(rng):
     return _adapter_sparse(rng, per_row=True)
 
 
-def case_cosine_loss(rng):
-    # Two pairs of a constant batch and a trainable key, as the two views of
-    # the alignment loss are; the batches are not parameters.
-    x1 = rng.standard_normal((4, 6)) + 0.1
-    x2 = rng.standard_normal((3, 6)) + 0.1
-    k1 = rng.standard_normal((1, 6)) + 0.1
-    k2 = rng.standard_normal((1, 6)) + 0.1
-    w = float(rng.uniform(0.1, 2.0))
-    return [k1, k2], lambda m: bc.cosine_loss([(x1, m[0]), (x2, m[1])], w)
-
-
 def case_cross_entropy(rng):
     logits = rng.standard_normal((4, 5))
     labels = rng.integers(0, 5, size=4)
@@ -232,7 +221,6 @@ OP_CASES = [
     ("adapter_dense_rows", case_adapter_dense_rows),
     ("adapter_sparse", case_adapter_sparse),
     ("adapter_sparse_rows", case_adapter_sparse_rows),
-    ("cosine_loss", case_cosine_loss),
     ("cross_entropy", case_cross_entropy),
     ("mse_loss", case_mse_loss),
 ]

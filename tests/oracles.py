@@ -72,6 +72,22 @@ def cosine_sum_oracle(x, k):
     return float(sum(row @ k / (np.linalg.norm(row) * np.linalg.norm(k)) for row in x))
 
 
+def key_grad_oracle(x, k, weight):
+    """The gradient with respect to the 1 x d key k of
+    weight * sum_i (1 - cos(x_i, k)), one row at a time: row i adds
+    -weight * (x_i / (|x_i| |k|) - cos(x_i, k) k / |k|^2), from the last
+    row to the first."""
+    x = np.asarray(x, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64).ravel()
+    nk = np.linalg.norm(k)
+    grad = np.zeros_like(k)
+    for row in x[::-1]:
+        denom = np.sqrt(row @ row) * nk
+        cos = row @ k / denom
+        grad = grad + -weight * (row / denom - cos * k / (nk * nk))
+    return grad[None, :]
+
+
 def select_task_oracle(x, keys):
     """Index of the (k_img, k_txt) pair whose cosines with the two halves
     of x sum highest, scored one pair at a time; the first wins ties."""

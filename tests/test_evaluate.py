@@ -124,5 +124,5 @@ def test_non_finite_test_input_raises_before_any_forward(kind, selector, bad):
         raise AssertionError("evaluate ran a forward on a non-finite split")
 
     model.forward = no_forward
-    with pytest.raises(bc.NumericError, match=f"method {kind}, task 1: test row 4 "):
+    with pytest.raises(bc.NumericError, match="^task 1: test row 4 "):
         bc.evaluate(model, task, selector)

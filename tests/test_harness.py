@@ -60,25 +60,34 @@ class TestTrainTask:
         ],
     )
     def test_nan_batch_raises_naming_seed_method_task_batch_tensor(self, smoke_cfg, method, first):
-        task = bc.generate_stream(
+        # train_task names the task, batch and tensor; run_seed puts the
+        # seed and method in front
+        stream = bc.generate_stream(
             tasks=1, train_samples=64, test_samples=32, dim=16, classes=4, seed=0
-        ).tasks[0]
-        x = task.x_train.copy()
-        x[37, 3] = np.nan
-        kind = "lora" if method == "multitask" else method
-        model = bc.build_model(kind, bc.ModelConfig(width=16, classes=4, layers=2),
-                               smoke_cfg.adapter.hyperparams(), seed=3)
-        task_id = None if method == "multitask" else 0
-        if kind == "branchlora":
-            model.start_task(0)
-        # the first epoch's permutation puts row 37 in this batch
-        batch = list(np.random.default_rng(5).permutation(64)).index(37) // 16
+        )
+        stream.tasks[0].x_train[37, 3] = np.nan
+        cfg = dataclasses.replace(smoke_cfg, methods=(method,))
+        # the first epoch's permutation of the method's training rng puts
+        # row 37 in this batch
+        rng = np.random.default_rng(np.random.SeedSequence([3, harness.METHODS[method][1]]))
+        batch = list(rng.permutation(64)).index(37) // cfg.train.batch_size
         with pytest.raises(NumericError) as info:
-            bc.train_task(model, x, task.y_train, task_id, 2, 16, 3e-3, "adam",
-                          np.random.default_rng(5))
-        where = "all tasks" if task_id is None else "task 0"
+            bc.run_seed(cfg, 3, stream=stream)
+        where = "all tasks" if method == "multitask" else "task 0"
         assert str(info.value).startswith(
             f"seed 3, method {method}, {where}, batch {batch}: tensor {first} "
+        )
+
+    def test_nan_test_row_names_the_multitask_method(self, smoke_cfg):
+        # multitask trains a lora model, yet the error names multitask
+        stream = bc.generate_stream(
+            tasks=2, train_samples=64, test_samples=32, dim=16, classes=4, seed=0
+        )
+        stream.tasks[1].x_test[4, 0] = np.nan
+        with pytest.raises(NumericError) as info:
+            bc.run_seed(dataclasses.replace(smoke_cfg, methods=("multitask",)), 3, stream=stream)
+        assert str(info.value) == (
+            "seed 3, method multitask, task 1: test row 4 holds a non-finite value"
         )
 
     def test_no_matrix_views_a_finished_arena(self, smoke_cfg):
@@ -264,9 +273,8 @@ class TestTapeEntries:
     def test_exact_entries_per_training_batch(self, monkeypatch):
         # The count depends only on the model structure, so every batch of a
         # method records the same number: each adapter layer is one adapter
-        # entry, after one router_gate entry for the routed kinds, and
-        # branchlora's key-alignment loss adds one cosine_loss entry for
-        # both views, passed to backward beside the task loss.
+        # entry, after one router_gate entry for the routed kinds. The key
+        # alignment gradient of branchlora is computed off the tape.
         cfg = bc.load_config(Path(__file__).parent.parent / "configs" / "smoke.json")
         counts: dict[str, set[int]] = {}
         current = []
@@ -276,22 +284,22 @@ class TestTapeEntries:
             current[:] = ["multitask" if task_id is None else model.kind]
             return train_task(model, x, y, task_id, *args, **kwargs)
 
-        def counting_backward(tape, *losses):
+        def counting_backward(tape, loss):
             counts.setdefault(current[0], set()).add(len(tape.entries))
-            return backward(tape, *losses)
+            return backward(tape, loss)
 
         monkeypatch.setattr(harness, "train_task", counting_train_task)
         monkeypatch.setattr(harness, "backward", counting_backward)
         bc.run_seed(cfg, cfg.seeds[0])
-        assert counts == {"lora": {5}, "moelora": {7}, "branchlora": {8}, "multitask": {5}}
-        # branchlora's layers record what moelora's do; the rest is its
-        # key-alignment loss, which moelora does not have
+        assert counts == {"lora": {5}, "moelora": {7}, "branchlora": {7}, "multitask": {5}}
+        # branchlora's layers record what moelora's do, and its key
+        # alignment records nothing
         keys = bc.KeyStore().add(0, cfg.stream.dim // 2, np.random.default_rng(0))
         xb = bc.Matrix(np.ones((cfg.train.batch_size, cfg.stream.dim)))
         with bc.Tape() as tape:
             bc.alignment_loss(xb, keys, cfg.adapter.align_weight)
-        assert len(tape.entries) == 1
-        assert counts["branchlora"] == {min(counts["moelora"]) + len(tape.entries)}
+        assert tape.entries == []
+        assert counts["branchlora"] == counts["moelora"]
 
 
 class TestForwardCalls:

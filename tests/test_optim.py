@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import branchcl as bc
 from branchcl import ContractError, NumericError, optim
-from oracles import RefAdam, RefSgd
+from oracles import RefAdam, RefSgd, add
 
 REFS = {"adam": RefAdam, "sgd": RefSgd}
 SKIP_MIDDLE = ([(2, 2)] * 3, [([True] * 3, [False] * 3), ([True, False, True], [False] * 3)])
@@ -184,20 +184,16 @@ def test_release_gives_each_matrix_its_own_bytes():
 
 
 def reach(params, x, t, middle):
-    """Grads of three losses through a real backward: p0 and p2 each get
-    two contributions, and p1 only when `middle` is set."""
+    """Grads of the sum of three losses through a real backward: p0 and p2
+    each get two contributions, and p1 only when `middle` is set."""
     w0, w1, w2, w3 = params
     with bc.Tape() as tape:
         h = bc.tanh(bc.matmul(x, w0))
         if middle:
             h = bc.tanh(bc.matmul(h, w1))
         again = bc.tanh(bc.matmul(x, w0))
-        bc.backward(
-            tape,
-            bc.mse_loss(bc.matmul(h, w2), t),
-            bc.mse_loss(bc.matmul(again, w2), t),
-            bc.mse_loss(bc.matmul(x, w3), t),
-        )
+        loss = add(bc.mse_loss(bc.matmul(h, w2), t), bc.mse_loss(bc.matmul(again, w2), t))
+        bc.backward(tape, add(loss, bc.mse_loss(bc.matmul(x, w3), t)))
 
 
 @pytest.mark.parametrize("kind", sorted(REFS))

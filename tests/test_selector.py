@@ -1,4 +1,4 @@
-"""Task keys, alignment loss, and automatic task selection."""
+"""Task keys, their alignment gradient, and automatic task selection."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchcl as bc
-from branchcl import ContractError, DimensionError, SelectorError
-from oracles import cosine_sum_oracle, select_task_oracle
+from branchcl import ContractError, DegenerateInputError, DimensionError, SelectorError
+from oracles import cosine_sum_oracle, fd_gradient, key_grad_oracle, rel_error, select_task_oracle
 
 
 def embed(img, txt):
@@ -59,51 +59,81 @@ def batch(imgs, txts):
     return bc.Matrix(np.hstack([imgs, txts]))
 
 
+def grads(keys):
+    return keys.k_img.grad, keys.k_txt.grad
+
+
 class TestAlignmentLoss:
+    """`alignment_loss` sets each key's grad to the gradient of
+    weight * sum over both views of sum_i (1 - cos(view_i, key))."""
+
     def test_perfect_alignment_is_zero(self):
         keys = keys_from(0, [1.0, 0.0], [0.0, 2.0])
         x = batch([[2.0, 0.0]], [[0.0, 1.0]])  # same directions, any scale
-        loss = bc.alignment_loss(x, keys, 1.0)
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        bc.alignment_loss(x, keys, 1.0)
+        for g in grads(keys):
+            np.testing.assert_array_equal(g, np.zeros((1, 2)))
 
-    def test_orthogonal_views_cost_two(self):
-        keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
-        x = batch([[0.0, 1.0]], [[0.0, 1.0]])
-        assert bc.alignment_loss(x, keys, 1.0).item() == pytest.approx(2.0, abs=1e-12)
+    def test_orthogonal_view_pulls_key_toward_it(self):
+        # cos = 0, so each view's gradient is -u / (|u| |k|)
+        keys = keys_from(0, [1.0, 0.0], [2.0, 0.0])
+        bc.alignment_loss(batch([[0.0, 1.0]], [[0.0, 3.0]]), keys, 1.0)
+        np.testing.assert_array_equal(keys.k_img.grad, [[0.0, -1.0]])
+        np.testing.assert_array_equal(keys.k_txt.grad, [[0.0, -0.5]])
 
     def test_matches_two_b_minus_cosine_sum(self):
+        # central differences of the loss 2B - the two views' cosine sums
         rng = np.random.default_rng(3)
-        keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
         imgs = rng.standard_normal((5, 4))
         txts = rng.standard_normal((5, 4))
-        expected = (
-            2.0 * 5
-            - cosine_sum_oracle(imgs, keys.k_img.data)
-            - cosine_sum_oracle(txts, keys.k_txt.data)
-        )
-        assert bc.alignment_loss(batch(imgs, txts), keys, 1.0).item() == pytest.approx(
-            expected, abs=1e-12
-        )
+        k_img, k_txt = rng.standard_normal(4), rng.standard_normal(4)
+        for w in (1.0, 0.6):
+            keys = keys_from(0, k_img, k_txt)
+            bc.alignment_loss(batch(imgs, txts), keys, w)
+
+            def loss(ki, kt):
+                return w * (2.0 * 5 - cosine_sum_oracle(imgs, ki) - cosine_sum_oracle(txts, kt))
+
+            fd_img = fd_gradient(lambda k: loss(k, k_txt), k_img.copy())
+            fd_txt = fd_gradient(lambda k: loss(k_img, k), k_txt.copy())
+            assert rel_error(keys.k_img.grad[0], fd_img) < 1e-6
+            assert rel_error(keys.k_txt.grad[0], fd_txt) < 1e-6
+
+    def test_gradient_matches_per_row_oracle_bit_for_bit(self):
+        # rows accumulated from the last to the first, at any weight
+        rng = np.random.default_rng(12)
+        imgs, txts = rng.standard_normal((32, 16)), rng.standard_normal((32, 16))
+        k_img, k_txt = rng.standard_normal(16), rng.standard_normal(16)
+        for w in (1.0, 0.37, 0.0):
+            keys = keys_from(0, k_img, k_txt)
+            bc.alignment_loss(batch(imgs, txts), keys, w)
+            np.testing.assert_array_equal(keys.k_img.grad, key_grad_oracle(imgs, k_img, w))
+            np.testing.assert_array_equal(keys.k_txt.grad, key_grad_oracle(txts, k_txt, w))
 
     def test_gradient_reaches_keys(self):
         rng = np.random.default_rng(4)
         keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
         x = batch(rng.standard_normal((1, 4)), rng.standard_normal((1, 4)))
-        with bc.Tape() as tape:
-            loss = bc.alignment_loss(x, keys, 1.0)
-            bc.backward(tape, loss)
-        assert keys.k_img.grad is not None and np.any(keys.k_img.grad != 0.0)
-        assert keys.k_txt.grad is not None and np.any(keys.k_txt.grad != 0.0)
-        # weight 0 still records the entry: the keys get zeros, not None, so
-        # the optimizer updates (and counts) them as it does at any weight
+        bc.alignment_loss(x, keys, 1.0)
+        assert all(g is not None and np.any(g != 0.0) for g in grads(keys))
+        # weight 0 still gives the keys zeros, not None, so the optimizer
+        # updates (and counts) them as it does at any weight
         for k in [keys.k_img, keys.k_txt]:
             k.grad = None
-        with bc.Tape() as tape:
-            loss = bc.alignment_loss(x, keys, 0.0)
-            bc.backward(tape, loss)
-        assert len(tape.entries) == 1 and loss.item() == 0.0
-        for k in [keys.k_img, keys.k_txt]:
-            np.testing.assert_array_equal(k.grad, np.zeros((1, 4)))
+        bc.alignment_loss(x, keys, 0.0)
+        for g in grads(keys):
+            np.testing.assert_array_equal(g, np.zeros((1, 4)))
+
+    def test_zero_norm_row_or_key_rejected(self):
+        ok = [1.0, 0.0]
+        for keys, x in (
+            (keys_from(0, ok, ok), batch([[1.0, 0.0], [0.0, 0.0]], [ok, ok])),
+            (keys_from(0, ok, ok), batch([ok], [[0.0, 0.0]])),
+            (keys_from(0, [0.0, 0.0], ok), batch([ok], [ok])),
+            (keys_from(0, ok, [0.0, 0.0]), batch([ok], [ok])),
+        ):
+            with pytest.raises(DegenerateInputError):
+                bc.alignment_loss(x, keys, 1.0)
 
     def test_empty_batch_rejected(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
@@ -115,6 +145,11 @@ class TestAlignmentLoss:
         with pytest.raises(DimensionError):
             bc.alignment_loss(bc.Matrix(np.ones((2, 5))), keys, 1.0)
 
+    def test_view_width_must_match_keys(self):
+        keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DimensionError):
+            bc.alignment_loss(bc.Matrix(np.ones((2, 6))), keys, 1.0)
+
     def test_input_on_gradient_path_rejected(self):
         keys = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         with pytest.raises(ContractError):
@@ -122,12 +157,16 @@ class TestAlignmentLoss:
 
 
 def test_alignment_loss_weighting():
+    # weight 2 gives exactly twice the gradient of weight 1
     rng = np.random.default_rng(5)
-    keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
+    k_img, k_txt = rng.standard_normal(4), rng.standard_normal(4)
     x = batch(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
-    one = bc.alignment_loss(x, keys, 1.0).item()
-    assert one > 0.0
-    assert bc.alignment_loss(x, keys, 2.0).item() == 2.0 * one
+    one, two = keys_from(0, k_img, k_txt), keys_from(0, k_img, k_txt)
+    bc.alignment_loss(x, one, 1.0)
+    bc.alignment_loss(x, two, 2.0)
+    for g1, g2 in zip(grads(one), grads(two)):
+        assert np.any(g1 != 0.0)
+        np.testing.assert_array_equal(g2, 2.0 * g1)
 
 
 class TestSelectTask:

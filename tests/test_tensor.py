@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import branchcl as bc
-from branchcl import (
-    ContractError,
-    DegenerateInputError,
-    DimensionError,
-    ParameterError,
-)
+from branchcl import ContractError, DimensionError, ParameterError
 import gradcheck
 import oracles
 
@@ -196,31 +191,6 @@ class TestValues:
                     one = bc.adapter(mat(x[i : i + 1]), w, a, b, 1.5, mat(g[i : i + 1]))
                     np.testing.assert_allclose(rows.data[i], one.data[0], rtol=0, atol=1e-12)
 
-    def test_cosine_sum(self):
-        # the summed cosines inside cosine_loss: cos([1,2,2], [2,0,1]) =
-        # 4 / (3 sqrt 5) and the second row is parallel, so with weight 1
-        # the loss is 2 minus their sum, and the weight scales it
-        x, k = np.array([[1.0, 2.0, 2.0], [4.0, 0.0, 2.0]]), mat([[2.0, 0.0, 1.0]])
-        out = bc.cosine_loss([(x, k)], 1.0)
-        assert out.shape == (1, 1)
-        assert out.item() == pytest.approx(2.0 - 1.5962847939999439, abs=1e-15)
-        assert bc.cosine_loss([(x, k)], 2.5).item() == 2.5 * out.item()
-        assert bc.cosine_loss([(x, k)], 0.0).item() == 0.0
-
-    def test_cosine_sum_matches_oracle(self):
-        # one pair, and several pairs of different batch sizes summed
-        rng = np.random.default_rng(11)
-        pairs, want = [], 0.0
-        for rows in (1, 3, 32):
-            x = rng.standard_normal((rows, 16))
-            k = rng.standard_normal((1, 16))
-            w = float(rng.uniform(0.1, 2.0))
-            out = bc.cosine_loss([(x, mat(k))], w)
-            assert out.item() == pytest.approx(w * (rows - oracles.cosine_sum_oracle(x, k)), abs=1e-12)
-            pairs.append((x, mat(k)))
-            want += rows - oracles.cosine_sum_oracle(x, k)
-        assert bc.cosine_loss(pairs, 0.5).item() == pytest.approx(0.5 * want, abs=1e-12)
-
     def test_cross_entropy(self):
         out = bc.cross_entropy(mat([[1.0, 2.0, 3.0]]), np.array([2]))
         assert out.item() == pytest.approx(0.40760596444438013, abs=1e-15)
@@ -302,27 +272,6 @@ class TestContracts:
         with pytest.raises(ContractError):
             bc.adapter(x, mat(np.ones((2, 3)), trainable=True), [a], [b], 1.0)
 
-    # The cosine_sum contracts hold for the summed cosines of cosine_loss,
-    # in any of its pairs.
-    def test_cosine_sum_zero_norm(self):
-        ok = (np.array([[1.0, 0.0]]), mat([[1.0, 0.0]]))
-        for pair in ((np.array([[1.0, 0.0], [0.0, 0.0]]), mat([[1.0, 0.0]])),
-                     (np.array([[1.0, 0.0]]), mat([[0.0, 0.0]]))):
-            for pairs in ([pair], [ok, pair]):
-                with pytest.raises(DegenerateInputError):
-                    bc.cosine_loss(pairs, 1.0)
-
-    def test_cosine_sum_key_must_be_row(self):
-        with pytest.raises(DimensionError):
-            bc.cosine_loss([(np.array([[1.0, 0.0]]), mat([[1.0, 0.0], [0.0, 1.0]]))], 1.0)
-
-    def test_cosine_sum_width_mismatch(self):
-        ok = (np.array([[1.0, 0.0]]), mat([[1.0, 0.0]]))
-        with pytest.raises(DimensionError):
-            bc.cosine_loss([ok, (np.array([[1.0, 0.0]]), mat([[1.0, 0.0, 0.0]]))], 1.0)
-        with pytest.raises(DimensionError):  # the rows must form a 2-D batch
-            bc.cosine_loss([(np.array([1.0, 0.0]), mat([[1.0, 0.0]]))], 1.0)
-
     def test_cross_entropy_label_validation(self):
         with pytest.raises(DimensionError):
             bc.cross_entropy(mat([[1.0, 2.0]]), np.array([0, 1]))
@@ -332,15 +281,11 @@ class TestContracts:
             bc.cross_entropy(mat([[1.0, 2.0]]), np.array([-1]))
 
     def test_backward_requires_scalar_loss(self):
-        # every loss must be 1x1, the second as much as the first, and a
-        # call must pass at least one
         x = mat([[1.0, 2.0]], trainable=True)
         with bc.Tape() as tape:
             y = bc.tanh(x)
-            scalar = bc.mse_loss(y, mat([[0.0, 0.0]]))
-            for losses in ((y,), (scalar, y), ()):
-                with pytest.raises(ContractError):
-                    bc.backward(tape, *losses)
+            with pytest.raises(ContractError):
+                bc.backward(tape, y)
         assert x.grad is None
 
     def test_item_requires_1x1(self):
@@ -361,13 +306,12 @@ class TestGradients:
         assert worst < 1e-4, f"{name}: rel err {worst:.3e}"
 
     def test_grad_accumulates_over_reuse(self):
-        # a leaf used twice, and a loss passed to backward twice
-        for times in (1, 2):
-            x = mat([[3.0]], trainable=True)
-            with bc.Tape() as tape:
-                loss = bc.matmul(x, x)
-                bc.backward(tape, *[loss] * times)
-            np.testing.assert_allclose(x.grad, [[6.0 * times]])
+        # a leaf used twice
+        x = mat([[3.0]], trainable=True)
+        with bc.Tape() as tape:
+            loss = bc.matmul(x, x)
+            bc.backward(tape, loss)
+        np.testing.assert_allclose(x.grad, [[6.0]])
 
     def test_untouched_leaf_keeps_none_grad(self):
         x = mat([[1.0]], trainable=True)
@@ -380,26 +324,6 @@ class TestGradients:
         assert y.grad is None
         assert z.grad is None
         np.testing.assert_allclose(x.grad, [[2.0]])
-
-    def test_cosine_loss_grads_match_per_row_chain_exactly(self):
-        # one entry over two views against one weight-1 loss per row, scaled
-        # by the weight as the add/scale chain it replaces did, replayed last
-        # row first: bit-identical key gradients, for any weight, 0 included
-        rng = np.random.default_rng(12)
-        xs = [rng.standard_normal((32, 16)), rng.standard_normal((32, 16))]
-        k0 = [rng.standard_normal((1, 16)), rng.standard_normal((1, 16))]
-        for w in (1.0, 0.37, 0.0):
-            fused = [mat(k, trainable=True) for k in k0]
-            with bc.Tape() as tape:
-                bc.backward(tape, bc.cosine_loss(list(zip(xs, fused)), w))
-            chain = [mat(k, trainable=True) for k in k0]
-            with bc.Tape() as tape:
-                losses = [oracles.scale(bc.cosine_loss([(x[i : i + 1], k)], 1.0), w)
-                          for x, k in zip(xs, chain) for i in range(32)]
-                bc.backward(tape, *losses)
-            for f, c in zip(fused, chain):
-                np.testing.assert_array_equal(f.grad, c.grad)
-            assert all(np.all(f.grad == 0.0) for f in fused) == (w == 0.0)
 
     def test_topk_masked_entries_get_zero_grad(self):
         x = mat([[1.0, -2.0], [5.0, 7.0]], trainable=True)
@@ -566,7 +490,8 @@ class TestOptim:
         opt.step()
         p.grad = None
         with bc.Tape() as tape:
-            bc.backward(tape, bc.mse_loss(p, mat([[0.0]])), bc.mse_loss(q, mat([[0.0]])))
+            loss = oracles.add(bc.mse_loss(p, mat([[0.0]])), bc.mse_loss(q, mat([[0.0]])))
+            bc.backward(tape, loss)
         q_grad = q.grad.copy()
         opt.step()
 
