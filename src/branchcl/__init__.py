@@ -35,7 +35,7 @@ from .errors import (
 )
 from .harness import ImmutabilityGuard, aggregate_reports, evaluate, run_seed, train_task
 from .metrics import EvalMatrix, Metrics, compute_metrics, task_wise_maa
-from .model import KINDS, ContinualModel, ModelConfig, build_model
+from .model import ContinualModel, ModelConfig, build_model
 from .optim import Adam, Sgd, make_optimizer
 from .routing import FreezeLedger, UsageStats, apply_freeze, select_freeze_set
 from .selector import (

@@ -82,11 +82,11 @@ class AdapterHyperparams:
 
 def draw_backbone(rng: np.random.Generator, d_in: int, d_out: int) -> Matrix:
     """The pretrained weight W_f: a constant, never trainable."""
-    return Matrix.randn(rng, d_in, d_out, std=1.0 / np.sqrt(d_in), name="backbone")
+    return Matrix.randn(rng, d_in, d_out, std=1.0 / np.sqrt(d_in))
 
 
-def _init_a(rng: np.random.Generator, d_in: int, r: int, name: str) -> Matrix:
-    return Matrix.randn(rng, d_in, r, std=1.0 / np.sqrt(d_in), trainable=True, name=name)
+def _init_a(rng: np.random.Generator, d_in: int, r: int) -> Matrix:
+    return Matrix.randn(rng, d_in, r, std=1.0 / np.sqrt(d_in), trainable=True)
 
 
 class AdapterLayer:
@@ -98,11 +98,11 @@ class AdapterLayer:
     checkpoint order. ``forward(x, task_id, per_row=False)``
     returns ``(h, gate)``, gate None without a router; a router gates the
     batch by its first row, or each row on its own with ``per_row``
-    (ignored by kinds without a router). ``params()`` are the matrices of
-    ``named_matrices`` whose ``trainable`` flag is on, in that order: the
-    flag is the only record of what trains, so freezing a matrix is turning
-    it off. ``routers`` (per-task routers) stays empty, and the task hooks
-    do nothing, unless the kind has such parts.
+    (ignored by kinds without a router). ``params()`` are the (name,
+    matrix) pairs of ``named_matrices`` whose ``trainable`` flag is on, in
+    that order: the flag is the only record of what trains, so freezing a
+    matrix is turning it off. ``routers`` (per-task routers) stays empty,
+    and the task hooks do nothing, unless the kind has such parts.
 
     The model and harness read two facts off a layer, never its kind: a
     router registered by ``start_task`` gives the model a key pair for that
@@ -127,8 +127,8 @@ class AdapterLayer:
             backbone = draw_backbone(rng, d_in, d_out)
         return cls(rng, backbone, hp)
 
-    def params(self) -> list[Matrix]:
-        return [m for _, m in self.named_matrices() if m.trainable]
+    def params(self) -> list[tuple[str, Matrix]]:
+        return [(name, m) for name, m in self.named_matrices() if m.trainable]
 
     def start_task(self, task_id: int, rng: np.random.Generator) -> None:
         pass
@@ -137,7 +137,7 @@ class AdapterLayer:
         pass
 
     def count_trainable_params(self) -> int:
-        return sum(p.data.size for p in self.params())
+        return sum(m.data.size for _, m in self.params())
 
 
 class BackboneLayer(AdapterLayer):
@@ -160,8 +160,8 @@ class LoRALayer(AdapterLayer):
         d_in, d_out = backbone.shape
         self.backbone = backbone
         self.hp = hp
-        self.a = _init_a(rng, d_in, hp.rank, "lora.A")
-        self.b = Matrix.zeros(hp.rank, d_out, trainable=True, name="lora.B")
+        self.a = _init_a(rng, d_in, hp.rank)
+        self.b = Matrix.zeros(hp.rank, d_out, trainable=True)
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
@@ -182,10 +182,10 @@ class MoELoRALayer(AdapterLayer):
         self.hp = hp
         self.experts = []
         for j in range(hp.experts):
-            a = _init_a(rng, d_in, pr, f"moe.expert{j}.A")
-            b = Matrix.zeros(pr, d_out, trainable=True, name=f"moe.expert{j}.B")
+            a = _init_a(rng, d_in, pr)
+            b = Matrix.zeros(pr, d_out, trainable=True)
             self.experts.append((a, b))
-        self.router = Matrix.zeros(d_in, hp.experts, trainable=True, name="moe.router")
+        self.router = Matrix.zeros(d_in, hp.experts, trainable=True)
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
@@ -214,11 +214,8 @@ class BranchLoRALayer(AdapterLayer):
         pr = hp.per_expert_rank
         self.backbone = backbone
         self.hp = hp
-        self.a_shared = _init_a(rng, d_in, pr, "branch.A")
-        self.branches = [
-            Matrix.zeros(pr, d_out, trainable=True, name=f"branch.B{j}")
-            for j in range(hp.experts)
-        ]
+        self.a_shared = _init_a(rng, d_in, pr)
+        self.branches = [Matrix.zeros(pr, d_out, trainable=True) for _ in range(hp.experts)]
         self.routers: dict[int, Matrix] = {}
         self.d_in = d_in
 
@@ -231,10 +228,9 @@ class BranchLoRALayer(AdapterLayer):
         """
         if task_id in self.routers:
             raise RoutingError(f"router for task {task_id} already registered")
-        name = f"branch.router.task{task_id}"
         std = 1e-2 / np.sqrt(self.d_in)
         self.routers[task_id] = Matrix.randn(
-            rng, self.d_in, self.hp.experts, std=std, trainable=True, name=name
+            rng, self.d_in, self.hp.experts, std=std, trainable=True
         )
 
     def finish_task(self, task_id: int) -> None:

@@ -206,7 +206,7 @@ def _one_batch(layer, x, target, opt) -> tuple[float, float]:
     return best_fb, best_step
 
 
-def _grad_coverage(layer, params, dim: int, batch: int,
+def _grad_coverage(layer, named, dim: int, batch: int,
                    target, rng: np.random.Generator) -> int:
     """Scalars that receive a gradient at least once over repeated batches.
 
@@ -214,20 +214,19 @@ def _grad_coverage(layer, params, dim: int, batch: int,
     reaches only the selected branches per batch, so coverage accumulates
     over fresh random inputs until it stops growing.
     """
-    seen: set[int] = set()
-    want = {id(p) for p in params}
+    seen: set[str] = set()
     for _ in range(64):
         xb = Matrix(rng.standard_normal((batch, dim)))
         with Tape() as tape:
             loss = mse_loss(layer.forward(xb, 0)[0], target)
             backward(tape, loss)
-        for p in params:
+        for name, p in named:
             if p.grad is not None:
-                seen.add(id(p))
+                seen.add(name)
                 p.grad = None
-        if seen == want:
+        if len(seen) == len(named):
             break
-    return sum(p.data.size for p in params if id(p) in seen)
+    return sum(p.data.size for name, p in named if name in seen)
 
 
 def efficiency_report(
@@ -247,7 +246,7 @@ def efficiency_report(
     hp = cfg.adapter.hyperparams()
     dim = cfg.stream.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-    x = Matrix(rng.standard_normal((cfg.train.batch_size, dim)), name="x")
+    x = Matrix(rng.standard_normal((cfg.train.batch_size, dim)))
     target = Matrix(rng.standard_normal((cfg.train.batch_size, dim)))
 
     methods = {}
@@ -257,10 +256,10 @@ def efficiency_report(
         layer = LAYERS[kind].init(rng, dim, dim, hp)
         layer.start_task(0, rng)
         layers[kind] = layer
-        params = layer.params()
+        named = layer.params()
         declared = layer.count_trainable_params()
 
-        covered = _grad_coverage(layer, params, dim,
+        covered = _grad_coverage(layer, named, dim,
                                  cfg.train.batch_size, target, rng)
         if covered != declared:
             raise AnalysisError(
@@ -279,7 +278,7 @@ def efficiency_report(
         # lr is kept vanishingly small: the timed loop below reuses this
         # optimizer, and the layer should stay at its starting point so
         # every timed batch performs the identical computation.
-        opt = make_optimizer(cfg.train.optimizer, params,
+        opt = make_optimizer(cfg.train.optimizer, named,
                              lr=1e-12, allow_missing=skipped > 0)
         opts[kind] = opt
         updated = opt.step()

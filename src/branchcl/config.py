@@ -35,7 +35,7 @@ class AdapterConfig:
     experts: int = 4
     top_k: int = 2
     align_weight: float = 1.0
-    freeze_width: int | None = 1  # None means "same as top_k"
+    freeze_width: int = 1
     freeze_by: str = "mass"  # or "count": freeze by selection frequency
     layers: int = 2
 
@@ -47,9 +47,6 @@ class AdapterConfig:
             top_k=self.top_k,
             align_weight=self.align_weight,
         )
-
-    def effective_freeze_width(self) -> int:
-        return self.top_k if self.freeze_width is None else self.freeze_width
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,7 @@ def _build_section(cls, obj, path: str):
         if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown field")
         fpath = f"{path}.{key}"
-        if key == "freeze_width":
-            kwargs[key] = None if value is None else _coerce(value, int, fpath)
-        elif fields[key].type in ("int", int):
+        if fields[key].type in ("int", int):
             kwargs[key] = _coerce(value, int, fpath)
         elif fields[key].type in ("float", float):
             kwargs[key] = _coerce(value, float, fpath)
@@ -173,7 +168,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"adapter: {err}") from err
     if a.layers < 1:
         raise ConfigError(f"adapter.layers: must be >= 1, got {a.layers}")
-    if a.freeze_width is not None and not 0 <= a.freeze_width <= a.experts:
+    if not 0 <= a.freeze_width <= a.experts:
         raise ConfigError(
             f"adapter.freeze_width: must lie in [0, {a.experts}], got {a.freeze_width}"
         )

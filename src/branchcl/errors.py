@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Every raised error carries enough context in its message to act on
-(offending shapes, indices, field paths). Nothing here is recoverable
-state; callers either fix the input or stop.
+(offending shapes, indices, field paths, a tensor by the name its
+checkpoint file carries). Nothing here is recoverable state; callers
+either fix the input or stop.
 """
 
 
@@ -27,12 +28,8 @@ class DegenerateInputError(BranchclError):
 
 
 class NumericError(BranchclError):
-    """A value became NaN or infinite during training. `index`, when set,
-    is the position of the offending matrix in the optimizer's list."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """A value became NaN or infinite: a training loss, a parameter after
+    an optimizer step (named by its checkpoint name) or a test input."""
 
 
 class RoutingError(BranchclError):

@@ -14,6 +14,7 @@ aborts on any drift.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -78,14 +79,16 @@ def train_task(
 
     `usage` collects per-layer gate observations. When the model holds
     task keys, each batch's inputs also give the task's keys their
-    alignment gradient. A NaN or inf in the parameters after a step raises
-    NumericError naming the task, batch and matrix; `run_seed` adds the
-    seed and method.
+    alignment gradient. A NaN or inf loss, checked before its backward,
+    raises NumericError naming the task, batch and loss; one in a parameter
+    after a step names the task, batch and tensor. `run_seed` adds the seed
+    and method.
     """
-    params = model.trainable_params()
-    if not params:
+    named = model.trainable_params()
+    if not named:
         raise ParameterError(f"{model.kind} models have nothing to train")
-    opt = make_optimizer(optimizer, params, lr, allow_missing=model.layers[0].allow_missing)
+    opt = make_optimizer(optimizer, named, lr, allow_missing=model.layers[0].allow_missing)
+    where = "all tasks" if task_id is None else f"task {task_id}"
     n = x_train.shape[0]
     align_weight = model.hp.align_weight
     keys = model.keys.get(task_id) if len(model.keys) else None
@@ -103,23 +106,20 @@ def train_task(
             with Tape() as tape:
                 logits, gates = model.forward(xb, task_id)
                 loss = cross_entropy(logits, yb)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise NumericError(f"{where}, batch {batches}: training loss is {value}")
                 backward(tape, loss)
             if keys is not None:
                 alignment_loss(xb, keys, align_weight)
             try:
                 opt.step()
             except NumericError as err:
-                task = "all tasks" if task_id is None else f"task {task_id}"
-                name = next(n for n, m in model.all_named_matrices() if m is params[err.index])
-                raise NumericError(
-                    f"{task}, batch {batches}: "
-                    f"tensor {name} holds a non-finite value after the optimizer step"
-                ) from err
+                raise NumericError(f"{where}, batch {batches}: {err}") from err
             batch_seconds.append(time.perf_counter() - t0)
             if usage is not None:
                 for st, gate in zip(usage, gates):
                     st.record_gate(gate)
-            value = loss.item()
             if first_loss is None:
                 first_loss = value
             last_loss = value
@@ -227,9 +227,7 @@ def _run_sequential(model, stream, config, rng, guard, entry, save) -> tuple[lis
         guard.verify(model.all_named_matrices())
         if keyed:
             for li, (layer, st) in enumerate(zip(model.layers, usage)):
-                chosen = select_freeze_set(
-                    st, a.effective_freeze_width(), layer.frozen, by=a.freeze_by
-                )
+                chosen = select_freeze_set(st, a.freeze_width, layer.frozen, by=a.freeze_by)
                 apply_freeze(layer, chosen)
                 ledger.record(tid, li, chosen, st.normalized_mass())
         model.finish_task(tid)

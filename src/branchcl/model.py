@@ -23,8 +23,6 @@ _ADAPTER_TAG = 12
 _KEY_TAG = 13
 _ROUTER_TAG = 14
 
-KINDS = tuple(LAYERS)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -93,15 +91,16 @@ class ContinualModel:
         for keys in self.keys.ordered():
             keys.freeze()
 
-    def trainable_params(self) -> list[Matrix]:
-        """The matrices whose trainable flag is on, in checkpoint order.
-        After ``start_task(t)`` these are each layer's unfrozen adapter
-        matrices and router t, then keys t: ``finish_task`` froze every
-        earlier router and key, and the backbone and head never train."""
-        return [m for _, m in self.all_named_matrices() if m.trainable]
+    def trainable_params(self) -> list[tuple[str, Matrix]]:
+        """The (name, matrix) pairs of `all_named_matrices` whose trainable
+        flag is on, in checkpoint order. After ``start_task(t)`` these are
+        each layer's unfrozen adapter matrices and router t, then keys t:
+        ``finish_task`` froze every earlier router and key, and the backbone
+        and head never train."""
+        return [(name, m) for name, m in self.all_named_matrices() if m.trainable]
 
     def count_trainable_params(self) -> int:
-        return sum(p.data.size for p in self.trainable_params())
+        return sum(m.data.size for _, m in self.trainable_params())
 
     def all_named_matrices(self) -> list[tuple[str, Matrix]]:
         """Every matrix in the model, with stable names (for checkpoints)."""
@@ -125,9 +124,7 @@ def build_model(kind: str, cfg: ModelConfig, hp: AdapterHyperparams, seed: int) 
         raise ParameterError(f"unknown model kind: {kind!r}")
     backbone_rng = np.random.default_rng(np.random.SeedSequence([seed, _BACKBONE_TAG]))
     backbones = [draw_backbone(backbone_rng, cfg.width, cfg.width) for _ in range(cfg.layers)]
-    head = Matrix.randn(
-        backbone_rng, cfg.width, cfg.classes, std=1.0 / np.sqrt(cfg.width), name="head"
-    )
+    head = Matrix.randn(backbone_rng, cfg.width, cfg.classes, std=1.0 / np.sqrt(cfg.width))
     adapter_rng = np.random.default_rng(np.random.SeedSequence([seed, _ADAPTER_TAG]))
     layers = [
         layer_cls.init(adapter_rng, cfg.width, cfg.width, hp, backbone=backbone)

@@ -1,8 +1,12 @@
 """Parameter updates: plain gradient descent and Adam, over one flat arena.
 
-An optimizer owns a list of Matrix parameters. Building it copies their
-values into one contiguous float64 vector, the arena, and rebinds each
-matrix's ``.data`` to a reshaped view of its segment. From then on the
+An optimizer is built from (name, matrix) pairs, as ``trainable_params()``
+and ``params()`` give them, and ``params`` lists the matrices. Every error
+it raises (a matrix listed twice, a missing grad, a rebound ``.data``, a
+non-finite value) names the matrix by that name, the one its checkpoint
+file carries. Building it copies their values into
+one contiguous float64 vector, the arena, and rebinds each matrix's
+``.data`` to a reshaped view of its segment. From then on the
 optimizer updates that view in place, so everything holding the matrix
 sees each step. Rebinding ``.data`` to another array detaches the matrix:
 the next step that would update it raises. One optimizer is built per
@@ -38,8 +42,7 @@ mask. Scratch is never wider than the larger of a bucket and the largest
 parameter. A pass makes the same elementwise operations in the same order
 as an update of one matrix at a time, so the results are bit for bit the
 same. Each pass then checks the values of the parameters it updated: a
-NaN or inf raises `NumericError` naming the first matrix that holds one,
-with its index in the optimizer's list.
+NaN or inf raises `NumericError` naming the first matrix that holds one.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
@@ -62,6 +65,9 @@ _BUCKET = 1 << 14
 # Adam's decay rates of the two moments, and the eps added to sqrt(v)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
+# (name, matrix) pairs, named as in named_matrices
+NamedMatrices = list[tuple[str, Matrix]]
+
 
 class _Arena:
     """The arena, grad buffer and scratch that Sgd and Adam share, and the
@@ -70,14 +76,15 @@ class _Arena:
     kind = ""
     scratch_rows = 1
 
-    def __init__(self, params: list[Matrix], lr: float = 1e-3, allow_missing: bool = False):
+    def __init__(self, named: NamedMatrices, lr: float = 1e-3, allow_missing: bool = False):
         if lr <= 0:
             raise ParameterError(f"{self.kind}: lr must be positive, got {lr}")
-        self.params = list(params)
+        self._names = [name for name, _ in named]
+        self.params = [p for _, p in named]
         seen: set[int] = set()
-        for p in self.params:
+        for name, p in named:
             if id(p) in seen:
-                raise ContractError(f"{self.kind}: parameter {p.name or 'matrix'} is listed twice")
+                raise ContractError(f"{self.kind}: parameter {name} is listed twice")
             seen.add(id(p))
         self.lr = float(lr)
         self.allow_missing = bool(allow_missing)
@@ -126,11 +133,11 @@ class _Arena:
                 if self.allow_missing:
                     continue
                 raise ContractError(
-                    f"{self.kind}: trainable parameter {p.name or 'matrix'} has no gradient"
+                    f"{self.kind}: trainable parameter {self._names[i]} has no gradient"
                 )
             if p.data is not view:
                 raise ContractError(
-                    f"{self.kind}: parameter {p.name or 'matrix'} no longer views the "
+                    f"{self.kind}: parameter {self._names[i]} no longer views the "
                     "optimizer's arena (its .data was rebound)"
                 )
             if g is not slot:
@@ -190,9 +197,7 @@ class _Arena:
         for i in range(a, b):
             if i not in skipped and not finite[starts[i] - lo : starts[i + 1] - lo].all():
                 raise NumericError(
-                    f"{self.kind}: parameter {self.params[i].name or 'matrix'} "
-                    "holds a non-finite value after the step",
-                    index=i,
+                    f"tensor {self._names[i]} holds a non-finite value after the optimizer step"
                 )
 
 
@@ -226,8 +231,8 @@ class Adam(_Arena):
     _decay = np.array([[_BETA1], [_BETA2]])
     _mix = 1.0 - _decay
 
-    def __init__(self, params: list[Matrix], lr: float = 1e-3, allow_missing: bool = False):
-        super().__init__(params, lr, allow_missing)
+    def __init__(self, named: NamedMatrices, lr: float = 1e-3, allow_missing: bool = False):
+        super().__init__(named, lr, allow_missing)
         # rows m and v, so that one call updates both moments
         self._moments = np.zeros((2, self._flat.size))
         self._t = [0] * len(self.params)
@@ -272,9 +277,9 @@ class Adam(_Arena):
         return updated
 
 
-def make_optimizer(kind: str, params: list[Matrix], lr: float = 1e-3, allow_missing: bool = False):
+def make_optimizer(kind: str, named: NamedMatrices, lr: float = 1e-3, allow_missing: bool = False):
     if kind == "adam":
-        return Adam(params, lr=lr, allow_missing=allow_missing)
+        return Adam(named, lr=lr, allow_missing=allow_missing)
     if kind == "sgd":
-        return Sgd(params, lr=lr, allow_missing=allow_missing)
+        return Sgd(named, lr=lr, allow_missing=allow_missing)
     raise ParameterError(f"unknown optimizer kind: {kind!r}")

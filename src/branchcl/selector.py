@@ -38,8 +38,8 @@ class TaskKeys:
         # zero init would make the cosine undefined, so start from a tiny
         # perturbation; the alignment loss only cares about direction.
         std = 1e-2 / np.sqrt(dim)
-        k_img = Matrix.randn(rng, 1, dim, std=std, trainable=True, name=f"key.task{task_id}.img")
-        k_txt = Matrix.randn(rng, 1, dim, std=std, trainable=True, name=f"key.task{task_id}.txt")
+        k_img = Matrix.randn(rng, 1, dim, std=std, trainable=True)
+        k_txt = Matrix.randn(rng, 1, dim, std=std, trainable=True)
         return cls(task_id, k_img, k_txt)
 
     def freeze(self) -> None:

@@ -29,29 +29,28 @@ class Matrix:
     Frozen parameters are plain matrices with trainable=False: ops treat
     them as constants and the optimizer never touches them. An optimizer
     sets `_slot`, the matrix's segment of its grad buffer, until it is
-    released; `backward` writes the matrix's grad there.
+    released; `backward` writes the matrix's grad there. A matrix has no
+    name of its own: the layer or model holding it names it, in
+    ``named_matrices``, and that name is the one checkpoints and errors use.
     """
 
-    __slots__ = ("data", "grad", "trainable", "name", "_flow", "_slot")
+    __slots__ = ("data", "grad", "trainable", "_flow", "_slot")
 
-    def __init__(self, data, trainable: bool = False, name: str = ""):
+    def __init__(self, data, trainable: bool = False):
         arr = np.array(data, dtype=np.float64)
         if arr.ndim != 2:
-            raise DimensionError(
-                f"Matrix requires a 2-D value, got ndim={arr.ndim} for {name or 'matrix'}"
-            )
+            raise DimensionError(f"Matrix requires a 2-D value, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError(f"Matrix must be non-empty, got shape {arr.shape}")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.trainable = bool(trainable)
-        self.name = name
         self._flow = False  # set on op outputs that carry a gradient path
         self._slot: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, trainable: bool = False, name: str = "") -> "Matrix":
-        return cls(np.zeros((rows, cols)), trainable=trainable, name=name)
+    def zeros(cls, rows: int, cols: int, trainable: bool = False) -> "Matrix":
+        return cls(np.zeros((rows, cols)), trainable=trainable)
 
     @classmethod
     def randn(
@@ -61,9 +60,8 @@ class Matrix:
         cols: int,
         std: float = 1.0,
         trainable: bool = False,
-        name: str = "",
     ) -> "Matrix":
-        return cls(rng.standard_normal((rows, cols)) * std, trainable=trainable, name=name)
+        return cls(rng.standard_normal((rows, cols)) * std, trainable=trainable)
 
     @property
     def rows(self) -> int:
@@ -87,8 +85,7 @@ class Matrix:
         return float(self.data[0, 0])
 
     def __repr__(self) -> str:
-        tag = self.name or "matrix"
-        return f"Matrix({tag}, {self.rows}x{self.cols}, trainable={self.trainable})"
+        return f"Matrix({self.rows}x{self.cols}, trainable={self.trainable})"
 
 
 def _result(arr: np.ndarray, flow: bool) -> Matrix:
@@ -97,7 +94,6 @@ def _result(arr: np.ndarray, flow: bool) -> Matrix:
     out.data = arr
     out.grad = None
     out.trainable = False
-    out.name = ""
     out._flow = flow
     return out
 

@@ -148,6 +148,11 @@ def branch_forward_oracle(x, w, a_shared, branches, router, k, scaling):
 # the rule the flat-arena optimizers must reproduce bit for bit.
 
 
+def named(params):
+    """Matrices as the (name, matrix) pairs an optimizer takes: p0, p1, ..."""
+    return [(f"p{i}", p) for i, p in enumerate(params)]
+
+
 class RefSgd:
     def __init__(self, params, lr, allow_missing=False):
         self.params = list(params)
@@ -156,13 +161,13 @@ class RefSgd:
 
     def step(self) -> int:
         updated = 0
-        for p in self.params:
+        for i, p in enumerate(self.params):
             if not p.trainable:
                 continue
             if p.grad is None:
                 if self.allow_missing:
                     continue
-                raise ContractError(f"sgd: trainable parameter {p.name or 'matrix'} has no gradient")
+                raise ContractError(f"sgd: trainable parameter p{i} has no gradient")
             p.data -= self.lr * p.grad
             p.grad = None
             updated += p.data.size
@@ -183,13 +188,13 @@ class RefAdam:
 
     def step(self) -> int:
         updated = 0
-        for p in self.params:
+        for i, p in enumerate(self.params):
             if not p.trainable:
                 continue
             if p.grad is None:
                 if self.allow_missing:
                     continue
-                raise ContractError(f"adam: trainable parameter {p.name or 'matrix'} has no gradient")
+                raise ContractError(f"adam: trainable parameter p{i} has no gradient")
             key = id(p)
             m = self._m.get(key)
             if m is None:

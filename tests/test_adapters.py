@@ -172,7 +172,7 @@ class TestBranchLoRA:
         layer.branches[1].trainable = False
         reduced = layer.count_trainable_params()
         assert full - reduced == layer.branches[1].data.size
-        assert layer.branches[1] not in layer.params()
+        assert layer.branches[1] not in dict(layer.params()).values()
         assert layer.frozen == [False, True, False, False]
 
     def test_param_count(self):

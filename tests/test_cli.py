@@ -84,6 +84,7 @@ class TestRun:
         assert main(["run", "--config", SMOKE, "--out", str(tmp_path / "nan")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("branchcl: error: seed 0, method lora, task 0, batch ")
+        assert err.endswith(": training loss is nan\n")
         assert err.count("\n") == 1
 
     def test_seed_override(self, tmp_path):

@@ -37,13 +37,7 @@ def test_partial_overrides():
     assert cfg.stream.dim == 32  # untouched default
     assert cfg.train.lr == 0.01
     assert cfg.seeds == (7,)
-
-
-def test_freeze_width_null_means_top_k():
-    cfg = bc.config_from_dict({"adapter": {"freeze_width": None, "top_k": 2}})
-    assert cfg.adapter.freeze_width is None
-    assert cfg.adapter.effective_freeze_width() == 2
-    assert bc.config_from_dict({"adapter": {"freeze_width": 0}}).adapter.effective_freeze_width() == 0
+    assert bc.config_from_dict({"adapter": {"freeze_width": 0}}).adapter.freeze_width == 0
 
 
 @pytest.mark.parametrize(
@@ -70,6 +64,8 @@ def test_freeze_width_null_means_top_k():
         ({"seeds": [0, "1"]}, "seeds[1]"),
         ({"out_dir": 5}, "out_dir"),
         ({"seeds": [-2]}, "seeds[0]"),
+        # freeze_width is a plain integer: null is no alias of top_k
+        ({"adapter": {"freeze_width": None}}, "adapter.freeze_width: expected an integer"),
     ],
 )
 def test_rejections_name_the_field(obj, fragment):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import branchcl as bc
+from branchcl.adapters import LAYERS
 from branchcl.checkpoint import load_model
 
 WIDTH = 8
@@ -29,7 +30,7 @@ def trained_like(kind: str, seed: int) -> bc.ContinualModel:
     return model
 
 
-@pytest.mark.parametrize("kind", bc.KINDS)
+@pytest.mark.parametrize("kind", LAYERS)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**16),

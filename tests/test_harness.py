@@ -59,9 +59,40 @@ class TestTrainTask:
             ("multitask", "layer0.A"),
         ],
     )
-    def test_nan_batch_raises_naming_seed_method_task_batch_tensor(self, smoke_cfg, method, first):
-        # train_task names the task, batch and tensor; run_seed puts the
-        # seed and method in front
+    def test_nan_batch_raises_naming_seed_method_task_batch_tensor(
+        self, smoke_cfg, method, first, monkeypatch
+    ):
+        # a finite loss whose third batch writes a NaN into the grad of
+        # tensor `first`: train_task names the task, batch and tensor by its
+        # checkpoint name, and run_seed puts the seed and method in front
+        stream = bc.generate_stream(
+            tasks=1, train_samples=64, test_samples=32, dim=16, classes=4, seed=0
+        )
+        named, losses = {}, []
+        make, real_backward = harness.make_optimizer, harness.backward
+
+        def capture(kind, pairs, *args, **kwargs):
+            named.update(pairs)
+            return make(kind, pairs, *args, **kwargs)
+
+        def poison_third(tape, loss):
+            real_backward(tape, loss)
+            losses.append(loss)
+            if len(losses) == 3:
+                named[first].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(harness, "make_optimizer", capture)
+        monkeypatch.setattr(harness, "backward", poison_third)
+        with pytest.raises(NumericError) as info:
+            bc.run_seed(dataclasses.replace(smoke_cfg, methods=(method,)), 3, stream=stream)
+        where = "all tasks" if method == "multitask" else "task 0"
+        assert str(info.value) == (
+            f"seed 3, method {method}, {where}, batch 2: "
+            f"tensor {first} holds a non-finite value after the optimizer step"
+        )
+
+    @pytest.mark.parametrize("method", ["lora", "moelora", "branchlora", "multitask"])
+    def test_nan_input_raises_naming_the_loss(self, smoke_cfg, method):
         stream = bc.generate_stream(
             tasks=1, train_samples=64, test_samples=32, dim=16, classes=4, seed=0
         )
@@ -74,8 +105,8 @@ class TestTrainTask:
         with pytest.raises(NumericError) as info:
             bc.run_seed(cfg, 3, stream=stream)
         where = "all tasks" if method == "multitask" else "task 0"
-        assert str(info.value).startswith(
-            f"seed 3, method {method}, {where}, batch {batch}: tensor {first} "
+        assert str(info.value) == (
+            f"seed 3, method {method}, {where}, batch {batch}: training loss is nan"
         )
 
     def test_nan_test_row_names_the_multitask_method(self, smoke_cfg):

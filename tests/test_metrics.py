@@ -1,11 +1,23 @@
 """Continual-learning metrics against hand-computed and oracle values."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchcl as bc
 from branchcl import ContractError
 from oracles import metrics_oracle
+
+
+@st.composite
+def eval_rows(draw):
+    """The rows of a valid evaluation matrix of one to eight tasks."""
+    tasks = draw(st.integers(1, 8))
+    acc = st.floats(0.0, 1.0)
+    return [draw(st.lists(acc, min_size=i + 1, max_size=i + 1)) for i in range(tasks)]
 
 
 def test_two_task_example():
@@ -23,10 +35,11 @@ def test_constant_matrix():
     assert m.bwt == pytest.approx(0.0, abs=1e-12)
 
 
-def test_single_task_bwt_is_zero():
-    m = bc.compute_metrics(bc.EvalMatrix([[0.9]]))
-    assert m.acc == 0.9
-    assert m.maa == 0.9
+@given(value=st.floats(0.0, 1.0))
+def test_single_task_bwt_is_zero(value):
+    m = bc.compute_metrics(bc.EvalMatrix([[value]]))
+    assert m.acc == value
+    assert m.maa == value
     assert m.bwt == 0.0
 
 
@@ -79,3 +92,38 @@ def test_eval_matrix_validation():
         bc.EvalMatrix([[1.2]])
     with pytest.raises(ContractError):
         bc.EvalMatrix([[-0.1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=eval_rows())
+def test_metric_identities(rows):
+    matrix = bc.EvalMatrix(rows)
+    m = bc.compute_metrics(matrix)
+    # the MAA curve ends at MAA, summed in the same order
+    assert bc.task_wise_maa(matrix)[-1] == m.maa
+    diagonal = matrix.diagonal()
+    assert abs(m.bwt - (m.acc - sum(diagonal) / len(diagonal))) <= 1e-12
+
+
+@given(rows=eval_rows(), data=st.data())
+def test_eval_matrix_rejects_a_row_of_the_wrong_length(rows, data):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if data.draw(st.booleans()):
+        rows[i].append(0.5)
+    else:
+        rows[i].pop()
+    with pytest.raises(ContractError, match=f"^row {i} has {len(rows[i])} entries"):
+        bc.EvalMatrix(rows)
+
+
+@given(rows=eval_rows(), data=st.data())
+def test_eval_matrix_rejects_a_value_outside_the_unit_interval(rows, data):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    k = data.draw(st.integers(0, i))
+    rows[i][k] = data.draw(
+        st.floats(max_value=0.0, exclude_max=True)
+        | st.floats(min_value=1.0, exclude_min=True)
+        | st.just(float("nan"))
+    )
+    with pytest.raises(ContractError, match=f"^{re.escape(f'accuracy [{i}][{k}]=')}"):
+        bc.EvalMatrix(rows)

@@ -182,7 +182,8 @@ def test_freeze_invariants(tasks, experts, widths, by, gate_seed):
 
     for t in range(tasks):
         model.start_task(t)
-        assert [id(m) for m in model.trainable_params()] == [id(m) for m in expected_trainable(t)]
+        trainable = [m for _, m in model.trainable_params()]
+        assert [id(m) for m in trainable] == [id(m) for m in expected_trainable(t)]
         for li, layer in enumerate(model.layers):
             before = layer.frozen
             stats = bc.UsageStats(experts)

@@ -437,7 +437,7 @@ class TestGradients:
 class TestOptim:
     def test_sgd_step(self):
         p = mat([[1.0]], trainable=True)
-        opt = bc.make_optimizer("sgd", [p], lr=0.1)
+        opt = bc.make_optimizer("sgd", [("p", p)], lr=0.1)
         with bc.Tape() as tape:
             loss = bc.mse_loss(p, mat([[0.0]]))
             bc.backward(tape, loss)
@@ -447,7 +447,7 @@ class TestOptim:
 
     def test_adam_first_step_is_signed_lr(self):
         p = mat([[1.0]], trainable=True)
-        opt = bc.make_optimizer("adam", [p], lr=0.1)
+        opt = bc.make_optimizer("adam", [("p", p)], lr=0.1)
         with bc.Tape() as tape:
             loss = bc.mse_loss(p, mat([[0.0]]))
             bc.backward(tape, loss)
@@ -462,15 +462,15 @@ class TestOptim:
             with bc.Tape() as tape:
                 loss = bc.mse_loss(p, mat([[0.0]]))
                 bc.backward(tape, loss)
-            strict = bc.make_optimizer(kind, [p, q], lr=0.1)
-            with pytest.raises(ContractError):
+            strict = bc.make_optimizer(kind, [("p", p), ("q", q)], lr=0.1)
+            with pytest.raises(ContractError, match=f"^{kind}: trainable parameter q has no "):
                 strict.step()
             p.grad = None
 
     def test_allow_missing_skips_and_counts(self):
         p = mat([[1.0, 1.0]], trainable=True)
         q = mat([[5.0]], trainable=True)
-        opt = bc.make_optimizer("sgd", [p, q], lr=0.1, allow_missing=True)
+        opt = bc.make_optimizer("sgd", [("p", p), ("q", q)], lr=0.1, allow_missing=True)
         with bc.Tape() as tape:
             loss = bc.mse_loss(p, mat([[0.0, 0.0]]))
             bc.backward(tape, loss)
@@ -483,7 +483,7 @@ class TestOptim:
         # update must match a fresh Adam taking its first step.
         p = mat([[1.0]], trainable=True)
         q = mat([[1.0]], trainable=True)
-        opt = bc.make_optimizer("adam", [p, q], lr=0.1, allow_missing=True)
+        opt = bc.make_optimizer("adam", [("p", p), ("q", q)], lr=0.1, allow_missing=True)
         with bc.Tape() as tape:
             loss = bc.mse_loss(p, mat([[0.0]]))
             bc.backward(tape, loss)
@@ -496,7 +496,7 @@ class TestOptim:
         opt.step()
 
         fresh_q = mat([[1.0]], trainable=True)
-        fresh = bc.make_optimizer("adam", [fresh_q], lr=0.1)
+        fresh = bc.make_optimizer("adam", [("q", fresh_q)], lr=0.1)
         fresh_q.grad = q_grad
         fresh.step()
         assert q.data[0, 0] == fresh_q.data[0, 0]
@@ -504,9 +504,9 @@ class TestOptim:
     def test_bad_lr_and_kind(self):
         p = mat([[1.0]], trainable=True)
         with pytest.raises(ParameterError):
-            bc.make_optimizer("sgd", [p], lr=0.0)
+            bc.make_optimizer("sgd", [("p", p)], lr=0.0)
         with pytest.raises(ParameterError):
-            bc.make_optimizer("rmsprop", [p])
+            bc.make_optimizer("rmsprop", [("p", p)])
 
 
 def test_forward_values_identical_with_and_without_tape():
