@@ -77,12 +77,13 @@ def train_task(
 ) -> TrainStats:
     """Train the model's adapter parameters on one task's data.
 
-    `usage` collects per-layer gate observations. When the model holds
-    task keys, each batch's inputs also give the task's keys their
-    alignment gradient. A NaN or inf loss, checked before its backward,
-    raises NumericError naming the task, batch and loss; one in a parameter
-    after a step names the task, batch and tensor. `run_seed` adds the seed
-    and method.
+    `usage` collects per-layer gate observations: each batch's gate rows
+    are kept, and each layer's stats record them all in one call after the
+    last step. When the model holds task keys, each batch's inputs also
+    give the task's keys their alignment gradient. A NaN or inf loss,
+    checked before its backward, raises NumericError naming the task, batch
+    and loss; one in a parameter after a step names the task, batch and
+    tensor. `run_seed` adds the seed and method.
     """
     named = model.trainable_params()
     if not named:
@@ -96,6 +97,8 @@ def train_task(
     last_loss = None
     batches = 0
     batch_seconds: list[float] = []
+    # each layer's gate rows, one array per batch, recorded when the task ends
+    gate_rows: list[list[np.ndarray]] = [[] for _ in usage] if usage is not None else []
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -117,13 +120,14 @@ def train_task(
             except NumericError as err:
                 raise NumericError(f"{where}, batch {batches}: {err}") from err
             batch_seconds.append(time.perf_counter() - t0)
-            if usage is not None:
-                for st, gate in zip(usage, gates):
-                    st.record_gate(gate)
+            for rows, gate in zip(gate_rows, gates):
+                rows.append(gate.data)
             if first_loss is None:
                 first_loss = value
             last_loss = value
             batches += 1
+    for st, rows in zip(usage or [], gate_rows):
+        st.record_gate(Matrix(np.vstack(rows)))
     # every matrix gets its own bytes back, so the arena dies with opt
     opt.release()
     return TrainStats(first_loss, last_loss, batches, batch_seconds)

@@ -223,7 +223,8 @@ class Sgd(_Arena):
 
 
 class Adam(_Arena):
-    """Adam with bias correction; moments and step counts kept per parameter."""
+    """Adam with bias correction; moments and step counts kept per parameter,
+    and the bias corrections looked up by step count in a table."""
 
     kind = "adam"
     scratch_rows = 2
@@ -236,6 +237,9 @@ class Adam(_Arena):
         # rows m and v, so that one call updates both moments
         self._moments = np.zeros((2, self._flat.size))
         self._t = [0] * len(self.params)
+        # column k: the bias corrections 1 - b1**k and 1 - b2**k after k
+        # steps, 0 at k = 0; doubled in width whenever a step count outgrows it
+        self._corrections = np.zeros((2, 1))
 
     def step(self) -> int:
         active, updated = self._gather()
@@ -246,13 +250,20 @@ class Adam(_Arena):
             t[i] += 1
         passes, skipped = self._passes(active)
         steps = {t[i] for i in active}
+        top = max(steps)
+        if top >= self._corrections.shape[1]:
+            n = 2 * top
+            self._corrections = np.array(
+                [[1.0 - _BETA1**j for j in range(n)], [1.0 - _BETA2**j for j in range(n)]]
+            )
+        table = self._corrections
         if len(steps) == 1:
             (k,) = steps
-            c = np.array([[1.0 - _BETA1**k], [1.0 - _BETA2**k]])
+            c = table[:, k : k + 1]
             per_param = None
         else:
             # 0 for a parameter with no step yet, which a mask keeps out
-            per_param = np.array([[1.0 - _BETA1**k for k in t], [1.0 - _BETA2**k for k in t]])
+            per_param = table.take(t, axis=1)
         for a, b in passes:
             lo, hi = self._starts[a], self._starts[b]
             if per_param is not None:

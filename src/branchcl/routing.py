@@ -26,18 +26,26 @@ class UsageStats:
         self.samples_seen = 0
 
     def record_gate(self, gate: Matrix) -> None:
-        """Accumulate one observed gate distribution (1 x N, sums to 1)."""
-        row = gate.data[0]
-        if row.size != self.experts:
-            raise ContractError(f"gate has {row.size} entries, expected {self.experts}")
-        total = float(row.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise ContractError(f"gate not normalized: sums to {total!r}")
-        if np.any(row < 0.0):
+        """Accumulate an M x N gate, each row one observed distribution
+        that sums to 1. Every row is checked before any field changes.
+
+        The rows' mass is added from the first row to the last, so into
+        fresh stats M rows at once add the same bytes as M one-row calls.
+        """
+        rows = gate.data
+        if rows.shape[1] != self.experts:
+            raise ContractError(f"gate has {rows.shape[1]} entries, expected {self.experts}")
+        totals = rows.sum(axis=1)
+        off = ~(np.abs(totals - 1.0) <= 1e-6)
+        if off.any():
+            raise ContractError(f"gate not normalized: sums to {float(totals[off.argmax()])!r}")
+        if (rows < 0.0).any():
             raise ContractError("gate has negative entries")
-        self.mass += row
-        self.selections += row > 0.0
-        self.samples_seen += 1
+        # cumsum adds the rows in order at every width; sum(axis=0) pairs
+        # them up when the gate is one column wide
+        self.mass += rows.cumsum(axis=0)[-1]
+        self.selections += np.count_nonzero(rows > 0.0, axis=0)
+        self.samples_seen += rows.shape[0]
 
     def normalized_mass(self) -> np.ndarray:
         if self.samples_seen == 0:

@@ -146,21 +146,22 @@ def alignment_loss(x: Matrix, keys: TaskKeys, weight: float) -> None:
         raise DimensionError(
             f"input views are {v.shape[-1]} wide, the task keys are {keys.k_img.cols} wide"
         )
-    gs = -float(weight)
-    for u, k in ((v[:, 0], keys.k_img), (v[:, 1], keys.k_txt)):
-        kv = k.data[0]
-        # vecdot takes each row's dot product with the same BLAS dot as
-        # `u_i @ kv`, so every cosine is bit-identical to that row on its own.
-        nu = np.sqrt(np.vecdot(u, u))
-        nk = float(np.linalg.norm(kv))
-        if nk == 0.0 or not nu.all():
-            raise DegenerateInputError("alignment_loss: zero-norm row or key")
-        denom = nu * nk
-        c = np.vecdot(u, kv) / denom
-        per_row = gs * (u / denom[:, None] - c[:, None] * kv / (nk * nk))
-        # Summed from the last row to the first, the order in which a chain
-        # of one-row losses accumulates when a tape replays it.
-        k.grad = per_row[::-1].sum(axis=0, keepdims=True)
+    # (2, half): the image key, then the text key, beside the views of v
+    k = np.concatenate((keys.k_img.data, keys.k_txt.data))
+    # vecdot takes each (row, view) dot product with the same BLAS dot as
+    # `u_i @ k`, so every cosine is bit-identical to that row on its own.
+    nu = np.sqrt(np.vecdot(v, v))
+    nk = np.sqrt(np.vecdot(k, k))
+    if not nk.all() or not nu.all():
+        raise DegenerateInputError("alignment_loss: zero-norm row or key")
+    denom = nu * nk
+    c = np.vecdot(v, k) / denom
+    per_row = -float(weight) * (v / denom[..., None] - c[..., None] * k / (nk * nk)[:, None])
+    # Summed from the last row to the first, the order in which a chain of
+    # one-row losses accumulates when a tape replays it.
+    g = per_row[::-1].sum(axis=0)
+    keys.k_img.grad = g[0:1]
+    keys.k_txt.grad = g[1:2]
 
 
 def select_task(x: np.ndarray, keys: StackedKeys) -> int:

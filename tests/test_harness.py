@@ -133,6 +133,30 @@ class TestTrainTask:
         model.finish_task(0)
         assert all(m.data.base is None for _, m in model.all_named_matrices())
 
+    def test_gate_usage_is_recorded_once_per_layer(self, smoke_cfg, monkeypatch):
+        # every batch's gate row is kept, and each layer's stats record all
+        # of them in one call after the last step
+        task = bc.generate_stream(
+            tasks=1, train_samples=64, test_samples=8, dim=16, classes=4, seed=0
+        ).tasks[0]
+        model = bc.build_model("branchlora", bc.ModelConfig(width=16, classes=4, layers=2),
+                               smoke_cfg.adapter.hyperparams(), seed=0)
+        model.start_task(0)
+        calls = []
+        record = bc.UsageStats.record_gate
+
+        def counting(stats, gate):
+            calls.append((id(stats), gate.rows))
+            return record(stats, gate)
+
+        monkeypatch.setattr(bc.UsageStats, "record_gate", counting)
+        usage = [bc.UsageStats(4) for _ in model.layers]
+        stats = bc.train_task(model, task.x_train, task.y_train, 0, 3, 16, 3e-3, "adam",
+                              np.random.default_rng(0), usage=usage)
+        assert stats.batches == 3 * 4
+        assert sorted(calls) == sorted((id(st), stats.batches) for st in usage)
+        assert [st.samples_seen for st in usage] == [stats.batches] * len(model.layers)
+
     def test_zero_shot_refuses_training(self, smoke_cfg):
         hp = smoke_cfg.adapter.hyperparams()
         model = bc.build_model("zero_shot", bc.ModelConfig(width=16, classes=4, layers=2), hp, 0)

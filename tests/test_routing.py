@@ -41,6 +41,19 @@ class TestUsageStats:
             stats.record_gate(bc.Matrix([[1.5, -0.5, 0.0, 0.0]]))  # negative entry
         assert stats.samples_seen == 0
 
+    def test_a_bad_row_anywhere_is_rejected_and_changes_nothing(self):
+        rng = np.random.default_rng(0)
+        good = np.vstack([random_gate(rng, 4).data for _ in range(5)])
+        stats = make_stats([[0.25, 0.25, 0.25, 0.25]])
+        before = (stats.mass.tobytes(), stats.selections.tobytes(), stats.samples_seen)
+        for bad in ([0.5, 0.4, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0]):
+            for at in range(len(good)):
+                rows = good.copy()
+                rows[at] = bad
+                with pytest.raises(ContractError):
+                    stats.record_gate(bc.Matrix(rows))
+                assert (stats.mass.tobytes(), stats.selections.tobytes(), stats.samples_seen) == before
+
     def test_empty_stats_refuse_queries(self):
         stats = bc.UsageStats(4)
         with pytest.raises(PolicyError):
@@ -150,6 +163,25 @@ def random_gate(rng, experts):
     mass = rng.random(experts) * (rng.random(experts) < 0.7)
     mass[rng.integers(experts)] += 0.1
     return bc.Matrix([mass / mass.sum()])
+
+
+@settings(max_examples=50, deadline=None)
+@given(experts=st.integers(1, 8), rows=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_m_rows_in_one_call_add_what_m_one_row_calls_add(experts, rows, seed):
+    """Into fresh stats, an M x N gate gives the same mass bytes,
+    selections and samples_seen as its rows recorded one at a time."""
+    rng = np.random.default_rng(seed)
+    gate = np.vstack([random_gate(rng, experts).data for _ in range(rows)])
+    # rows that sum to 1 only within the tolerance, so that the order in
+    # which the rows are added shows in the bytes at every width
+    gate *= 1.0 + rng.uniform(-4e-7, 4e-7, (rows, 1))
+    at_once, one_by_one = bc.UsageStats(experts), bc.UsageStats(experts)
+    at_once.record_gate(bc.Matrix(gate))
+    for row in gate:
+        one_by_one.record_gate(bc.Matrix(row[None]))
+    assert at_once.mass.tobytes() == one_by_one.mass.tobytes()
+    np.testing.assert_array_equal(at_once.selections, one_by_one.selections)
+    assert at_once.samples_seen == one_by_one.samples_seen == rows
 
 
 @settings(max_examples=25, deadline=None)

@@ -110,6 +110,26 @@ class TestAlignmentLoss:
             np.testing.assert_array_equal(keys.k_img.grad, key_grad_oracle(imgs, k_img, w))
             np.testing.assert_array_equal(keys.k_txt.grad, key_grad_oracle(txts, k_txt, w))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 48),
+        half=st.integers(1, 24),
+        weight=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_pass_gradient_matches_per_row_oracle(self, rows, half, weight, seed):
+        # both views and both keys in one pass give each key what the
+        # one-row-at-a-time oracle gives it, at weight 0 zeros, not None
+        rng = np.random.default_rng(seed)
+        imgs, txts = rng.standard_normal((rows, half)), rng.standard_normal((rows, half))
+        k_img, k_txt = rng.standard_normal(half), rng.standard_normal(half)
+        keys = keys_from(0, k_img, k_txt)
+        bc.alignment_loss(batch(imgs, txts), keys, weight)
+        for g in grads(keys):
+            assert g is not None and g.shape == (1, half)
+        np.testing.assert_array_equal(keys.k_img.grad, key_grad_oracle(imgs, k_img, weight))
+        np.testing.assert_array_equal(keys.k_txt.grad, key_grad_oracle(txts, k_txt, weight))
+
     def test_gradient_reaches_keys(self):
         rng = np.random.default_rng(4)
         keys = keys_from(0, rng.standard_normal(4), rng.standard_normal(4))
