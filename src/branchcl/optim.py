@@ -18,8 +18,9 @@ values into its own arena.
 The optimizer also owns the gradients. Beside the arena sits a grad
 buffer of the same layout, zeroed when it is built, and each matrix's
 ``_slot`` is its segment of that buffer until `release()` clears it.
-`tensor.backward` writes a matrix's first contribution into its slot and
-makes the slot its `.grad`, so the step reads it where it lies. A grad
+`tensor.backward` writes a matrix's first contribution into its slot (a
+matmul's result is computed there) and makes the slot its `.grad`, so
+the step reads it where it lies. A grad
 assigned any other way (by hand, as tests do) is copied into the slot.
 `release()` also drops every `.grad` that is still a slot, so the buffer
 is freed with the arena.
@@ -34,9 +35,11 @@ and for Adam its moments and step count, keep their bytes.
 The update runs as a few numpy calls per pass. When the updated
 parameters, from the first to the last, span at most `_BUCKET` elements,
 the step is one pass over that span, and each call of the pass is given a
-``where=`` mask that is False on the parameters the step skips inside it.
-A wider step has a pass per run of consecutive updated parameters, cut
-only between parameters into at most `_BUCKET` elements, unless it is one
+``where=`` mask that is False on the parameters the step skips inside it;
+a pass that skips nothing makes the same calls with no ``where=``, which
+costs numpy time per element even when it is True. A wider step has a
+pass per run of consecutive updated parameters, cut only between
+parameters into at most `_BUCKET` elements, unless it is one
 parameter larger than that; such a pass skips nothing, so it needs no
 mask. Scratch is never wider than the larger of a bucket and the largest
 parameter. A pass makes the same elementwise operations in the same order
@@ -169,13 +172,13 @@ class _Arena:
                 passes.append([i, i + 1])
         return passes, []
 
-    def _where(self, a: int, b: int, skipped: list[int]):
-        """The ``where=`` of every call of the pass over [a, b): True if it
-        skips no parameter, else a mask over its elements that is False on
-        each skipped one. The mask lives in `_finite`, which `_check` fills
-        only after the pass."""
+    def _mask(self, a: int, b: int, skipped: list[int]) -> np.ndarray | None:
+        """The ``where=`` of every call of the pass over [a, b): None if it
+        skips no parameter, so that its calls take no mask, else a mask
+        over its elements that is False on each skipped one. The mask
+        lives in `_finite`, which `_check` fills only after the pass."""
         if not skipped:
-            return True
+            return None
         starts = self._starts
         lo = starts[a]
         mask = self._finite[: starts[b] - lo]
@@ -184,16 +187,15 @@ class _Arena:
             mask[starts[i] - lo : starts[i + 1] - lo] = False
         return mask
 
-    def _check(self, a: int, b: int, skipped: list[int]) -> None:
-        """Raise NumericError if a parameter in [a, b) that the step
-        updated holds a NaN or inf."""
-        starts = self._starts
-        lo = starts[a]
-        w = self._flat[lo : starts[b]]
+    def _check(self, a: int, b: int, w: np.ndarray, skipped: list[int]) -> None:
+        """Raise NumericError if a parameter in [a, b), whose values are
+        ``w``, holds a NaN or inf and the step updated it."""
         finite = self._finite[: w.size]
         np.isfinite(w, out=finite)
         if finite.all():
             return
+        starts = self._starts
+        lo = starts[a]
         for i in range(a, b):
             if i not in skipped and not finite[starts[i] - lo : starts[i + 1] - lo].all():
                 raise NumericError(
@@ -213,12 +215,16 @@ class Sgd(_Arena):
         passes, skipped = self._passes(active)
         for a, b in passes:
             lo, hi = self._starts[a], self._starts[b]
-            on = self._where(a, b, skipped)
+            on = self._mask(a, b, skipped)
             g, w = self._grad[lo:hi], self._flat[lo:hi]
             upd = self._scratch[0, : hi - lo]
-            np.multiply(g, self.lr, out=upd, where=on)
-            np.subtract(w, upd, out=w, where=on)
-            self._check(a, b, skipped)
+            if on is None:
+                np.multiply(g, self.lr, out=upd)
+                np.subtract(w, upd, out=w)
+            else:
+                np.multiply(g, self.lr, out=upd, where=on)
+                np.subtract(w, upd, out=w, where=on)
+            self._check(a, b, w, skipped)
         return updated
 
 
@@ -246,10 +252,11 @@ class Adam(_Arena):
         if not active:
             return 0
         t = self._t
+        steps = set()
         for i in active:
-            t[i] += 1
+            t[i] = k = t[i] + 1
+            steps.add(k)
         passes, skipped = self._passes(active)
-        steps = {t[i] for i in active}
         top = max(steps)
         if top >= self._corrections.shape[1]:
             n = 2 * top
@@ -268,23 +275,35 @@ class Adam(_Arena):
             lo, hi = self._starts[a], self._starts[b]
             if per_param is not None:
                 c = per_param[:, a:b].repeat(self._sizes[a:b], axis=1)
-            on = self._where(a, b, skipped)
+            on = self._mask(a, b, skipped)
             g, mv, w = self._grad[lo:hi], self._moments[:, lo:hi], self._flat[lo:hi]
             s = self._scratch[:, : hi - lo]
-            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-            np.multiply(mv, self._decay, out=mv, where=on)
-            np.multiply(g, self._mix, out=s, where=on)
-            np.multiply(s[1], g, out=s[1], where=on)
-            np.add(mv, s, out=mv, where=on)
-            # w -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
-            np.divide(mv, c, out=s, where=on)
             upd, root = s
-            np.multiply(upd, self.lr, out=upd, where=on)
-            np.sqrt(root, out=root, where=on)
-            np.add(root, _EPS, out=root, where=on)
-            np.divide(upd, root, out=upd, where=on)
-            np.subtract(w, upd, out=w, where=on)
-            self._check(a, b, skipped)
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g, then
+            # w -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
+            if on is None:
+                np.multiply(mv, self._decay, out=mv)
+                np.multiply(g, self._mix, out=s)
+                np.multiply(root, g, out=root)
+                np.add(mv, s, out=mv)
+                np.divide(mv, c, out=s)
+                np.multiply(upd, self.lr, out=upd)
+                np.sqrt(root, out=root)
+                np.add(root, _EPS, out=root)
+                np.divide(upd, root, out=upd)
+                np.subtract(w, upd, out=w)
+            else:  # the same calls, kept off the skipped parameters
+                np.multiply(mv, self._decay, out=mv, where=on)
+                np.multiply(g, self._mix, out=s, where=on)
+                np.multiply(root, g, out=root, where=on)
+                np.add(mv, s, out=mv, where=on)
+                np.divide(mv, c, out=s, where=on)
+                np.multiply(upd, self.lr, out=upd, where=on)
+                np.sqrt(root, out=root, where=on)
+                np.add(root, _EPS, out=root, where=on)
+                np.divide(upd, root, out=upd, where=on)
+                np.subtract(w, upd, out=w, where=on)
+            self._check(a, b, w, skipped)
         return updated
 
 

@@ -5,13 +5,19 @@ the top-k router scores, of a batch's first row or of each row), adapter
 (one adapter layer's x W + s * sum_j g_j x A_j B_j, running only the gated
 columns), and the losses cross_entropy and mse_loss. Training routes a
 batch by its first row; evaluation routes each row on its own. Each op
-computes its forward value eagerly with numpy and, when a tape is active
-and a gradient path exists, records a backward closure. `backward(tape,
-loss)` seeds the 1x1 loss with an adjoint of one, replays the tape in
-exact reverse execution order and accumulates the loss's gradient into
-`.grad` of the trainable leaves it reaches; any other leaf's grad stays as
-it was. The task keys' alignment gradient needs no tape:
-`selector.alignment_loss` computes it directly.
+computes its forward value eagerly with numpy. When a tape is active and
+the output carries a gradient path, the op appends one (output, closure)
+entry to it; with no tape it builds no closure.
+
+`backward(tape, loss)` seeds the 1x1 loss with an adjoint of one and
+replays the tape in exact reverse execution order. Each closure hands its
+inputs their shares itself: an op output's share adds to its adjoint,
+which lives on its ``.grad`` until its own entry is replayed, and a
+trainable leaf's share adds to its gradient. A leaf's first share is
+computed straight into its optimizer's grad slot when it has one, so no
+copy is made. Any other leaf's grad stays as it was. The task keys'
+alignment gradient needs no tape: `selector.alignment_loss` computes it
+directly.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ class Matrix:
     Frozen parameters are plain matrices with trainable=False: ops treat
     them as constants and the optimizer never touches them. An optimizer
     sets `_slot`, the matrix's segment of its grad buffer, until it is
-    released; `backward` writes the matrix's grad there. A matrix has no
+    released; `backward` writes the matrix's grad there. An op output is
+    never trainable; during `backward` its ``grad`` holds its adjoint
+    until its tape entry is replayed. A matrix has no
     name of its own: the layer or model holding it names it, in
     ``named_matrices``, and that name is the one checkpoints and errors use.
     """
@@ -98,23 +106,16 @@ def _result(arr: np.ndarray, flow: bool) -> Matrix:
     return out
 
 
-class TapeEntry:
-    __slots__ = ("out", "backward")
-
-    def __init__(self, out: Matrix, backward: Callable[[np.ndarray], list]):
-        self.out = out
-        self.backward = backward
-
-
 class Tape:
     """Ordered record of differentiable ops; a context manager.
 
     While active, every op whose output carries a gradient path appends
-    one entry. `backward` walks the entries strictly in reverse.
+    one (output, closure) entry. `backward` walks the entries strictly in
+    reverse, calling each closure with its output's adjoint.
     """
 
     def __init__(self):
-        self.entries: list[TapeEntry] = []
+        self.entries: list[tuple[Matrix, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -123,50 +124,78 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPES.pop()
 
-    def record(self, out: Matrix, backward: Callable[[np.ndarray], list]) -> None:
-        self.entries.append(TapeEntry(out, backward))
-
 
 _TAPES: list[Tape] = []
 
+# the loss's adjoint; read-only, since it may become an op output's adjoint
+_ONE = np.ones((1, 1))
+_ONE.flags.writeable = False
 
-def _active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
+
+def _add_grad(m: Matrix, g: np.ndarray) -> None:
+    """Add a share g of the loss's gradient to m: to its grad if m is a
+    trainable leaf, else to its adjoint.
+
+    A leaf whose grad is None gets a new one: g copied into its optimizer's
+    grad slot if it has one, else a new array. Later shares add in place.
+    An op output's first share becomes its adjoint as it is, and later
+    ones make a new sum, since g may be another matrix's share too.
+    """
+    if m.trainable:
+        grad = m.grad
+        if grad is not None:
+            grad += g
+        elif m._slot is not None:
+            m._slot[...] = g
+            m.grad = m._slot
+        else:
+            m.grad = grad = np.zeros_like(m.data)
+            grad += g
+    else:
+        adjoint = m.grad
+        m.grad = g if adjoint is None else adjoint + g
 
 
-def _record(out: Matrix, backward: Callable[[np.ndarray], list]) -> None:
-    tape = _active_tape()
-    if tape is not None and out._flow:
-        tape.record(out, backward)
+def _add_matmul(m: Matrix, p: np.ndarray, q: np.ndarray) -> None:
+    """`_add_grad(m, p @ q)`, with a trainable leaf's first share computed
+    straight into its grad slot."""
+    if m.trainable and m.grad is None and m._slot is not None:
+        m.grad = np.matmul(p, q, out=m._slot)
+    else:
+        _add_grad(m, p @ q)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
+    ad, bd = a.data, b.data
+    if ad.shape[1] != bd.shape[0]:
         raise DimensionError(
             f"matmul: inner dimensions differ, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
         )
-    out = _result(a.data @ b.data, a.requires_grad or b.requires_grad)
+    a_grad, b_grad = a.requires_grad, b.requires_grad
+    flow = a_grad or b_grad
+    out = _result(ad @ bd, flow)
+    if flow and _TAPES:
 
-    def backward(g: np.ndarray) -> list:
-        contribs = []
-        if a.requires_grad:
-            contribs.append((a, g @ b.data.T))
-        if b.requires_grad:
-            contribs.append((b, a.data.T @ g))
-        return contribs
+        def backward(g: np.ndarray) -> None:
+            if a_grad:
+                _add_matmul(a, g, bd.T)
+            if b_grad:
+                _add_matmul(b, ad.T, g)
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out
 
 
 def tanh(a: Matrix) -> Matrix:
     y = np.tanh(a.data)
-    out = _result(y, a.requires_grad)
+    flow = a.requires_grad
+    out = _result(y, flow)
+    if flow and _TAPES:
 
-    def backward(g: np.ndarray) -> list:
-        return [(a, g * (1.0 - y * y))]
+        def backward(g: np.ndarray) -> None:
+            _add_grad(a, g * (1.0 - y * y))
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out
 
 
@@ -181,15 +210,14 @@ def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Mat
     built. Gradients reach the rows of x that were scored and the router;
     masked columns get exactly zero.
     """
-    d, n = router.data.shape
-    if x.data.shape[1] != d:
-        raise DimensionError(
-            f"router_gate: x has {x.data.shape[1]} columns, router has {d} rows"
-        )
+    xd, rd = x.data, router.data
+    d, n = rd.shape
+    if xd.shape[1] != d:
+        raise DimensionError(f"router_gate: x has {xd.shape[1]} columns, router has {d} rows")
     if not 1 <= k <= n:
         raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
-    rows = x.data if per_row else x.data[0:1]
-    s = rows @ router.data
+    rows = xd if per_row else xd[0:1]
+    s = rows @ rd
     e = np.exp(s - s.max(axis=1, keepdims=True))
     keep = None
     if k < n:
@@ -199,24 +227,26 @@ def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Mat
         keep = rank < k
         e *= keep
     y = e / e.sum(axis=1, keepdims=True)
-    out = _result(y, x.requires_grad or router.requires_grad)
+    x_grad, r_grad = x.requires_grad, router.requires_grad
+    flow = x_grad or r_grad
+    out = _result(y, flow)
+    if flow and _TAPES:
 
-    def backward(g: np.ndarray) -> list:
-        ds = y * (g - (g * y).sum(axis=1, keepdims=True))
-        if keep is not None:
-            ds = np.where(keep, ds, 0.0)
-        contribs = []
-        if router.requires_grad:
-            contribs.append((router, rows.T @ ds))
-        if x.requires_grad:
-            dx = ds @ router.data.T
-            if not per_row:  # only row 0 was scored
-                dx, scored = np.zeros_like(x.data), dx
-                dx[0] = scored[0]
-            contribs.append((x, dx))
-        return contribs
+        def backward(g: np.ndarray) -> None:
+            ds = y * (g - (g * y).sum(axis=1, keepdims=True))
+            if keep is not None:
+                ds = np.where(keep, ds, 0.0)
+            if r_grad:
+                _add_matmul(router, rows.T, ds)
+            if x_grad:
+                if per_row:
+                    _add_matmul(x, ds, rd.T)
+                else:  # only row 0 was scored
+                    dx = np.zeros(xd.shape)
+                    np.matmul(ds, rd.T, out=dx[0:1])
+                    _add_grad(x, dx)
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out
 
 
@@ -248,126 +278,166 @@ def adapter(
     shared_a = len(a) == 1
     if not shared_a and len(a) != n:
         raise DimensionError(f"adapter: {len(a)} A matrices for {n} B matrices, need 1 or {n}")
-    rows, d_in = x.data.shape
-    d_w, d_out = w.data.shape
-    a_shapes = [aj.data.shape for aj in a]
-    b_shapes = [bj.data.shape for bj in b]
+    xd, wd = x.data, w.data
+    rows, d_in = xd.shape
+    d_out = wd.shape[1]
     # B_j must be r x d_out, r the width of the A it follows
-    ranks = [sa[1] for sa in a_shapes] * (n if shared_a else 1)
-    if (
-        d_w != d_in
-        or [sa[0] for sa in a_shapes] != [d_in] * len(a)
-        or b_shapes != [(r, d_out) for r in ranks]
-    ):
+    chained = wd.shape[0] == d_in
+    for j, bj in enumerate(b):
+        a_shape = a[0 if shared_a else j].data.shape
+        chained = chained and a_shape[0] == d_in and bj.data.shape == (a_shape[1], d_out)
+    if not chained:
         raise DimensionError(
-            f"adapter: shapes do not chain, x {x.data.shape}, w {w.data.shape}, "
-            f"a {a_shapes}, b {b_shapes}"
+            f"adapter: shapes do not chain, x {xd.shape}, w {wd.shape}, "
+            f"a {[aj.data.shape for aj in a]}, b {[bj.data.shape for bj in b]}"
         )
     if w.requires_grad:
         raise ContractError("adapter: w must be a constant")
+    x_grad = x.requires_grad
+
     if gate is None:
         if n != 1:
             raise DimensionError(f"adapter: without a gate b must hold one matrix, got {n}")
-        live = [0]
-        weights = [None]
-        shared_gate = False
-    else:
-        g_rows, g_cols = gate.data.shape
-        if g_cols != n:
-            raise DimensionError(f"adapter: gate width {g_cols} != {n} B matrices")
-        shared_gate = g_rows == 1
-        if shared_gate:
-            # one shared row: its live columns and their weights as floats
-            row = gate.data[0].tolist()
-            live = [j for j, v in enumerate(row) if v != 0.0]
-            weights = [row[j] for j in live]
-        elif g_rows == rows:
-            live = np.flatnonzero((gate.data != 0.0).any(axis=0)).tolist()
-            weights = [gate.data[:, j : j + 1] for j in live]
-        else:
-            raise DimensionError(
-                f"adapter: gate has {g_rows} rows, need 1 or one per row of x ({rows})"
-            )
+        a0, b0 = a[0], b[0]
+        a_grad, b_grad = a0.requires_grad, b0.requires_grad
+        xa = xd @ a0.data
+        delta = xa @ b0.data
+        h = xd @ wd
+        delta *= s
+        h += delta
+        flow = x_grad or a_grad or b_grad
+        out = _result(h, flow)
+        if flow and _TAPES:
 
-    flow = any(m.requires_grad for m in (x, *a, *b)) or (gate is not None and gate.requires_grad)
+            def backward(g: np.ndarray) -> None:
+                gs = g * s
+                if b_grad:
+                    _add_matmul(b0, xa.T, gs)
+                if x_grad or a_grad:
+                    d = gs @ b0.data.T
+                    if a_grad:
+                        _add_matmul(a0, xd.T, d)
+                    if x_grad:
+                        dx = g @ wd.T
+                        dx += d @ a0.data.T
+                        _add_grad(x, dx)
+
+            _TAPES[-1].entries.append((out, backward))
+        return out
+
+    gd = gate.data
+    g_rows, g_cols = gd.shape
+    if g_cols != n:
+        raise DimensionError(f"adapter: gate width {g_cols} != {n} B matrices")
+    shared_gate = g_rows == 1
+    if shared_gate:
+        # one shared row: its live columns and their weights as floats
+        row = gd[0].tolist()
+        live = [j for j, v in enumerate(row) if v != 0.0]
+        weights = [row[j] for j in live]
+    elif g_rows == rows:
+        live = np.flatnonzero((gd != 0.0).any(axis=0)).tolist()
+        weights = [gd[:, j : j + 1] for j in live]
+    else:
+        raise DimensionError(
+            f"adapter: gate has {g_rows} rows, need 1 or one per row of x ({rows})"
+        )
+    gate_grad = gate.requires_grad
+    flow = x_grad or gate_grad or any(m.requires_grad for m in (*a, *b))
+    taped = flow and bool(_TAPES)
     # The gate's gradient needs each unweighted term; keep them only when a
-    # tape will record this op, so an untaped forward frees each term at once.
-    keep = gate is not None and gate.requires_grad and _active_tape() is not None
-    xa = {}  # x A_k, keyed by the index of A
+    # tape records this op, so an untaped forward frees each term at once.
+    keep = taped and gate_grad
+    if shared_a:
+        xa0 = xd @ a[0].data if live else None
+        xas = [xa0] * len(live)
+    else:
+        xas = [xd @ a[j].data for j in live]
+    delta = np.zeros((rows, d_out))
     parts = []
-    delta = None if gate is None else np.zeros((rows, d_out))
-    for j, wj in zip(live, weights):
-        k = 0 if shared_a else j
-        if k not in xa:
-            xa[k] = x.data @ a[k].data
-        p = xa[k] @ b[j].data
-        if gate is None:
-            delta = p
-        else:
-            delta += wj * p
+    for j, wj, xa in zip(live, weights, xas):
+        p = xa @ b[j].data
+        delta += wj * p
         if keep:
             parts.append(p)
-    h = x.data @ w.data
+    h = xd @ wd
     delta *= s
     h += delta
     out = _result(h, flow)
+    if taped:
 
-    def backward(g: np.ndarray) -> list:
-        gs = g * s
-        contribs = []
-        if gate is not None and gate.requires_grad:
-            dg = np.zeros(gate.shape)
-            for j, p in zip(live, parts):
-                dg[:, j] = (gs * p).sum() if shared_gate else (gs * p).sum(axis=1)
-            contribs.append((gate, dg))
-        # Last term first: the summation order the docstring fixes.
-        d_xa = {}
-        for j, wj in reversed(list(zip(live, weights))):
-            k = 0 if shared_a else j
-            gp = gs if gate is None else wj * gs
-            if b[j].requires_grad:
-                contribs.append((b[j], xa[k].T @ gp))
-            if x.requires_grad or a[k].requires_grad:
-                d = gp @ b[j].data.T
-                d_xa[k] = d_xa[k] + d if k in d_xa else d
-        dx = g @ w.data.T if x.requires_grad else None
-        for k, d in d_xa.items():
-            if a[k].requires_grad:
-                contribs.append((a[k], x.data.T @ d))
+        def backward(g: np.ndarray) -> None:
+            gs = g * s
+            if gate_grad:
+                dg = np.zeros(gd.shape)
+                for j, p in zip(live, parts):
+                    dg[:, j] = (gs * p).sum() if shared_gate else (gs * p).sum(axis=1)
+                _add_grad(gate, dg)
+            dx = g @ wd.T if x_grad else None
+            a0 = a[0]
+            d_a0 = None  # a shared A's adjoint, summed from the last term
+            # Last term first: the summation order the docstring fixes.
+            for i in range(len(live) - 1, -1, -1):
+                j = live[i]
+                bj = b[j]
+                gp = weights[i] * gs
+                if bj.requires_grad:
+                    _add_matmul(bj, xas[i].T, gp)
+                aj = a0 if shared_a else a[j]
+                if not (x_grad or aj.requires_grad):
+                    continue
+                d = gp @ bj.data.T
+                if shared_a:
+                    d_a0 = d if d_a0 is None else d_a0 + d
+                    continue
+                if aj.requires_grad:
+                    _add_matmul(aj, xd.T, d)
+                if dx is not None:
+                    dx += d @ aj.data.T
+            if d_a0 is not None:
+                if a0.requires_grad:
+                    _add_matmul(a0, xd.T, d_a0)
+                if dx is not None:
+                    dx += d_a0 @ a0.data.T
             if dx is not None:
-                dx = dx + d @ a[k].data.T
-        if dx is not None:
-            contribs.append((x, dx))
-        return contribs
+                _add_grad(x, dx)
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out
 
 
 def cross_entropy(logits: Matrix, labels) -> Matrix:
     """Mean cross-entropy of row-wise class logits against integer labels."""
     y = np.asarray(labels, dtype=np.int64).ravel()
-    if y.size != logits.rows:
-        raise DimensionError(f"cross_entropy: {logits.rows} rows vs {y.size} labels")
-    if y.size and (y.min() < 0 or y.max() >= logits.cols):
-        raise ParameterError(
-            f"cross_entropy: labels must lie in [0, {logits.cols}), got [{y.min()}, {y.max()}]"
-        )
     z = logits.data
+    n, cols = z.shape
+    if y.size != n:
+        raise DimensionError(f"cross_entropy: {n} rows vs {y.size} labels")
+    # one reduction checks both ends: a negative label viewed as unsigned
+    # is above every column index
+    if y.view(np.uint64).max() >= cols:
+        raise ParameterError(
+            f"cross_entropy: labels must lie in [0, {cols}), got [{y.min()}, {y.max()}]"
+        )
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
-    lse = m[:, 0] + np.log(e.sum(axis=1))
-    n = z.shape[0]
-    losses = lse - z[np.arange(n), y]
+    sums = e.sum(axis=1)
+    lse = m[:, 0] + np.log(sums)
+    index = np.arange(n)
+    losses = lse - z[index, y]
+    flow = logits.requires_grad
     # the same bytes as losses.mean(), without its dispatch overhead
-    out = _result(np.array([[losses.sum() / n]]), logits.requires_grad)
+    out = _result(np.array([[losses.sum() / n]]), flow)
+    if flow and _TAPES:
 
-    def backward(g: np.ndarray) -> list:
-        p = e / e.sum(axis=1, keepdims=True)
-        p[np.arange(n), y] -= 1.0
-        return [(logits, float(g[0, 0]) * p / n)]
+        def backward(g: np.ndarray) -> None:
+            p = e / sums[:, None]
+            p[index, y] -= 1.0
+            p *= float(g[0, 0])
+            p /= n
+            _add_grad(logits, p)
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out
 
 
@@ -375,18 +445,19 @@ def mse_loss(a: Matrix, b: Matrix) -> Matrix:
     if a.shape != b.shape:
         raise DimensionError(f"mse_loss: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     diff = a.data - b.data
-    out = _result(np.array([[float((diff * diff).mean())]]), a.requires_grad or b.requires_grad)
+    a_grad, b_grad = a.requires_grad, b.requires_grad
+    flow = a_grad or b_grad
+    out = _result(np.array([[float((diff * diff).mean())]]), flow)
+    if flow and _TAPES:
 
-    def backward(g: np.ndarray) -> list:
-        gs = 2.0 * float(g[0, 0]) / diff.size
-        contribs = []
-        if a.requires_grad:
-            contribs.append((a, gs * diff))
-        if b.requires_grad:
-            contribs.append((b, -gs * diff))
-        return contribs
+        def backward(g: np.ndarray) -> None:
+            gs = 2.0 * float(g[0, 0]) / diff.size
+            if a_grad:
+                _add_grad(a, gs * diff)
+            if b_grad:
+                _add_grad(b, -gs * diff)
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out
 
 
@@ -396,33 +467,23 @@ def backward(tape: Tape, loss: Matrix) -> None:
 
     The loss's adjoint starts at one. A trainable leaf that the loss does
     not reach keeps its grad as it was (None if it had none), even if a
-    recorded op used it. Replaying an empty tape is a no-op.
+    recorded op used it. Replaying an empty tape is a no-op, and so is a
+    loss that no op produced.
 
-    A leaf whose grad is None gets a new one from its first contribution:
-    a copy in its optimizer's grad slot if it has one, so the step reads
-    it in place, and a new array otherwise. Later contributions add to
-    the grad in place, whichever array it is.
+    A leaf whose grad is None gets a new one from its first share: in its
+    optimizer's grad slot if it has one, so the step reads it in place, and
+    a new array otherwise. Later shares add to the grad in place, whichever
+    array it is. Each op output's adjoint is dropped once its entry is
+    replayed.
     """
     if loss.data.shape != (1, 1):
         raise ContractError(f"backward: loss must be 1x1, got {loss.data.shape}")
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    for entry in reversed(tape.entries):
-        g = adjoint.pop(id(entry.out), None)
-        if g is None:
-            continue
-        for m, contrib in entry.backward(g):
-            if m.trainable:
-                if m.grad is not None:
-                    m.grad += contrib
-                elif m._slot is not None:
-                    m._slot[...] = contrib
-                    m.grad = m._slot
-                else:
-                    m.grad = np.zeros_like(m.data)
-                    m.grad += contrib
-            else:
-                key = id(m)
-                if key in adjoint:
-                    adjoint[key] = adjoint[key] + contrib
-                else:
-                    adjoint[key] = contrib
+    if not loss._flow:
+        return
+    loss.grad = _ONE
+    for out, replay in reversed(tape.entries):
+        g = out.grad
+        if g is not None:
+            out.grad = None
+            replay(g)
+    loss.grad = None  # a loss that is not on the tape keeps no adjoint

@@ -12,7 +12,7 @@ the chain of small ops it replaces.
 import numpy as np
 
 from branchcl.errors import ContractError, DimensionError
-from branchcl.tensor import Matrix, _record, _result
+from branchcl.tensor import _TAPES, Matrix, _add_grad, _result
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -224,26 +224,28 @@ class RefAdam:
 def add(a: Matrix, b: Matrix) -> Matrix:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    out = _result(a.data + b.data, a.requires_grad or b.requires_grad)
+    a_grad, b_grad = a.requires_grad, b.requires_grad
+    out = _result(a.data + b.data, a_grad or b_grad)
+    if out._flow and _TAPES:
 
-    def backward(g: np.ndarray) -> list:
-        contribs = []
-        if a.requires_grad:
-            contribs.append((a, g))
-        if b.requires_grad:
-            contribs.append((b, g))
-        return contribs
+        def backward(g: np.ndarray) -> None:
+            if a_grad:
+                _add_grad(a, g)
+            if b_grad:
+                _add_grad(b, g)
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out
 
 
-def scale(a: Matrix, c: float) -> Matrix:
-    c = float(c)
+def scale(a: Matrix, c) -> Matrix:
+    """a times c: a float, or a column of one factor per row of a."""
+    c = c if isinstance(c, np.ndarray) else float(c)
     out = _result(a.data * c, a.requires_grad)
+    if out._flow and _TAPES:
 
-    def backward(g: np.ndarray) -> list:
-        return [(a, g * c)]
+        def backward(g: np.ndarray) -> None:
+            _add_grad(a, g * c)
 
-    _record(out, backward)
+        _TAPES[-1].entries.append((out, backward))
     return out

@@ -279,6 +279,15 @@ class TestContracts:
             bc.cross_entropy(mat([[1.0, 2.0]]), np.array([2]))
         with pytest.raises(ParameterError):
             bc.cross_entropy(mat([[1.0, 2.0]]), np.array([-1]))
+        # a negative label among valid ones, a label equal to the column
+        # count, and a strided view of labels: each message names the true
+        # min and max
+        logits = mat(np.zeros((3, 4)))
+        labels = np.array([5, 3, -2, 0, 9, 1])
+        for y, lo, hi in (([0, -3, 2], -3, 2), ([4, 0, 3], 0, 4), (labels[::2], -2, 9)):
+            with pytest.raises(ParameterError, match=rf"^cross_entropy: labels must lie in \[0, 4\), got \[{lo}, {hi}\]$"):
+                bc.cross_entropy(logits, np.asarray(y))
+        assert bc.cross_entropy(logits, labels[1::2]).item() == pytest.approx(np.log(4.0))
 
     def test_backward_requires_scalar_loss(self):
         x = mat([[1.0, 2.0]], trainable=True)
@@ -405,33 +414,65 @@ class TestGradients:
         assert np.isnan(bc.adapter(x, w, a, b, 1.0, mat([[0.5, 0.5, np.nan]])).item())
 
     def test_adapter_grads_match_op_chain_exactly(self):
+        for gate_rows in (None, 1, 6):
+            for x_kind in ("leaf", "op_output", "constant"):
+                self._check_adapter_against_op_chain(gate_rows, x_kind)
+
+    @staticmethod
+    def _check_adapter_against_op_chain(gate_rows, x_kind):
         # the backward sums in the order of the matmul, scale and add chain
         # the op replaces (the backbone term last on the tape, so first on
-        # replay), with one A per B and with a shared A
+        # replay), with one A per B and with a shared A, for each gate mode:
+        # none (LoRA), one shared row and one row per row of x, whose column
+        # 1 is zero in every row and so never runs. x is a trainable leaf, an
+        # op output (a deeper layer's input) or a constant (the first layer,
+        # which gets no dx). The fused op's leaves hold optimizer grad slots,
+        # so their first shares are computed straight into them.
         rng = np.random.default_rng(15)
         x0, w = rng.standard_normal((6, 5)), mat(rng.standard_normal((5, 4)))
-        weights = [0.1, 0.3, 0.6]
-        b0 = [rng.standard_normal((2, 4)) for _ in weights]
-        for a0 in ([rng.standard_normal((5, 2)) for _ in weights], [rng.standard_normal((5, 2))]):
+        if gate_rows is None:
+            gate, live, n = None, [0], 1
+        elif gate_rows == 1:
+            gate, live, n = np.array([[0.1, 0.3, 0.6]]), [0, 1, 2], 3
+        else:
+            gate = rng.uniform(0.1, 1.0, size=(gate_rows, 3))
+            gate[:, 1] = 0.0
+            gate[::2, 2] = 0.0
+            live, n = [0, 2], 3
+        b0 = [rng.standard_normal((2, 4)) for _ in range(n)]
+        a0s = [[rng.standard_normal((5, 2)) for _ in range(n)]]
+        if n > 1:
+            a0s.append([rng.standard_normal((5, 2))])
+        for a0 in a0s:
             grads = []
             for fused in (True, False):
-                x = mat(x0, trainable=True)
+                leaf = mat(x0, trainable=x_kind != "constant")
                 a = [mat(m, trainable=True) for m in a0]
                 b = [mat(m, trainable=True) for m in b0]
+                if fused:
+                    bc.make_optimizer("sgd", oracles.named([leaf, *a, *b]))
                 with bc.Tape() as tape:
+                    x = bc.tanh(leaf) if x_kind == "op_output" else leaf
                     if fused:
-                        h = bc.adapter(x, w, a, b, 1.7, mat([weights]))
+                        h = bc.adapter(x, w, a, b, 1.7, None if gate is None else mat(gate))
                     else:
-                        xa = [bc.matmul(x, m) for m in a]
+                        xa = {k: bc.matmul(x, a[k]) for k in sorted({j if len(a) > 1 else 0 for j in live})}
                         delta = None
-                        for j, (bj, gj) in enumerate(zip(b, weights)):
-                            term = oracles.scale(bc.matmul(xa[j if len(a) > 1 else 0], bj), gj)
+                        for j in live:
+                            term = bc.matmul(xa[j if len(a) > 1 else 0], b[j])
+                            if gate is not None:
+                                term = oracles.scale(term, gate[:, j : j + 1] if gate_rows > 1 else gate[0, j])
                             delta = term if delta is None else oracles.add(delta, term)
                         h = oracles.add(bc.matmul(x, w), oracles.scale(delta, 1.7))
                     bc.backward(tape, bc.mse_loss(bc.tanh(h), mat(np.zeros((6, 4)))))
-                grads.append([x.grad] + [m.grad for m in a + b])
+                grads.append([leaf.grad] + [m.grad for m in a + b])
             for fused_grad, chain_grad in zip(*grads):
-                np.testing.assert_array_equal(fused_grad, chain_grad)
+                if chain_grad is None:
+                    assert fused_grad is None
+                else:
+                    assert fused_grad.tobytes() == chain_grad.tobytes()
+            assert (grads[0][0] is None) == (x_kind == "constant")
+            assert [m is None for m in grads[0][-n:]] == [j not in live for j in range(n)]
 
 
 class TestOptim:
