@@ -23,6 +23,13 @@ B x N gate), so a batch of rows takes the routes, and up to float rounding
 gives the outputs, of forwarding the rows one at a time; evaluation uses it
 to run a test split as one forward.
 
+Each kind has two forwards. ``forward`` runs the ops, which record
+closures when a tape is active, and is what training differentiates.
+``infer`` takes and returns plain arrays and calls the kernels those ops
+call (`tensor.gate_kernel`, `tensor.adapter_kernel`, `tensor.product`),
+with the same checks: it gives the same bits without building a Matrix
+per step, and `ContinualModel.forward` uses it when no tape records.
+
 BackboneLayer is the zero-shot layer: h = x W_f with no parameters. Every
 layer holds W_f as a plain non-trainable Matrix (`draw_backbone`).
 
@@ -39,8 +46,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ParameterError, RoutingError
-from .tensor import Matrix, adapter, matmul, router_gate
+from .errors import ContractError, ParameterError, RoutingError
+from .tensor import Matrix, adapter, adapter_kernel, gate_kernel, matmul, product, router_gate
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,12 @@ class AdapterLayer:
     checkpoint order. ``forward(x, task_id, per_row=False)``
     returns ``(h, gate)``, gate None without a router; a router gates the
     batch by its first row, or each row on its own with ``per_row``
-    (ignored by kinds without a router). ``params()`` are the (name,
-    matrix) pairs of ``named_matrices`` whose ``trainable`` flag is on, in
-    that order: the flag is the only record of what trains, so freezing a
-    matrix is turning it off. ``routers`` (per-task routers) stays empty,
+    (ignored by kinds without a router). ``infer`` takes the same
+    arguments with x an array and returns the same values as arrays,
+    computed by the same kernels but with no ops. ``params()`` are the
+    (name, matrix) pairs of ``named_matrices`` whose ``trainable`` flag is
+    on, in that order: the flag is the only record of what trains, so
+    freezing a matrix is turning it off. ``routers`` (per-task routers) stays empty,
     and the task hooks do nothing, unless the kind has such parts.
 
     The model and harness read two facts off a layer, never its kind: a
@@ -139,6 +148,14 @@ class AdapterLayer:
     def count_trainable_params(self) -> int:
         return sum(m.data.size for _, m in self.params())
 
+    def _adapt(
+        self, x: np.ndarray, a: list, b: list, gate: np.ndarray | None = None
+    ) -> np.ndarray:
+        """`tensor.adapter`'s value on plain arrays, over this layer's backbone."""
+        if self.backbone.trainable:
+            raise ContractError("adapter: w must be a constant")
+        return adapter_kernel(x, self.backbone.data, a, b, self.hp.scaling, gate)[0]
+
 
 class BackboneLayer(AdapterLayer):
     """The zero-shot layer: the frozen backbone alone, nothing to train."""
@@ -150,6 +167,11 @@ class BackboneLayer(AdapterLayer):
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
     ) -> tuple[Matrix, None]:
         return matmul(x, self.backbone), None
+
+    def infer(
+        self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
+    ) -> tuple[np.ndarray, None]:
+        return product(x, self.backbone.data), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         return [("backbone", self.backbone)]
@@ -167,6 +189,11 @@ class LoRALayer(AdapterLayer):
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
     ) -> tuple[Matrix, None]:
         return adapter(x, self.backbone, [self.a], [self.b], self.hp.scaling), None
+
+    def infer(
+        self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
+    ) -> tuple[np.ndarray, None]:
+        return self._adapt(x, [self.a.data], [self.b.data]), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         return [("backbone", self.backbone), ("A", self.a), ("B", self.b)]
@@ -193,6 +220,14 @@ class MoELoRALayer(AdapterLayer):
         gate = router_gate(x, self.router, self.hp.experts, per_row)
         a, b = zip(*self.experts)
         return adapter(x, self.backbone, a, b, self.hp.scaling, gate), gate
+
+    def infer(
+        self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        gate, _ = gate_kernel(x, self.router.data, self.hp.experts, per_row)
+        a = [aj.data for aj, _ in self.experts]
+        b = [bj.data for _, bj in self.experts]
+        return self._adapt(x, a, b, gate), gate
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         out = [("backbone", self.backbone)]
@@ -236,11 +271,14 @@ class BranchLoRALayer(AdapterLayer):
     def finish_task(self, task_id: int) -> None:
         self.routers[task_id].trainable = False
 
-    def gate_for(self, x: Matrix, task_id: int, per_row: bool = False) -> Matrix:
+    def _router(self, task_id: int) -> Matrix:
         router = self.routers.get(task_id)
         if router is None:
             raise RoutingError(f"no router registered for task {task_id}")
-        return router_gate(x, router, self.hp.top_k, per_row)
+        return router
+
+    def gate_for(self, x: Matrix, task_id: int, per_row: bool = False) -> Matrix:
+        return router_gate(x, self._router(task_id), self.hp.top_k, per_row)
 
     def forward(
         self, x: Matrix, task_id: int, per_row: bool = False
@@ -248,6 +286,13 @@ class BranchLoRALayer(AdapterLayer):
         gate = self.gate_for(x, task_id, per_row)
         h = adapter(x, self.backbone, [self.a_shared], self.branches, self.hp.scaling, gate)
         return h, gate
+
+    def infer(
+        self, x: np.ndarray, task_id: int, per_row: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        gate, _ = gate_kernel(x, self._router(task_id).data, self.hp.top_k, per_row)
+        b = [bj.data for bj in self.branches]
+        return self._adapt(x, [self.a_shared.data], b, gate), gate
 
     @property
     def frozen(self) -> list[bool]:

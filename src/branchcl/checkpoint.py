@@ -13,9 +13,12 @@ bytes and flag, so the loaded model has the saved one's matrix names and
 rng states: the next task it starts draws what the saved model would
 have drawn. A manifest whose names or shapes differ from the rebuilt
 model's is rejected, as is a kind, seed, router task list or tensor entry
-of the wrong type. The loader does not read the manifest's key task ids,
-nor the per-layer freeze flags of older manifests: the tensor names and
-flags say the same.
+of the wrong type. A saved flag may turn a matrix off (a frozen branch, a
+finished router or key) but never on: a tensor marked trainable that the
+rebuilt model holds frozen, such as a backbone or the head, is rejected
+too. The loader does not read the manifest's key task ids, nor the
+per-layer freeze flags of older manifests: the tensor names and flags say
+the same.
 
 The manifest is written last and atomically (`write_atomic`), so a save
 that stops part way leaves the previous manifest whole.
@@ -203,6 +206,11 @@ def load_model(directory: str | Path) -> ContinualModel:
     for name, m in named:
         spec = tensors[name]
         _check_tensor_spec(manifest_path, name, spec)
+        if spec["trainable"] and not m.trainable:
+            raise ContractError(
+                f"{manifest_path}: tensor {name} is marked trainable, but the {kind} "
+                f"model it describes holds it frozen"
+            )
         m.data = _read_tensor(directory, spec, name, m.shape)
         m.trainable = spec["trainable"]
     return model

@@ -152,10 +152,12 @@ def evaluate(
     up to each forward to that forward's rows, and its tests pin one
     forward per row, so grouping rows by selected task waits for the
     grouped-evaluation item of ROADMAP, which changes the benchmark first.
-    Such a row costs about 73 us at eval-many-tasks shapes (two 32-wide
-    layers, eight task keys; the median of five benchmark runs on a shared
-    2-core x86 machine), almost all of it the fixed cost of a few dozen
-    small numpy calls; a batched moelora row costs about 1.7 us.
+    No tape records here, so every forward runs on plain arrays (see
+    `ContinualModel.forward`). A row with task selection costs about
+    57 us at eval-many-tasks shapes (two 32-wide layers, eight task keys;
+    the median of ten benchmark runs on a shared 2-core x86 machine), almost
+    all of it the fixed cost of a few dozen small numpy calls; a batched
+    moelora row costs about 1.6 us.
     """
     if selector not in ("oracle", "auto"):
         raise ParameterError(f"selector must be 'oracle' or 'auto', got {selector!r}")

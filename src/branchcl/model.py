@@ -5,6 +5,12 @@ once per seed and shared across methods, so the only difference between
 runs of different methods on the same stream is the adapter kind. All
 learning flows through the adapters; the head stays frozen, which is what
 makes the zero-shot baseline sit at chance.
+
+`ContinualModel.forward` has two paths with one set of formulas. Under a
+tape (training) it runs each layer's ``forward`` as ops; with no tape
+recording (evaluation) it runs each layer's ``infer`` and the head product
+on plain arrays, through the same `tensor` kernels, and wraps only the
+logits and gates. The two give the same bits and make the same checks.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from .adapters import LAYERS, AdapterHyperparams, AdapterLayer, draw_backbone
 from .errors import ParameterError
 from .selector import KeyStore
-from .tensor import Matrix, matmul, tanh
+from .tensor import Matrix, matmul, product, recording, tanh, wrap
 
 _BACKBONE_TAG = 11
 _ADAPTER_TAG = 12
@@ -64,17 +70,33 @@ class ContinualModel:
     ) -> tuple[Matrix, list[Matrix]]:
         """Run the stack; returns (logits, per-layer gates). Gates are empty
         for kinds without a router. Routers gate the batch by its first row,
-        or each row on its own with ``per_row``."""
-        gates: list[Matrix] = []
-        h = x
+        or each row on its own with ``per_row``.
+
+        Under a tape the stack runs as ops, so `backward` can reach every
+        trainable matrix. With no tape recording it runs on plain arrays:
+        each layer's ``infer`` and the same kernels the ops call, so the
+        values are the same bits, and only the logits and gates are wrapped
+        as matrices.
+        """
+        last = len(self.layers) - 1
+        gates = []
+        if recording():
+            h = x
+            for i, layer in enumerate(self.layers):
+                h, gate = layer.forward(h, task_id, per_row)
+                if gate is not None:
+                    gates.append(gate)
+                if i < last:
+                    h = tanh(h)
+            return matmul(h, self.head), gates
+        h = x.data
         for i, layer in enumerate(self.layers):
-            h, gate = layer.forward(h, task_id, per_row)
+            h, gate = layer.infer(h, task_id, per_row)
             if gate is not None:
-                gates.append(gate)
-            if i < len(self.layers) - 1:
-                h = tanh(h)
-        logits = matmul(h, self.head)
-        return logits, gates
+                gates.append(wrap(gate))
+            if i < last:
+                h = np.tanh(h)
+        return wrap(product(h, self.head.data)), gates
 
     def start_task(self, task_id: int) -> None:
         """Register the task with every layer and, if they gave it a router,

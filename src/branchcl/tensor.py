@@ -9,6 +9,12 @@ computes its forward value eagerly with numpy. When a tape is active and
 the output carries a gradient path, the op appends one (output, closure)
 entry to it; with no tape it builds no closure.
 
+The forward values of matmul, router_gate and adapter come from plain-array
+kernels (`product`, `gate_kernel`, `adapter_kernel`), which also make the
+ops' shape and range checks. A forward that no tape records can call the
+kernels directly, as `ContinualModel.forward` does when `recording()` is
+false: each formula is written once, so both paths give the same bits.
+
 `backward(tape, loss)` seeds the 1x1 loss with an adjoint of one and
 replays the tape in exact reverse execution order. Each closure hands its
 inputs their shares itself: an op output's share adds to its adjoint,
@@ -96,8 +102,11 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, trainable={self.trainable})"
 
 
-def _result(arr: np.ndarray, flow: bool) -> Matrix:
-    # op outputs are never trainable, so backward never reads their _slot
+def wrap(arr: np.ndarray, flow: bool = False) -> Matrix:
+    """A Matrix over arr itself, with no copy and no checks: an op's output,
+    or a value a plain-array forward computed. ``flow`` marks a gradient
+    path. Such a matrix is never trainable, so backward never reads its
+    _slot."""
     out = object.__new__(Matrix)
     out.data = arr
     out.grad = None
@@ -126,6 +135,12 @@ class Tape:
 
 
 _TAPES: list[Tape] = []
+
+
+def recording() -> bool:
+    """Whether a tape is active, so that ops record closures."""
+    return bool(_TAPES)
+
 
 # the loss's adjoint; read-only, since it may become an op output's adjoint
 _ONE = np.ones((1, 1))
@@ -165,15 +180,20 @@ def _add_matmul(m: Matrix, p: np.ndarray, q: np.ndarray) -> None:
         _add_grad(m, p @ q)
 
 
+def product(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """matmul's kernel: ad @ bd, once their inner dimensions agree."""
+    if ad.shape[1] != bd.shape[0]:
+        (r, c), (r2, c2) = ad.shape, bd.shape
+        raise DimensionError(f"matmul: inner dimensions differ, {r}x{c} @ {r2}x{c2}")
+    return ad @ bd
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     ad, bd = a.data, b.data
-    if ad.shape[1] != bd.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
+    y = product(ad, bd)
     a_grad, b_grad = a.requires_grad, b.requires_grad
     flow = a_grad or b_grad
-    out = _result(ad @ bd, flow)
+    out = wrap(y, flow)
     if flow and _TAPES:
 
         def backward(g: np.ndarray) -> None:
@@ -189,7 +209,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def tanh(a: Matrix) -> Matrix:
     y = np.tanh(a.data)
     flow = a.requires_grad
-    out = _result(y, flow)
+    out = wrap(y, flow)
     if flow and _TAPES:
 
         def backward(g: np.ndarray) -> None:
@@ -197,6 +217,36 @@ def tanh(a: Matrix) -> Matrix:
 
         _TAPES[-1].entries.append((out, backward))
     return out
+
+
+def gate_kernel(
+    xd: np.ndarray, rd: np.ndarray, k: int, per_row: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """router_gate's kernel: the gate's values and its top-k mask.
+
+    The mask is None when k is the router's width, and otherwise has the
+    gate's shape: 1.0 for each kept column, 0.0 for each dropped one.
+    """
+    d, n = rd.shape
+    if xd.shape[1] != d:
+        raise DimensionError(f"router_gate: x has {xd.shape[1]} columns, router has {d} rows")
+    if not 1 <= k <= n:
+        raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
+    s = (xd if per_row else xd[0:1]) @ rd
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    mask = None
+    if k < n:
+        # each row's columns in stable descending order of score: the first
+        # k are kept, the lowest first among ties
+        rows = []
+        for row in s.tolist():
+            keep = [1.0] * n
+            for j in sorted(range(n), key=row.__getitem__, reverse=True)[k:]:
+                keep[j] = 0.0
+            rows.append(keep)
+        mask = np.array(rows)
+        e *= mask
+    return e / e.sum(axis=1, keepdims=True), mask
 
 
 def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Matrix:
@@ -207,37 +257,23 @@ def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Mat
     from its own scores, a B x N gate. Every entry outside the top k is
     exactly 0.0, and ties break toward the lowest column of each row. With k
     equal to the router's width this is a plain softmax and no mask is
-    built. Gradients reach the rows of x that were scored and the router;
-    masked columns get exactly zero.
+    built. A row with a NaN or inf score comes out all NaN. Gradients reach
+    the rows of x that were scored and the router; masked columns get
+    exactly zero.
     """
     xd, rd = x.data, router.data
-    d, n = rd.shape
-    if xd.shape[1] != d:
-        raise DimensionError(f"router_gate: x has {xd.shape[1]} columns, router has {d} rows")
-    if not 1 <= k <= n:
-        raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
-    rows = xd if per_row else xd[0:1]
-    s = rows @ rd
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    keep = None
-    if k < n:
-        # a column's rank in its row's stable descending order: the k
-        # columns ranked below k are kept, the lowest first among ties
-        rank = (-s).argsort(axis=1, kind="stable").argsort(axis=1, kind="stable")
-        keep = rank < k
-        e *= keep
-    y = e / e.sum(axis=1, keepdims=True)
+    y, mask = gate_kernel(xd, rd, k, per_row)
     x_grad, r_grad = x.requires_grad, router.requires_grad
     flow = x_grad or r_grad
-    out = _result(y, flow)
+    out = wrap(y, flow)
     if flow and _TAPES:
 
         def backward(g: np.ndarray) -> None:
             ds = y * (g - (g * y).sum(axis=1, keepdims=True))
-            if keep is not None:
-                ds = np.where(keep, ds, 0.0)
+            if mask is not None:
+                ds = np.where(mask, ds, 0.0)
             if r_grad:
-                _add_matmul(router, rows.T, ds)
+                _add_matmul(router, (xd if per_row else xd[0:1]).T, ds)
             if x_grad:
                 if per_row:
                     _add_matmul(x, ds, rd.T)
@@ -248,6 +284,83 @@ def router_gate(x: Matrix, router: Matrix, k: int, per_row: bool = False) -> Mat
 
         _TAPES[-1].entries.append((out, backward))
     return out
+
+
+def adapter_kernel(
+    xd: np.ndarray,
+    wd: np.ndarray,
+    a: Sequence[np.ndarray],
+    b: Sequence[np.ndarray],
+    scaling: float,
+    gd: np.ndarray | None = None,
+    keep_terms: bool = False,
+) -> tuple[np.ndarray, Sequence[int], list | None, Sequence[np.ndarray], Sequence[np.ndarray]]:
+    """adapter's kernel on plain arrays; `adapter` states the formula.
+
+    Returns ``(h, live, weights, xas, terms)``: the output; the gate columns
+    that ran (``(0,)`` with no gate); the weight of each, a float for a
+    shared gate row and a column for a gate with one row per row of x
+    (None with no gate); x A_j for each; and, with ``keep_terms``, each
+    unweighted x A_j B_j, which the gate's gradient needs. Each term is
+    freed as soon as it is added when ``keep_terms`` is off.
+    """
+    n = len(b)
+    shared_a = len(a) == 1
+    if not shared_a and len(a) != n:
+        raise DimensionError(f"adapter: {len(a)} A matrices for {n} B matrices, need 1 or {n}")
+    rows, d_in = xd.shape
+    d_out = wd.shape[1]
+    # B_j must be r x d_out, r the width of the A it follows
+    chained = wd.shape[0] == d_in
+    for j, bj in enumerate(b):
+        a_shape = a[0 if shared_a else j].shape
+        chained = chained and a_shape[0] == d_in and bj.shape == (a_shape[1], d_out)
+    if not chained:
+        raise DimensionError(
+            f"adapter: shapes do not chain, x {xd.shape}, w {wd.shape}, "
+            f"a {[aj.shape for aj in a]}, b {[bj.shape for bj in b]}"
+        )
+
+    if gd is None:
+        if n != 1:
+            raise DimensionError(f"adapter: without a gate b must hold one matrix, got {n}")
+        xa = xd @ a[0]
+        delta = xa @ b[0]
+        h = xd @ wd
+        delta *= scaling
+        h += delta
+        return h, (0,), None, (xa,), ()
+
+    g_rows, g_cols = gd.shape
+    if g_cols != n:
+        raise DimensionError(f"adapter: gate width {g_cols} != {n} B matrices")
+    if g_rows == 1:
+        # one shared row: its live columns and their weights as floats
+        row = gd[0].tolist()
+        live = [j for j, v in enumerate(row) if v != 0.0]
+        weights = [row[j] for j in live]
+    elif g_rows == rows:
+        live = np.flatnonzero((gd != 0.0).any(axis=0)).tolist()
+        weights = [gd[:, j : j + 1] for j in live]
+    else:
+        raise DimensionError(
+            f"adapter: gate has {g_rows} rows, need 1 or one per row of x ({rows})"
+        )
+    if shared_a:
+        xas = [xd @ a[0]] * len(live) if live else []
+    else:
+        xas = [xd @ a[j] for j in live]
+    delta = np.zeros((rows, d_out))
+    terms = []
+    for j, wj, xa in zip(live, weights, xas):
+        p = xa @ b[j]
+        delta += wj * p
+        if keep_terms:
+            terms.append(p)
+    h = xd @ wd
+    delta *= scaling
+    h += delta
+    return h, live, weights, xas, terms
 
 
 def adapter(
@@ -273,40 +386,22 @@ def adapter(
     g W^T and adds each term's share from the last term to the first, and a
     shared A's adjoint sums its terms from the last to the first.
     """
-    s = float(scaling)
-    n = len(b)
-    shared_a = len(a) == 1
-    if not shared_a and len(a) != n:
-        raise DimensionError(f"adapter: {len(a)} A matrices for {n} B matrices, need 1 or {n}")
-    xd, wd = x.data, w.data
-    rows, d_in = xd.shape
-    d_out = wd.shape[1]
-    # B_j must be r x d_out, r the width of the A it follows
-    chained = wd.shape[0] == d_in
-    for j, bj in enumerate(b):
-        a_shape = a[0 if shared_a else j].data.shape
-        chained = chained and a_shape[0] == d_in and bj.data.shape == (a_shape[1], d_out)
-    if not chained:
-        raise DimensionError(
-            f"adapter: shapes do not chain, x {xd.shape}, w {wd.shape}, "
-            f"a {[aj.data.shape for aj in a]}, b {[bj.data.shape for bj in b]}"
-        )
     if w.requires_grad:
         raise ContractError("adapter: w must be a constant")
+    s = float(scaling)
+    xd, wd = x.data, w.data
     x_grad = x.requires_grad
+    # a one-matrix list is built directly: a comprehension's frame costs
+    # more than the list
+    ad = [a[0].data] if len(a) == 1 else [m.data for m in a]
+    bd = [b[0].data] if len(b) == 1 else [m.data for m in b]
 
     if gate is None:
-        if n != 1:
-            raise DimensionError(f"adapter: without a gate b must hold one matrix, got {n}")
+        h, _, _, (xa,), _ = adapter_kernel(xd, wd, ad, bd, s)
         a0, b0 = a[0], b[0]
         a_grad, b_grad = a0.requires_grad, b0.requires_grad
-        xa = xd @ a0.data
-        delta = xa @ b0.data
-        h = xd @ wd
-        delta *= s
-        h += delta
         flow = x_grad or a_grad or b_grad
-        out = _result(h, flow)
+        out = wrap(h, flow)
         if flow and _TAPES:
 
             def backward(g: np.ndarray) -> None:
@@ -326,83 +421,56 @@ def adapter(
         return out
 
     gd = gate.data
-    g_rows, g_cols = gd.shape
-    if g_cols != n:
-        raise DimensionError(f"adapter: gate width {g_cols} != {n} B matrices")
-    shared_gate = g_rows == 1
-    if shared_gate:
-        # one shared row: its live columns and their weights as floats
-        row = gd[0].tolist()
-        live = [j for j, v in enumerate(row) if v != 0.0]
-        weights = [row[j] for j in live]
-    elif g_rows == rows:
-        live = np.flatnonzero((gd != 0.0).any(axis=0)).tolist()
-        weights = [gd[:, j : j + 1] for j in live]
-    else:
-        raise DimensionError(
-            f"adapter: gate has {g_rows} rows, need 1 or one per row of x ({rows})"
-        )
     gate_grad = gate.requires_grad
-    flow = x_grad or gate_grad or any(m.requires_grad for m in (*a, *b))
-    taped = flow and bool(_TAPES)
     # The gate's gradient needs each unweighted term; keep them only when a
     # tape records this op, so an untaped forward frees each term at once.
-    keep = taped and gate_grad
-    if shared_a:
-        xa0 = xd @ a[0].data if live else None
-        xas = [xa0] * len(live)
-    else:
-        xas = [xd @ a[j].data for j in live]
-    delta = np.zeros((rows, d_out))
-    parts = []
-    for j, wj, xa in zip(live, weights, xas):
-        p = xa @ b[j].data
-        delta += wj * p
-        if keep:
-            parts.append(p)
-    h = xd @ wd
-    delta *= s
-    h += delta
-    out = _result(h, flow)
-    if taped:
+    keep_terms = gate_grad and bool(_TAPES)
+    h, live, weights, xas, terms = adapter_kernel(xd, wd, ad, bd, s, gd, keep_terms)
+    flow = x_grad or gate_grad or any(m.requires_grad for m in (*a, *b))
+    out = wrap(h, flow)
+    if not (flow and _TAPES):
+        return out
 
-        def backward(g: np.ndarray) -> None:
-            gs = g * s
-            if gate_grad:
-                dg = np.zeros(gd.shape)
-                for j, p in zip(live, parts):
-                    dg[:, j] = (gs * p).sum() if shared_gate else (gs * p).sum(axis=1)
-                _add_grad(gate, dg)
-            dx = g @ wd.T if x_grad else None
-            a0 = a[0]
-            d_a0 = None  # a shared A's adjoint, summed from the last term
-            # Last term first: the summation order the docstring fixes.
-            for i in range(len(live) - 1, -1, -1):
-                j = live[i]
-                bj = b[j]
-                gp = weights[i] * gs
-                if bj.requires_grad:
-                    _add_matmul(bj, xas[i].T, gp)
-                aj = a0 if shared_a else a[j]
-                if not (x_grad or aj.requires_grad):
-                    continue
-                d = gp @ bj.data.T
-                if shared_a:
-                    d_a0 = d if d_a0 is None else d_a0 + d
-                    continue
-                if aj.requires_grad:
-                    _add_matmul(aj, xd.T, d)
-                if dx is not None:
-                    dx += d @ aj.data.T
-            if d_a0 is not None:
-                if a0.requires_grad:
-                    _add_matmul(a0, xd.T, d_a0)
-                if dx is not None:
-                    dx += d_a0 @ a0.data.T
+    shared_a = len(a) == 1
+    shared_gate = gd.shape[0] == 1
+
+    def backward(g: np.ndarray) -> None:
+        gs = g * s
+        if gate_grad:
+            dg = np.zeros(gd.shape)
+            for j, p in zip(live, terms):
+                dg[:, j] = (gs * p).sum() if shared_gate else (gs * p).sum(axis=1)
+            _add_grad(gate, dg)
+        dx = g @ wd.T if x_grad else None
+        a0 = a[0]
+        d_a0 = None  # a shared A's adjoint, summed from the last term
+        # Last term first: the summation order the docstring fixes.
+        for i in range(len(live) - 1, -1, -1):
+            j = live[i]
+            bj = b[j]
+            gp = weights[i] * gs
+            if bj.requires_grad:
+                _add_matmul(bj, xas[i].T, gp)
+            aj = a0 if shared_a else a[j]
+            if not (x_grad or aj.requires_grad):
+                continue
+            d = gp @ bj.data.T
+            if shared_a:
+                d_a0 = d if d_a0 is None else d_a0 + d
+                continue
+            if aj.requires_grad:
+                _add_matmul(aj, xd.T, d)
             if dx is not None:
-                _add_grad(x, dx)
+                dx += d @ aj.data.T
+        if d_a0 is not None:
+            if a0.requires_grad:
+                _add_matmul(a0, xd.T, d_a0)
+            if dx is not None:
+                dx += d_a0 @ a0.data.T
+        if dx is not None:
+            _add_grad(x, dx)
 
-        _TAPES[-1].entries.append((out, backward))
+    _TAPES[-1].entries.append((out, backward))
     return out
 
 
@@ -427,7 +495,7 @@ def cross_entropy(logits: Matrix, labels) -> Matrix:
     losses = lse - z[index, y]
     flow = logits.requires_grad
     # the same bytes as losses.mean(), without its dispatch overhead
-    out = _result(np.array([[losses.sum() / n]]), flow)
+    out = wrap(np.array([[losses.sum() / n]]), flow)
     if flow and _TAPES:
 
         def backward(g: np.ndarray) -> None:
@@ -447,7 +515,7 @@ def mse_loss(a: Matrix, b: Matrix) -> Matrix:
     diff = a.data - b.data
     a_grad, b_grad = a.requires_grad, b.requires_grad
     flow = a_grad or b_grad
-    out = _result(np.array([[float((diff * diff).mean())]]), flow)
+    out = wrap(np.array([[float((diff * diff).mean())]]), flow)
     if flow and _TAPES:
 
         def backward(g: np.ndarray) -> None:

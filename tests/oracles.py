@@ -12,7 +12,7 @@ the chain of small ops it replaces.
 import numpy as np
 
 from branchcl.errors import ContractError, DimensionError
-from branchcl.tensor import _TAPES, Matrix, _add_grad, _result
+from branchcl.tensor import _TAPES, Matrix, _add_grad, wrap
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -225,7 +225,7 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     a_grad, b_grad = a.requires_grad, b.requires_grad
-    out = _result(a.data + b.data, a_grad or b_grad)
+    out = wrap(a.data + b.data, a_grad or b_grad)
     if out._flow and _TAPES:
 
         def backward(g: np.ndarray) -> None:
@@ -241,7 +241,7 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 def scale(a: Matrix, c) -> Matrix:
     """a times c: a float, or a column of one factor per row of a."""
     c = c if isinstance(c, np.ndarray) else float(c)
-    out = _result(a.data * c, a.requires_grad)
+    out = wrap(a.data * c, a.requires_grad)
     if out._flow and _TAPES:
 
         def backward(g: np.ndarray) -> None:

@@ -58,6 +58,84 @@ def test_per_row_forward_equals_one_row_forwards(kind, seed, task_id, x):
             np.testing.assert_allclose(gate.data[i], one_gate.data[0], rtol=0, atol=1e-12)
 
 
+def both_paths(model, x, tid, per_row=False):
+    """The forward run under a tape, as ops, and with no tape, on plain
+    arrays."""
+    with bc.Tape():
+        taped = model.forward(bc.Matrix(x), tid, per_row)
+    return taped, model.forward(bc.Matrix(x), tid, per_row)
+
+
+@pytest.mark.parametrize("kind", LAYERS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    task_id=st.integers(0, 1),
+    frozen=st.lists(st.integers(0, HP.experts - 1), max_size=2, unique=True),
+    per_row=st.booleans(),
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.just(WIDTH)),
+        elements=st.floats(-3.0, 3.0, allow_nan=False),
+    ),
+)
+def test_untaped_forward_is_the_taped_forward_bit_for_bit(kind, seed, task_id, frozen, per_row, x):
+    # Both paths call the same kernels in the same order, so the logits and
+    # gates are the same bits, not merely close. Frozen branches change what
+    # the ops record, never what they compute.
+    model = trained_like(kind, seed)
+    for layer in model.layers:
+        for j in frozen if hasattr(layer, "branches") else ():
+            layer.branches[j].trainable = False
+    tid = task_id if kind == "branchlora" else None
+    (logits, gates), (bare, bare_gates) = both_paths(model, x, tid, per_row)
+    assert np.array_equal(bare.data, logits.data)
+    assert len(bare_gates) == len(gates)
+    for gate, bare_gate in zip(gates, bare_gates):
+        assert np.array_equal(bare_gate.data, gate.data)
+
+
+def assert_both_paths_raise(error, model, x, tid, match=None):
+    with pytest.raises(error, match=match):
+        with bc.Tape():
+            model.forward(bc.Matrix(x), tid)
+    with pytest.raises(error, match=match):
+        model.forward(bc.Matrix(x), tid)
+
+
+@pytest.mark.parametrize("kind", LAYERS)
+def test_untaped_forward_makes_the_checks_the_ops_make(kind):
+    model = trained_like(kind, seed=5)
+    tid = 0 if kind == "branchlora" else None
+    x = np.random.default_rng(5).standard_normal((3, WIDTH))
+    assert_both_paths_raise(bc.DimensionError, model, x[:, :-1], tid)
+    if model.layers[0].routers:
+        assert_both_paths_raise(bc.RoutingError, model, x, 7, match="task 7")
+    # a weight rebound to the wrong shape: the backbone, then the head
+    layer = model.layers[1]
+    w = layer.backbone.data
+    layer.backbone.data = np.ones((WIDTH + 1, WIDTH))
+    assert_both_paths_raise(bc.DimensionError, model, x, tid)
+    layer.backbone.data = w
+    head = model.head.data
+    model.head.data = np.ones((WIDTH - 1, CFG.classes))
+    assert_both_paths_raise(bc.DimensionError, model, x, tid, match="matmul")
+    model.head.data = head
+    # an adapter's own matrix rebound to the wrong shape
+    named = dict(layer.named_matrices())
+    if len(named) > 1:
+        name = "branch1" if "branch1" in named else next(n for n in named if n.endswith("B"))
+        named[name].data = np.ones((named[name].rows + 1, WIDTH))
+        assert_both_paths_raise(bc.DimensionError, model, x, tid, match="do not chain")
+        named[name].data = named[name].data[:-1]
+        # the backbone must stay a constant
+        layer.backbone.trainable = True
+        assert_both_paths_raise(bc.ContractError, model, x, tid, match="constant")
+        layer.backbone.trainable = False
+    # every weight is back in place, and both paths run again
+    assert np.array_equal(*(out.data for out, _ in both_paths(model, x, tid)))
+
+
 def per_sample_accuracy(model, task, selector):
     """The reference: every test row forwarded on its own, each routed by
     its own selected task under "auto"."""

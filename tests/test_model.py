@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -240,6 +241,23 @@ class TestCheckpoints:
             spec["rows"], spec["cols"] = spec["cols"], spec["rows"]
         path.write_text(json.dumps(manifest))
         with pytest.raises(bc.ContractError, match=name):
+            bc.load_model(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("zero_shot", "head"), ("zero_shot", "layer0.backbone"), ("lora", "layer1.backbone"),
+         ("moelora", "head"), ("branchlora", "layer0.backbone")],
+    )
+    def test_manifest_may_not_turn_a_frozen_matrix_trainable(self, tmp_path, kind, name):
+        # a saved flag may freeze a matrix (a branch, a finished router) but
+        # never unfreeze one that the rebuilt model holds frozen
+        model = bc.build_model(kind, CFG, HP, seed=7)
+        path = bc.save_model(tmp_path / "ckpt", model) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["tensors"][name]["trainable"] = True
+        path.write_text(json.dumps(manifest))
+        match = rf"tensor {re.escape(name)} is marked trainable"
+        with pytest.raises(bc.ContractError, match=match):
             bc.load_model(tmp_path / "ckpt")
 
 
