@@ -47,16 +47,6 @@ from .selector import (
     selector_accuracy,
 )
 from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerprint
-from .tensor import (
-    Matrix,
-    Tape,
-    adapter,
-    backward,
-    cross_entropy,
-    matmul,
-    mse_loss,
-    router_gate,
-    tanh,
-)
+from .tensor import Matrix, Tape, backward, cross_entropy, mse_loss
 
 __version__ = "0.1.0"

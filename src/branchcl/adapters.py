@@ -5,12 +5,12 @@ checkpoints and analysis never ask which kind they hold. A layer's
 constructor draws all of its matrices and ``named_matrices`` is the one
 place that names them; a checkpoint loads by building the layer afresh
 and overwriting those matrices. Three adapter
-kinds compute h = x W_f + (alpha/r) * delta, each as one `tensor.adapter`
-op after its gate (if any):
+kinds compute h = x W_f + (alpha/r) * delta, each with
+`tensor.adapter_kernel` after its gate (if any):
 
 * LoRALayer: a single rank-r pair (A, B), delta = x A B.
 * MoELoRALayer: N experts (A_j, B_j) of rank r/N, densely mixed by a
-  softmax router (`router_gate` with k = N).
+  softmax router (`tensor.gate_kernel` with k = N).
 * BranchLoRALayer: one shared A of rank r/N, N branch matrices B_j, and
   one router per task; the gate keeps the top-k router scores, so it has
   exactly k nonzero entries, and only the branches some row selects run.
@@ -23,12 +23,17 @@ B x N gate), so a batch of rows takes the routes, and up to float rounding
 gives the outputs, of forwarding the rows one at a time; evaluation uses it
 to run a test split as one forward.
 
-Each kind has two forwards. ``forward`` runs the ops, which record
-closures when a tape is active, and is what training differentiates.
-``infer`` takes and returns plain arrays and calls the kernels those ops
-call (`tensor.gate_kernel`, `tensor.adapter_kernel`, `tensor.product`),
-with the same checks: it gives the same bits without building a Matrix
-per step, and `ContinualModel.forward` uses it when no tape records.
+Each kind has one ``forward``, on plain arrays, for training and
+evaluation alike. Under a tape it records the layer as one
+``(backward, cache)`` record, and the layer's hand-written ``backward``
+takes the adjoint of its output, adds each trainable matrix's share to its
+grad and returns the adjoint of its input, unless the layer's record is the
+tape's first (see `tensor.backward`). Its arithmetic follows a fixed order,
+that of a chain of single products, weighings and sums replayed in
+reverse, which the tests hold as its reference: dx starts as g W^T and
+adds each live term's share from the last term to the first; a shared A
+sums its terms' shares from the last to the first before taking one
+gradient share; and the gate's share of dx comes after the adapter's.
 
 BackboneLayer is the zero-shot layer: h = x W_f with no parameters. Every
 layer holds W_f as a plain non-trainable Matrix (`draw_backbone`).
@@ -47,7 +52,15 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ContractError, ParameterError, RoutingError
-from .tensor import Matrix, adapter, adapter_kernel, gate_kernel, matmul, product, router_gate
+from .tensor import Matrix, add_product, adapter_kernel, gate_kernel, linear, record, recording
+
+
+def check_ints(**values) -> None:
+    """Raise ParameterError naming the first value that is not an int; a
+    bool, or a float such as 16.0, is not one."""
+    for name, v in values.items():
+        if type(v) is not int:
+            raise ParameterError(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,7 @@ class AdapterHyperparams:
     align_weight: float = 1.0
 
     def __post_init__(self):
+        check_ints(rank=self.rank, experts=self.experts, top_k=self.top_k)
         if self.rank < 1:
             raise ParameterError(f"rank must be >= 1, got {self.rank}")
         if self.experts < 1:
@@ -102,12 +116,12 @@ class AdapterLayer:
     The constructor ``cls(rng, backbone, hp)`` draws a fresh layer over a
     given backbone, and ``init`` does so drawing the backbone too unless one
     is given. ``named_matrices()`` names every matrix the layer holds, in
-    checkpoint order. ``forward(x, task_id, per_row=False)``
-    returns ``(h, gate)``, gate None without a router; a router gates the
-    batch by its first row, or each row on its own with ``per_row``
-    (ignored by kinds without a router). ``infer`` takes the same
-    arguments with x an array and returns the same values as arrays,
-    computed by the same kernels but with no ops. ``params()`` are the
+    checkpoint order. ``forward(x, task_id, per_row=False)`` takes an array
+    and returns the arrays ``(h, gate)``, gate None without a router; a
+    router gates the batch by its first row, or each row on its own with
+    ``per_row`` (ignored by kinds without a router). Under a tape it
+    records ``backward(g, cache, need_dx)``, the layer's gradient (see the
+    module docstring). ``params()`` are the
     (name, matrix) pairs of ``named_matrices`` whose ``trainable`` flag is
     on, in that order: the flag is the only record of what trains, so
     freezing a matrix is turning it off. ``routers`` (per-task routers) stays empty,
@@ -148,14 +162,6 @@ class AdapterLayer:
     def count_trainable_params(self) -> int:
         return sum(m.data.size for _, m in self.params())
 
-    def _adapt(
-        self, x: np.ndarray, a: list, b: list, gate: np.ndarray | None = None
-    ) -> np.ndarray:
-        """`tensor.adapter`'s value on plain arrays, over this layer's backbone."""
-        if self.backbone.trainable:
-            raise ContractError("adapter: w must be a constant")
-        return adapter_kernel(x, self.backbone.data, a, b, self.hp.scaling, gate)[0]
-
 
 class BackboneLayer(AdapterLayer):
     """The zero-shot layer: the frozen backbone alone, nothing to train."""
@@ -164,14 +170,9 @@ class BackboneLayer(AdapterLayer):
         self.backbone = backbone
 
     def forward(
-        self, x: Matrix, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[Matrix, None]:
-        return matmul(x, self.backbone), None
-
-    def infer(
         self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
     ) -> tuple[np.ndarray, None]:
-        return product(x, self.backbone.data), None
+        return linear(x, self.backbone.data), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         return [("backbone", self.backbone)]
@@ -186,20 +187,108 @@ class LoRALayer(AdapterLayer):
         self.b = Matrix.zeros(hp.rank, d_out, trainable=True)
 
     def forward(
-        self, x: Matrix, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[Matrix, None]:
-        return adapter(x, self.backbone, [self.a], [self.b], self.hp.scaling), None
-
-    def infer(
         self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
     ) -> tuple[np.ndarray, None]:
-        return self._adapt(x, [self.a.data], [self.b.data]), None
+        if self.backbone.trainable:
+            raise ContractError("adapter: w must be a constant")
+        h, _, _, (xa,), _ = adapter_kernel(
+            x, self.backbone.data, [self.a.data], [self.b.data], self.hp.scaling
+        )
+        record(self.backward, (x, xa))
+        return h, None
+
+    def backward(self, g: np.ndarray, cache, need_dx: bool) -> np.ndarray | None:
+        x, xa = cache
+        a, b = self.a, self.b
+        gs = g * self.hp.scaling
+        if b.trainable:
+            add_product(b, xa.T, gs)
+        if not (need_dx or a.trainable):
+            return None
+        d = gs @ b.data.T
+        if a.trainable:
+            add_product(a, x.T, d)
+        if not need_dx:
+            return None
+        dx = g @ self.backbone.data.T
+        dx += d @ a.data.T
+        return dx
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         return [("backbone", self.backbone), ("A", self.a), ("B", self.b)]
 
 
-class MoELoRALayer(AdapterLayer):
+class _GatedLayer(AdapterLayer):
+    """The gated sum and its backward, which MoELoRA and BranchLoRA share:
+    they differ in their A matrices, their router and its top k."""
+
+    def _mix(self, x, gate, mask, router, a, b, per_row):
+        """The gated sum over the given gate and, under a tape, its record."""
+        if self.backbone.trainable:
+            raise ContractError("adapter: w must be a constant")
+        taped = recording()
+        ad = [m.data for m in a]
+        bd = [m.data for m in b]
+        h, live, weights, xas, terms = adapter_kernel(
+            x, self.backbone.data, ad, bd, self.hp.scaling, gate, taped
+        )
+        if taped:
+            record(self.backward, (x, gate, mask, router, per_row, a, b, live, weights, xas, terms))
+        return h, gate
+
+    def backward(self, g: np.ndarray, cache, need_dx: bool) -> np.ndarray | None:
+        x, gate, mask, router, per_row, a, b, live, weights, xas, terms = cache
+        gs = g * self.hp.scaling
+        gate_grad = need_dx or router.trainable
+        if gate_grad:
+            dg = np.zeros(gate.shape)
+            for j, p in zip(live, terms):
+                dg[:, j] = (gs * p).sum() if gate.shape[0] == 1 else (gs * p).sum(axis=1)
+        dx = g @ self.backbone.data.T if need_dx else None
+        shared_a = len(a) == 1
+        a0 = a[0]
+        d_a0 = None  # a shared A's adjoint, summed from the last term
+        for i in range(len(live) - 1, -1, -1):
+            j = live[i]
+            bj = b[j]
+            gp = weights[i] * gs
+            if bj.trainable:
+                add_product(bj, xas[i].T, gp)
+            aj = a0 if shared_a else a[j]
+            if not (need_dx or aj.trainable):
+                continue
+            d = gp @ bj.data.T
+            if shared_a:
+                d_a0 = d if d_a0 is None else d_a0 + d
+                continue
+            if aj.trainable:
+                add_product(aj, x.T, d)
+            if need_dx:
+                dx += d @ aj.data.T
+        if d_a0 is not None:
+            if a0.trainable:
+                add_product(a0, x.T, d_a0)
+            if need_dx:
+                dx += d_a0 @ a0.data.T
+        if not gate_grad:
+            return None
+        ds = gate * (dg - (dg * gate).sum(axis=1, keepdims=True))
+        if mask is not None:
+            ds = np.where(mask, ds, 0.0)
+        if router.trainable:
+            add_product(router, (x if per_row else x[0:1]).T, ds)
+        if not need_dx:
+            return None
+        if per_row:
+            dx += ds @ router.data.T
+        else:  # only row 0 was scored
+            dx_gate = np.zeros(x.shape)
+            np.matmul(ds, router.data.T, out=dx_gate[0:1])
+            dx += dx_gate
+        return dx
+
+
+class MoELoRALayer(_GatedLayer):
     """N rank-r/N experts mixed by a dense softmax gate."""
 
     def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
@@ -215,19 +304,11 @@ class MoELoRALayer(AdapterLayer):
         self.router = Matrix.zeros(d_in, hp.experts, trainable=True)
 
     def forward(
-        self, x: Matrix, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[Matrix, Matrix]:
-        gate = router_gate(x, self.router, self.hp.experts, per_row)
-        a, b = zip(*self.experts)
-        return adapter(x, self.backbone, a, b, self.hp.scaling, gate), gate
-
-    def infer(
         self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        gate, _ = gate_kernel(x, self.router.data, self.hp.experts, per_row)
-        a = [aj.data for aj, _ in self.experts]
-        b = [bj.data for _, bj in self.experts]
-        return self._adapt(x, a, b, gate), gate
+        gate, mask = gate_kernel(x, self.router.data, self.hp.experts, per_row)
+        a, b = zip(*self.experts)
+        return self._mix(x, gate, mask, self.router, a, b, per_row)
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         out = [("backbone", self.backbone)]
@@ -238,10 +319,10 @@ class MoELoRALayer(AdapterLayer):
         return out
 
 
-class BranchLoRALayer(AdapterLayer):
+class BranchLoRALayer(_GatedLayer):
     """Shared A, N branch B matrices, a sparse gate, and one router per task."""
 
-    # the sparse gate keeps unselected branches off the tape
+    # the sparse gate leaves unselected branches without a gradient
     allow_missing = True
 
     def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
@@ -271,28 +352,22 @@ class BranchLoRALayer(AdapterLayer):
     def finish_task(self, task_id: int) -> None:
         self.routers[task_id].trainable = False
 
-    def _router(self, task_id: int) -> Matrix:
+    def gate_for(
+        self, x: np.ndarray, task_id: int, per_row: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The gate of task_id's router and its top-k mask (see
+        `tensor.gate_kernel`)."""
         router = self.routers.get(task_id)
         if router is None:
             raise RoutingError(f"no router registered for task {task_id}")
-        return router
-
-    def gate_for(self, x: Matrix, task_id: int, per_row: bool = False) -> Matrix:
-        return router_gate(x, self._router(task_id), self.hp.top_k, per_row)
+        return gate_kernel(x, router.data, self.hp.top_k, per_row)
 
     def forward(
-        self, x: Matrix, task_id: int, per_row: bool = False
-    ) -> tuple[Matrix, Matrix]:
-        gate = self.gate_for(x, task_id, per_row)
-        h = adapter(x, self.backbone, [self.a_shared], self.branches, self.hp.scaling, gate)
-        return h, gate
-
-    def infer(
         self, x: np.ndarray, task_id: int, per_row: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        gate, _ = gate_kernel(x, self._router(task_id).data, self.hp.top_k, per_row)
-        b = [bj.data for bj in self.branches]
-        return self._adapt(x, [self.a_shared.data], b, gate), gate
+        gate, mask = self.gate_for(x, task_id, per_row)
+        router = self.routers[task_id]
+        return self._mix(x, gate, mask, router, [self.a_shared], self.branches, per_row)
 
     @property
     def frozen(self) -> list[bool]:

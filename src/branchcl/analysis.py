@@ -20,7 +20,7 @@ from .adapters import LAYERS
 from .config import ExperimentConfig
 from .errors import AnalysisError
 from .optim import make_optimizer
-from .tensor import Matrix, Tape, backward, mse_loss
+from .tensor import Matrix, Tape, backward, mse_loss, wrap
 
 __all__ = ["expert_similarity", "expert_vectors", "efficiency_report"]
 
@@ -192,7 +192,7 @@ def _one_batch(layer, x, target, opt) -> tuple[float, float]:
     for _ in range(3):
         start = time.perf_counter()
         with Tape() as tape:
-            loss = mse_loss(layer.forward(x, 0)[0], target)
+            loss = mse_loss(wrap(layer.forward(x, 0)[0]), target)
             backward(tape, loss)
         mid = time.perf_counter()
         opt.step()
@@ -216,9 +216,9 @@ def _grad_coverage(layer, named, dim: int, batch: int,
     """
     seen: set[str] = set()
     for _ in range(64):
-        xb = Matrix(rng.standard_normal((batch, dim)))
+        xb = rng.standard_normal((batch, dim))
         with Tape() as tape:
-            loss = mse_loss(layer.forward(xb, 0)[0], target)
+            loss = mse_loss(wrap(layer.forward(xb, 0)[0]), target)
             backward(tape, loss)
         for name, p in named:
             if p.grad is not None:
@@ -246,7 +246,7 @@ def efficiency_report(
     hp = cfg.adapter.hyperparams()
     dim = cfg.stream.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-    x = Matrix(rng.standard_normal((cfg.train.batch_size, dim)))
+    x = rng.standard_normal((cfg.train.batch_size, dim))
     target = Matrix(rng.standard_normal((cfg.train.batch_size, dim)))
 
     methods = {}
@@ -272,8 +272,8 @@ def efficiency_report(
         # skips leaves a per-expert-rank x dim matrix out of the step.
         with Tape() as tape:
             h, gate = layer.forward(x, 0)
-            backward(tape, mse_loss(h, target))
-        skipped = 0 if gate is None else int(np.count_nonzero(gate.data[0] == 0.0))
+            backward(tape, mse_loss(wrap(h), target))
+        skipped = 0 if gate is None else int(np.count_nonzero(gate[0] == 0.0))
         expect_step = declared - skipped * hp.per_expert_rank * dim
         # lr is kept vanishingly small: the timed loop below reuses this
         # optimizer, and the layer should stay at its starting point so

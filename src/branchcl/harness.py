@@ -23,14 +23,14 @@ import numpy as np
 
 from .checkpoint import checkpoint_dir, save_model
 from .config import ExperimentConfig
-from .errors import ContractError, NumericError, ParameterError
+from .errors import ContractError, DimensionError, NumericError, ParameterError
 from .metrics import EvalMatrix, compute_metrics
 from .model import ContinualModel, ModelConfig, build_model
 from .optim import make_optimizer
 from .routing import FreezeLedger, UsageStats, apply_freeze, select_freeze_set
 from .selector import alignment_loss, select_task, selector_accuracy
 from .stream import SyntheticTask, TaskStream, generate_stream, stream_fingerprint
-from .tensor import Matrix, Tape, backward, cross_entropy
+from .tensor import Matrix, Tape, backward, cross_entropy, wrap
 
 
 class ImmutabilityGuard:
@@ -85,6 +85,9 @@ def train_task(
     and loss; one in a parameter after a step names the task, batch and
     tensor. `run_seed` adds the seed and method.
     """
+    x_train = np.asarray(x_train, dtype=np.float64)
+    if x_train.ndim != 2:
+        raise DimensionError(f"train_task: x_train must be 2-D, got shape {x_train.shape}")
     named = model.trainable_params()
     if not named:
         raise ParameterError(f"{model.kind} models have nothing to train")
@@ -103,7 +106,7 @@ def train_task(
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
-            xb = Matrix(x_train[idx])
+            xb = wrap(x_train[idx])
             yb = y_train[idx]
             t0 = time.perf_counter()
             with Tape() as tape:
@@ -121,13 +124,13 @@ def train_task(
                 raise NumericError(f"{where}, batch {batches}: {err}") from err
             batch_seconds.append(time.perf_counter() - t0)
             for rows, gate in zip(gate_rows, gates):
-                rows.append(gate.data)
+                rows.append(gate)
             if first_loss is None:
                 first_loss = value
             last_loss = value
             batches += 1
     for st, rows in zip(usage or [], gate_rows):
-        st.record_gate(Matrix(np.vstack(rows)))
+        st.record_gate(np.vstack(rows))
     # every matrix gets its own bytes back, so the arena dies with opt
     opt.release()
     return TrainStats(first_loss, last_loss, batches, batch_seconds)
@@ -152,7 +155,7 @@ def evaluate(
     up to each forward to that forward's rows, and its tests pin one
     forward per row, so grouping rows by selected task waits for the
     grouped-evaluation item of ROADMAP, which changes the benchmark first.
-    No tape records here, so every forward runs on plain arrays (see
+    No tape is active here, so no forward builds a record (see
     `ContinualModel.forward`). A row with task selection costs about
     57 us at eval-many-tasks shapes (two 32-wide layers, eight task keys;
     the median of ten benchmark runs on a shared 2-core x86 machine), almost

@@ -6,11 +6,11 @@ runs of different methods on the same stream is the adapter kind. All
 learning flows through the adapters; the head stays frozen, which is what
 makes the zero-shot baseline sit at chance.
 
-`ContinualModel.forward` has two paths with one set of formulas. Under a
-tape (training) it runs each layer's ``forward`` as ops; with no tape
-recording (evaluation) it runs each layer's ``infer`` and the head product
-on plain arrays, through the same `tensor` kernels, and wraps only the
-logits and gates. The two give the same bits and make the same checks.
+`ContinualModel.forward` runs on plain arrays, for training and evaluation
+alike: each layer's ``forward``, `tensor.activation` between layers and
+`tensor.linear` for the head. Under a tape each of them records itself, so
+that `tensor.backward` can walk the chain back; only the logits are
+wrapped as a matrix.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import LAYERS, AdapterHyperparams, AdapterLayer, draw_backbone
+from .adapters import LAYERS, AdapterHyperparams, AdapterLayer, check_ints, draw_backbone
 from .errors import ParameterError
 from .selector import KeyStore
-from .tensor import Matrix, matmul, product, recording, tanh, wrap
+from .tensor import Matrix, activation, linear, wrap
 
 _BACKBONE_TAG = 11
 _ADAPTER_TAG = 12
@@ -37,6 +37,7 @@ class ModelConfig:
     layers: int = 2
 
     def __post_init__(self):
+        check_ints(width=self.width, classes=self.classes, layers=self.layers)
         if self.width < 2 or self.width % 2 != 0:
             raise ParameterError(f"model width must be even and >= 2, got {self.width}")
         if self.classes < 2:
@@ -67,36 +68,22 @@ class ContinualModel:
 
     def forward(
         self, x: Matrix, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[Matrix, list[Matrix]]:
-        """Run the stack; returns (logits, per-layer gates). Gates are empty
-        for kinds without a router. Routers gate the batch by its first row,
-        or each row on its own with ``per_row``.
-
-        Under a tape the stack runs as ops, so `backward` can reach every
-        trainable matrix. With no tape recording it runs on plain arrays:
-        each layer's ``infer`` and the same kernels the ops call, so the
-        values are the same bits, and only the logits and gates are wrapped
-        as matrices.
-        """
+    ) -> tuple[Matrix, list[np.ndarray]]:
+        """Run the stack; returns (logits, per-layer gate arrays). Gates are
+        empty for kinds without a router. Routers gate the batch by its
+        first row, or each row on its own with ``per_row``. Under a tape
+        every layer, activation and the head record themselves, in that
+        order, so `backward` can reach every trainable matrix."""
+        h = x.data
         last = len(self.layers) - 1
         gates = []
-        if recording():
-            h = x
-            for i, layer in enumerate(self.layers):
-                h, gate = layer.forward(h, task_id, per_row)
-                if gate is not None:
-                    gates.append(gate)
-                if i < last:
-                    h = tanh(h)
-            return matmul(h, self.head), gates
-        h = x.data
         for i, layer in enumerate(self.layers):
-            h, gate = layer.infer(h, task_id, per_row)
+            h, gate = layer.forward(h, task_id, per_row)
             if gate is not None:
-                gates.append(wrap(gate))
+                gates.append(gate)
             if i < last:
-                h = np.tanh(h)
-        return wrap(product(h, self.head.data)), gates
+                h = activation(h)
+        return wrap(linear(h, self.head.data)), gates
 
     def start_task(self, task_id: int) -> None:
         """Register the task with every layer and, if they gave it a router,

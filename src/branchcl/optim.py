@@ -18,9 +18,9 @@ values into its own arena.
 The optimizer also owns the gradients. Beside the arena sits a grad
 buffer of the same layout, zeroed when it is built, and each matrix's
 ``_slot`` is its segment of that buffer until `release()` clears it.
-`tensor.backward` writes a matrix's first contribution into its slot (a
-matmul's result is computed there) and makes the slot its `.grad`, so
-the step reads it where it lies. A grad
+A layer's backward computes a matrix's first share of the gradient
+straight into its slot (`tensor.add_product`) and makes the slot its
+`.grad`, so the step reads it where it lies. A grad
 assigned any other way (by hand, as tests do) is copied into the slot.
 `release()` also drops every `.grad` that is still a slot, so the buffer
 is freed with the arena.
@@ -49,7 +49,7 @@ NaN or inf raises `NumericError` naming the first matrix that holds one.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
-legitimately leave unselected branches off the tape, so they construct
+legitimately leave unselected branches without one, so they construct
 their optimizer with allow_missing=True: such parameters are skipped for
 the step (for Adam, their moments and per-parameter step count do not
 advance, matching the usual sparse-update convention).

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, PolicyError
-from .tensor import Matrix
 
 
 class UsageStats:
@@ -25,14 +24,13 @@ class UsageStats:
         self.selections = np.zeros(experts, dtype=np.int64)
         self.samples_seen = 0
 
-    def record_gate(self, gate: Matrix) -> None:
+    def record_gate(self, rows: np.ndarray) -> None:
         """Accumulate an M x N gate, each row one observed distribution
         that sums to 1. Every row is checked before any field changes.
 
         The rows' mass is added from the first row to the last, so into
         fresh stats M rows at once add the same bytes as M one-row calls.
         """
-        rows = gate.data
         if rows.shape[1] != self.experts:
             raise ContractError(f"gate has {rows.shape[1]} entries, expected {self.experts}")
         totals = rows.sum(axis=1)

@@ -4,7 +4,7 @@ Each task owns a pair of trainable key vectors, one per embedding view.
 At desk scale the two views of a sample are simply the two halves of its
 input vector. Training pulls each key toward its task's inputs via a
 cosine alignment loss, whose gradient reaches only the keys and is
-computed directly rather than on the tape; at inference the task whose
+computed directly rather than on the tape; at evaluation the task whose
 keys are most similar to a sample's views wins.
 """
 
@@ -139,7 +139,7 @@ def alignment_loss(x: Matrix, keys: TaskKeys, weight: float) -> None:
     It is named for the loss, not its gradient, because the benchmark
     patches and times it under that name as `harness.alignment_loss`.
     """
-    if x.requires_grad:
+    if x.trainable:
         raise ContractError("alignment_loss: the input batch must be a constant")
     v = _views(x.data)
     if v.shape[-1] != keys.k_img.cols:

@@ -1,36 +1,58 @@
-"""Finite-difference gradient checking for every differentiable operation.
+"""Finite-difference gradient checking for every record of the training
+chain: each layer kind's backward, the activation and product records,
+the two losses and the whole model.
 
-Each case builds a scalar loss from trainable inputs; the recorded
-gradients are compared against central differences, aggregated by vector
-norm per input matrix (so isolated rounding noise on near-zero entries
-does not swamp the comparison).
+Each case builds a scalar loss from trainable matrices; the gradients
+`backward` gives are compared against central differences, aggregated by
+vector norm per matrix (so isolated rounding noise on near-zero entries
+does not swamp the comparison). A layer's input is data, not a parameter,
+so a case that checks the input's gradient (dx) reads it through `watch`:
+a record ahead of the layer that stores the adjoint it is handed.
 
-Matrix-valued operations are reduced to a scalar through mse_loss
-against a fixed target; mse_loss itself has a direct case, so the
-composition is covered from both ends.
+Matrix-valued outputs are reduced to a scalar through mse_loss against a
+fixed target; mse_loss itself has a direct case, so the composition is
+covered from both ends.
 """
 
 import numpy as np
 
 import branchcl as bc
+from branchcl.tensor import activation, linear, record, wrap
 from oracles import fd_gradient
 
 
-def run_case(params_np, run, eps=1e-6):
-    """Max norm-relative disagreement between tape gradients and FD."""
-    mats = [bc.Matrix(p.copy(), trainable=True) for p in params_np]
-    with bc.Tape() as tape:
-        loss = run(mats)
-        bc.backward(tape, loss)
-    worst = 0.0
-    for i, m in enumerate(mats):
-        def value(x, i=i):
-            probe = [bc.Matrix(p.copy()) for p in params_np]
-            probe[i] = bc.Matrix(np.asarray(x, dtype=np.float64).copy())
-            return run(probe).item()
+def _store(g, m, need_dx):
+    m.grad = g if m.grad is None else m.grad + g
 
-        fd = fd_gradient(value, params_np[i].copy(), eps)
-        ad = m.grad if m.grad is not None else np.zeros_like(fd)
+
+def watch(m: bc.Matrix) -> np.ndarray:
+    """m's values as a chain's input. On a tape, a record ahead of the
+    chain adds the adjoint it is handed to m.grad, so m's gradient is the
+    dx of the record after it."""
+    record(_store, m)
+    return m.data
+
+
+def run_case(mats, run, eps=1e-6):
+    """Max norm-relative disagreement between backward's gradients and FD.
+
+    ``mats`` are the trainable matrices that ``run()`` reads, and ``run()``
+    returns the loss. Each matrix's values are perturbed in place for FD."""
+    for m in mats:
+        m.grad = None
+    with bc.Tape() as tape:
+        bc.backward(tape, run())
+    worst = 0.0
+    for m in mats:
+        ad, values = m.grad, m.data
+
+        def value(x, m=m):
+            m.data = x
+            return run().item()
+
+        fd = fd_gradient(value, values.copy(), eps)
+        m.data = values
+        ad = ad if ad is not None else np.zeros_like(fd)
         num = np.linalg.norm(ad - fd)
         den = max(np.linalg.norm(ad) + np.linalg.norm(fd), 1e-8)
         worst = max(worst, num / den)
@@ -49,166 +71,190 @@ def _target(rng, rows, cols):
     return bc.Matrix(rng.standard_normal((rows, cols)))
 
 
+def _mse(h, t):
+    return bc.mse_loss(wrap(h), t)
+
+
+def _input(rng, rows, cols):
+    return bc.Matrix(rng.standard_normal((rows, cols)), trainable=True)
+
+
 def case_matmul(rng):
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2))
+    """`linear`: a product with a constant, as the backbone layer and the
+    head make; x gets g W^T."""
+    x = _input(rng, 3, 4)
+    w = rng.standard_normal((4, 2))
     t = _target(rng, 3, 2)
-    return [a, b], lambda m: bc.mse_loss(bc.matmul(m[0], m[1]), t)
+    return [x], lambda: _mse(linear(watch(x), w), t)
 
 
 def case_tanh(rng):
-    a = rng.standard_normal((3, 3))
+    """`activation`, the tanh between layers."""
+    x = _input(rng, 3, 3)
     t = _target(rng, 3, 3)
-    return [a], lambda m: bc.mse_loss(bc.tanh(m[0]), t)
+    return [x], lambda: _mse(activation(watch(x)), t)
+
+
+def _randomized(layer, rng):
+    """Every trainable matrix of the layer moved off its initial value, so
+    that no B starts at zero."""
+    for _, m in layer.params():
+        m.data = rng.standard_normal(m.shape)
+    return layer
+
+
+def _lora(rng, d_in=4, d_out=3):
+    hp = bc.AdapterHyperparams(rank=2, alpha=3.0, experts=1, top_k=1)
+    return _randomized(bc.LoRALayer.init(rng, d_in, d_out, hp), rng)
+
+
+def _moe(rng, d_in=4, d_out=3):
+    hp = bc.AdapterHyperparams(rank=6, alpha=4.0, experts=3, top_k=3)
+    layer = _randomized(bc.MoELoRALayer.init(rng, d_in, d_out, hp), rng)
+    # a router of unit scale saturates the softmax now and then: an expert
+    # with a weight near 1e-6 has a gradient below FD's noise
+    layer.router.data *= 0.3
+    return layer
+
+
+def _branch(rng, x, per_row, frozen=(), d_out=3):
+    """A BranchLoRA layer with a top-2 gate over 4 branches for task 0,
+    whose router is solved so that the scored rows of x have scores gapped
+    by >= 1: its top-k selection then stays put under FD perturbation."""
+    rows, d_in = x.shape
+    hp = bc.AdapterHyperparams(rank=8, alpha=6.0, experts=4, top_k=2)
+    layer = bc.BranchLoRALayer.init(rng, d_in, d_out, hp)
+    layer.start_task(0, rng)
+    _randomized(layer, rng)
+    scored = x if per_row else x[:1]
+    router = layer.routers[0].data
+    router += np.linalg.pinv(scored) @ (_gapped_rows(rng, len(scored), 4) - scored @ router)
+    for j in frozen:
+        layer.branches[j].trainable = False
+    return layer
+
+
+def _layer_case(rng, layer, x, per_row, task_id=None):
+    """x and every trainable matrix of the layer as parameters."""
+    t = _target(rng, x.rows, layer.backbone.cols)
+
+    def run():
+        h, _ = layer.forward(watch(x), task_id, per_row)
+        return _mse(h, t)
+
+    return [x, *(m for _, m in layer.params())], run
+
+
+def _router_only(rng, per_row):
+    # x and the router are the only parameters: the gate's own backward,
+    # which reaches the rows of x below row 0 only when every row is scored
+    x = _input(rng, 3, 4)
+    layer = _branch(rng, x.data, per_row)
+    for m in (layer.a_shared, *layer.branches):
+        m.trainable = False
+    return _layer_case(rng, layer, x, per_row, task_id=0)
 
 
 def case_router_gate(rng):
-    # Row 0 of x scores gapped by >= 1, so top-k selection is FD-stable;
-    # the other rows of x must get an exactly zero gradient.
-    rows, d, n = 3, 6, 5
-    x = rng.standard_normal((rows, d))
-    x0 = x[0]
-    router = rng.standard_normal((d, n))
-    router -= np.outer(x0, x0 @ router) / (x0 @ x0)
-    router += np.outer(x0, _gapped_rows(rng, 1, n)[0]) / (x0 @ x0)
-    k = int(rng.integers(1, n + 1))
-    t = _target(rng, 1, n)
-    return [x, router], lambda m: bc.mse_loss(bc.router_gate(m[0], m[1], k), t)
+    return _router_only(rng, per_row=False)
 
 
 def case_router_gate_rows(rng):
-    # Per-row gates: every row's scores gapped by >= 1, so each row's top-k
-    # selection is FD-stable; the router is solved so that x @ router hits
-    # those scores, and every row of x gets a gradient.
-    rows, d, n = 3, 6, 5
-    x = rng.standard_normal((rows, d))
-    pinv = np.linalg.pinv(x)
-    router = rng.standard_normal((d, n))
-    router += pinv @ (_gapped_rows(rng, rows, n) - x @ router)
-    k = int(rng.integers(1, n + 1))
-    t = _target(rng, rows, n)
-    return [x, router], lambda m: bc.mse_loss(bc.router_gate(m[0], m[1], k, per_row=True), t)
-
-
-def _adapter_inputs(rng, n_a, n_b):
-    """x, the A and B matrices, a constant W, a scaling and a target."""
-    rows, d_in, r, d_out = 2, 4, 2, 3
-    x = rng.standard_normal((rows, d_in))
-    a = [rng.standard_normal((d_in, r)) for _ in range(n_a)]
-    b = [rng.standard_normal((r, d_out)) for _ in range(n_b)]
-    w = bc.Matrix(rng.standard_normal((d_in, d_out)))
-    s = float(rng.uniform(0.5, 2.0))
-    return x, a, b, w, s, _target(rng, rows, d_out)
+    return _router_only(rng, per_row=True)
 
 
 def case_adapter(rng):
-    # No gate: one (A, B) pair added with weight one, as LoRA does.
-    x, a, b, w, s, t = _adapter_inputs(rng, 1, 1)
-    return [x, *a, *b], lambda m: bc.mse_loss(bc.adapter(m[0], w, m[1:2], m[2:], s), t)
-
-
-def _adapter_dense(rng, gate_rows):
-    # One A per B and a gate with every entry nonzero, as MoELoRA has.
-    n = 3
-    x, a, b, w, s, t = _adapter_inputs(rng, n, n)
-    gate = rng.standard_normal((gate_rows, n))
-
-    def run(m):
-        return bc.mse_loss(bc.adapter(m[0], w, m[2 : 2 + n], m[2 + n :], s, m[1]), t)
-
-    return [x, gate, *a, *b], run
+    """A LoRA layer: no gate, one (A, B) pair added with weight one."""
+    return _layer_case(rng, _lora(rng), _input(rng, 2, 4), False)
 
 
 def case_adapter_dense(rng):
-    return _adapter_dense(rng, 1)
+    """A MoELoRA layer: one A per B and a dense gate from row 0."""
+    return _layer_case(rng, _moe(rng), _input(rng, 3, 4), False)
 
 
 def case_adapter_dense_rows(rng):
-    return _adapter_dense(rng, 2)
-
-
-def _adapter_sparse(rng, per_row):
-    # A shared A and a top-2 gate over 4 branches, as BranchLoRA has. The
-    # gate comes from gapped scores, one row or one per row of x (each row
-    # of the identity reads its own score row), so the unselected columns
-    # stay exactly zero under FD perturbation.
-    n = 4
-    x, a, b, w, s, t = _adapter_inputs(rng, 1, n)
-    scores = _gapped_rows(rng, x.shape[0] if per_row else 1, n)
-    score_x = bc.Matrix(np.eye(x.shape[0]) if per_row else [[1.0]])
-
-    def run(m):
-        gate = bc.router_gate(score_x, m[1], 2, per_row=per_row)
-        return bc.mse_loss(bc.adapter(m[0], w, m[2:3], m[3:], s, gate), t)
-
-    return [x, scores, *a, *b], run
+    """A MoELoRA layer with a gate row per row of x."""
+    return _layer_case(rng, _moe(rng), _input(rng, 3, 4), True)
 
 
 def case_adapter_sparse(rng):
-    return _adapter_sparse(rng, per_row=False)
+    """A BranchLoRA layer: a shared A, a top-2 gate over 4 branches from
+    row 0, and branch 1 frozen."""
+    x = _input(rng, 3, 4)
+    return _layer_case(rng, _branch(rng, x.data, False, frozen=(1,)), x, False, task_id=0)
 
 
 def case_adapter_sparse_rows(rng):
-    return _adapter_sparse(rng, per_row=True)
+    """A BranchLoRA layer with a gate row per row of x, branch 2 frozen."""
+    x = _input(rng, 3, 4)
+    return _layer_case(rng, _branch(rng, x.data, True, frozen=(2,)), x, True, task_id=0)
+
+
+def case_chain(rng):
+    """dx through two layers: LoRA, the activation, then BranchLoRA."""
+    x = _input(rng, 3, 4)
+    first = _lora(rng, 4, 4)
+    second = _branch(rng, np.tanh(first.forward(x.data)[0]), False)
+    t = _target(rng, 3, 3)
+
+    def run():
+        h, _ = first.forward(watch(x))
+        h, _ = second.forward(activation(h), 0)
+        return _mse(h, t)
+
+    return [x, *(m for layer in (first, second) for _, m in layer.params())], run
 
 
 def case_cross_entropy(rng):
-    logits = rng.standard_normal((4, 5))
+    logits = _input(rng, 4, 5)
     labels = rng.integers(0, 5, size=4)
-    return [logits], lambda m: bc.cross_entropy(m[0], labels)
+    return [logits], lambda: bc.cross_entropy(wrap(watch(logits)), labels)
 
 
 def case_mse_loss(rng):
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((3, 4))
-    return [a, b], lambda m: bc.mse_loss(m[0], m[1])
+    a = _input(rng, 3, 4)
+    b = _target(rng, 3, 4)
+    return [a], lambda: bc.mse_loss(wrap(watch(a)), b)
+
+
+def _model_case(rng, kind):
+    """A two-layer model and its cross-entropy, every trainable matrix a
+    parameter. The input is redrawn until the score gaps that pick each
+    layer's top k are wide enough to stay put under FD perturbation."""
+    hp = bc.AdapterHyperparams(rank=4, alpha=8.0, experts=2, top_k=1)
+    model = bc.build_model(kind, bc.ModelConfig(width=4, classes=3, layers=2), hp, seed=0)
+    model.start_task(0)
+    task_id = 0 if model.layers[0].routers else None
+    for layer in model.layers:
+        _randomized(layer, rng)
+    labels = rng.integers(0, 3, size=3)
+    while True:
+        x = bc.Matrix(rng.standard_normal((3, 4)))
+        h, gaps = x.data, []
+        for layer in model.layers:
+            if layer.routers:
+                s = h[0] @ layer.routers[0].data
+                gaps.append(abs(s[0] - s[1]))
+            h = np.tanh(layer.forward(h, task_id)[0])
+        if min(gaps, default=1.0) > 1e-3:
+            break
+
+    def run():
+        logits, _ = model.forward(x, task_id)
+        return bc.cross_entropy(logits, labels)
+
+    return [m for _, m in model.trainable_params()], run
 
 
 def case_branch_layer(rng):
-    """End to end: top-k gate, then the adapter op with a shared A, then the loss."""
-    hp = bc.AdapterHyperparams(rank=4, alpha=8.0, experts=2, top_k=1)
-    layer = bc.BranchLoRALayer.init(rng, 5, 5, hp)
-    layer.start_task(0, rng)
-    router = rng.standard_normal((5, 2))
-    while True:
-        x = bc.Matrix(rng.standard_normal((3, 5)))
-        scores = x.data @ router
-        if np.min(np.abs(scores[:, 0] - scores[:, 1])) > 1e-2:
-            break
-    labels = rng.integers(0, 5, size=3)
-    params = [
-        layer.a_shared.data.copy(),
-        router,
-        *(rng.standard_normal(b.shape) for b in layer.branches),
-    ]
-
-    def run(m):
-        layer.a_shared = m[0]
-        layer.routers[0] = m[1]
-        layer.branches = list(m[2:])
-        h, _ = layer.forward(x, 0)
-        return bc.cross_entropy(h, labels)
-
-    return params, run
+    """End to end: a two-layer BranchLoRA model (top-1 of 2 branches)."""
+    return _model_case(rng, "branchlora")
 
 
 def case_moe_layer(rng):
-    """End to end: dense softmax gate over per-expert adapters."""
-    hp = bc.AdapterHyperparams(rank=4, alpha=8.0, experts=2, top_k=1)
-    layer = bc.MoELoRALayer.init(rng, 5, 5, hp)
-    x = bc.Matrix(rng.standard_normal((3, 5)))
-    labels = rng.integers(0, 5, size=3)
-    params = [layer.experts[0][0].data.copy(), rng.standard_normal(layer.experts[0][1].shape),
-              layer.experts[1][0].data.copy(), rng.standard_normal(layer.experts[1][1].shape),
-              layer.router.data.copy()]
-
-    def run(m):
-        layer.experts = [(m[0], m[1]), (m[2], m[3])]
-        layer.router = m[4]
-        h, _ = layer.forward(x)
-        return bc.cross_entropy(h, labels)
-
-    return params, run
+    """End to end: a two-layer MoELoRA model."""
+    return _model_case(rng, "moelora")
 
 
 OP_CASES = [
@@ -221,11 +267,9 @@ OP_CASES = [
     ("adapter_dense_rows", case_adapter_dense_rows),
     ("adapter_sparse", case_adapter_sparse),
     ("adapter_sparse_rows", case_adapter_sparse_rows),
+    ("chain", case_chain),
     ("cross_entropy", case_cross_entropy),
     ("mse_loss", case_mse_loss),
-]
-
-COMPOSITE_CASES = [
     ("branch_layer", case_branch_layer),
     ("moe_layer", case_moe_layer),
 ]

@@ -2,17 +2,20 @@
 
 Everything here is written directly from the defining formulas, with no
 imports from the package under test, so agreement between the two is
-meaningful. The exceptions are the per-matrix optimizers `RefSgd` and
-`RefAdam`, which raise the package's ContractError, and the taped
-reference ops `add` and `scale` at the end: they record on the package's
-tape, so that a fused op's gradients can be checked bit for bit against
-the chain of small ops it replaces.
+meaningful. The exception is the per-matrix optimizers `RefSgd` and
+`RefAdam`, which raise the package's ContractError.
+
+At the end is a reference autodiff of its own (`RefTape`, `Node` and one
+op per formula), with which `adapter_chain` builds an adapter layer out of
+single products, sums and scalings. Each op records a closure that hands
+its inputs their shares, and `ref_backward` replays them in reverse, so a
+layer's hand-written backward can be checked bit for bit against the chain
+of small ops whose replay order it follows.
 """
 
 import numpy as np
 
-from branchcl.errors import ContractError, DimensionError
-from branchcl.tensor import _TAPES, Matrix, _add_grad, wrap
+from branchcl.errors import ContractError
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -218,34 +221,154 @@ class RefAdam:
         return updated
 
 
-# Taped reference ops, for the chains the fused ops replace.
+# A reference autodiff: single ops recording closures on a tape.
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    a_grad, b_grad = a.requires_grad, b.requires_grad
-    out = wrap(a.data + b.data, a_grad or b_grad)
-    if out._flow and _TAPES:
+class Node:
+    """A value in a reference chain: a leaf, trainable or constant, or an
+    op's output. ``flow`` marks a value the loss's gradient reaches."""
 
-        def backward(g: np.ndarray) -> None:
-            if a_grad:
-                _add_grad(a, g)
-            if b_grad:
-                _add_grad(b, g)
+    def __init__(self, value, trainable=False):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.grad = None
+        self.trainable = trainable
+        self.flow = trainable
 
-        _TAPES[-1].entries.append((out, backward))
+
+class RefTape:
+    """Ordered (output, closure) records; a context manager."""
+
+    active: list = []
+
+    def __init__(self):
+        self.entries = []
+
+    def __enter__(self):
+        RefTape.active.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        RefTape.active.pop()
+
+
+def _share(node, g):
+    """Add g to a leaf's grad, or to an op output's adjoint."""
+    node.grad = g.copy() if node.grad is None and node.trainable else (
+        g if node.grad is None else node.grad + g
+    )
+
+
+def _op(value, inputs, closure):
+    out = Node(value)
+    out.flow = any(n.flow for n in inputs)
+    if out.flow and RefTape.active:
+        RefTape.active[-1].entries.append((out, closure))
     return out
 
 
-def scale(a: Matrix, c) -> Matrix:
-    """a times c: a float, or a column of one factor per row of a."""
-    c = c if isinstance(c, np.ndarray) else float(c)
-    out = wrap(a.data * c, a.requires_grad)
-    if out._flow and _TAPES:
+def ref_matmul(a, b):
+    def back(g):
+        if a.flow:
+            _share(a, g @ b.value.T)
+        if b.flow:
+            _share(b, a.value.T @ g)
 
-        def backward(g: np.ndarray) -> None:
-            _add_grad(a, g * c)
+    return _op(a.value @ b.value, (a, b), back)
 
-        _TAPES[-1].entries.append((out, backward))
-    return out
+
+def ref_add(a, b):
+    def back(g):
+        for n in (a, b):
+            if n.flow:
+                _share(n, g)
+
+    return _op(a.value + b.value, (a, b), back)
+
+
+def ref_scale(a, c):
+    return _op(a.value * c, (a,), lambda g: _share(a, g * c))
+
+
+def ref_tanh(a):
+    y = np.tanh(a.value)
+    return _op(y, (a,), lambda g: _share(a, g * (1.0 - y * y)))
+
+
+def ref_weigh(term, gate, j):
+    """term times gate column j: a float for a one-row gate, else a column
+    of one factor per row."""
+    rows = gate.value.shape[0]
+    c = gate.value[0, j] if rows == 1 else gate.value[:, j : j + 1]
+
+    def back(g):
+        if term.flow:
+            _share(term, g * c)
+        if gate.flow:
+            dg = np.zeros(gate.value.shape)
+            dg[:, j] = (g * term.value).sum() if rows == 1 else (g * term.value).sum(axis=1)
+            _share(gate, dg)
+
+    return _op(term.value * c, (term, gate), back)
+
+
+def ref_router_gate(x, router, k, per_row=False):
+    """Softmax over the k largest scores of x[0] (or of each row), zeros
+    elsewhere, ties to the lowest column; the masked columns get exactly
+    zero gradient, and with one shared row only row 0 of x gets one."""
+    xs = x.value if per_row else x.value[0:1]
+    s = xs @ router.value
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    mask = np.zeros(s.shape)
+    for i, row in enumerate(s):
+        mask[i, np.argsort(-row, kind="stable")[:k]] = 1.0
+    if k < s.shape[1]:
+        e *= mask
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def back(g):
+        ds = y * (g - (g * y).sum(axis=1, keepdims=True))
+        ds = np.where(mask, ds, 0.0)
+        if router.flow:
+            _share(router, xs.T @ ds)
+        if x.flow:
+            dx = np.zeros(x.value.shape)
+            dx[: len(xs)] = ds @ router.value.T
+            _share(x, dx)
+
+    return _op(y, (x, router), back)
+
+
+def ref_mse_loss(a, target):
+    diff = a.value - target
+    return _op(
+        np.array([[float((diff * diff).mean())]]), (a,), lambda g: _share(a, 2.0 * g[0, 0] / diff.size * diff)
+    )
+
+
+def ref_backward(tape, loss):
+    """Replay the tape in reverse from the loss's adjoint of one."""
+    loss.grad = np.ones((1, 1))
+    for out, back in reversed(tape.entries):
+        if out.grad is not None:
+            g, out.grad = out.grad, None
+            back(g)
+
+
+def adapter_chain(x, w, a, b, scaling, router=None, k=None, per_row=False):
+    """One adapter layer as a chain of single ops: the gate (if a router
+    is given), x A_j for each A the live columns use, each term x A_j B_j
+    weighed by its gate column and summed from the first to the last, then
+    x W plus the scaled sum. Replayed in reverse, this is the order the
+    layers' backward follows."""
+    if router is None:
+        delta = ref_matmul(ref_matmul(x, a[0]), b[0])
+    else:
+        gate = ref_router_gate(x, router, k, per_row)
+        live = [j for j in range(len(b)) if (gate.value[:, j] != 0.0).any()]
+        shared = len(a) == 1
+        xa = {i: ref_matmul(x, a[i]) for i in sorted({0 if shared else j for j in live})}
+        delta = None
+        for j in live:
+            term = ref_weigh(ref_matmul(xa[0 if shared else j], b[j]), gate, j)
+            delta = term if delta is None else ref_add(delta, term)
+    return ref_add(ref_matmul(x, w), ref_scale(delta, scaling))

@@ -199,8 +199,8 @@ def test_criterion_8_sparse_gate_contract():
     for task in range(n_total // per_router):
         layer.start_task(task, rng)
         for _ in range(per_router):
-            x = bc.Matrix(rng.standard_normal((1, 32)))
-            gate = layer.gate_for(x, task).data[0]
+            x = rng.standard_normal((1, 32))
+            gate = layer.gate_for(x, task)[0][0]
             nonzero = gate[gate != 0.0]
             assert nonzero.size == hp.top_k
             assert abs(float(nonzero.sum()) - 1.0) < 1e-9

@@ -49,30 +49,30 @@ class TestBackbone:
         rng = make_rng(1)
         layer = bc.BackboneLayer(rng, draw_backbone(rng, 6, 5), HP)
         x = rng.standard_normal((3, 6))
-        out, gate = layer.forward(bc.Matrix(x))
+        out, gate = layer.forward(x)
         assert gate is None
-        np.testing.assert_allclose(out.data, x @ layer.backbone.data, atol=1e-15)
+        np.testing.assert_allclose(out, x @ layer.backbone.data, atol=1e-15)
 
 
 class TestLoRA:
     def test_neutral_at_init(self):
         rng = make_rng(2)
         layer = bc.LoRALayer.init(rng, 8, 8, HP)
-        x = bc.Matrix(rng.standard_normal((4, 8)))
+        x = rng.standard_normal((4, 8))
         out, gate = layer.forward(x)
         assert gate is None
-        np.testing.assert_array_equal(out.data, x.data @ layer.backbone.data)
+        np.testing.assert_array_equal(out, x @ layer.backbone.data)
 
     def test_forward_matches_oracle(self):
         rng = make_rng(3)
         layer = bc.LoRALayer.init(rng, 8, 8, HP)
         layer.b.data[:] = rng.standard_normal(layer.b.shape)
         x = rng.standard_normal((4, 8))
-        out, _ = layer.forward(bc.Matrix(x))
+        out, _ = layer.forward(x)
         ref = oracles.lora_forward_oracle(
             x, layer.backbone.data, layer.a.data, layer.b.data, HP.scaling
         )
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
+        np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_param_count(self):
         layer = bc.LoRALayer.init(make_rng(), 32, 32, HP)
@@ -83,8 +83,8 @@ class TestMoELoRA:
     def test_gate_uniform_at_init(self):
         rng = make_rng(4)
         layer = bc.MoELoRALayer.init(rng, 8, 8, HP)
-        _, gate = layer.forward(bc.Matrix(rng.standard_normal((3, 8))))
-        np.testing.assert_allclose(gate.data, np.full((1, 4), 0.25), atol=1e-15)
+        _, gate = layer.forward(rng.standard_normal((3, 8)))
+        np.testing.assert_allclose(gate, np.full((1, 4), 0.25), atol=1e-15)
 
     def test_forward_matches_oracle(self):
         rng = make_rng(5)
@@ -93,7 +93,7 @@ class TestMoELoRA:
         for _, b in layer.experts:
             b.data[:] = rng.standard_normal(b.shape)
         x = rng.standard_normal((4, 8))
-        h, gate = layer.forward(bc.Matrix(x))
+        h, gate = layer.forward(x)
         ref_h, ref_gate = oracles.moe_forward_oracle(
             x,
             layer.backbone.data,
@@ -101,8 +101,8 @@ class TestMoELoRA:
             layer.router.data,
             HP.scaling,
         )
-        np.testing.assert_allclose(gate.data[0], ref_gate, atol=1e-12)
-        np.testing.assert_allclose(h.data, ref_h, atol=1e-12)
+        np.testing.assert_allclose(gate[0], ref_gate, atol=1e-12)
+        np.testing.assert_allclose(h, ref_h, atol=1e-12)
 
     def test_param_count(self):
         layer = bc.MoELoRALayer.init(make_rng(), 32, 32, HP)
@@ -122,31 +122,31 @@ class TestBranchLoRA:
 
     def test_neutral_at_init(self):
         rng, layer = self.build()
-        x = bc.Matrix(rng.standard_normal((4, 8)))
+        x = rng.standard_normal((4, 8))
         h, _ = layer.forward(x, 0)
-        np.testing.assert_array_equal(h.data, x.data @ layer.backbone.data)
+        np.testing.assert_array_equal(h, x @ layer.backbone.data)
 
     def test_gate_sparsity(self):
         rng, layer = self.build(randomize=True)
         for _ in range(50):
-            gate = layer.gate_for(bc.Matrix(rng.standard_normal((3, 8))), 0)
-            nz = gate.data[0][gate.data[0] != 0.0]
+            gate, _ = layer.gate_for(rng.standard_normal((3, 8)), 0)
+            nz = gate[0][gate[0] != 0.0]
             assert nz.size == HP.top_k
             assert abs(nz.sum() - 1.0) < 1e-12
-            assert np.all(gate.data[0][gate.data[0] == 0.0] == 0.0)
+            assert np.all(gate[0][gate[0] == 0.0] == 0.0)
 
     def test_zero_router_ties_break_to_lowest_branches(self):
         rng = make_rng(7)
         layer = bc.BranchLoRALayer.init(rng, 8, 8, HP)
         layer.start_task(0, rng)
         layer.routers[0].data[:] = 0.0
-        gate = layer.gate_for(bc.Matrix(rng.standard_normal((2, 8))), 0)
-        np.testing.assert_allclose(gate.data, [[0.5, 0.5, 0.0, 0.0]], atol=1e-15)
+        gate, _ = layer.gate_for(rng.standard_normal((2, 8)), 0)
+        np.testing.assert_allclose(gate, [[0.5, 0.5, 0.0, 0.0]], atol=1e-15)
 
     def test_forward_matches_oracle(self):
         rng, layer = self.build(randomize=True)
         x = rng.standard_normal((4, 8))
-        h, gate = layer.forward(bc.Matrix(x), 0)
+        h, gate = layer.forward(x, 0)
         ref_h, ref_gate = oracles.branch_forward_oracle(
             x,
             layer.backbone.data,
@@ -156,13 +156,13 @@ class TestBranchLoRA:
             HP.top_k,
             HP.scaling,
         )
-        np.testing.assert_allclose(gate.data[0], ref_gate, atol=1e-12)
-        np.testing.assert_allclose(h.data, ref_h, atol=1e-12)
+        np.testing.assert_allclose(gate[0], ref_gate, atol=1e-12)
+        np.testing.assert_allclose(h, ref_h, atol=1e-12)
 
     def test_router_bookkeeping(self):
         rng, layer = self.build()
         with pytest.raises(RoutingError):
-            layer.gate_for(bc.Matrix(rng.standard_normal((1, 8))), 99)
+            layer.gate_for(rng.standard_normal((1, 8)), 99)
         with pytest.raises(RoutingError):
             layer.start_task(0, rng)
 

@@ -54,13 +54,12 @@ def test_per_row_forward_equals_one_row_forwards(kind, seed, task_id, x):
         np.testing.assert_allclose(logits.data[i], one.data[0], rtol=0, atol=1e-12)
         assert len(gates) == len(one_gates)
         for gate, one_gate in zip(gates, one_gates):
-            np.testing.assert_array_equal(gate.data[i] != 0.0, one_gate.data[0] != 0.0)
-            np.testing.assert_allclose(gate.data[i], one_gate.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(gate[i] != 0.0, one_gate[0] != 0.0)
+            np.testing.assert_allclose(gate[i], one_gate[0], rtol=0, atol=1e-12)
 
 
 def both_paths(model, x, tid, per_row=False):
-    """The forward run under a tape, as ops, and with no tape, on plain
-    arrays."""
+    """The forward run under a tape, which records it, and with none."""
     with bc.Tape():
         taped = model.forward(bc.Matrix(x), tid, per_row)
     return taped, model.forward(bc.Matrix(x), tid, per_row)
@@ -80,9 +79,9 @@ def both_paths(model, x, tid, per_row=False):
     ),
 )
 def test_untaped_forward_is_the_taped_forward_bit_for_bit(kind, seed, task_id, frozen, per_row, x):
-    # Both paths call the same kernels in the same order, so the logits and
-    # gates are the same bits, not merely close. Frozen branches change what
-    # the ops record, never what they compute.
+    # A tape only records the forward's layers, so the logits and gates are
+    # the same bits, not merely close. Frozen branches change what the
+    # backward computes, never what the forward does.
     model = trained_like(kind, seed)
     for layer in model.layers:
         for j in frozen if hasattr(layer, "branches") else ():
@@ -92,7 +91,7 @@ def test_untaped_forward_is_the_taped_forward_bit_for_bit(kind, seed, task_id, f
     assert np.array_equal(bare.data, logits.data)
     assert len(bare_gates) == len(gates)
     for gate, bare_gate in zip(gates, bare_gates):
-        assert np.array_equal(bare_gate.data, gate.data)
+        assert np.array_equal(bare_gate, gate)
 
 
 def assert_both_paths_raise(error, model, x, tid, match=None):
@@ -105,6 +104,7 @@ def assert_both_paths_raise(error, model, x, tid, match=None):
 
 @pytest.mark.parametrize("kind", LAYERS)
 def test_untaped_forward_makes_the_checks_the_ops_make(kind):
+    # the same checks, with a tape recording and without
     model = trained_like(kind, seed=5)
     tid = 0 if kind == "branchlora" else None
     x = np.random.default_rng(5).standard_normal((3, WIDTH))

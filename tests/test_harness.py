@@ -146,7 +146,7 @@ class TestTrainTask:
         record = bc.UsageStats.record_gate
 
         def counting(stats, gate):
-            calls.append((id(stats), gate.rows))
+            calls.append((id(stats), gate.shape[0]))
             return record(stats, gate)
 
         monkeypatch.setattr(bc.UsageStats, "record_gate", counting)
@@ -327,9 +327,10 @@ class TestInvariants:
 class TestTapeEntries:
     def test_exact_entries_per_training_batch(self, monkeypatch):
         # The count depends only on the model structure, so every batch of a
-        # method records the same number: each adapter layer is one adapter
-        # entry, after one router_gate entry for the routed kinds. The key
-        # alignment gradient of branchlora is computed off the tape.
+        # method records the same number: one record per layer, one for the
+        # tanh between the two layers, one for the head and one for the
+        # loss, whatever the layer kind. The key alignment gradient of
+        # branchlora is computed off the tape.
         cfg = bc.load_config(Path(__file__).parent.parent / "configs" / "smoke.json")
         counts: dict[str, set[int]] = {}
         current = []
@@ -346,7 +347,7 @@ class TestTapeEntries:
         monkeypatch.setattr(harness, "train_task", counting_train_task)
         monkeypatch.setattr(harness, "backward", counting_backward)
         bc.run_seed(cfg, cfg.seeds[0])
-        assert counts == {"lora": {5}, "moelora": {7}, "branchlora": {7}, "multitask": {5}}
+        assert counts == {"lora": {5}, "moelora": {5}, "branchlora": {5}, "multitask": {5}}
         # branchlora's layers record what moelora's do, and its key
         # alignment records nothing
         keys = bc.KeyStore().add(0, cfg.stream.dim // 2, np.random.default_rng(0))

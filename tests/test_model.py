@@ -261,6 +261,29 @@ class TestCheckpoints:
             bc.load_model(tmp_path / "ckpt")
 
 
+    @pytest.mark.parametrize("section, key, value", [("model", "width", 16.0),
+                                                     ("hyperparams", "rank", 8.0)])
+    def test_manifest_with_a_float_size_is_contract_error(self, tmp_path, section, key, value):
+        # a float where an integer belongs stops the load with one error
+        # naming the manifest and the field, not a TypeError from a draw
+        model = bc.build_model("moelora", CFG, HP, seed=7)
+        path = bc.save_model(tmp_path / "ckpt", model) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[section][key] = value
+        path.write_text(json.dumps(manifest))
+        match = rf"^{re.escape(str(path))}: bad '{section}': {key} must be an integer, got {value}$"
+        with pytest.raises(bc.ContractError, match=match):
+            bc.load_model(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("key", ["width", "classes", "layers", "rank", "experts", "top_k"])
+@pytest.mark.parametrize("value", [4.0, True])
+def test_sizes_must_be_ints(key, value):
+    cls = bc.ModelConfig if key in ("width", "classes", "layers") else bc.AdapterHyperparams
+    with pytest.raises(ParameterError, match=f"^{key} must be an integer, got {value}$"):
+        cls(**{key: value})
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(sorted(LAYERS)),

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import branchcl as bc
 from branchcl import ContractError, NumericError, optim
-from oracles import RefAdam, RefSgd, add, named
+from branchcl.tensor import wrap
+from oracles import RefAdam, RefSgd, named
 
 REFS = {"adam": RefAdam, "sgd": RefSgd}
 SKIP_MIDDLE = ([(2, 2)] * 3, [([True] * 3, [False] * 3), ([True, False, True], [False] * 3)])
@@ -206,55 +207,62 @@ def test_release_gives_each_matrix_its_own_bytes():
     assert arena() is None
 
 
-def reach(params, x, t, middle):
-    """Grads of the sum of three losses through a real backward: p0 and p2
-    each get two contributions, and p1 only when `middle` is set."""
-    w0, w1, w2, w3 = params
+def reach(model, x, y):
+    """Grads of one batch's cross-entropy through a real backward."""
     with bc.Tape() as tape:
-        h = bc.tanh(bc.matmul(x, w0))
-        if middle:
-            h = bc.tanh(bc.matmul(h, w1))
-        again = bc.tanh(bc.matmul(x, w0))
-        loss = add(bc.mse_loss(bc.matmul(h, w2), t), bc.mse_loss(bc.matmul(again, w2), t))
-        bc.backward(tape, add(loss, bc.mse_loss(bc.matmul(x, w3), t)))
+        logits, _ = model.forward(bc.Matrix(x), 0)
+        bc.backward(tape, bc.cross_entropy(logits, y))
+
+
+MODEL_CFG = bc.ModelConfig(width=16, classes=4, layers=2)
+MODEL_HP = bc.AdapterHyperparams(rank=8, alpha=16.0, experts=4, top_k=2)
 
 
 @pytest.mark.parametrize("kind", sorted(REFS))
 def test_backward_into_slots_matches_reference(kind):
+    # Twin branchlora models, one stepped by the reference rule: each batch
+    # selects two of four branches per layer, so the others are skipped,
+    # first with no step yet, later after steps of their own. Once a branch
+    # is frozen after its backward, so it keeps that grad in its slot
+    # through the step, and the next backward adds to it.
     rng = np.random.default_rng(5)
-    ref_params, params = twin_params(rng, [(4, 3), (3, 3), (3, 2), (4, 2)])
+    ref_model, model = (bc.build_model("branchlora", MODEL_CFG, MODEL_HP, seed=1) for _ in range(2))
+    for m in (ref_model, model):
+        m.start_task(0)
+    ref_params = [m for _, m in ref_model.trainable_params()]
+    pairs = model.trainable_params()
+    params = [m for _, m in pairs]
     ref = REFS[kind](ref_params, lr=0.05, allow_missing=True)
-    opt = bc.make_optimizer(kind, named(params), lr=0.05, allow_missing=True)
-    # p1 is first skipped with no step yet, later after steps of its own;
-    # once it is frozen after its backward, so it keeps that grad in its
-    # slot through the step, and the next backward adds to it
-    for middle, frozen in ((False, False), (True, False), (False, False),
-                           (True, True), (True, False), (False, False), (True, False)):
-        x = bc.Matrix(rng.standard_normal((5, 4)))
-        t = bc.Matrix(rng.standard_normal((5, 2)))
-        reach(ref_params, x, t, middle)
-        reach(params, x, t, middle)
-        params[1].trainable = ref_params[1].trainable = not frozen
+    opt = bc.make_optimizer(kind, pairs, lr=0.05, allow_missing=True)
+    branches = [i for i, (name, _) in enumerate(pairs) if ".branch" in name]
+    skipped = set()
+    for frozen in (False, False, True, False, False, True, False):
+        x, y = rng.standard_normal((5, 16)), rng.integers(0, 4, size=5)
+        reach(ref_model, x, y)
+        reach(model, x, y)
         for p, q in zip(params, ref_params):
             assert (p.grad is None) == (q.grad is None)
             if p.grad is not None:
                 assert p.grad is p._slot
                 assert p.grad.tobytes() == q.grad.tobytes()
-        kept = params[1].data.tobytes()
+        skipped.update(i for i in branches if params[i].grad is None)
+        j = next(i for i in branches if params[i].grad is not None)
+        params[j].trainable = ref_params[j].trainable = not frozen
+        kept = params[j].data.tobytes()
         assert opt.step() == ref.step()
         for p, q in zip(params, ref_params):
             assert p.data.tobytes() == q.data.tobytes()
         if frozen:
-            assert params[1].data.tobytes() == kept
-            assert params[1].grad is params[1]._slot
-            assert params[1].grad.tobytes() == ref_params[1].grad.tobytes()
-            params[1].trainable = ref_params[1].trainable = True
+            assert params[j].data.tobytes() == kept
+            assert params[j].grad is params[j]._slot
+            assert params[j].grad.tobytes() == ref_params[j].grad.tobytes()
+            params[j].trainable = ref_params[j].trainable = True
+    assert skipped, "every batch reached every branch"
 
 
 @pytest.mark.parametrize("kind", ["moelora", "branchlora"])
 def test_backward_allocates_no_grad_for_optimized_leaves(kind):
-    model = bc.build_model(kind, bc.ModelConfig(width=16, classes=4, layers=2),
-                           bc.AdapterHyperparams(rank=8, alpha=16.0, experts=4, top_k=2), seed=0)
+    model = bc.build_model(kind, MODEL_CFG, MODEL_HP, seed=0)
     model.start_task(0)
     leaves = [m for _, m in model.trainable_params()]
     rng = np.random.default_rng(0)
@@ -270,21 +278,20 @@ def test_backward_allocates_no_grad_for_optimized_leaves(kind):
     with mock.patch.object(np, "zeros_like", counted):
         bc.train_task(model, x, y, 0, 1, 16, 1e-3, "adam", rng)
     assert not any(calls)
-    # outside an optimizer, backward still allocates each leaf's grad
-    with mock.patch.object(np, "zeros_like", counted):
-        with bc.Tape() as tape:
-            bc.backward(tape, bc.mse_loss(bc.matmul(bc.Matrix(x), leaves[0]),
-                                          bc.Matrix(np.zeros((16, leaves[0].cols)))))
-    assert any(calls)
+    # outside an optimizer, backward gives each leaf it reaches a new array
+    reach(model, x, y)
+    assert leaves[0].grad is not None and leaves[0].grad.base is None
 
 
 def test_release_drops_the_grad_slots():
-    w = bc.Matrix(np.ones((2, 2)), trainable=True)
-    x = bc.Matrix(np.arange(6.0).reshape(3, 2))
+    layer = bc.LoRALayer.init(np.random.default_rng(0), 2, 2, MODEL_HP)
+    w = layer.b
+    x = np.arange(6.0).reshape(3, 2)
 
     def grad_of_loss():
         with bc.Tape() as tape:
-            bc.backward(tape, bc.mse_loss(bc.matmul(x, w), x))
+            h, _ = layer.forward(x)
+            bc.backward(tape, bc.mse_loss(wrap(h), bc.Matrix(x)))
 
     opt = bc.make_optimizer("adam", [("w", w)], lr=0.1)
     grad_of_loss()

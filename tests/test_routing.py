@@ -16,7 +16,7 @@ from branchcl import ContractError, PolicyError
 def make_stats(gates, experts=4):
     stats = bc.UsageStats(experts)
     for g in gates:
-        stats.record_gate(bc.Matrix([g]))
+        stats.record_gate(np.array([g], dtype=np.float64))
     return stats
 
 
@@ -34,16 +34,16 @@ class TestUsageStats:
     def test_rejects_bad_gates(self):
         stats = bc.UsageStats(4)
         with pytest.raises(ContractError):
-            stats.record_gate(bc.Matrix([[0.5, 0.5]]))  # wrong width
+            stats.record_gate(np.array([[0.5, 0.5]]))  # wrong width
         with pytest.raises(ContractError):
-            stats.record_gate(bc.Matrix([[0.5, 0.4, 0.0, 0.0]]))  # not normalized
+            stats.record_gate(np.array([[0.5, 0.4, 0.0, 0.0]]))  # not normalized
         with pytest.raises(ContractError):
-            stats.record_gate(bc.Matrix([[1.5, -0.5, 0.0, 0.0]]))  # negative entry
+            stats.record_gate(np.array([[1.5, -0.5, 0.0, 0.0]]))  # negative entry
         assert stats.samples_seen == 0
 
     def test_a_bad_row_anywhere_is_rejected_and_changes_nothing(self):
         rng = np.random.default_rng(0)
-        good = np.vstack([random_gate(rng, 4).data for _ in range(5)])
+        good = np.vstack([random_gate(rng, 4) for _ in range(5)])
         stats = make_stats([[0.25, 0.25, 0.25, 0.25]])
         before = (stats.mass.tobytes(), stats.selections.tobytes(), stats.samples_seen)
         for bad in ([0.5, 0.4, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0]):
@@ -51,7 +51,7 @@ class TestUsageStats:
                 rows = good.copy()
                 rows[at] = bad
                 with pytest.raises(ContractError):
-                    stats.record_gate(bc.Matrix(rows))
+                    stats.record_gate(rows)
                 assert (stats.mass.tobytes(), stats.selections.tobytes(), stats.samples_seen) == before
 
     def test_empty_stats_refuse_queries(self):
@@ -162,7 +162,7 @@ def random_gate(rng, experts):
     """A 1 x N gate row: nonnegative, some entries zero, sums to one."""
     mass = rng.random(experts) * (rng.random(experts) < 0.7)
     mass[rng.integers(experts)] += 0.1
-    return bc.Matrix([mass / mass.sum()])
+    return (mass / mass.sum())[None]
 
 
 @settings(max_examples=50, deadline=None)
@@ -171,14 +171,14 @@ def test_m_rows_in_one_call_add_what_m_one_row_calls_add(experts, rows, seed):
     """Into fresh stats, an M x N gate gives the same mass bytes,
     selections and samples_seen as its rows recorded one at a time."""
     rng = np.random.default_rng(seed)
-    gate = np.vstack([random_gate(rng, experts).data for _ in range(rows)])
+    gate = np.vstack([random_gate(rng, experts) for _ in range(rows)])
     # rows that sum to 1 only within the tolerance, so that the order in
     # which the rows are added shows in the bytes at every width
     gate *= 1.0 + rng.uniform(-4e-7, 4e-7, (rows, 1))
     at_once, one_by_one = bc.UsageStats(experts), bc.UsageStats(experts)
-    at_once.record_gate(bc.Matrix(gate))
+    at_once.record_gate(gate)
     for row in gate:
-        one_by_one.record_gate(bc.Matrix(row[None]))
+        one_by_one.record_gate(row[None])
     assert at_once.mass.tobytes() == one_by_one.mass.tobytes()
     np.testing.assert_array_equal(at_once.selections, one_by_one.selections)
     assert at_once.samples_seen == one_by_one.samples_seen == rows

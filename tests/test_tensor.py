@@ -1,4 +1,5 @@
-"""Ops: frozen values, gradients against finite differences, contracts."""
+"""Kernels, records and backward: frozen values, gradients against finite
+differences and against a chain of single ops, contracts."""
 
 import numpy as np
 import pytest
@@ -8,69 +9,109 @@ from hypothesis.extra.numpy import arrays
 
 import branchcl as bc
 from branchcl import ContractError, DimensionError, ParameterError
+from branchcl.adapters import LAYERS
+from branchcl.tensor import activation, adapter_kernel, gate_kernel, product, wrap
 import gradcheck
 import oracles
+from gradcheck import watch
 
 
 def mat(rows, trainable=False):
     return bc.Matrix(np.array(rows, dtype=np.float64), trainable=trainable)
 
 
+def arr(rows):
+    return np.array(rows, dtype=np.float64)
+
+
+def gate(x, router, k, per_row=False):
+    """The gate's values from `gate_kernel`, over array-likes."""
+    return gate_kernel(arr(x), arr(router), k, per_row)[0]
+
+
 def gate_of(scores, k=None):
-    """router_gate over a given score row: x = [[1]] and the row as router."""
-    router = mat(scores)
-    return bc.router_gate(mat([[1.0]]), router, router.cols if k is None else k)
+    """The gate over a given score row: x = [[1]] and the row as router."""
+    router = arr(scores)
+    return gate([[1.0]], router, router.shape[1] if k is None else k)
+
+
+def adapt(x, w, a, b, s, g=None):
+    """`adapter_kernel`'s output over array-likes."""
+    return adapter_kernel(
+        arr(x), arr(w), [arr(m) for m in a], [arr(m) for m in b], s, None if g is None else arr(g)
+    )[0]
+
+
+def layer_of(cls, d_in, d_out, rank, experts, top_k, rng):
+    """A layer whose every trainable matrix is drawn afresh (no B at
+    zero), with task 0 started."""
+    hp = bc.AdapterHyperparams(rank=rank, alpha=1.5 * rank, experts=experts, top_k=top_k)
+    layer = cls.init(rng, d_in, d_out, hp)
+    layer.start_task(0, rng)
+    for _, m in layer.params():
+        m.data = rng.standard_normal(m.shape)
+    return layer
+
+
+def mse_backward(layer, x, target, task_id=0, per_row=False):
+    """One backward of mse(layer(watch(x)), target): x's grad is the
+    layer's dx."""
+    with bc.Tape() as tape:
+        h, _ = layer.forward(watch(x), task_id, per_row)
+        bc.backward(tape, bc.mse_loss(wrap(h), mat(target)))
 
 
 class TestValues:
     def test_matmul(self):
-        out = bc.matmul(mat([[1.0, 2.0]]), mat([[3.0], [4.0]]))
-        np.testing.assert_allclose(out.data, [[11.0]])
+        np.testing.assert_allclose(product(arr([[1.0, 2.0]]), arr([[3.0], [4.0]])), [[11.0]])
 
     def test_tanh(self):
-        out = bc.tanh(mat([[0.5, 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.46211715726000974, 0.0]], rtol=0, atol=1e-15)
+        out = activation(arr([[0.5, 0.0]]))
+        np.testing.assert_allclose(out, [[0.46211715726000974, 0.0]], rtol=0, atol=1e-15)
+        # a model applies it between its layers, not after the last
+        model = bc.build_model("zero_shot", bc.ModelConfig(width=4, classes=3, layers=2),
+                               bc.AdapterHyperparams(rank=2, experts=1, top_k=1), seed=0)
+        x = np.random.default_rng(0).standard_normal((3, 4))
+        w0, w1 = (layer.backbone.data for layer in model.layers)
+        logits, _ = model.forward(bc.Matrix(x))
+        assert logits.data.tobytes() == (np.tanh(x @ w0) @ w1 @ model.head.data).tobytes()
 
     def test_row_softmax(self):
         # with k = N the gate is the plain softmax of the scores
         out = gate_of([[0.4, 0.0]])
-        np.testing.assert_allclose(
-            out.data, [[0.598687660112452, 0.401312339887548]], rtol=0, atol=1e-15
-        )
-        assert out.data.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(out, [[0.598687660112452, 0.401312339887548]], rtol=0, atol=1e-15)
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_row_softmax_shift_invariant(self):
         x = [[700.0, 701.0, 699.0]]
         out = gate_of(x)
         ref = gate_of((np.array(x) - 700.0).tolist())
-        np.testing.assert_allclose(out.data, ref.data, atol=1e-15)
-        assert np.all(np.isfinite(out.data))
+        np.testing.assert_allclose(out, ref, atol=1e-15)
+        assert np.all(np.isfinite(out))
 
     def test_topk_mask_values(self):
         # exact zeros outside the top k; softmax over the kept scores
         out = gate_of([[3.0, 1.0, 2.0, 2.0]], k=2)
-        assert out.data[0, 1] == 0.0 and out.data[0, 3] == 0.0
+        assert out[0, 1] == 0.0 and out[0, 3] == 0.0
         np.testing.assert_allclose(
-            out.data[0, [0, 2]], oracles.softmax_oracle([3.0, 2.0]), rtol=0, atol=1e-15
+            out[0, [0, 2]], oracles.softmax_oracle([3.0, 2.0]), rtol=0, atol=1e-15
         )
 
     def test_topk_mask_tie_prefers_lowest_index(self):
-        np.testing.assert_array_equal(gate_of([[1.0, 1.0, 1.0]], k=1).data, [[1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(gate_of([[1.0, 1.0, 1.0]], k=2).data, [[0.5, 0.5, 0.0]])
+        np.testing.assert_array_equal(gate_of([[1.0, 1.0, 1.0]], k=1), [[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(gate_of([[1.0, 1.0, 1.0]], k=2), [[0.5, 0.5, 0.0]])
 
     def test_topk_mask_full_width_keeps_everything(self):
         x = [[0.3, -0.7, 0.1]]
         out = gate_of(x, k=3)
-        assert np.all(out.data > 0.0)
-        np.testing.assert_allclose(out.data[0], oracles.softmax_oracle(x[0]), rtol=0, atol=1e-15)
+        assert np.all(out > 0.0)
+        np.testing.assert_allclose(out[0], oracles.softmax_oracle(x[0]), rtol=0, atol=1e-15)
 
     def test_router_gate_reads_only_row_zero(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 4))
-        router = mat(rng.standard_normal((4, 5)))
-        full = bc.router_gate(mat(x), router, 2)
-        first = bc.router_gate(mat(x[:1]), router, 2)
-        np.testing.assert_array_equal(full.data, first.data)
+        router = rng.standard_normal((4, 5))
+        np.testing.assert_array_equal(gate(x, router, 2), gate(x[:1], router, 2))
 
     def test_router_gate_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -79,10 +120,10 @@ class TestValues:
             k = int(rng.integers(1, n + 1))
             x = rng.standard_normal((int(rng.integers(1, 4)), 6))
             router = rng.standard_normal((6, n))
-            out = bc.router_gate(mat(x), mat(router), k)
+            out = gate(x, router, k)
             ref = oracles.gate_oracle(x, router, k)
-            np.testing.assert_allclose(out.data[0], ref, rtol=0, atol=1e-15)
-            assert np.count_nonzero(out.data) == k
+            np.testing.assert_allclose(out[0], ref, rtol=0, atol=1e-15)
+            assert np.count_nonzero(out) == k
 
     def test_router_gate_per_row_matches_oracle(self):
         rng = np.random.default_rng(4)
@@ -91,32 +132,29 @@ class TestValues:
             k = int(rng.integers(1, n + 1))
             x = rng.standard_normal((int(rng.integers(1, 6)), 6))
             router = rng.standard_normal((6, n))
-            out = bc.router_gate(mat(x), mat(router), k, per_row=True)
+            out = gate(x, router, k, per_row=True)
             assert out.shape == (x.shape[0], n)
             ref = oracles.gate_rows_oracle(x, router, k)
-            np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-14)
-            np.testing.assert_array_equal(out.data != 0.0, ref != 0.0)
-            np.testing.assert_array_equal(np.count_nonzero(out.data, axis=1), k)
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(out != 0.0, ref != 0.0)
+            np.testing.assert_array_equal(np.count_nonzero(out, axis=1), k)
 
     def test_router_gate_per_row_of_one_row_is_the_shared_gate(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 4))
-        router = mat(rng.standard_normal((4, 5)))
+        router = rng.standard_normal((4, 5))
         for k in range(1, 6):
-            np.testing.assert_array_equal(
-                bc.router_gate(mat(x), router, k, per_row=True).data,
-                bc.router_gate(mat(x), router, k).data,
-            )
+            np.testing.assert_array_equal(gate(x, router, k, per_row=True), gate(x, router, k))
 
     def test_router_gate_per_row_ties_prefer_lowest_index(self):
         # row scores [1, 1, 1] and [0, 3, 3]: each row keeps its own lowest tied columns
-        router = mat([[1.0, 1.0, 1.0], [0.0, 3.0, 3.0]])
-        eye = mat(np.eye(2))
+        router = [[1.0, 1.0, 1.0], [0.0, 3.0, 3.0]]
+        eye = np.eye(2)
         np.testing.assert_array_equal(
-            bc.router_gate(eye, router, 1, per_row=True).data, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+            gate(eye, router, 1, per_row=True), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         )
         np.testing.assert_array_equal(
-            bc.router_gate(eye, router, 2, per_row=True).data, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
+            gate(eye, router, 2, per_row=True), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
         )
 
     @settings(max_examples=300, deadline=None)
@@ -132,21 +170,18 @@ class TestValues:
             arrays(np.float64, (rows, n), elements=st.integers(-2, 2).map(float)), label="scores"
         )
         x = np.eye(rows)
-        out = bc.router_gate(mat(x), mat(scores), k, per_row=per_row).data
+        out = gate(x, scores, k, per_row=per_row)
         ref = oracles.gate_rows_oracle(x if per_row else x[:1], scores, k)
         assert out.shape == ref.shape
         np.testing.assert_array_equal(out != 0.0, ref != 0.0)
-        # the oracle sums the kept entries in descending order, the op in
-        # column order: the values may differ in the last bit
+        # the oracle sums the kept entries in descending order, the kernel
+        # in column order: the values may differ in the last bit
         np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0.0)
 
     def test_adapter_weighs_each_gated_pair(self):
         # x = [[1]] and A = [[1]]: each B row is weighted by its gate entry
-        out = bc.adapter(
-            mat([[1.0]]), mat([[0.0, 0.0]]), [mat([[1.0]])],
-            [mat([[4.0, 0.0]]), mat([[0.0, 4.0]])], 1.0, mat([[0.25, 0.75]]),
-        )
-        np.testing.assert_allclose(out.data, [[1.0, 3.0]])
+        out = adapt([[1.0]], [[0.0, 0.0]], [[[1.0]]], [[[4.0, 0.0]], [[0.0, 4.0]]], 1.0, [[0.25, 0.75]])
+        np.testing.assert_allclose(out, [[1.0, 3.0]])
 
     def test_adapter_matches_oracles(self):
         # ungated: LoRA; distinct A with a dense gate: MoELoRA; shared A with
@@ -159,19 +194,17 @@ class TestValues:
             a = [rng.standard_normal((5, 2)) for _ in range(4)]
             b = [rng.standard_normal((2, 4)) for _ in range(4)]
             router = rng.standard_normal((5, 4))
-            out = bc.adapter(mat(x), mat(w), [mat(a[0])], [mat(b[0])], s)
+            out = adapt(x, w, a[:1], b[:1], s)
             np.testing.assert_allclose(
-                out.data, oracles.lora_forward_oracle(x, w, a[0], b[0], s), rtol=0, atol=1e-12
+                out, oracles.lora_forward_oracle(x, w, a[0], b[0], s), rtol=0, atol=1e-12
             )
-            gate = bc.router_gate(mat(x), mat(router), 4)
-            out = bc.adapter(mat(x), mat(w), [mat(m) for m in a], [mat(m) for m in b], s, gate)
+            out = adapt(x, w, a, b, s, gate(x, router, 4))
             want, _ = oracles.moe_forward_oracle(x, w, list(zip(a, b)), router, s)
-            np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
             for k in (1, 2, 3):
-                gate = bc.router_gate(mat(x), mat(router), k)
-                out = bc.adapter(mat(x), mat(w), [mat(a[0])], [mat(m) for m in b], s, gate)
+                out = adapt(x, w, a[:1], b, s, gate(x, router, k))
                 want, _ = oracles.branch_forward_oracle(x, w, a[0], b, router, k, s)
-                np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
     def test_adapter_per_row_gate_matches_row_by_row(self):
         # a B x N gate weights row i of every term by gate row i, as the
@@ -182,14 +215,14 @@ class TestValues:
             g = rng.uniform(0.1, 1.0, size=(3, 4))
             g[rng.random((3, 4)) < 0.4] = 0.0
             x = rng.standard_normal((3, 5))
-            w = mat(rng.standard_normal((5, 2)))
-            b = [mat(rng.standard_normal((2, 2))) for _ in range(4)]
-            distinct = [mat(rng.standard_normal((5, 2))) for _ in range(4)]
+            w = rng.standard_normal((5, 2))
+            b = [rng.standard_normal((2, 2)) for _ in range(4)]
+            distinct = [rng.standard_normal((5, 2)) for _ in range(4)]
             for a in (distinct, distinct[:1]):
-                rows = bc.adapter(mat(x), w, a, b, 1.5, mat(g))
+                rows = adapt(x, w, a, b, 1.5, g)
                 for i in range(3):
-                    one = bc.adapter(mat(x[i : i + 1]), w, a, b, 1.5, mat(g[i : i + 1]))
-                    np.testing.assert_allclose(rows.data[i], one.data[0], rtol=0, atol=1e-12)
+                    one = adapt(x[i : i + 1], w, a, b, 1.5, g[i : i + 1])
+                    np.testing.assert_allclose(rows[i], one[0], rtol=0, atol=1e-12)
 
     def test_cross_entropy(self):
         out = bc.cross_entropy(mat([[1.0, 2.0, 3.0]]), np.array([2]))
@@ -214,8 +247,8 @@ class TestContracts:
             bc.Matrix(np.zeros((2, 0)))
 
     def test_matmul_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            bc.matmul(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]))
+        with pytest.raises(DimensionError, match="^matmul: inner dimensions differ, 1x2 @ 1x2$"):
+            product(arr([[1.0, 2.0]]), arr([[1.0, 2.0]]))
 
     def test_topk_k_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -225,52 +258,55 @@ class TestContracts:
 
     def test_router_gate_width_mismatch(self):
         with pytest.raises(DimensionError):
-            bc.router_gate(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), 1)
+            gate([[1.0, 2.0]], [[1.0, 2.0]], 1)
 
     def test_adapter_gate_width_must_match_b(self):
         with pytest.raises(DimensionError):
-            bc.adapter(mat([[1.0]]), mat([[1.0]]), [mat([[1.0]])], [mat([[1.0]])], 1.0, mat([[0.5, 0.5]]))
+            adapt([[1.0]], [[1.0]], [[[1.0]]], [[[1.0]]], 1.0, [[0.5, 0.5]])
 
     def test_mix_gate_must_be_row(self):
         # the gate that mixes the adapter pairs: a one-row x takes only a one-row gate
         with pytest.raises(DimensionError):
-            bc.adapter(mat([[1.0]]), mat([[1.0]]), [mat([[1.0]])], [mat([[1.0]])] * 2, 1.0,
-                       mat([[1.0, 0.0], [0.0, 1.0]]))
+            adapt([[1.0]], [[1.0]], [[[1.0]]], [[[1.0]]] * 2, 1.0, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_mix_gate_rows_must_be_one_or_part_rows(self):
         # the mixing gate has 1 row (shared by every row of x) or one row per row of x
-        x, w, a = mat(np.ones((3, 2))), mat(np.ones((2, 2))), [mat(np.ones((2, 1)))]
-        b = [mat(np.ones((1, 2))), mat(np.ones((1, 2)))]
+        x, w, a = np.ones((3, 2)), np.ones((2, 2)), [np.ones((2, 1))]
+        b = [np.ones((1, 2)), np.ones((1, 2))]
         for rows in (2, 4):
             with pytest.raises(DimensionError):
-                bc.adapter(x, w, a, b, 1.0, mat(np.full((rows, 2), 0.5)))
+                adapt(x, w, a, b, 1.0, np.full((rows, 2), 0.5))
             with pytest.raises(DimensionError):
-                bc.adapter(x, w, a, b, 1.0, mat(np.tile([1.0, 0.0], (rows, 1))))
+                adapt(x, w, a, b, 1.0, np.tile([1.0, 0.0], (rows, 1)))
         for rows in (1, 3):
-            assert bc.adapter(x, w, a, b, 1.0, mat(np.full((rows, 2), 0.5))).shape == (3, 2)
+            assert adapt(x, w, a, b, 1.0, np.full((rows, 2), 0.5)).shape == (3, 2)
 
     def test_adapter_a_count_must_be_one_or_len_b(self):
-        x, w = mat(np.ones((1, 2))), mat(np.ones((2, 2)))
-        a = [mat(np.ones((2, 1))) for _ in range(3)]
-        b = [mat(np.ones((1, 2))) for _ in range(3)]
-        gate = mat([[0.2, 0.3, 0.5]])
+        x, w = np.ones((1, 2)), np.ones((2, 2))
+        a = [np.ones((2, 1)) for _ in range(3)]
+        b = [np.ones((1, 2)) for _ in range(3)]
+        g = [[0.2, 0.3, 0.5]]
         with pytest.raises(DimensionError):
-            bc.adapter(x, w, a[:2], b, 1.0, gate)
+            adapt(x, w, a[:2], b, 1.0, g)
         for n_a in (1, 3):
-            assert bc.adapter(x, w, a[:n_a], b, 1.0, gate).shape == (1, 2)
+            assert adapt(x, w, a[:n_a], b, 1.0, g).shape == (1, 2)
         with pytest.raises(DimensionError):  # no gate: exactly one pair
-            bc.adapter(x, w, a[:1], b[:2], 1.0)
+            adapt(x, w, a[:1], b[:2], 1.0)
 
     def test_adapter_shapes_must_chain_and_w_be_constant(self):
-        x, w = mat(np.ones((1, 2))), mat(np.ones((2, 3)))
-        a, b = mat(np.ones((2, 1))), mat(np.ones((1, 3)))
-        assert bc.adapter(x, w, [a], [b], 1.0).shape == (1, 3)
-        for args in ((mat(np.ones((1, 3))), w, a, b), (x, w, mat(np.ones((3, 1))), b),
-                     (x, w, a, mat(np.ones((2, 3)))), (x, w, a, mat(np.ones((1, 2))))):
+        x, w = np.ones((1, 2)), np.ones((2, 3))
+        a, b = np.ones((2, 1)), np.ones((1, 3))
+        assert adapt(x, w, [a], [b], 1.0).shape == (1, 3)
+        for args in ((np.ones((1, 3)), w, a, b), (x, w, np.ones((3, 1)), b),
+                     (x, w, a, np.ones((2, 3))), (x, w, a, np.ones((1, 2)))):
             with pytest.raises(DimensionError):
-                bc.adapter(args[0], args[1], [args[2]], [args[3]], 1.0)
-        with pytest.raises(ContractError):
-            bc.adapter(x, mat(np.ones((2, 3)), trainable=True), [a], [b], 1.0)
+                adapt(args[0], args[1], [args[2]], [args[3]], 1.0)
+        rng = np.random.default_rng(0)
+        for cls in (bc.LoRALayer, bc.MoELoRALayer, bc.BranchLoRALayer):
+            layer = layer_of(cls, 2, 3, 2, 2, 1, rng)
+            layer.backbone.trainable = True
+            with pytest.raises(ContractError, match="w must be a constant"):
+                layer.forward(x, 0)
 
     def test_cross_entropy_label_validation(self):
         with pytest.raises(DimensionError):
@@ -290,12 +326,12 @@ class TestContracts:
         assert bc.cross_entropy(logits, labels[1::2]).item() == pytest.approx(np.log(4.0))
 
     def test_backward_requires_scalar_loss(self):
-        x = mat([[1.0, 2.0]], trainable=True)
+        layer = layer_of(bc.LoRALayer, 2, 3, 2, 1, 1, np.random.default_rng(0))
         with bc.Tape() as tape:
-            y = bc.tanh(x)
-            with pytest.raises(ContractError):
-                bc.backward(tape, y)
-        assert x.grad is None
+            h, _ = layer.forward(np.ones((1, 2)))
+            with pytest.raises(ContractError, match="loss must be 1x1"):
+                bc.backward(tape, wrap(h))
+        assert layer.a.grad is None and layer.b.grad is None
 
     def test_item_requires_1x1(self):
         with pytest.raises(ContractError):
@@ -303,9 +339,9 @@ class TestContracts:
 
 
 class TestGradients:
-    """Finite-difference spot checks; the acceptance sweep runs 100 per op."""
+    """Finite-difference spot checks; the acceptance sweep runs 100 per case."""
 
-    @pytest.mark.parametrize("name,gen", gradcheck.OP_CASES + gradcheck.COMPOSITE_CASES)
+    @pytest.mark.parametrize("name,gen", gradcheck.OP_CASES)
     def test_against_finite_differences(self, name, gen):
         worst = 0.0
         for seed in range(5):
@@ -315,57 +351,87 @@ class TestGradients:
         assert worst < 1e-4, f"{name}: rel err {worst:.3e}"
 
     def test_grad_accumulates_over_reuse(self):
-        # a leaf used twice
-        x = mat([[3.0]], trainable=True)
-        with bc.Tape() as tape:
-            loss = bc.matmul(x, x)
-            bc.backward(tape, loss)
-        np.testing.assert_allclose(x.grad, [[6.0]])
+        # a second backward before the step adds its shares, in the
+        # optimizer's grad slots and without an optimizer alike
+        rng = np.random.default_rng(1)
+        x, target = rng.standard_normal((3, 4)), rng.standard_normal((3, 2))
+        for slotted in (False, True):
+            layer = layer_of(bc.MoELoRALayer, 4, 2, 4, 2, 2, rng)
+            params = [m for _, m in layer.params()]
+            if slotted:
+                bc.make_optimizer("sgd", layer.params())
+            grads = []
+            for _ in range(2):
+                mse_backward(layer, bc.Matrix(x), target)
+                grads.append([m.grad.copy() for m in params])
+            for m, once, twice in zip(params, *grads):
+                assert twice.tobytes() == (once + once).tobytes()
+                assert (m.grad is m._slot) == slotted
 
     def test_untouched_leaf_keeps_none_grad(self):
-        x = mat([[1.0]], trainable=True)
-        y = mat([[1.0]], trainable=True)
-        z = mat([[1.0]], trainable=True)
-        with bc.Tape() as tape:
-            bc.tanh(z)  # recorded, but the loss does not reach it
-            loss = bc.matmul(x, mat([[2.0]]))
-            bc.backward(tape, loss)
-        assert y.grad is None
-        assert z.grad is None
-        np.testing.assert_allclose(x.grad, [[2.0]])
+        # only the branches the gate selects, and that are not frozen, get
+        # a grad; an unreached matrix keeps the grad it had, None or not
+        rng = np.random.default_rng(2)
+        layer = layer_of(bc.BranchLoRALayer, 4, 3, 4, 4, 1, rng)
+        layer.start_task(1, rng)
+        x = rng.standard_normal((5, 4))
+        chosen = int(np.argmax(layer.gate_for(x, 0)[0][0]))
+        others = [j for j in range(4) if j != chosen]
+        layer.branches[others[0]].trainable = False
+        kept = layer.branches[others[1]].grad = np.ones((1, 3))
+        mse_backward(layer, bc.Matrix(x), np.zeros((5, 3)))
+        assert layer.branches[chosen].grad is not None
+        assert layer.branches[others[0]].grad is None
+        assert layer.branches[others[1]].grad is kept
+        assert layer.branches[others[2]].grad is None
+        assert layer.routers[1].grad is None
+        assert layer.routers[0].grad is not None and layer.a_shared.grad is not None
 
     def test_topk_masked_entries_get_zero_grad(self):
+        # k = 2 of row 0's scores [2, -3, 4]: the masked column's router
+        # entries get exactly zero and its branch no grad. The target equals
+        # the output on row 1, so a gate share that leaked below row 0, the
+        # only scored row, would show in x's grad there
+        rng = np.random.default_rng(3)
+        layer = layer_of(bc.BranchLoRALayer, 2, 2, 3, 3, 2, rng)
+        layer.routers[0].data = arr([[3.0, 1.0, 2.0], [0.5, 2.0, -1.0]])
         x = mat([[1.0, -2.0], [5.0, 7.0]], trainable=True)
-        router = mat([[3.0, 1.0, 2.0], [0.5, 2.0, -1.0]], trainable=True)  # scores 2, -3, 4
-        with bc.Tape() as tape:
-            loss = bc.mse_loss(bc.router_gate(x, router, 2), mat([[0.2, 0.3, 0.5]]))
-            bc.backward(tape, loss)
-        np.testing.assert_array_equal(router.grad[:, 1], [0.0, 0.0])
-        assert np.all(router.grad[:, [0, 2]] != 0.0)
+        h, _ = layer.forward(x.data, 0)
+        target = h.copy()
+        target[0] += 1.0
+        mse_backward(layer, x, target)
+        router = layer.routers[0].grad
+        np.testing.assert_array_equal(router[:, 1], [0.0, 0.0])
+        assert np.all(router[:, [0, 2]] != 0.0)
+        assert layer.branches[1].grad is None
         assert np.all(x.grad[0] != 0.0)
         np.testing.assert_array_equal(x.grad[1], [0.0, 0.0])
 
     def test_router_gate_per_row_grads_reach_every_row(self):
-        # per row, the gradients are those of that row's own one-row gate;
-        # the router's is their sum
+        # per row, the gradients are those of that row forwarded on its own;
+        # the router's and each branch's are their sum. The batch's loss is
+        # the mean of the rows' losses, so its grads are 1/4 of the sums
         rng = np.random.default_rng(13)
         x = rng.standard_normal((4, 5))
-        router = rng.standard_normal((5, 6))
         target = rng.standard_normal((4, 6))
-        xs, rs = mat(x, trainable=True), mat(router, trainable=True)
-        with bc.Tape() as tape:
-            gate = bc.router_gate(xs, rs, 3, per_row=True)
-            bc.backward(tape, bc.matmul(bc.mse_loss(gate, mat(target)), mat([[4.0 * 6]])))
-        router_sum = np.zeros_like(router)
+        layer = layer_of(bc.BranchLoRALayer, 5, 6, 6, 6, 3, rng)
+        params = [m for _, m in layer.params()]
+        xs = bc.Matrix(x, trainable=True)
+        mse_backward(layer, xs, target, per_row=True)
+        batch = [None if m.grad is None else 4.0 * m.grad for m in params]
+        sums = [np.zeros(m.shape) for m in params]
         for i in range(4):
-            xi, ri = mat(x[i : i + 1], trainable=True), mat(router, trainable=True)
-            with bc.Tape() as tape:
-                gi = bc.router_gate(xi, ri, 3)
-                bc.backward(tape, bc.matmul(bc.mse_loss(gi, mat(target[i : i + 1])), mat([[6.0]])))
-            np.testing.assert_allclose(xs.grad[i], xi.grad[0], rtol=0, atol=1e-12)
-            router_sum += ri.grad
+            for m in params:
+                m.grad = None
+            xi = bc.Matrix(x[i : i + 1], trainable=True)
+            mse_backward(layer, xi, target[i : i + 1])
+            np.testing.assert_allclose(4.0 * xs.grad[i], xi.grad[0], rtol=0, atol=1e-12)
             assert np.all(xs.grad[i] != 0.0)
-        np.testing.assert_allclose(rs.grad, router_sum, rtol=0, atol=1e-12)
+            for total, m in zip(sums, params):
+                if m.grad is not None:
+                    total += m.grad
+        for got, total in zip(batch, sums):
+            np.testing.assert_allclose(0.0 if got is None else got, total, rtol=0, atol=1e-12)
 
     def test_cross_entropy_grad_matches_recomputed_softmax_exactly(self):
         # the backward reuses the forward's exponentials; the gradient is
@@ -376,112 +442,120 @@ class TestGradients:
             labels = rng.integers(0, cols, size=rows)
             logits = mat(z, trainable=True)
             with bc.Tape() as tape:
-                bc.backward(tape, bc.matmul(bc.cross_entropy(logits, labels), mat([[0.7]])))
+                bc.backward(tape, bc.cross_entropy(wrap(watch(logits)), labels))
             p = np.exp(z - z.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(rows), labels] -= 1.0
-            np.testing.assert_array_equal(logits.grad, 0.7 * p / rows)
+            np.testing.assert_array_equal(logits.grad, p / rows)
 
     def test_adapter_zero_gate_column_gets_no_grad(self):
-        # x = [[1]] and A = [[1]], so each B row is a term; column 1 is 0.0
-        # in every gate row: its gate entries get exactly zero and its B no grad
-        for g in ([[0.4, 0.0, 0.6]], [[0.4, 0.0, 0.6], [0.4, 0.0, 0.6]]):
-            gate = mat(g, trainable=True)
-            b = [mat([[1.0, 2.0]], trainable=True), mat([[5.0, 6.0]], trainable=True),
-                 mat([[3.0, 4.0]], trainable=True)]
-            x = mat(np.ones((len(g), 1)))
-            with bc.Tape() as tape:
-                out = bc.adapter(x, mat([[0.0, 0.0]]), [mat([[1.0]])], b, 1.0, gate)
-                loss = bc.matmul(mat(np.ones((1, len(g)))), bc.matmul(out, mat([[1.0], [1.0]])))
-                bc.backward(tape, loss)
-            assert np.all(gate.grad[:, 1] == 0.0)
-            np.testing.assert_allclose(gate.grad, [[3.0, 0.0, 7.0]] * len(g))
-            assert b[1].grad is None
-            np.testing.assert_allclose(b[0].grad, [[0.4 * len(g)] * 2])
-            np.testing.assert_allclose(b[2].grad, [[0.6 * len(g)] * 2])
+        # branch 1 scores lowest in every row, so with k = 2 of 3 it is 0.0
+        # in every gate row, shared or per row: it never runs, its branch
+        # gets no grad and its router column exactly zero
+        rng = np.random.default_rng(4)
+        layer = layer_of(bc.BranchLoRALayer, 2, 2, 3, 3, 2, rng)
+        layer.routers[0].data = arr([[1.0, -5.0, 2.0], [2.0, -5.0, 1.0]])
+        x = np.abs(rng.standard_normal((3, 2))) + 0.5
+        for per_row in (False, True):
+            for _, m in layer.params():
+                m.grad = None
+            mse_backward(layer, bc.Matrix(x), np.zeros((3, 2)), per_row=per_row)
+            assert layer.branches[1].grad is None
+            np.testing.assert_array_equal(layer.routers[0].grad[:, 1], [0.0, 0.0])
+            assert np.all(layer.routers[0].grad[:, [0, 2]] != 0.0)
+            assert layer.branches[0].grad is not None and layer.branches[2].grad is not None
 
     def test_adapter_runs_every_nonzero_column(self):
         # a tiny weight still runs its term and trains its B; NaN propagates
-        gate = mat([[0.5, 0.5, 1e-12]])
-        b = [mat([[1.0]], trainable=True), mat([[2.0]], trainable=True),
-             mat([[4.0]], trainable=True)]
-        x, w, a = mat([[1.0]]), mat([[0.0]]), [mat([[1.0]])]
-        with bc.Tape() as tape:
-            out = bc.adapter(x, w, a, b, 1.0, gate)
-            bc.backward(tape, out)
-        assert out.item() == 0.5 + 1.0 + 4e-12
-        assert b[2].grad[0, 0] == 1e-12
-        assert np.isnan(bc.adapter(x, w, a, b, 1.0, mat([[0.5, 0.5, np.nan]])).item())
+        out = adapt([[1.0]], [[0.0]], [[[1.0]]], [[[1.0]], [[2.0]], [[4.0]]], 1.0, [[0.5, 0.5, 1e-12]])
+        assert out[0, 0] == 0.5 + 1.0 + 4e-12
+        nan = adapt([[1.0]], [[0.0]], [[[1.0]]], [[[1.0]], [[2.0]], [[4.0]]], 1.0, [[0.5, 0.5, np.nan]])
+        assert np.isnan(nan[0, 0])
+        layer = layer_of(bc.MoELoRALayer, 1, 1, 3, 3, 3, np.random.default_rng(5))
+        layer.router.data = arr([[0.0, 0.0, -27.0]])
+        _, g = layer.forward(np.ones((1, 1)))
+        assert 0.0 < g[0, 2] < 1e-11
+        mse_backward(layer, bc.Matrix(np.ones((1, 1))), np.zeros((1, 1)))
+        assert layer.experts[2][1].grad[0, 0] != 0.0
 
     def test_adapter_grads_match_op_chain_exactly(self):
-        for gate_rows in (None, 1, 6):
+        for kind, per_row in (("lora", False), ("moelora", False), ("moelora", True),
+                              ("branchlora", False), ("branchlora", True)):
             for x_kind in ("leaf", "op_output", "constant"):
-                self._check_adapter_against_op_chain(gate_rows, x_kind)
+                self._check_layer_against_op_chain(kind, per_row, x_kind)
 
     @staticmethod
-    def _check_adapter_against_op_chain(gate_rows, x_kind):
-        # the backward sums in the order of the matmul, scale and add chain
-        # the op replaces (the backbone term last on the tape, so first on
-        # replay), with one A per B and with a shared A, for each gate mode:
-        # none (LoRA), one shared row and one row per row of x, whose column
-        # 1 is zero in every row and so never runs. x is a trainable leaf, an
-        # op output (a deeper layer's input) or a constant (the first layer,
-        # which gets no dx). The fused op's leaves hold optimizer grad slots,
-        # so their first shares are computed straight into them.
+    def _check_layer_against_op_chain(kind, per_row, x_kind):
+        # The layer's backward sums in the order of the chain of single
+        # products, weighings and sums that `oracles.adapter_chain` builds:
+        # the gate first, the backbone term last on the tape, so first on
+        # replay. Each gate mode: none (LoRA), one shared row and one row
+        # per row of x, a dense gate with one A per expert (MoELoRA) and a
+        # top-1 gate with a shared A and branch 1 frozen (BranchLoRA). x is
+        # a leaf, the output of a tanh (a deeper layer's input) or a
+        # constant (the first layer, which gets no dx). The layer's
+        # matrices hold optimizer grad slots, so their shares are computed
+        # straight into them.
         rng = np.random.default_rng(15)
-        x0, w = rng.standard_normal((6, 5)), mat(rng.standard_normal((5, 4)))
-        if gate_rows is None:
-            gate, live, n = None, [0], 1
-        elif gate_rows == 1:
-            gate, live, n = np.array([[0.1, 0.3, 0.6]]), [0, 1, 2], 3
-        else:
-            gate = rng.uniform(0.1, 1.0, size=(gate_rows, 3))
-            gate[:, 1] = 0.0
-            gate[::2, 2] = 0.0
-            live, n = [0, 2], 3
-        b0 = [rng.standard_normal((2, 4)) for _ in range(n)]
-        a0s = [[rng.standard_normal((5, 2)) for _ in range(n)]]
-        if n > 1:
-            a0s.append([rng.standard_normal((5, 2))])
-        for a0 in a0s:
-            grads = []
-            for fused in (True, False):
-                leaf = mat(x0, trainable=x_kind != "constant")
-                a = [mat(m, trainable=True) for m in a0]
-                b = [mat(m, trainable=True) for m in b0]
-                if fused:
-                    bc.make_optimizer("sgd", oracles.named([leaf, *a, *b]))
-                with bc.Tape() as tape:
-                    x = bc.tanh(leaf) if x_kind == "op_output" else leaf
-                    if fused:
-                        h = bc.adapter(x, w, a, b, 1.7, None if gate is None else mat(gate))
-                    else:
-                        xa = {k: bc.matmul(x, a[k]) for k in sorted({j if len(a) > 1 else 0 for j in live})}
-                        delta = None
-                        for j in live:
-                            term = bc.matmul(xa[j if len(a) > 1 else 0], b[j])
-                            if gate is not None:
-                                term = oracles.scale(term, gate[:, j : j + 1] if gate_rows > 1 else gate[0, j])
-                            delta = term if delta is None else oracles.add(delta, term)
-                        h = oracles.add(bc.matmul(x, w), oracles.scale(delta, 1.7))
-                    bc.backward(tape, bc.mse_loss(bc.tanh(h), mat(np.zeros((6, 4)))))
-                grads.append([leaf.grad] + [m.grad for m in a + b])
-            for fused_grad, chain_grad in zip(*grads):
-                if chain_grad is None:
-                    assert fused_grad is None
-                else:
-                    assert fused_grad.tobytes() == chain_grad.tobytes()
-            assert (grads[0][0] is None) == (x_kind == "constant")
-            assert [m is None for m in grads[0][-n:]] == [j not in live for j in range(n)]
+        cls = LAYERS[kind]
+        layer = layer_of(cls, 5, 4, 8, 4, 1, rng)
+        if kind == "branchlora":
+            layer.branches[1].trainable = False
+        bc.make_optimizer("sgd", layer.params(), allow_missing=True)
+        x0 = rng.standard_normal((6, 5))
+        named = dict(layer.named_matrices())
+        leaf = mat(x0, trainable=True)
+        with bc.Tape() as tape:
+            x = x0 if x_kind == "constant" else watch(leaf)
+            if x_kind == "op_output":
+                x = activation(x)
+            h, g = layer.forward(x, 0, per_row)
+            bc.backward(tape, bc.mse_loss(wrap(activation(h)), mat(np.zeros(h.shape))))
+
+        nodes = {name: oracles.Node(m.data, m.trainable) for name, m in named.items()}
+        a = [nodes[n] for n in named if n == "A" or n.endswith(".A")]
+        bs = [n for n in named if n == "B" or n.endswith(".B") or n.startswith("branch")]
+        router = nodes.get("router", nodes.get("router.task0"))
+        k = None if router is None else layer.hp.experts if kind == "moelora" else 1
+        ref_leaf = oracles.Node(x0, trainable=x_kind != "constant")
+        with oracles.RefTape() as ref_tape:
+            ref_x = oracles.ref_tanh(ref_leaf) if x_kind == "op_output" else ref_leaf
+            ref_h = oracles.adapter_chain(
+                ref_x, nodes["backbone"], a, [nodes[n] for n in bs], layer.hp.scaling,
+                router, k, per_row,
+            )
+            oracles.ref_backward(ref_tape, oracles.ref_mse_loss(oracles.ref_tanh(ref_h), 0.0))
+
+        pairs = [(leaf.grad, ref_leaf.grad)] + [(m.grad, nodes[n].grad) for n, m in named.items()]
+        for got, want in pairs:
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+        assert (leaf.grad is None) == (x_kind == "constant")
+        assert all(m.grad is None or m.grad is m._slot for m in named.values())
+        # a B gets a grad only if its gate column is nonzero in some row
+        live = [True] if g is None else (g != 0.0).any(axis=0)
+        assert [named[n].grad is not None for n in bs] == [
+            bool(on) and named[n].trainable for n, on in zip(bs, live)
+        ]
+        if kind == "branchlora" and not per_row:
+            assert not all(live)  # a top-1 row leaves branches that never run
 
 
 class TestOptim:
+    """The optimizer steps on the grads a backward leaves; see also
+    test_optim.py."""
+
+    @staticmethod
+    def square_grad(p):
+        """p's grad from the loss mean(p^2), 2p / size, by a backward."""
+        with bc.Tape() as tape:
+            bc.backward(tape, bc.mse_loss(wrap(watch(p)), mat(np.zeros(p.shape))))
+
     def test_sgd_step(self):
         p = mat([[1.0]], trainable=True)
         opt = bc.make_optimizer("sgd", [("p", p)], lr=0.1)
-        with bc.Tape() as tape:
-            loss = bc.mse_loss(p, mat([[0.0]]))
-            bc.backward(tape, loss)
+        self.square_grad(p)
         n = opt.step()
         assert n == 1
         assert p.data[0, 0] == pytest.approx(0.8)
@@ -489,9 +563,7 @@ class TestOptim:
     def test_adam_first_step_is_signed_lr(self):
         p = mat([[1.0]], trainable=True)
         opt = bc.make_optimizer("adam", [("p", p)], lr=0.1)
-        with bc.Tape() as tape:
-            loss = bc.mse_loss(p, mat([[0.0]]))
-            bc.backward(tape, loss)
+        self.square_grad(p)
         opt.step()
         # first step: m_hat = g, v_hat = g^2, so the move is lr * g / (|g| + eps)
         assert p.data[0, 0] == pytest.approx(0.9, abs=1e-8)
@@ -500,9 +572,7 @@ class TestOptim:
         p = mat([[1.0]], trainable=True)
         q = mat([[1.0]], trainable=True)
         for kind in ("sgd", "adam"):
-            with bc.Tape() as tape:
-                loss = bc.mse_loss(p, mat([[0.0]]))
-                bc.backward(tape, loss)
+            self.square_grad(p)
             strict = bc.make_optimizer(kind, [("p", p), ("q", q)], lr=0.1)
             with pytest.raises(ContractError, match=f"^{kind}: trainable parameter q has no "):
                 strict.step()
@@ -512,9 +582,7 @@ class TestOptim:
         p = mat([[1.0, 1.0]], trainable=True)
         q = mat([[5.0]], trainable=True)
         opt = bc.make_optimizer("sgd", [("p", p), ("q", q)], lr=0.1, allow_missing=True)
-        with bc.Tape() as tape:
-            loss = bc.mse_loss(p, mat([[0.0, 0.0]]))
-            bc.backward(tape, loss)
+        self.square_grad(p)
         n = opt.step()
         assert n == 2
         assert q.data[0, 0] == 5.0
@@ -525,14 +593,10 @@ class TestOptim:
         p = mat([[1.0]], trainable=True)
         q = mat([[1.0]], trainable=True)
         opt = bc.make_optimizer("adam", [("p", p), ("q", q)], lr=0.1, allow_missing=True)
-        with bc.Tape() as tape:
-            loss = bc.mse_loss(p, mat([[0.0]]))
-            bc.backward(tape, loss)
+        self.square_grad(p)
         opt.step()
-        p.grad = None
-        with bc.Tape() as tape:
-            loss = oracles.add(bc.mse_loss(p, mat([[0.0]])), bc.mse_loss(q, mat([[0.0]])))
-            bc.backward(tape, loss)
+        self.square_grad(p)
+        self.square_grad(q)
         q_grad = q.grad.copy()
         opt.step()
 
@@ -548,13 +612,3 @@ class TestOptim:
             bc.make_optimizer("sgd", [("p", p)], lr=0.0)
         with pytest.raises(ParameterError):
             bc.make_optimizer("rmsprop", [("p", p)])
-
-
-def test_forward_values_identical_with_and_without_tape():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 4))
-    w = rng.standard_normal((4, 2))
-    with bc.Tape():
-        taped = bc.router_gate(bc.Matrix(x, trainable=True), bc.Matrix(w), 1)
-    bare = bc.router_gate(bc.Matrix(x), bc.Matrix(w), 1)
-    np.testing.assert_array_equal(taped.data, bare.data)
