@@ -5,12 +5,12 @@ checkpoints and analysis never ask which kind they hold. A layer's
 constructor draws all of its matrices and ``named_matrices`` is the one
 place that names them; a checkpoint loads by building the layer afresh
 and overwriting those matrices. Three adapter
-kinds compute h = x W_f + (alpha/r) * delta, each with
-`tensor.adapter_kernel` after its gate (if any):
+kinds compute h = x W_f + (alpha/r) * delta, each in its own ``forward``
+after its gate (if any), once `_check_adapter` has passed:
 
 * LoRALayer: a single rank-r pair (A, B), delta = x A B.
 * MoELoRALayer: N experts (A_j, B_j) of rank r/N, densely mixed by a
-  softmax router (`tensor.gate_kernel` with k = N).
+  softmax router (`top_k_gate` with k = N).
 * BranchLoRALayer: one shared A of rank r/N, N branch matrices B_j, and
   one router per task; the gate keeps the top-k router scores, so it has
   exactly k nonzero entries, and only the branches some row selects run.
@@ -51,8 +51,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, RoutingError
-from .tensor import Matrix, add_product, adapter_kernel, gate_kernel, linear, record, recording
+from .errors import ContractError, DimensionError, ParameterError, RoutingError
+from .tensor import Matrix, add_product, linear, record, recording
 
 
 def check_ints(**values) -> None:
@@ -178,6 +178,27 @@ class BackboneLayer(AdapterLayer):
         return [("backbone", self.backbone)]
 
 
+def _check_adapter(backbone: Matrix, x: np.ndarray, a: list, b: list) -> None:
+    """Raise unless the backbone is a constant and x, W, each A and each B
+    chain: x is B x d_in, W d_in x d_out, and each B_j r x d_out, r the
+    width of the A it follows (``a`` holds one A per B, or one shared A)."""
+    if backbone.trainable:
+        raise ContractError("adapter: w must be a constant")
+    w = backbone.data
+    d_in = x.shape[1]
+    d_out = w.shape[1]
+    shared_a = len(a) == 1
+    chained = w.shape[0] == d_in
+    for j, bj in enumerate(b):
+        a_shape = a[0 if shared_a else j].shape
+        chained = chained and a_shape[0] == d_in and bj.shape == (a_shape[1], d_out)
+    if not chained:
+        raise DimensionError(
+            f"adapter: shapes do not chain, x {x.shape}, w {w.shape}, "
+            f"a {[aj.shape for aj in a]}, b {[bj.shape for bj in b]}"
+        )
+
+
 class LoRALayer(AdapterLayer):
     def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
         d_in, d_out = backbone.shape
@@ -189,11 +210,13 @@ class LoRALayer(AdapterLayer):
     def forward(
         self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
     ) -> tuple[np.ndarray, None]:
-        if self.backbone.trainable:
-            raise ContractError("adapter: w must be a constant")
-        h, _, _, (xa,), _ = adapter_kernel(
-            x, self.backbone.data, [self.a.data], [self.b.data], self.hp.scaling
-        )
+        a, b = self.a.data, self.b.data
+        _check_adapter(self.backbone, x, [a], [b])
+        xa = x @ a
+        delta = xa @ b
+        h = x @ self.backbone.data
+        delta *= self.hp.scaling
+        h += delta
         record(self.backward, (x, xa))
         return h, None
 
@@ -218,20 +241,83 @@ class LoRALayer(AdapterLayer):
         return [("backbone", self.backbone), ("A", self.a), ("B", self.b)]
 
 
+def top_k_gate(
+    x: np.ndarray, router: np.ndarray, k: int, per_row: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The gate: softmax over the k largest router scores, zeros elsewhere,
+    and its top-k mask.
+
+    By default the scores are x[0] @ router and the gate is 1 x N, shared by
+    every row of x. With ``per_row`` each row of x gets its own gate row
+    from its own scores, a B x N gate. Every entry outside the top k is
+    exactly 0.0, and ties break toward the lowest column of each row. With k
+    equal to the router's width this is a plain softmax and the mask is
+    None; otherwise the mask has the gate's shape, 1.0 for each kept column
+    and 0.0 for each dropped one. A row with a NaN or inf score comes out
+    all NaN.
+    """
+    d, n = router.shape
+    if x.shape[1] != d:
+        raise DimensionError(f"router_gate: x has {x.shape[1]} columns, router has {d} rows")
+    if not 1 <= k <= n:
+        raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
+    s = (x if per_row else x[0:1]) @ router
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    mask = None
+    if k < n:
+        # each row's columns in stable descending order of score: the first
+        # k are kept, the lowest first among ties
+        rows = []
+        for row in s.tolist():
+            keep = [1.0] * n
+            for j in sorted(range(n), key=row.__getitem__, reverse=True)[k:]:
+                keep[j] = 0.0
+            rows.append(keep)
+        mask = np.array(rows)
+        e *= mask
+    return e / e.sum(axis=1, keepdims=True), mask
+
+
 class _GatedLayer(AdapterLayer):
     """The gated sum and its backward, which MoELoRA and BranchLoRA share:
     they differ in their A matrices, their router and its top k."""
 
     def _mix(self, x, gate, mask, router, a, b, per_row):
-        """The gated sum over the given gate and, under a tape, its record."""
-        if self.backbone.trainable:
-            raise ContractError("adapter: w must be a constant")
-        taped = recording()
+        """x W + s * sum_j g_j x A_j B_j over the given gate and, under a
+        tape, its record.
+
+        ``a`` holds one A per B, or one A shared by all of them. Only the
+        columns that some gate row holds nonzero run. A one-row gate weighs
+        every row of x by a float per column; a gate with one row per row of
+        x weighs row i by gate row i, a column per column. Under a tape each
+        unweighted term x A_j B_j is kept for the gate's gradient.
+        """
         ad = [m.data for m in a]
         bd = [m.data for m in b]
-        h, live, weights, xas, terms = adapter_kernel(
-            x, self.backbone.data, ad, bd, self.hp.scaling, gate, taped
-        )
+        _check_adapter(self.backbone, x, ad, bd)
+        taped = recording()
+        if gate.shape[0] == 1:
+            row = gate[0].tolist()
+            live = [j for j, v in enumerate(row) if v != 0.0]
+            weights = [row[j] for j in live]
+        else:
+            live = np.flatnonzero((gate != 0.0).any(axis=0)).tolist()
+            weights = [gate[:, j : j + 1] for j in live]
+        if len(ad) == 1:
+            xas = [x @ ad[0]] * len(live) if live else []
+        else:
+            xas = [x @ ad[j] for j in live]
+        w = self.backbone.data
+        delta = np.zeros((x.shape[0], w.shape[1]))
+        terms = []
+        for j, wj, xa in zip(live, weights, xas):
+            p = xa @ bd[j]
+            delta += wj * p
+            if taped:
+                terms.append(p)
+        h = x @ w
+        delta *= self.hp.scaling
+        h += delta
         if taped:
             record(self.backward, (x, gate, mask, router, per_row, a, b, live, weights, xas, terms))
         return h, gate
@@ -306,7 +392,7 @@ class MoELoRALayer(_GatedLayer):
     def forward(
         self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        gate, mask = gate_kernel(x, self.router.data, self.hp.experts, per_row)
+        gate, mask = top_k_gate(x, self.router.data, self.hp.experts, per_row)
         a, b = zip(*self.experts)
         return self._mix(x, gate, mask, self.router, a, b, per_row)
 
@@ -356,11 +442,11 @@ class BranchLoRALayer(_GatedLayer):
         self, x: np.ndarray, task_id: int, per_row: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The gate of task_id's router and its top-k mask (see
-        `tensor.gate_kernel`)."""
+        `top_k_gate`)."""
         router = self.routers.get(task_id)
         if router is None:
             raise RoutingError(f"no router registered for task {task_id}")
-        return gate_kernel(x, router.data, self.hp.top_k, per_row)
+        return top_k_gate(x, router.data, self.hp.top_k, per_row)
 
     def forward(
         self, x: np.ndarray, task_id: int, per_row: bool = False

@@ -13,7 +13,8 @@ bytes and flag, so the loaded model has the saved one's matrix names and
 rng states: the next task it starts draws what the saved model would
 have drawn. A manifest whose names or shapes differ from the rebuilt
 model's is rejected, as is a kind, seed, router task list or tensor entry
-of the wrong type. A saved flag may turn a matrix off (a frozen branch, a
+of the wrong type, or a tensor whose file is not the one the saver names
+after it. A saved flag may turn a matrix off (a frozen branch, a
 finished router or key) but never on: a tensor marked trainable that the
 rebuilt model holds frozen, such as a backbone or the head, is rejected
 too. The loader does not read the manifest's key task ids, nor the
@@ -124,6 +125,13 @@ def _check_tensor_spec(manifest_path: Path, name: str, spec) -> None:
             raise ContractError(
                 f"{manifest_path}: tensor {name}: {key!r} must be {what}, got {value!r}"
             )
+    # the saver names every file after its tensor; any other name could
+    # reach a file outside the checkpoint directory
+    if spec["file"] != _tensor_filename(name):
+        raise ContractError(
+            f"{manifest_path}: tensor {name}: 'file' must be "
+            f"{_tensor_filename(name)!r}, got {spec['file']!r}"
+        )
 
 
 def _read_tensor(directory: Path, spec: dict, name: str, shape: tuple[int, int]) -> np.ndarray:

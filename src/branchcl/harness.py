@@ -168,14 +168,17 @@ def evaluate(
     if not np.isfinite(x).all():
         row = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise NumericError(f"task {task.task_id}: test row {row} holds a non-finite value")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or not x.size:
+        raise DimensionError(f"evaluate: x_test must be 2-D and non-empty, got shape {x.shape}")
     if not len(model.keys):
-        logits, _ = model.forward(Matrix(x), task.task_id, per_row=True)
+        logits, _ = model.forward(wrap(x), task.task_id, per_row=True)
         return int(np.count_nonzero(np.argmax(logits.data, axis=1) == y)) / len(y)
     keys = model.keys.stack() if selector == "auto" else None
     hits = 0
-    for row, label in zip(x, y):
-        tid = task.task_id if keys is None else select_task(row, keys)
-        logits, _ = model.forward(Matrix(row[None]), tid)
+    for i, label in enumerate(y):
+        tid = task.task_id if keys is None else select_task(x[i], keys)
+        logits, _ = model.forward(wrap(x[i : i + 1]), tid)
         hits += int(logits.data[0].argmax() == label)
     return hits / len(y)
 

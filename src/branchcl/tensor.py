@@ -1,13 +1,9 @@
-"""Dense float64 matrices, the forward kernels, and the tape of one training
-forward.
+"""Dense float64 matrices and the tape of one training forward.
 
-`Matrix` carries the parameters, and a model's input and logits. Every
-forward formula lives once, in a plain-array kernel that also makes its
-shape and range checks: `product`, `gate_kernel` (softmax over the top-k
-router scores, of a batch's first row or of each row) and `adapter_kernel`
-(one adapter layer's x W + s * sum_j g_j x A_j B_j, running only the gated
-columns). Each layer kind's ``forward`` calls them on plain arrays, in
-training and in evaluation alike.
+`Matrix` carries the parameters, and a model's input and logits. Each
+layer kind computes its own forward on plain arrays (see `adapters`);
+this module holds what every chain shares: the tape, `linear` for a
+constant weight, `activation`, the two losses and `backward`.
 
 The chain a training step differentiates is fixed: each layer, tanh
 between layers, the frozen head, the loss. While a `Tape` is active, each
@@ -27,7 +23,7 @@ slot when it has one. The task keys' alignment gradient needs no tape:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -151,14 +147,6 @@ def add_product(m: Matrix, p: np.ndarray, q: np.ndarray) -> None:
         m.grad += p @ q
 
 
-def product(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """ad @ bd, once their inner dimensions agree."""
-    if ad.shape[1] != bd.shape[0]:
-        (r, c), (r2, c2) = ad.shape, bd.shape
-        raise DimensionError(f"matmul: inner dimensions differ, {r}x{c} @ {r2}x{c2}")
-    return ad @ bd
-
-
 def _through_constant(g: np.ndarray, w: np.ndarray, need_dx: bool) -> np.ndarray | None:
     return g @ w.T if need_dx else None
 
@@ -166,7 +154,10 @@ def _through_constant(g: np.ndarray, w: np.ndarray, need_dx: bool) -> np.ndarray
 def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w for a constant w (a frozen backbone, the head); its record
     hands x the adjoint g w^T."""
-    y = product(x, w)
+    if x.shape[1] != w.shape[0]:
+        (r, c), (r2, c2) = x.shape, w.shape
+        raise DimensionError(f"matmul: inner dimensions differ, {r}x{c} @ {r2}x{c2}")
+    y = x @ w
     record(_through_constant, w)
     return y
 
@@ -181,127 +172,6 @@ def activation(h: np.ndarray) -> np.ndarray:
     t = np.tanh(h)
     record(_through_tanh, t)
     return t
-
-
-def gate_kernel(
-    xd: np.ndarray, rd: np.ndarray, k: int, per_row: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The gate: softmax over the k largest router scores, zeros elsewhere,
-    and its top-k mask.
-
-    By default the scores are x[0] @ router and the gate is 1 x N, shared by
-    every row of x. With ``per_row`` each row of x gets its own gate row
-    from its own scores, a B x N gate. Every entry outside the top k is
-    exactly 0.0, and ties break toward the lowest column of each row. With k
-    equal to the router's width this is a plain softmax and the mask is
-    None; otherwise the mask has the gate's shape, 1.0 for each kept column
-    and 0.0 for each dropped one. A row with a NaN or inf score comes out
-    all NaN.
-    """
-    d, n = rd.shape
-    if xd.shape[1] != d:
-        raise DimensionError(f"router_gate: x has {xd.shape[1]} columns, router has {d} rows")
-    if not 1 <= k <= n:
-        raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
-    s = (xd if per_row else xd[0:1]) @ rd
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    mask = None
-    if k < n:
-        # each row's columns in stable descending order of score: the first
-        # k are kept, the lowest first among ties
-        rows = []
-        for row in s.tolist():
-            keep = [1.0] * n
-            for j in sorted(range(n), key=row.__getitem__, reverse=True)[k:]:
-                keep[j] = 0.0
-            rows.append(keep)
-        mask = np.array(rows)
-        e *= mask
-    return e / e.sum(axis=1, keepdims=True), mask
-
-
-def adapter_kernel(
-    xd: np.ndarray,
-    wd: np.ndarray,
-    a: Sequence[np.ndarray],
-    b: Sequence[np.ndarray],
-    scaling: float,
-    gd: np.ndarray | None = None,
-    keep_terms: bool = False,
-) -> tuple[np.ndarray, Sequence[int], list | None, Sequence[np.ndarray], Sequence[np.ndarray]]:
-    """Every adapter layer's output, x W + scaling * sum_j g_j (x A_j B_j).
-
-    ``a`` holds one down-projection per matrix of ``b``, or one A shared by
-    all of them. With no gate, ``b`` holds one matrix and its term is added
-    with weight one. The gate is either one row shared by every row of x
-    (1 x N), or one row per row of x (B x N, row i weighting row i). Only
-    the columns that some gate row holds nonzero run: a column that is 0.0
-    in every row contributes nothing.
-
-    Returns ``(h, live, weights, xas, terms)``: the output; the gate columns
-    that ran (``(0,)`` with no gate); the weight of each, a float for a
-    shared gate row and a column for a gate with one row per row of x
-    (None with no gate); x A_j for each; and, with ``keep_terms``, each
-    unweighted x A_j B_j, which the gate's gradient needs. Each term is
-    freed as soon as it is added when ``keep_terms`` is off.
-    """
-    n = len(b)
-    shared_a = len(a) == 1
-    if not shared_a and len(a) != n:
-        raise DimensionError(f"adapter: {len(a)} A matrices for {n} B matrices, need 1 or {n}")
-    rows, d_in = xd.shape
-    d_out = wd.shape[1]
-    # B_j must be r x d_out, r the width of the A it follows
-    chained = wd.shape[0] == d_in
-    for j, bj in enumerate(b):
-        a_shape = a[0 if shared_a else j].shape
-        chained = chained and a_shape[0] == d_in and bj.shape == (a_shape[1], d_out)
-    if not chained:
-        raise DimensionError(
-            f"adapter: shapes do not chain, x {xd.shape}, w {wd.shape}, "
-            f"a {[aj.shape for aj in a]}, b {[bj.shape for bj in b]}"
-        )
-
-    if gd is None:
-        if n != 1:
-            raise DimensionError(f"adapter: without a gate b must hold one matrix, got {n}")
-        xa = xd @ a[0]
-        delta = xa @ b[0]
-        h = xd @ wd
-        delta *= scaling
-        h += delta
-        return h, (0,), None, (xa,), ()
-
-    g_rows, g_cols = gd.shape
-    if g_cols != n:
-        raise DimensionError(f"adapter: gate width {g_cols} != {n} B matrices")
-    if g_rows == 1:
-        # one shared row: its live columns and their weights as floats
-        row = gd[0].tolist()
-        live = [j for j, v in enumerate(row) if v != 0.0]
-        weights = [row[j] for j in live]
-    elif g_rows == rows:
-        live = np.flatnonzero((gd != 0.0).any(axis=0)).tolist()
-        weights = [gd[:, j : j + 1] for j in live]
-    else:
-        raise DimensionError(
-            f"adapter: gate has {g_rows} rows, need 1 or one per row of x ({rows})"
-        )
-    if shared_a:
-        xas = [xd @ a[0]] * len(live) if live else []
-    else:
-        xas = [xd @ a[j] for j in live]
-    delta = np.zeros((rows, d_out))
-    terms = []
-    for j, wj, xa in zip(live, weights, xas):
-        p = xa @ b[j]
-        delta += wj * p
-        if keep_terms:
-            terms.append(p)
-    h = xd @ wd
-    delta *= scaling
-    h += delta
-    return h, live, weights, xas, terms
 
 
 def _cross_entropy_backward(g, cache, need_dx: bool) -> np.ndarray:

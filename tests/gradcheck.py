@@ -1,5 +1,5 @@
 """Finite-difference gradient checking for every record of the training
-chain: each layer kind's backward, the activation and product records,
+chain: each layer kind's backward, the activation and linear records,
 the two losses and the whole model.
 
 Each case builds a scalar loss from trainable matrices; the gradients

@@ -434,3 +434,27 @@ class TestMethodProtocol:
             and any(names_a_kind(op) for op in (node.left, *node.comparators))
         ]
         assert found == []
+
+    def test_every_definition_has_a_caller_in_the_package(self):
+        # no public API that only the tests call: each function, class and
+        # method defined in the package is named somewhere in it, outside
+        # the re-exports of __init__.py; dunder names are exempt
+        sources = Path(harness.__file__).parent.glob("*.py")
+        trees = {p.name: ast.parse(p.read_text()) for p in sorted(sources)}
+        used = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for name, tree in trees.items()
+            if name != "__init__.py"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        unused = [
+            f"{name}:{node.lineno} {node.name}"
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, defs)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in used
+        ]
+        assert unused == []

@@ -260,6 +260,25 @@ class TestCheckpoints:
         with pytest.raises(bc.ContractError, match=match):
             bc.load_model(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("where", ["absolute", "parent", "other tensor"])
+    def test_manifest_may_name_only_its_tensors_own_file(self, tmp_path, where):
+        # each named file holds bytes of the right size, so only the name
+        # itself can stop a read from outside the checkpoint directory
+        model = bc.build_model("lora", CFG, HP, seed=7)
+        ckpt = bc.save_model(tmp_path / "ckpt", model)
+        path = ckpt / "manifest.json"
+        manifest = json.loads(path.read_text())
+        name = "layer0.B"
+        outside = tmp_path / "outside.f64"
+        outside.write_bytes((ckpt / "layer0.B.f64").read_bytes())
+        manifest["tensors"][name]["file"] = {
+            "absolute": str(outside), "parent": "../outside.f64", "other tensor": "layer1.B.f64",
+        }[where]
+        path.write_text(json.dumps(manifest))
+        match = rf"^{re.escape(str(path))}: tensor {re.escape(name)}: 'file' must be 'layer0\.B\.f64'"
+        with pytest.raises(bc.ContractError, match=match):
+            bc.load_model(ckpt)
+
 
     @pytest.mark.parametrize("section, key, value", [("model", "width", 16.0),
                                                      ("hyperparams", "rank", 8.0)])

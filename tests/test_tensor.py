@@ -1,4 +1,4 @@
-"""Kernels, records and backward: frozen values, gradients against finite
+"""Forwards, records and backward: frozen values, gradients against finite
 differences and against a chain of single ops, contracts."""
 
 import numpy as np
@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 import branchcl as bc
 from branchcl import ContractError, DimensionError, ParameterError
-from branchcl.adapters import LAYERS
-from branchcl.tensor import activation, adapter_kernel, gate_kernel, product, wrap
+from branchcl.adapters import LAYERS, top_k_gate
+from branchcl.tensor import activation, linear, wrap
 import gradcheck
 import oracles
 from gradcheck import watch
@@ -25,8 +25,8 @@ def arr(rows):
 
 
 def gate(x, router, k, per_row=False):
-    """The gate's values from `gate_kernel`, over array-likes."""
-    return gate_kernel(arr(x), arr(router), k, per_row)[0]
+    """The gate's values from `top_k_gate`, over array-likes."""
+    return top_k_gate(arr(x), arr(router), k, per_row)[0]
 
 
 def gate_of(scores, k=None):
@@ -35,11 +35,20 @@ def gate_of(scores, k=None):
     return gate([[1.0]], router, router.shape[1] if k is None else k)
 
 
-def adapt(x, w, a, b, s, g=None):
-    """`adapter_kernel`'s output over array-likes."""
-    return adapter_kernel(
-        arr(x), arr(w), [arr(m) for m in a], [arr(m) for m in b], s, None if g is None else arr(g)
-    )[0]
+def layer_with(cls, w, values, experts=1, top_k=1, scaling=1.0):
+    """A layer of kind cls over the backbone w, with task 0 started, whose
+    other matrices take the given values in `named_matrices` order. The
+    second value is a B, and each of the layer's ``experts`` B matrices
+    has its rows."""
+    w = arr(w)
+    rank = arr(values[1]).shape[0] * experts
+    hp = bc.AdapterHyperparams(rank=rank, alpha=scaling * rank, experts=experts, top_k=top_k)
+    rng = np.random.default_rng(0)
+    layer = cls.init(rng, *w.shape, hp, backbone=bc.Matrix(w))
+    layer.start_task(0, rng)
+    for (_, m), v in zip(layer.named_matrices()[1:], values, strict=True):
+        m.data = arr(v)
+    return layer
 
 
 def layer_of(cls, d_in, d_out, rank, experts, top_k, rng):
@@ -63,7 +72,7 @@ def mse_backward(layer, x, target, task_id=0, per_row=False):
 
 class TestValues:
     def test_matmul(self):
-        np.testing.assert_allclose(product(arr([[1.0, 2.0]]), arr([[3.0], [4.0]])), [[11.0]])
+        np.testing.assert_allclose(linear(arr([[1.0, 2.0]]), arr([[3.0], [4.0]])), [[11.0]])
 
     def test_tanh(self):
         out = activation(arr([[0.5, 0.0]]))
@@ -174,13 +183,18 @@ class TestValues:
         ref = oracles.gate_rows_oracle(x if per_row else x[:1], scores, k)
         assert out.shape == ref.shape
         np.testing.assert_array_equal(out != 0.0, ref != 0.0)
-        # the oracle sums the kept entries in descending order, the kernel
+        # the oracle sums the kept entries in descending order, the gate
         # in column order: the values may differ in the last bit
         np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0.0)
 
     def test_adapter_weighs_each_gated_pair(self):
-        # x = [[1]] and A = [[1]]: each B row is weighted by its gate entry
-        out = adapt([[1.0]], [[0.0, 0.0]], [[[1.0]]], [[[4.0, 0.0]], [[0.0, 4.0]]], 1.0, [[0.25, 0.75]])
+        # x = [[1]] and A = [[1]]: each B row is weighted by its gate entry,
+        # softmax([0, log 3]) = [0.25, 0.75]
+        layer = layer_with(bc.BranchLoRALayer, [[0.0, 0.0]],
+                           [[[1.0]], [[4.0, 0.0]], [[0.0, 4.0]], [[0.0, np.log(3.0)]]],
+                           experts=2, top_k=2)
+        out, g = layer.forward(arr([[1.0]]), 0)
+        np.testing.assert_allclose(g, [[0.25, 0.75]])
         np.testing.assert_allclose(out, [[1.0, 3.0]])
 
     def test_adapter_matches_oracles(self):
@@ -194,34 +208,37 @@ class TestValues:
             a = [rng.standard_normal((5, 2)) for _ in range(4)]
             b = [rng.standard_normal((2, 4)) for _ in range(4)]
             router = rng.standard_normal((5, 4))
-            out = adapt(x, w, a[:1], b[:1], s)
-            np.testing.assert_allclose(
-                out, oracles.lora_forward_oracle(x, w, a[0], b[0], s), rtol=0, atol=1e-12
-            )
-            out = adapt(x, w, a, b, s, gate(x, router, 4))
-            want, _ = oracles.moe_forward_oracle(x, w, list(zip(a, b)), router, s)
+            lora = layer_with(bc.LoRALayer, w, [a[0], b[0]], scaling=s)
+            out, _ = lora.forward(x)
+            want = oracles.lora_forward_oracle(x, w, a[0], b[0], lora.hp.scaling)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+            experts = [m for pair in zip(a, b) for m in pair]
+            moe = layer_with(bc.MoELoRALayer, w, [*experts, router], experts=4, scaling=s)
+            out, _ = moe.forward(x)
+            want, _ = oracles.moe_forward_oracle(x, w, list(zip(a, b)), router, moe.hp.scaling)
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
             for k in (1, 2, 3):
-                out = adapt(x, w, a[:1], b, s, gate(x, router, k))
-                want, _ = oracles.branch_forward_oracle(x, w, a[0], b, router, k, s)
+                branch = layer_with(bc.BranchLoRALayer, w, [a[0], *b, router], experts=4,
+                                    top_k=k, scaling=s)
+                out, _ = branch.forward(x, 0)
+                want, _ = oracles.branch_forward_oracle(
+                    x, w, a[0], b, router, k, branch.hp.scaling
+                )
                 np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
     def test_adapter_per_row_gate_matches_row_by_row(self):
         # a B x N gate weights row i of every term by gate row i, as the
-        # adapter over row i alone with a one-row gate does; with one A per
-        # B and with a shared A, and with zero columns that never run
+        # layer over row i alone with a one-row gate does; with one A per
+        # B (MoELoRA) and with a shared A and top-k zero columns (BranchLoRA)
         rng = np.random.default_rng(8)
         for _ in range(25):
-            g = rng.uniform(0.1, 1.0, size=(3, 4))
-            g[rng.random((3, 4)) < 0.4] = 0.0
             x = rng.standard_normal((3, 5))
-            w = rng.standard_normal((5, 2))
-            b = [rng.standard_normal((2, 2)) for _ in range(4)]
-            distinct = [rng.standard_normal((5, 2)) for _ in range(4)]
-            for a in (distinct, distinct[:1]):
-                rows = adapt(x, w, a, b, 1.5, g)
+            for cls, k in ((bc.MoELoRALayer, 4), (bc.BranchLoRALayer, 2)):
+                layer = layer_of(cls, 5, 2, 8, 4, k, rng)
+                rows, g = layer.forward(x, 0, per_row=True)
+                assert g.shape == (3, 4)
                 for i in range(3):
-                    one = adapt(x[i : i + 1], w, a, b, 1.5, g[i : i + 1])
+                    one, _ = layer.forward(x[i : i + 1], 0)
                     np.testing.assert_allclose(rows[i], one[0], rtol=0, atol=1e-12)
 
     def test_cross_entropy(self):
@@ -248,7 +265,7 @@ class TestContracts:
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(DimensionError, match="^matmul: inner dimensions differ, 1x2 @ 1x2$"):
-            product(arr([[1.0, 2.0]]), arr([[1.0, 2.0]]))
+            linear(arr([[1.0, 2.0]]), arr([[1.0, 2.0]]))
 
     def test_topk_k_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -260,50 +277,22 @@ class TestContracts:
         with pytest.raises(DimensionError):
             gate([[1.0, 2.0]], [[1.0, 2.0]], 1)
 
-    def test_adapter_gate_width_must_match_b(self):
-        with pytest.raises(DimensionError):
-            adapt([[1.0]], [[1.0]], [[[1.0]]], [[[1.0]]], 1.0, [[0.5, 0.5]])
-
-    def test_mix_gate_must_be_row(self):
-        # the gate that mixes the adapter pairs: a one-row x takes only a one-row gate
-        with pytest.raises(DimensionError):
-            adapt([[1.0]], [[1.0]], [[[1.0]]], [[[1.0]]] * 2, 1.0, [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_mix_gate_rows_must_be_one_or_part_rows(self):
-        # the mixing gate has 1 row (shared by every row of x) or one row per row of x
-        x, w, a = np.ones((3, 2)), np.ones((2, 2)), [np.ones((2, 1))]
-        b = [np.ones((1, 2)), np.ones((1, 2))]
-        for rows in (2, 4):
-            with pytest.raises(DimensionError):
-                adapt(x, w, a, b, 1.0, np.full((rows, 2), 0.5))
-            with pytest.raises(DimensionError):
-                adapt(x, w, a, b, 1.0, np.tile([1.0, 0.0], (rows, 1)))
-        for rows in (1, 3):
-            assert adapt(x, w, a, b, 1.0, np.full((rows, 2), 0.5)).shape == (3, 2)
-
-    def test_adapter_a_count_must_be_one_or_len_b(self):
-        x, w = np.ones((1, 2)), np.ones((2, 2))
-        a = [np.ones((2, 1)) for _ in range(3)]
-        b = [np.ones((1, 2)) for _ in range(3)]
-        g = [[0.2, 0.3, 0.5]]
-        with pytest.raises(DimensionError):
-            adapt(x, w, a[:2], b, 1.0, g)
-        for n_a in (1, 3):
-            assert adapt(x, w, a[:n_a], b, 1.0, g).shape == (1, 2)
-        with pytest.raises(DimensionError):  # no gate: exactly one pair
-            adapt(x, w, a[:1], b[:2], 1.0)
-
     def test_adapter_shapes_must_chain_and_w_be_constant(self):
-        x, w = np.ones((1, 2)), np.ones((2, 3))
-        a, b = np.ones((2, 1)), np.ones((1, 3))
-        assert adapt(x, w, [a], [b], 1.0).shape == (1, 3)
-        for args in ((np.ones((1, 3)), w, a, b), (x, w, np.ones((3, 1)), b),
-                     (x, w, a, np.ones((2, 3))), (x, w, a, np.ones((1, 2)))):
-            with pytest.raises(DimensionError):
-                adapt(args[0], args[1], [args[2]], [args[3]], 1.0)
+        # x too wide, an A of the wrong height, a B that does not follow its
+        # A, a B of the wrong width; then a trainable backbone
+        x = np.ones((1, 2))
         rng = np.random.default_rng(0)
         for cls in (bc.LoRALayer, bc.MoELoRALayer, bc.BranchLoRALayer):
             layer = layer_of(cls, 2, 3, 2, 2, 1, rng)
+            assert layer.forward(x, 0)[0].shape == (1, 3)
+            with pytest.raises(DimensionError):
+                layer.forward(np.ones((1, 3)), 0)
+            a, b = (m for _, m in layer.named_matrices()[1:3])
+            for m, shape in ((a, (3, a.cols)), (b, (b.rows + 1, 3)), (b, (b.rows, 2))):
+                kept, m.data = m.data, np.ones(shape)
+                with pytest.raises(DimensionError, match="^adapter: shapes do not chain"):
+                    layer.forward(x, 0)
+                m.data = kept
             layer.backbone.trainable = True
             with pytest.raises(ContractError, match="w must be a constant"):
                 layer.forward(x, 0)
@@ -467,16 +456,18 @@ class TestGradients:
 
     def test_adapter_runs_every_nonzero_column(self):
         # a tiny weight still runs its term and trains its B; NaN propagates
-        out = adapt([[1.0]], [[0.0]], [[[1.0]]], [[[1.0]], [[2.0]], [[4.0]]], 1.0, [[0.5, 0.5, 1e-12]])
-        assert out[0, 0] == 0.5 + 1.0 + 4e-12
-        nan = adapt([[1.0]], [[0.0]], [[[1.0]]], [[[1.0]], [[2.0]], [[4.0]]], 1.0, [[0.5, 0.5, np.nan]])
-        assert np.isnan(nan[0, 0])
-        layer = layer_of(bc.MoELoRALayer, 1, 1, 3, 3, 3, np.random.default_rng(5))
-        layer.router.data = arr([[0.0, 0.0, -27.0]])
-        _, g = layer.forward(np.ones((1, 1)))
+        one = np.ones((1, 1))
+        experts = [[[1.0]], [[1.0]], [[1.0]], [[2.0]], [[1.0]], [[4.0]]]
+        layer = layer_with(bc.MoELoRALayer, [[0.0]], [*experts, [[0.0, 0.0, -27.0]]],
+                           experts=3, top_k=3)
+        out, g = layer.forward(one)
         assert 0.0 < g[0, 2] < 1e-11
-        mse_backward(layer, bc.Matrix(np.ones((1, 1))), np.zeros((1, 1)))
+        g0, g1, g2 = g[0].tolist()
+        assert out[0, 0] == g0 + 2.0 * g1 + 4.0 * g2 != g0 + 2.0 * g1
+        mse_backward(layer, bc.Matrix(one), np.zeros((1, 1)))
         assert layer.experts[2][1].grad[0, 0] != 0.0
+        layer.router.data = arr([[0.0, 0.0, np.nan]])
+        assert np.isnan(layer.forward(one)[0][0, 0])
 
     def test_adapter_grads_match_op_chain_exactly(self):
         for kind, per_row in (("lora", False), ("moelora", False), ("moelora", True),
