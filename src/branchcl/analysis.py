@@ -180,6 +180,16 @@ def _summary(ms: list[float]) -> dict:
     return {"mean": mean(ms), "median": median(ms), "std": pstdev(ms)}
 
 
+def _forward_backward(layer, x, target) -> np.ndarray | None:
+    """One taped forward of `layer` on ``x`` and the backward of its MSE
+    against ``target``, which leaves a grad on each matrix it reaches;
+    returns the layer's gate."""
+    with Tape() as tape:
+        h, gate = layer.forward(x, 0)
+        backward(tape, mse_loss(wrap(h), target))
+    return gate
+
+
 def _one_batch(layer, x, target, opt) -> tuple[float, float]:
     """Time one training batch on a single layer.
 
@@ -191,9 +201,7 @@ def _one_batch(layer, x, target, opt) -> tuple[float, float]:
     best_step = None
     for _ in range(3):
         start = time.perf_counter()
-        with Tape() as tape:
-            loss = mse_loss(wrap(layer.forward(x, 0)[0]), target)
-            backward(tape, loss)
+        _forward_backward(layer, x, target)
         mid = time.perf_counter()
         opt.step()
         end = time.perf_counter()
@@ -216,10 +224,7 @@ def _grad_coverage(layer, named, dim: int, batch: int,
     """
     seen: set[str] = set()
     for _ in range(64):
-        xb = rng.standard_normal((batch, dim))
-        with Tape() as tape:
-            loss = mse_loss(wrap(layer.forward(xb, 0)[0]), target)
-            backward(tape, loss)
+        _forward_backward(layer, rng.standard_normal((batch, dim)), target)
         for name, p in named:
             if p.grad is not None:
                 seen.add(name)
@@ -270,9 +275,7 @@ def efficiency_report(
         # One real step for the per-step figure.  A sparse-gated layer
         # only touches the top-k branches per step: each branch its gate
         # skips leaves a per-expert-rank x dim matrix out of the step.
-        with Tape() as tape:
-            h, gate = layer.forward(x, 0)
-            backward(tape, mse_loss(wrap(h), target))
+        gate = _forward_backward(layer, x, target)
         skipped = 0 if gate is None else int(np.count_nonzero(gate[0] == 0.0))
         expect_step = declared - skipped * hp.per_expert_rank * dim
         # lr is kept vanishingly small: the timed loop below reuses this

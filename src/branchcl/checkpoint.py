@@ -14,12 +14,12 @@ rng states: the next task it starts draws what the saved model would
 have drawn. A manifest whose names or shapes differ from the rebuilt
 model's is rejected, as is a kind, seed, router task list or tensor entry
 of the wrong type, or a tensor whose file is not the one the saver names
-after it. A saved flag may turn a matrix off (a frozen branch, a
-finished router or key) but never on: a tensor marked trainable that the
-rebuilt model holds frozen, such as a backbone or the head, is rejected
-too. The loader does not read the manifest's key task ids, nor the
-per-layer freeze flags of older manifests: the tensor names and flags say
-the same.
+after it or is a symbolic link. A saved flag may turn a matrix off (a
+frozen branch, a finished router or key) but never on: a tensor marked
+trainable that the rebuilt model holds frozen, such as a backbone or the
+head, is rejected too. The loader does not read the manifest's key task
+ids, nor the per-layer freeze flags of older manifests: the tensor names
+and flags say the same.
 
 The manifest is written last and atomically (`write_atomic`), so a save
 that stops part way leaves the previous manifest whole.
@@ -132,6 +132,9 @@ def _check_tensor_spec(manifest_path: Path, name: str, spec) -> None:
             f"{manifest_path}: tensor {name}: 'file' must be "
             f"{_tensor_filename(name)!r}, got {spec['file']!r}"
         )
+    # nor may a symbolic link in the directory point the read elsewhere
+    if (manifest_path.parent / spec["file"]).is_symlink():
+        raise ContractError(f"{manifest_path}: tensor {name}: {spec['file']} is a symbolic link")
 
 
 def _read_tensor(directory: Path, spec: dict, name: str, shape: tuple[int, int]) -> np.ndarray:

@@ -32,20 +32,21 @@ are skipped entirely, so freezing a matrix mid-run is just flipping its
 flag. A step never touches a parameter it skips: its values, grad slot,
 and for Adam its moments and step count, keep their bytes.
 
-The update runs as a few numpy calls per pass. When the updated
-parameters, from the first to the last, span at most `_BUCKET` elements,
-the step is one pass over that span, and each call of the pass is given a
-``where=`` mask that is False on the parameters the step skips inside it;
-a pass that skips nothing makes the same calls with no ``where=``, which
-costs numpy time per element even when it is True. A wider step has a
-pass per run of consecutive updated parameters, cut only between
-parameters into at most `_BUCKET` elements, unless it is one
-parameter larger than that; such a pass skips nothing, so it needs no
-mask. Scratch is never wider than the larger of a bucket and the largest
-parameter. A pass makes the same elementwise operations in the same order
-as an update of one matrix at a time, so the results are bit for bit the
-same. Each pass then checks the values of the parameters it updated: a
-NaN or inf raises `NumericError` naming the first matrix that holds one.
+The update runs as a few numpy calls per pass, each written once with
+a ``where=``. When the updated parameters, from the first to the last,
+span at most `_BUCKET` elements, the step is one pass over that span,
+and its ``where=`` is a mask that is False on the parameters the step
+skips inside it, or the scalar True if it skips none: numpy takes that as
+no mask at all, where an all-True array would cost time per element. A
+wider step has a pass per run of consecutive updated parameters, cut only
+between parameters into at most `_BUCKET` elements, unless it is one
+parameter larger than that; such a pass skips nothing, so its ``where=``
+is True. Scratch is never wider than the larger of a bucket and the
+largest parameter. A pass makes the same elementwise operations in the
+same order as an update of one matrix at a time, so the results are bit
+for bit the same. Each pass then checks the values of the parameters it
+updated: a NaN or inf raises `NumericError` naming the first matrix that
+holds one.
 
 A trainable parameter with no gradient is an error by default, since it
 usually means the forward pass silently dropped it. Sparse-gated models
@@ -107,6 +108,7 @@ class _Arena:
         self._bucket = _BUCKET
         width = min(total, max([self._bucket] + self._sizes))
         self._scratch = np.empty((self.scratch_rows, width))
+        self._on = np.empty(width, dtype=bool)
         self._finite = np.empty(width, dtype=bool)
 
     def release(self) -> None:
@@ -150,46 +152,46 @@ class _Arena:
             updated += size
         return active, updated
 
-    def _passes(self, active: list[int]) -> tuple[list[list[int]], list[int]]:
+    def _passes(self, active: list[int]) -> list[tuple[int, int, np.ndarray | bool]]:
         """The passes of a step that updates the parameters `active`, as
-        [a, b) ranges of parameters, and the parameters inside them that
-        the step skips. If the active parameters span at most a bucket of
-        elements, that span is one pass. Otherwise each run of consecutive
-        active parameters is cut between parameters into at most a bucket
-        of elements each, or one parameter larger than a bucket."""
+        (a, b, on): the range [a, b) of parameters the pass covers and the
+        ``where=`` of each of its calls. If the active parameters span at
+        most a bucket of elements, that span is one pass, masked by
+        `_mask`. Otherwise each run of consecutive active parameters is cut
+        between parameters into at most a bucket of elements each, or one
+        parameter larger than a bucket; such a pass skips nothing."""
         starts, bucket = self._starts, self._bucket
         a, b = active[0], active[-1] + 1
         if starts[b] - starts[a] <= bucket:
-            if b - a == len(active):
-                return [[a, b]], []
-            on = set(active)
-            return [[a, b]], [i for i in range(a, b) if i not in on]
+            return [(a, b, self._mask(a, b, active))]
         passes: list[list[int]] = []
         for i in active:
             if passes and passes[-1][1] == i and starts[i + 1] - starts[passes[-1][0]] <= bucket:
                 passes[-1][1] = i + 1
             else:
                 passes.append([i, i + 1])
-        return passes, []
+        return [(a, b, True) for a, b in passes]
 
-    def _mask(self, a: int, b: int, skipped: list[int]) -> np.ndarray | None:
-        """The ``where=`` of every call of the pass over [a, b): None if it
-        skips no parameter, so that its calls take no mask, else a mask
-        over its elements that is False on each skipped one. The mask
-        lives in `_finite`, which `_check` fills only after the pass."""
-        if not skipped:
-            return None
+    def _mask(self, a: int, b: int, active: list[int]) -> np.ndarray | bool:
+        """The ``where=`` of the pass over [a, b) that updates `active`:
+        True if it skips no parameter, else a mask over its elements that
+        is False on each skipped one."""
+        if b - a == len(active):
+            return True
         starts = self._starts
         lo = starts[a]
-        mask = self._finite[: starts[b] - lo]
+        mask = self._on[: starts[b] - lo]
         mask[...] = True
-        for i in skipped:
-            mask[starts[i] - lo : starts[i + 1] - lo] = False
+        on = set(active)
+        for i in range(a, b):
+            if i not in on:
+                mask[starts[i] - lo : starts[i + 1] - lo] = False
         return mask
 
-    def _check(self, a: int, b: int, w: np.ndarray, skipped: list[int]) -> None:
+    def _check(self, a: int, b: int, w: np.ndarray, on: np.ndarray | bool) -> None:
         """Raise NumericError if a parameter in [a, b), whose values are
-        ``w``, holds a NaN or inf and the step updated it."""
+        ``w``, holds a NaN or inf and the pass updated it: ``on`` is the
+        pass's ``where=``."""
         finite = self._finite[: w.size]
         np.isfinite(w, out=finite)
         if finite.all():
@@ -197,7 +199,8 @@ class _Arena:
         starts = self._starts
         lo = starts[a]
         for i in range(a, b):
-            if i not in skipped and not finite[starts[i] - lo : starts[i + 1] - lo].all():
+            i_lo, i_hi = starts[i] - lo, starts[i + 1] - lo
+            if not finite[i_lo:i_hi].all() and (on is True or on[i_lo]):
                 raise NumericError(
                     f"tensor {self._names[i]} holds a non-finite value after the optimizer step"
                 )
@@ -212,19 +215,13 @@ class Sgd(_Arena):
         active, updated = self._gather()
         if not active:
             return 0
-        passes, skipped = self._passes(active)
-        for a, b in passes:
+        for a, b, on in self._passes(active):
             lo, hi = self._starts[a], self._starts[b]
-            on = self._mask(a, b, skipped)
             g, w = self._grad[lo:hi], self._flat[lo:hi]
             upd = self._scratch[0, : hi - lo]
-            if on is None:
-                np.multiply(g, self.lr, out=upd)
-                np.subtract(w, upd, out=w)
-            else:
-                np.multiply(g, self.lr, out=upd, where=on)
-                np.subtract(w, upd, out=w, where=on)
-            self._check(a, b, w, skipped)
+            np.multiply(g, self.lr, out=upd, where=on)
+            np.subtract(w, upd, out=w, where=on)
+            self._check(a, b, w, on)
         return updated
 
 
@@ -256,7 +253,6 @@ class Adam(_Arena):
         for i in active:
             t[i] = k = t[i] + 1
             steps.add(k)
-        passes, skipped = self._passes(active)
         top = max(steps)
         if top >= self._corrections.shape[1]:
             n = 2 * top
@@ -271,39 +267,26 @@ class Adam(_Arena):
         else:
             # 0 for a parameter with no step yet, which a mask keeps out
             per_param = table.take(t, axis=1)
-        for a, b in passes:
+        for a, b, on in self._passes(active):
             lo, hi = self._starts[a], self._starts[b]
             if per_param is not None:
                 c = per_param[:, a:b].repeat(self._sizes[a:b], axis=1)
-            on = self._mask(a, b, skipped)
             g, mv, w = self._grad[lo:hi], self._moments[:, lo:hi], self._flat[lo:hi]
             s = self._scratch[:, : hi - lo]
             upd, root = s
             # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g, then
             # w -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
-            if on is None:
-                np.multiply(mv, self._decay, out=mv)
-                np.multiply(g, self._mix, out=s)
-                np.multiply(root, g, out=root)
-                np.add(mv, s, out=mv)
-                np.divide(mv, c, out=s)
-                np.multiply(upd, self.lr, out=upd)
-                np.sqrt(root, out=root)
-                np.add(root, _EPS, out=root)
-                np.divide(upd, root, out=upd)
-                np.subtract(w, upd, out=w)
-            else:  # the same calls, kept off the skipped parameters
-                np.multiply(mv, self._decay, out=mv, where=on)
-                np.multiply(g, self._mix, out=s, where=on)
-                np.multiply(root, g, out=root, where=on)
-                np.add(mv, s, out=mv, where=on)
-                np.divide(mv, c, out=s, where=on)
-                np.multiply(upd, self.lr, out=upd, where=on)
-                np.sqrt(root, out=root, where=on)
-                np.add(root, _EPS, out=root, where=on)
-                np.divide(upd, root, out=upd, where=on)
-                np.subtract(w, upd, out=w, where=on)
-            self._check(a, b, w, skipped)
+            np.multiply(mv, self._decay, out=mv, where=on)
+            np.multiply(g, self._mix, out=s, where=on)
+            np.multiply(root, g, out=root, where=on)
+            np.add(mv, s, out=mv, where=on)
+            np.divide(mv, c, out=s, where=on)
+            np.multiply(upd, self.lr, out=upd, where=on)
+            np.sqrt(root, out=root, where=on)
+            np.add(root, _EPS, out=root, where=on)
+            np.divide(upd, root, out=upd, where=on)
+            np.subtract(w, upd, out=w, where=on)
+            self._check(a, b, w, on)
         return updated
 
 

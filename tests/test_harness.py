@@ -249,6 +249,21 @@ class TestRunSeedReport:
         assert again["report"] == result["report"]
 
 
+def test_sgd_smoke_run_is_deterministic_finite_and_freezes():
+    # every method through plain SGD, branchlora's masked passes included
+    cfg = bc.load_config(Path(__file__).parent.parent / "configs" / "smoke.json")
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, optimizer="sgd"))
+    report = bc.run_seed(cfg, 0)["report"]
+    assert bc.run_seed(cfg, 0)["report"] == report
+    assert set(report["methods"]) == set(cfg.methods)
+    for entry in report["methods"].values():
+        values = [*entry["metrics"].values(), *(v for row in entry["eval_matrix"] for v in row)]
+        assert np.isfinite(values).all()
+    ledger = report["methods"]["branchlora"]["freeze_ledger"]
+    assert len(ledger) == cfg.stream.tasks * cfg.adapter.layers
+    assert all(entry["frozen"] for entry in ledger)
+
+
 def trained_branchlora(cfg, out_dir):
     """Run `cfg` on seed 0 and load branchlora's model after its last task."""
     result = bc.run_seed(cfg, 0, out_dir=out_dir)

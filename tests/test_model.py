@@ -279,6 +279,21 @@ class TestCheckpoints:
         with pytest.raises(bc.ContractError, match=match):
             bc.load_model(ckpt)
 
+    def test_tensor_file_may_not_be_a_symlink(self, tmp_path):
+        # the manifest is untouched and the link's target holds the same
+        # bytes, so only the link itself can stop the read
+        model = bc.build_model("lora", CFG, HP, seed=7)
+        ckpt = bc.save_model(tmp_path / "ckpt", model)
+        tensor = ckpt / "layer0.B.f64"
+        outside = tmp_path / "outside.f64"
+        outside.write_bytes(tensor.read_bytes())
+        tensor.unlink()
+        tensor.symlink_to(outside)
+        path = ckpt / "manifest.json"
+        match = rf"^{re.escape(str(path))}: tensor layer0\.B: layer0\.B\.f64 is a symbolic link$"
+        with pytest.raises(bc.ContractError, match=match):
+            bc.load_model(ckpt)
+
 
     @pytest.mark.parametrize("section, key, value", [("model", "width", 16.0),
                                                      ("hyperparams", "rank", 8.0)])
