@@ -24,7 +24,7 @@ gives the outputs, of forwarding the rows one at a time; evaluation uses it
 to run a test split as one forward.
 
 Each kind has one ``forward``, on plain arrays, for training and
-evaluation alike. Under a tape it records the layer as one
+evaluation alike. Handed a tape, it appends the layer to it as one
 ``(backward, cache)`` record, and the layer's hand-written ``backward``
 takes the adjoint of its output, adds each trainable matrix's share to its
 grad and returns the adjoint of its input, unless the layer's record is the
@@ -52,7 +52,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError, RoutingError
-from .tensor import Matrix, add_product, linear, record, recording
+from .tensor import Matrix, Tape, add_product, linear
 
 
 def check_ints(**values) -> None:
@@ -116,12 +116,13 @@ class AdapterLayer:
     The constructor ``cls(rng, backbone, hp)`` draws a fresh layer over a
     given backbone, and ``init`` does so drawing the backbone too unless one
     is given. ``named_matrices()`` names every matrix the layer holds, in
-    checkpoint order. ``forward(x, task_id, per_row=False)`` takes an array
-    and returns the arrays ``(h, gate)``, gate None without a router; a
-    router gates the batch by its first row, or each row on its own with
-    ``per_row`` (ignored by kinds without a router). Under a tape it
-    records ``backward(g, cache, need_dx)``, the layer's gradient (see the
-    module docstring). ``params()`` are the
+    checkpoint order. ``forward(x, task_id, per_row=False, tape=None)``
+    takes an array and returns the arrays ``(h, gate)``, gate None without
+    a router; a router gates the batch by its first row, or each row on its
+    own with ``per_row`` (ignored by kinds without a router). Handed a
+    tape, it appends ``backward(g, cache, need_dx)`` and its cache to it
+    (see the module docstring); a forward that passes no tape builds no
+    record. ``params()`` are the
     (name, matrix) pairs of ``named_matrices`` whose ``trainable`` flag is
     on, in that order: the flag is the only record of what trains, so
     freezing a matrix is turning it off. ``routers`` (per-task routers) stays empty,
@@ -169,10 +170,9 @@ class BackboneLayer(AdapterLayer):
     def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
         self.backbone = backbone
 
-    def forward(
-        self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[np.ndarray, None]:
-        return linear(x, self.backbone.data), None
+    def forward(self, x: np.ndarray, task_id: int | None = None, per_row: bool = False,
+                tape: Tape | None = None) -> tuple[np.ndarray, None]:
+        return linear(x, self.backbone.data, tape), None
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         return [("backbone", self.backbone)]
@@ -207,9 +207,8 @@ class LoRALayer(AdapterLayer):
         self.a = _init_a(rng, d_in, hp.rank)
         self.b = Matrix.zeros(hp.rank, d_out, trainable=True)
 
-    def forward(
-        self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[np.ndarray, None]:
+    def forward(self, x: np.ndarray, task_id: int | None = None, per_row: bool = False,
+                tape: Tape | None = None) -> tuple[np.ndarray, None]:
         a, b = self.a.data, self.b.data
         _check_adapter(self.backbone, x, [a], [b])
         xa = x @ a
@@ -217,7 +216,8 @@ class LoRALayer(AdapterLayer):
         h = x @ self.backbone.data
         delta *= self.hp.scaling
         h += delta
-        record(self.backward, (x, xa))
+        if tape is not None:
+            tape.entries.append((self.backward, (x, xa)))
         return h, None
 
     def backward(self, g: np.ndarray, cache, need_dx: bool) -> np.ndarray | None:
@@ -282,20 +282,19 @@ class _GatedLayer(AdapterLayer):
     """The gated sum and its backward, which MoELoRA and BranchLoRA share:
     they differ in their A matrices, their router and its top k."""
 
-    def _mix(self, x, gate, mask, router, a, b, per_row):
-        """x W + s * sum_j g_j x A_j B_j over the given gate and, under a
+    def _mix(self, x, gate, mask, router, a, b, per_row, tape):
+        """x W + s * sum_j g_j x A_j B_j over the given gate and, given a
         tape, its record.
 
         ``a`` holds one A per B, or one A shared by all of them. Only the
         columns that some gate row holds nonzero run. A one-row gate weighs
         every row of x by a float per column; a gate with one row per row of
-        x weighs row i by gate row i, a column per column. Under a tape each
+        x weighs row i by gate row i, a column per column. Given a tape, each
         unweighted term x A_j B_j is kept for the gate's gradient.
         """
         ad = [m.data for m in a]
         bd = [m.data for m in b]
         _check_adapter(self.backbone, x, ad, bd)
-        taped = recording()
         if gate.shape[0] == 1:
             row = gate[0].tolist()
             live = [j for j, v in enumerate(row) if v != 0.0]
@@ -313,13 +312,14 @@ class _GatedLayer(AdapterLayer):
         for j, wj, xa in zip(live, weights, xas):
             p = xa @ bd[j]
             delta += wj * p
-            if taped:
+            if tape is not None:
                 terms.append(p)
         h = x @ w
         delta *= self.hp.scaling
         h += delta
-        if taped:
-            record(self.backward, (x, gate, mask, router, per_row, a, b, live, weights, xas, terms))
+        if tape is not None:
+            cache = (x, gate, mask, router, per_row, a, b, live, weights, xas, terms)
+            tape.entries.append((self.backward, cache))
         return h, gate
 
     def backward(self, g: np.ndarray, cache, need_dx: bool) -> np.ndarray | None:
@@ -389,12 +389,11 @@ class MoELoRALayer(_GatedLayer):
             self.experts.append((a, b))
         self.router = Matrix.zeros(d_in, hp.experts, trainable=True)
 
-    def forward(
-        self, x: np.ndarray, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray, task_id: int | None = None, per_row: bool = False,
+                tape: Tape | None = None) -> tuple[np.ndarray, np.ndarray]:
         gate, mask = top_k_gate(x, self.router.data, self.hp.experts, per_row)
         a, b = zip(*self.experts)
-        return self._mix(x, gate, mask, self.router, a, b, per_row)
+        return self._mix(x, gate, mask, self.router, a, b, per_row, tape)
 
     def named_matrices(self) -> list[tuple[str, Matrix]]:
         out = [("backbone", self.backbone)]
@@ -448,12 +447,11 @@ class BranchLoRALayer(_GatedLayer):
             raise RoutingError(f"no router registered for task {task_id}")
         return top_k_gate(x, router.data, self.hp.top_k, per_row)
 
-    def forward(
-        self, x: np.ndarray, task_id: int, per_row: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray, task_id: int, per_row: bool = False,
+                tape: Tape | None = None) -> tuple[np.ndarray, np.ndarray]:
         gate, mask = self.gate_for(x, task_id, per_row)
         router = self.routers[task_id]
-        return self._mix(x, gate, mask, router, [self.a_shared], self.branches, per_row)
+        return self._mix(x, gate, mask, router, [self.a_shared], self.branches, per_row, tape)
 
     @property
     def frozen(self) -> list[bool]:

@@ -184,9 +184,9 @@ def _forward_backward(layer, x, target) -> np.ndarray | None:
     """One taped forward of `layer` on ``x`` and the backward of its MSE
     against ``target``, which leaves a grad on each matrix it reaches;
     returns the layer's gate."""
-    with Tape() as tape:
-        h, gate = layer.forward(x, 0)
-        backward(tape, mse_loss(wrap(h), target))
+    tape = Tape()
+    h, gate = layer.forward(x, 0, tape=tape)
+    backward(tape, mse_loss(wrap(h), target, tape))
     return gate
 
 

@@ -13,13 +13,13 @@ bytes and flag, so the loaded model has the saved one's matrix names and
 rng states: the next task it starts draws what the saved model would
 have drawn. A manifest whose names or shapes differ from the rebuilt
 model's is rejected, as is a kind, seed, router task list or tensor entry
-of the wrong type, or a tensor whose file is not the one the saver names
-after it or is a symbolic link. A saved flag may turn a matrix off (a
-frozen branch, a finished router or key) but never on: a tensor marked
-trainable that the rebuilt model holds frozen, such as a backbone or the
-head, is rejected too. The loader does not read the manifest's key task
-ids, nor the per-layer freeze flags of older manifests: the tensor names
-and flags say the same.
+of the wrong type, a manifest that is a symbolic link, or a tensor whose
+file is not the one the saver names after it or is a symbolic link. A
+saved flag may turn a matrix off (a frozen branch, a finished router or
+key) but never on: a tensor marked trainable that the rebuilt model holds
+frozen, such as a backbone or the head, is rejected too. The loader does
+not read the manifest's key task ids, nor the per-layer freeze flags of
+older manifests: the tensor names and flags say the same.
 
 The manifest is written last and atomically (`write_atomic`), so a save
 that stops part way leaves the previous manifest whole.
@@ -159,6 +159,8 @@ def load_model(directory: str | Path) -> ContinualModel:
     overwrite every named matrix with the saved values and flags."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
+    if manifest_path.is_symlink():
+        raise ContractError(f"{manifest_path} is a symbolic link")
     if not manifest_path.is_file():
         raise ContractError(f"no manifest.json in {directory}")
     try:

@@ -109,13 +109,13 @@ def train_task(
             xb = wrap(x_train[idx])
             yb = y_train[idx]
             t0 = time.perf_counter()
-            with Tape() as tape:
-                logits, gates = model.forward(xb, task_id)
-                loss = cross_entropy(logits, yb)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise NumericError(f"{where}, batch {batches}: training loss is {value}")
-                backward(tape, loss)
+            tape = Tape()
+            logits, gates = model.forward(xb, task_id, tape=tape)
+            loss = cross_entropy(logits, yb, tape)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NumericError(f"{where}, batch {batches}: training loss is {value}")
+            backward(tape, loss)
             if keys is not None:
                 alignment_loss(xb, keys, align_weight)
             try:
@@ -155,7 +155,7 @@ def evaluate(
     up to each forward to that forward's rows, and its tests pin one
     forward per row, so grouping rows by selected task waits for the
     grouped-evaluation item of ROADMAP, which changes the benchmark first.
-    No tape is active here, so no forward builds a record (see
+    Evaluation passes no tape, so no forward builds a record (see
     `ContinualModel.forward`). A row with task selection costs about
     57 us at eval-many-tasks shapes (two 32-wide layers, eight task keys;
     the median of ten benchmark runs on a shared 2-core x86 machine), almost

@@ -8,9 +8,9 @@ makes the zero-shot baseline sit at chance.
 
 `ContinualModel.forward` runs on plain arrays, for training and evaluation
 alike: each layer's ``forward``, `tensor.activation` between layers and
-`tensor.linear` for the head. Under a tape each of them records itself, so
-that `tensor.backward` can walk the chain back; only the logits are
-wrapped as a matrix.
+`tensor.linear` for the head. Handed a tape, each of them appends its
+record to it, so that `tensor.backward` can walk the chain back; only the
+logits are wrapped as a matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .adapters import LAYERS, AdapterHyperparams, AdapterLayer, check_ints, draw_backbone
 from .errors import ParameterError
 from .selector import KeyStore
-from .tensor import Matrix, activation, linear, wrap
+from .tensor import Matrix, Tape, activation, linear, wrap
 
 _BACKBONE_TAG = 11
 _ADAPTER_TAG = 12
@@ -66,24 +66,23 @@ class ContinualModel:
         self._key_rng = np.random.default_rng(np.random.SeedSequence([seed, _KEY_TAG]))
         self._router_rng = np.random.default_rng(np.random.SeedSequence([seed, _ROUTER_TAG]))
 
-    def forward(
-        self, x: Matrix, task_id: int | None = None, per_row: bool = False
-    ) -> tuple[Matrix, list[np.ndarray]]:
+    def forward(self, x: Matrix, task_id: int | None = None, per_row: bool = False,
+                tape: Tape | None = None) -> tuple[Matrix, list[np.ndarray]]:
         """Run the stack; returns (logits, per-layer gate arrays). Gates are
         empty for kinds without a router. Routers gate the batch by its
-        first row, or each row on its own with ``per_row``. Under a tape
-        every layer, activation and the head record themselves, in that
-        order, so `backward` can reach every trainable matrix."""
+        first row, or each row on its own with ``per_row``. Given a tape,
+        every layer, activation and the head append their records to it, in
+        that order, so `backward` can reach every trainable matrix."""
         h = x.data
         last = len(self.layers) - 1
         gates = []
         for i, layer in enumerate(self.layers):
-            h, gate = layer.forward(h, task_id, per_row)
+            h, gate = layer.forward(h, task_id, per_row, tape)
             if gate is not None:
                 gates.append(gate)
             if i < last:
-                h = activation(h)
-        return wrap(linear(h, self.head.data)), gates
+                h = activation(h, tape)
+        return wrap(linear(h, self.head.data, tape)), gates
 
     def start_task(self, task_id: int) -> None:
         """Register the task with every layer and, if they gave it a router,

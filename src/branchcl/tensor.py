@@ -6,19 +6,19 @@ this module holds what every chain shares: the tape, `linear` for a
 constant weight, `activation`, the two losses and `backward`.
 
 The chain a training step differentiates is fixed: each layer, tanh
-between layers, the frozen head, the loss. While a `Tape` is active, each
-link of that chain appends one ``(backward, cache)`` record to it: a layer,
-`activation`, `linear` (the head) and a loss (`cross_entropy`,
-`mse_loss`). With no tape a forward records nothing. `backward(tape,
-loss)` walks the records in reverse and passes one adjoint down the chain:
-``backward(g, cache, need_dx)`` takes the adjoint of its output and
-returns that of its input, except for the tape's first record, whose input
-is data (``need_dx`` false). A loss is the last record, and its backward
-ignores ``g``: the loss's adjoint is one. A layer's backward adds each
-trainable matrix's share of the gradient to its grad with `add_product`,
-which computes a first share straight into the matrix's optimizer grad
-slot when it has one. The task keys' alignment gradient needs no tape:
-`selector.alignment_loss` computes it directly.
+between layers, the frozen head, the loss. A training forward is handed
+its `Tape` as an argument, and each link of that chain appends one
+``(backward, cache)`` record to it: a layer, `activation`, `linear` (the
+head) and a loss (`cross_entropy`, `mse_loss`). A forward that passes no
+tape builds no record. `backward(tape, loss)` walks the records in reverse
+and passes one adjoint down the chain: ``backward(g, cache, need_dx)``
+takes the adjoint of its output and returns that of its input, except for
+the tape's first record, whose input is data (``need_dx`` false). A loss
+is the last record, and its backward ignores ``g``: the loss's adjoint is
+one. A layer's backward adds each trainable matrix's share of the gradient
+to its grad with `add_product`, which computes a first share straight into
+the matrix's optimizer grad slot when it has one. The task keys' alignment
+gradient needs no tape: `selector.alignment_loss` computes it directly.
 """
 
 from __future__ import annotations
@@ -107,33 +107,12 @@ Backward = Callable[[np.ndarray | None, object, bool], np.ndarray | None]
 
 
 class Tape:
-    """The records of one training forward, in forward order; a context
-    manager. While it is active, each link of the chain appends one
-    ``(backward, cache)`` record."""
+    """The records of one training forward, in forward order: each link of
+    the chain that is handed the tape appends one ``(backward, cache)``
+    record."""
 
     def __init__(self):
         self.entries: list[tuple[Backward, object]] = []
-
-    def __enter__(self) -> "Tape":
-        _TAPES.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _TAPES.pop()
-
-
-_TAPES: list[Tape] = []
-
-
-def recording() -> bool:
-    """Whether a tape is active, so that a forward records."""
-    return bool(_TAPES)
-
-
-def record(backward: Backward, cache) -> None:
-    """Append one record to the active tape, if there is one."""
-    if _TAPES:
-        _TAPES[-1].entries.append((backward, cache))
 
 
 def add_product(m: Matrix, p: np.ndarray, q: np.ndarray) -> None:
@@ -151,14 +130,15 @@ def _through_constant(g: np.ndarray, w: np.ndarray, need_dx: bool) -> np.ndarray
     return g @ w.T if need_dx else None
 
 
-def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def linear(x: np.ndarray, w: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """x @ w for a constant w (a frozen backbone, the head); its record
     hands x the adjoint g w^T."""
     if x.shape[1] != w.shape[0]:
         (r, c), (r2, c2) = x.shape, w.shape
         raise DimensionError(f"matmul: inner dimensions differ, {r}x{c} @ {r2}x{c2}")
     y = x @ w
-    record(_through_constant, w)
+    if tape is not None:
+        tape.entries.append((_through_constant, w))
     return y
 
 
@@ -166,11 +146,12 @@ def _through_tanh(g: np.ndarray, t: np.ndarray, need_dx: bool) -> np.ndarray:
     return g * (1.0 - t * t)
 
 
-def activation(h: np.ndarray) -> np.ndarray:
+def activation(h: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """tanh(h), the activation between layers; its record hands h the
     adjoint g (1 - t^2)."""
     t = np.tanh(h)
-    record(_through_tanh, t)
+    if tape is not None:
+        tape.entries.append((_through_tanh, t))
     return t
 
 
@@ -182,7 +163,7 @@ def _cross_entropy_backward(g, cache, need_dx: bool) -> np.ndarray:
     return p
 
 
-def cross_entropy(logits: Matrix, labels) -> Matrix:
+def cross_entropy(logits: Matrix, labels, tape: Tape | None = None) -> Matrix:
     """Mean cross-entropy of row-wise class logits against integer labels."""
     y = np.asarray(labels, dtype=np.int64).ravel()
     z = logits.data
@@ -201,7 +182,8 @@ def cross_entropy(logits: Matrix, labels) -> Matrix:
     lse = m[:, 0] + np.log(sums)
     index = np.arange(n)
     losses = lse - z[index, y]
-    record(_cross_entropy_backward, (e, sums, index, y, n))
+    if tape is not None:
+        tape.entries.append((_cross_entropy_backward, (e, sums, index, y, n)))
     # the same bytes as losses.mean(), without its dispatch overhead
     return wrap(np.array([[losses.sum() / n]]))
 
@@ -210,12 +192,13 @@ def _mse_backward(g, diff: np.ndarray, need_dx: bool) -> np.ndarray:
     return 2.0 / diff.size * diff
 
 
-def mse_loss(a: Matrix, b: Matrix) -> Matrix:
+def mse_loss(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Mean squared difference of a from the constant target b."""
     if a.shape != b.shape:
         raise DimensionError(f"mse_loss: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     diff = a.data - b.data
-    record(_mse_backward, diff)
+    if tape is not None:
+        tape.entries.append((_mse_backward, diff))
     return wrap(np.array([[float((diff * diff).mean())]]))
 
 

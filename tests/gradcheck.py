@@ -7,7 +7,9 @@ Each case builds a scalar loss from trainable matrices; the gradients
 vector norm per matrix (so isolated rounding noise on near-zero entries
 does not swamp the comparison). A layer's input is data, not a parameter,
 so a case that checks the input's gradient (dx) reads it through `watch`:
-a record ahead of the layer that stores the adjoint it is handed.
+a record ahead of the layer that stores the adjoint it is handed. A
+case's ``run(tape=None)`` hands the tape to every link it builds; finite
+differences call it with no tape.
 
 Matrix-valued outputs are reduced to a scalar through mse_loss against a
 fixed target; mse_loss itself has a direct case, so the composition is
@@ -17,7 +19,7 @@ covered from both ends.
 import numpy as np
 
 import branchcl as bc
-from branchcl.tensor import activation, linear, record, wrap
+from branchcl.tensor import activation, linear, wrap
 from oracles import fd_gradient
 
 
@@ -25,23 +27,25 @@ def _store(g, m, need_dx):
     m.grad = g if m.grad is None else m.grad + g
 
 
-def watch(m: bc.Matrix) -> np.ndarray:
-    """m's values as a chain's input. On a tape, a record ahead of the
+def watch(m: bc.Matrix, tape: bc.Tape | None) -> np.ndarray:
+    """m's values as a chain's input. Given a tape, a record ahead of the
     chain adds the adjoint it is handed to m.grad, so m's gradient is the
     dx of the record after it."""
-    record(_store, m)
+    if tape is not None:
+        tape.entries.append((_store, m))
     return m.data
 
 
 def run_case(mats, run, eps=1e-6):
     """Max norm-relative disagreement between backward's gradients and FD.
 
-    ``mats`` are the trainable matrices that ``run()`` reads, and ``run()``
-    returns the loss. Each matrix's values are perturbed in place for FD."""
+    ``mats`` are the trainable matrices that ``run(tape=None)`` reads, and
+    it returns the loss. Each matrix's values are perturbed in place for
+    FD."""
     for m in mats:
         m.grad = None
-    with bc.Tape() as tape:
-        bc.backward(tape, run())
+    tape = bc.Tape()
+    bc.backward(tape, run(tape))
     worst = 0.0
     for m in mats:
         ad, values = m.grad, m.data
@@ -71,8 +75,8 @@ def _target(rng, rows, cols):
     return bc.Matrix(rng.standard_normal((rows, cols)))
 
 
-def _mse(h, t):
-    return bc.mse_loss(wrap(h), t)
+def _mse(h, t, tape):
+    return bc.mse_loss(wrap(h), t, tape)
 
 
 def _input(rng, rows, cols):
@@ -85,14 +89,14 @@ def case_matmul(rng):
     x = _input(rng, 3, 4)
     w = rng.standard_normal((4, 2))
     t = _target(rng, 3, 2)
-    return [x], lambda: _mse(linear(watch(x), w), t)
+    return [x], lambda tape=None: _mse(linear(watch(x, tape), w, tape), t, tape)
 
 
 def case_tanh(rng):
     """`activation`, the tanh between layers."""
     x = _input(rng, 3, 3)
     t = _target(rng, 3, 3)
-    return [x], lambda: _mse(activation(watch(x)), t)
+    return [x], lambda tape=None: _mse(activation(watch(x, tape), tape), t, tape)
 
 
 def _randomized(layer, rng):
@@ -138,9 +142,9 @@ def _layer_case(rng, layer, x, per_row, task_id=None):
     """x and every trainable matrix of the layer as parameters."""
     t = _target(rng, x.rows, layer.backbone.cols)
 
-    def run():
-        h, _ = layer.forward(watch(x), task_id, per_row)
-        return _mse(h, t)
+    def run(tape=None):
+        h, _ = layer.forward(watch(x, tape), task_id, per_row, tape)
+        return _mse(h, t, tape)
 
     return [x, *(m for _, m in layer.params())], run
 
@@ -198,10 +202,10 @@ def case_chain(rng):
     second = _branch(rng, np.tanh(first.forward(x.data)[0]), False)
     t = _target(rng, 3, 3)
 
-    def run():
-        h, _ = first.forward(watch(x))
-        h, _ = second.forward(activation(h), 0)
-        return _mse(h, t)
+    def run(tape=None):
+        h, _ = first.forward(watch(x, tape), tape=tape)
+        h, _ = second.forward(activation(h, tape), 0, tape=tape)
+        return _mse(h, t, tape)
 
     return [x, *(m for layer in (first, second) for _, m in layer.params())], run
 
@@ -209,13 +213,13 @@ def case_chain(rng):
 def case_cross_entropy(rng):
     logits = _input(rng, 4, 5)
     labels = rng.integers(0, 5, size=4)
-    return [logits], lambda: bc.cross_entropy(wrap(watch(logits)), labels)
+    return [logits], lambda tape=None: bc.cross_entropy(wrap(watch(logits, tape)), labels, tape)
 
 
 def case_mse_loss(rng):
     a = _input(rng, 3, 4)
     b = _target(rng, 3, 4)
-    return [a], lambda: bc.mse_loss(wrap(watch(a)), b)
+    return [a], lambda tape=None: bc.mse_loss(wrap(watch(a, tape)), b, tape)
 
 
 def _model_case(rng, kind):
@@ -240,9 +244,9 @@ def _model_case(rng, kind):
         if min(gaps, default=1.0) > 1e-3:
             break
 
-    def run():
-        logits, _ = model.forward(x, task_id)
-        return bc.cross_entropy(logits, labels)
+    def run(tape=None):
+        logits, _ = model.forward(x, task_id, tape=tape)
+        return bc.cross_entropy(logits, labels, tape)
 
     return [m for _, m in model.trainable_params()], run
 

@@ -59,9 +59,8 @@ def test_per_row_forward_equals_one_row_forwards(kind, seed, task_id, x):
 
 
 def both_paths(model, x, tid, per_row=False):
-    """The forward run under a tape, which records it, and with none."""
-    with bc.Tape():
-        taped = model.forward(bc.Matrix(x), tid, per_row)
+    """The forward run on a tape, which records it, and with none."""
+    taped = model.forward(bc.Matrix(x), tid, per_row, tape=bc.Tape())
     return taped, model.forward(bc.Matrix(x), tid, per_row)
 
 
@@ -96,15 +95,14 @@ def test_untaped_forward_is_the_taped_forward_bit_for_bit(kind, seed, task_id, f
 
 def assert_both_paths_raise(error, model, x, tid, match=None):
     with pytest.raises(error, match=match):
-        with bc.Tape():
-            model.forward(bc.Matrix(x), tid)
+        model.forward(bc.Matrix(x), tid, tape=bc.Tape())
     with pytest.raises(error, match=match):
         model.forward(bc.Matrix(x), tid)
 
 
 @pytest.mark.parametrize("kind", LAYERS)
 def test_untaped_forward_makes_the_checks_the_ops_make(kind):
-    # the same checks, with a tape recording and without
+    # the same checks, with a tape to record on and without
     model = trained_like(kind, seed=5)
     tid = 0 if kind == "branchlora" else None
     x = np.random.default_rng(5).standard_normal((3, WIDTH))

@@ -136,10 +136,9 @@ class TestCheckpoints:
         # a sparse gate leaves unselected branches without a grad
         allow = model.layers[0].allow_missing
         opt = bc.make_optimizer("adam", model.trainable_params(), lr=1e-2, allow_missing=allow)
-        with bc.Tape() as tape:
-            logits, _ = model.forward(x, task_id)
-            loss = bc.cross_entropy(logits, y)
-            bc.backward(tape, loss)
+        tape = bc.Tape()
+        logits, _ = model.forward(x, task_id, tape=tape)
+        bc.backward(tape, bc.cross_entropy(logits, y, tape))
         opt.step()
 
     @pytest.mark.parametrize("kind", LAYERS)
@@ -292,6 +291,19 @@ class TestCheckpoints:
         path = ckpt / "manifest.json"
         match = rf"^{re.escape(str(path))}: tensor layer0\.B: layer0\.B\.f64 is a symbolic link$"
         with pytest.raises(bc.ContractError, match=match):
+            bc.load_model(ckpt)
+
+    def test_manifest_may_not_be_a_symlink(self, tmp_path):
+        # the link's target holds the same text, so only the link itself
+        # can stop the read
+        model = bc.build_model("lora", CFG, HP, seed=7)
+        ckpt = bc.save_model(tmp_path / "ckpt", model)
+        path = ckpt / "manifest.json"
+        outside = tmp_path / "outside.json"
+        outside.write_text(path.read_text())
+        path.unlink()
+        path.symlink_to(outside)
+        with pytest.raises(bc.ContractError, match=rf"^{re.escape(str(path))} is a symbolic link$"):
             bc.load_model(ckpt)
 
 

@@ -209,9 +209,9 @@ def test_release_gives_each_matrix_its_own_bytes():
 
 def reach(model, x, y):
     """Grads of one batch's cross-entropy through a real backward."""
-    with bc.Tape() as tape:
-        logits, _ = model.forward(bc.Matrix(x), 0)
-        bc.backward(tape, bc.cross_entropy(logits, y))
+    tape = bc.Tape()
+    logits, _ = model.forward(bc.Matrix(x), 0, tape=tape)
+    bc.backward(tape, bc.cross_entropy(logits, y, tape))
 
 
 MODEL_CFG = bc.ModelConfig(width=16, classes=4, layers=2)
@@ -289,9 +289,9 @@ def test_release_drops_the_grad_slots():
     x = np.arange(6.0).reshape(3, 2)
 
     def grad_of_loss():
-        with bc.Tape() as tape:
-            h, _ = layer.forward(x)
-            bc.backward(tape, bc.mse_loss(wrap(h), bc.Matrix(x)))
+        tape = bc.Tape()
+        h, _ = layer.forward(x, tape=tape)
+        bc.backward(tape, bc.mse_loss(wrap(h), bc.Matrix(x), tape))
 
     opt = bc.make_optimizer("adam", [("w", w)], lr=0.1)
     grad_of_loss()

@@ -65,9 +65,9 @@ def layer_of(cls, d_in, d_out, rank, experts, top_k, rng):
 def mse_backward(layer, x, target, task_id=0, per_row=False):
     """One backward of mse(layer(watch(x)), target): x's grad is the
     layer's dx."""
-    with bc.Tape() as tape:
-        h, _ = layer.forward(watch(x), task_id, per_row)
-        bc.backward(tape, bc.mse_loss(wrap(h), mat(target)))
+    tape = bc.Tape()
+    h, _ = layer.forward(watch(x, tape), task_id, per_row, tape)
+    bc.backward(tape, bc.mse_loss(wrap(h), mat(target), tape))
 
 
 class TestValues:
@@ -316,10 +316,10 @@ class TestContracts:
 
     def test_backward_requires_scalar_loss(self):
         layer = layer_of(bc.LoRALayer, 2, 3, 2, 1, 1, np.random.default_rng(0))
-        with bc.Tape() as tape:
-            h, _ = layer.forward(np.ones((1, 2)))
-            with pytest.raises(ContractError, match="loss must be 1x1"):
-                bc.backward(tape, wrap(h))
+        tape = bc.Tape()
+        h, _ = layer.forward(np.ones((1, 2)), tape=tape)
+        with pytest.raises(ContractError, match="loss must be 1x1"):
+            bc.backward(tape, wrap(h))
         assert layer.a.grad is None and layer.b.grad is None
 
     def test_item_requires_1x1(self):
@@ -356,6 +356,57 @@ class TestGradients:
             for m, once, twice in zip(params, *grads):
                 assert twice.tobytes() == (once + once).tobytes()
                 assert (m.grad is m._slot) == slotted
+
+    @pytest.mark.parametrize("slotted", [False, True])
+    @pytest.mark.parametrize("kind", ["lora", "moelora", "branchlora"])
+    def test_two_tapes_backward_as_if_alone(self, kind, slotted):
+        # A forward appends only to the tape it is handed, so two forwards
+        # may run before either backward: each backward then gives the
+        # gradient bits of its forward and backward run alone, in either
+        # order. The two batches differ in rows and in per_row, and
+        # branchlora's route by two tasks' routers.
+        rng = np.random.default_rng(16)
+        hp = bc.AdapterHyperparams(rank=8, alpha=12.0, experts=4, top_k=2)
+        model = bc.build_model(kind, bc.ModelConfig(width=6, classes=3, layers=2), hp, seed=3)
+        model.start_task(0)
+        model.start_task(1)
+        for layer in model.layers:
+            for _, m in layer.params():
+                m.data = rng.standard_normal(m.shape)
+        if slotted:  # shares are computed straight into the optimizer's grad slots
+            opt = bc.make_optimizer("sgd", model.trainable_params(), allow_missing=True)
+        params = [m for _, m in model.trainable_params()]
+        tids = (0, 1) if model.layers[0].routers else (None, None)
+        batches = [
+            (bc.Matrix(rng.standard_normal((rows, 6))), rng.integers(0, 3, size=rows), tid, per_row)
+            for rows, tid, per_row in zip((5, 4), tids, (False, True))
+        ]
+
+        def forward(x, y, tid, per_row):
+            tape = bc.Tape()
+            logits, _ = model.forward(x, tid, per_row, tape)
+            return tape, bc.cross_entropy(logits, y, tape)
+
+        def take_grads():
+            assert all(m.grad is None or (m.grad is m._slot) == slotted for m in params)
+            out = [None if m.grad is None else m.grad.tobytes() for m in params]
+            for m in params:
+                m.grad = None
+            return out
+
+        alone = []
+        for batch in batches:
+            bc.backward(*forward(*batch))
+            alone.append(take_grads())
+        assert alone[0] != alone[1]
+        assert all(g is not None for g in alone[0] + alone[1] if kind != "branchlora")
+        for order in ((0, 1), (1, 0)):
+            runs = [forward(*batch) for batch in batches]
+            for i in order:
+                bc.backward(*runs[i])
+                assert take_grads() == alone[i]
+        if slotted:
+            opt.release()
 
     def test_untouched_leaf_keeps_none_grad(self):
         # only the branches the gate selects, and that are not frozen, get
@@ -430,8 +481,8 @@ class TestGradients:
             z = rng.standard_normal((rows, cols)) * 3.0
             labels = rng.integers(0, cols, size=rows)
             logits = mat(z, trainable=True)
-            with bc.Tape() as tape:
-                bc.backward(tape, bc.cross_entropy(wrap(watch(logits)), labels))
+            tape = bc.Tape()
+            bc.backward(tape, bc.cross_entropy(wrap(watch(logits, tape)), labels, tape))
             p = np.exp(z - z.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(rows), labels] -= 1.0
@@ -496,12 +547,12 @@ class TestGradients:
         x0 = rng.standard_normal((6, 5))
         named = dict(layer.named_matrices())
         leaf = mat(x0, trainable=True)
-        with bc.Tape() as tape:
-            x = x0 if x_kind == "constant" else watch(leaf)
-            if x_kind == "op_output":
-                x = activation(x)
-            h, g = layer.forward(x, 0, per_row)
-            bc.backward(tape, bc.mse_loss(wrap(activation(h)), mat(np.zeros(h.shape))))
+        tape = bc.Tape()
+        x = x0 if x_kind == "constant" else watch(leaf, tape)
+        if x_kind == "op_output":
+            x = activation(x, tape)
+        h, g = layer.forward(x, 0, per_row, tape)
+        bc.backward(tape, bc.mse_loss(wrap(activation(h, tape)), mat(np.zeros(h.shape)), tape))
 
         nodes = {name: oracles.Node(m.data, m.trainable) for name, m in named.items()}
         a = [nodes[n] for n in named if n == "A" or n.endswith(".A")]
@@ -540,8 +591,8 @@ class TestOptim:
     @staticmethod
     def square_grad(p):
         """p's grad from the loss mean(p^2), 2p / size, by a backward."""
-        with bc.Tape() as tape:
-            bc.backward(tape, bc.mse_loss(wrap(watch(p)), mat(np.zeros(p.shape))))
+        tape = bc.Tape()
+        bc.backward(tape, bc.mse_loss(wrap(watch(p, tape)), mat(np.zeros(p.shape)), tape))
 
     def test_sgd_step(self):
         p = mat([[1.0]], trainable=True)
