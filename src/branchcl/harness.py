@@ -150,17 +150,22 @@ def evaluate(
 
     Models without task keys run the whole split as one forward with every
     row routed on its own (``per_row``). A model with task keys runs one
-    `select_task` call and one forward per row. That is the benchmark's
-    contract: its per-sample timer (``bench/worker.py``) charges the time
-    up to each forward to that forward's rows, and its tests pin one
-    forward per row, so grouping rows by selected task waits for the
-    grouped-evaluation item of ROADMAP, which changes the benchmark first.
-    Evaluation passes no tape, so no forward builds a record (see
+    forward per row. Under "auto" the split is first scored against every
+    task's keys in one `StackedKeys.scores` call, which also rejects a row
+    with a zero-norm view, naming it, before any forward; each row then
+    makes one `select_task` call on its row of scores. A batch scores
+    bit-identically to its rows scored one at a time, so each row selects
+    what it would alone. One selection and one forward per row is the
+    benchmark's contract: its per-sample timer (``bench/worker.py``)
+    charges the time up to each forward to that forward's rows, and its
+    tests pin one forward per row, so grouping rows by selected task waits
+    for the grouped-evaluation item of ROADMAP, which changes the benchmark
+    first. Evaluation passes no tape, so no forward builds a record (see
     `ContinualModel.forward`). A row with task selection costs about
-    57 us at eval-many-tasks shapes (two 32-wide layers, eight task keys;
+    47 us at eval-many-tasks shapes (two 32-wide layers, eight task keys;
     the median of ten benchmark runs on a shared 2-core x86 machine), almost
-    all of it the fixed cost of a few dozen small numpy calls; a batched
-    moelora row costs about 1.6 us.
+    all of it the fixed cost of a few dozen small numpy calls in its
+    forward; a batched moelora row costs about 1.6 us.
     """
     if selector not in ("oracle", "auto"):
         raise ParameterError(f"selector must be 'oracle' or 'auto', got {selector!r}")
@@ -175,9 +180,10 @@ def evaluate(
         logits, _ = model.forward(wrap(x), task.task_id, per_row=True)
         return int(np.count_nonzero(np.argmax(logits.data, axis=1) == y)) / len(y)
     keys = model.keys.stack() if selector == "auto" else None
+    scores = keys.scores(x) if keys is not None else None
     hits = 0
     for i, label in enumerate(y):
-        tid = task.task_id if keys is None else select_task(x[i], keys)
+        tid = task.task_id if keys is None else select_task(scores[i], keys)
         logits, _ = model.forward(wrap(x[i : i + 1]), tid)
         hits += int(logits.data[0].argmax() == label)
     return hits / len(y)

@@ -6,6 +6,12 @@ input vector. Training pulls each key toward its task's inputs via a
 cosine alignment loss, whose gradient reaches only the keys and is
 computed directly rather than on the tape; at evaluation the task whose
 keys are most similar to a sample's views wins.
+
+Selection is split in two: `StackedKeys.scores` scores a whole batch of
+rows against every task's keys in one pass, and makes the input checks;
+`select_task` picks one row's task from its row of those scores. A batch
+scores bit-identically to its rows scored one at a time, so scoring a
+test split once picks what scoring each row alone would.
 """
 
 from __future__ import annotations
@@ -120,7 +126,9 @@ class StackedKeys:
             )
         n = np.sqrt(np.vecdot(v, v))
         if not n.all():
-            raise SelectorError("sample embedding has zero norm")
+            row, view = np.argwhere(n == 0.0)[0]
+            name = ("image", "text")[view]
+            raise SelectorError(f"input row {row}: its {name} view has zero norm")
         c = np.vecdot(self.keys, v[:, :, None, :]) / (n[:, :, None] * self.norms)
         return c[:, 0] + c[:, 1]
 
@@ -130,7 +138,7 @@ def alignment_loss(x: Matrix, keys: TaskKeys, weight: float) -> None:
     weight * (sum_j (1 - cos(img_j, k_img)) + sum_j (1 - cos(txt_j, k_txt)))
     over the rows of x.
 
-    Each row's two views are its halves, as in `select_task`. The loss
+    Each row's two views are its halves, as in `StackedKeys.scores`. The loss
     reaches only the keys, and no forward reads a key, so its gradient is
     computed here directly, with no tape, and its value, which nothing
     reads, is not computed. The grad is assigned, so the optimizer copies
@@ -164,26 +172,27 @@ def alignment_loss(x: Matrix, keys: TaskKeys, weight: float) -> None:
     keys.k_txt.grad = g[1:2]
 
 
-def select_task(x: np.ndarray, keys: StackedKeys) -> int:
-    """Return the task id whose keys best match the two views of input row x.
+def select_task(scores: np.ndarray, keys: StackedKeys) -> int:
+    """Return the task id of the highest of one row's task scores.
 
-    x is one row: a 1-D array or a 1 x d matrix. A task scores
-    cos(img, k_img) + cos(txt, k_txt), img and txt being the two halves of
-    x. Ties break toward the lowest task index.
+    `scores` is one row of `keys.scores(x)`: one score per task, in the
+    order of `keys.task_ids`. Ties break toward the lowest task index.
+    Scoring is left to the caller so that a whole split is scored in one
+    `StackedKeys.scores` call, which also makes the input checks.
     """
-    row = np.asarray(x, dtype=np.float64)
-    if row.ndim == 1:
-        row = row[None]
-    elif row.ndim != 2 or row.shape[0] != 1:
-        raise DimensionError(f"select_task takes one input row, got shape {row.shape}")
-    return keys.task_ids[keys.scores(row)[0].argmax()]
+    if np.shape(scores) != (len(keys.task_ids),):
+        raise DimensionError(
+            f"select_task takes one row of {len(keys.task_ids)} task scores, "
+            f"got shape {np.shape(scores)}"
+        )
+    return keys.task_ids[np.argmax(scores)]
 
 
 def selector_accuracy(x: np.ndarray, task_ids: np.ndarray, store: KeyStore) -> float:
     """Fraction of the input rows of x routed to their true task id.
 
     The keys are stacked once and every row is scored in one broadcast
-    pass; each row picks the task `select_task` picks for it.
+    pass; each row picks the task `select_task` picks from its scores.
     """
     if len(x) == 0:
         raise SelectorError("selector_accuracy needs at least one sample")

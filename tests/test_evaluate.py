@@ -142,7 +142,7 @@ def per_sample_accuracy(model, task, selector):
     for i, row in enumerate(task.x_test):
         tid = task.task_id
         if selector == "auto" and model.kind == "branchlora":
-            tid = bc.select_task(row, keys)
+            tid = bc.select_task(keys.scores(row[None])[0], keys)
         logits, _ = model.forward(bc.Matrix(task.x_test[i : i + 1]), tid)
         hits += int(np.argmax(logits.data[0]) == task.y_test[i])
     return hits / len(task.x_test)
@@ -203,3 +203,47 @@ def test_non_finite_test_input_raises_before_any_forward(kind, selector, bad):
     model.forward = no_forward
     with pytest.raises(bc.NumericError, match="^task 1: test row 4 "):
         bc.evaluate(model, task, selector)
+
+
+def test_auto_evaluate_scores_the_split_once_and_selects_per_row(monkeypatch):
+    # one scoring pass per split, then one selection and one forward per row
+    from branchcl import harness
+
+    model = trained_like("branchlora", seed=4)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((7, WIDTH))
+    task = bc.SyntheticTask(1, x, np.zeros(7, dtype=int), x, np.zeros(7, dtype=int), x[0])
+    calls = {"scores": [], "select": [], "forward": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bc.StackedKeys, "scores", counted("scores", bc.StackedKeys.scores))
+    monkeypatch.setattr(harness, "select_task", counted("select", harness.select_task))
+    monkeypatch.setattr(bc.ContinualModel, "forward", counted("forward", bc.ContinualModel.forward))
+    auto = bc.evaluate(model, task, "auto")
+    assert [args[1].shape for args in calls["scores"]] == [(7, WIDTH)]
+    assert len(calls["select"]) == len(calls["forward"]) == 7
+    monkeypatch.undo()
+    assert auto == per_sample_accuracy(model, task, "auto")
+
+
+def test_zero_norm_view_under_auto_selection_names_its_row():
+    # selection divides by each view's norm; the row is named before any
+    # forward runs, and oracle routing, which selects nothing, still runs
+    model = trained_like("branchlora", seed=3)
+    x = np.random.default_rng(3).standard_normal((6, WIDTH))
+    x[4, WIDTH // 2 :] = 0.0
+    task = bc.SyntheticTask(1, x, np.zeros(6, dtype=int), x, np.zeros(6, dtype=int), x[0])
+    assert 0.0 <= bc.evaluate(model, task, "oracle") <= 1.0
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("evaluate ran a forward before selecting every row's task")
+
+    model.forward = no_forward
+    with pytest.raises(bc.SelectorError, match="^input row 4: its text view has zero norm$"):
+        bc.evaluate(model, task, "auto")

@@ -189,29 +189,93 @@ def test_alignment_loss_weighting():
         np.testing.assert_array_equal(g2, 2.0 * g1)
 
 
-class TestSelectTask:
-    def build_store(self):
-        store = bc.KeyStore()
-        store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
-        store._keys[1] = keys_from(1, [0.0, 1.0], [0.0, 1.0])
-        return store
+def pick(store, x):
+    """The task `select_task` picks for input row x from its row of scores."""
+    keys = store.stack()
+    return bc.select_task(keys.scores(np.atleast_2d(x))[0], keys)
 
+
+def two_task_store():
+    """Task 0's keys point along the first axis of each view, task 1's along
+    the second."""
+    store = bc.KeyStore()
+    store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
+    store._keys[1] = keys_from(1, [0.0, 1.0], [0.0, 1.0])
+    return store
+
+
+def store_of(pairs, width):
+    """A store whose task t holds the key pair pairs[t]."""
+    store = bc.KeyStore()
+    for t, (ki, kt) in enumerate(pairs):
+        keys = store.add(t, width, np.random.default_rng(t))
+        keys.k_img.data[0], keys.k_txt.data[0] = ki, kt
+    return store
+
+
+class TestStackedKeysScores:
+    """`StackedKeys.scores` scores a batch of rows against every task and
+    makes the input checks for selection."""
+
+    def test_takes_a_matrix_of_rows(self):
+        keys = two_task_store().stack()
+        row = embed([0.1, 0.9], [0.0, 1.0])
+        assert keys.scores(np.vstack([row, row])).shape == (2, 2)
+        for bad in (row, row[None, None]):
+            with pytest.raises(DimensionError, match="B x d"):
+                keys.scores(bad)
+
+    def test_odd_width_rejected(self):
+        with pytest.raises(DimensionError, match="odd"):
+            two_task_store().stack().scores(np.ones((2, 3)))
+
+    def test_width_mismatch_rejected(self):
+        # a 6-wide row has 3-wide views, the keys are 2 wide
+        with pytest.raises(DimensionError, match="3 wide.*2 wide"):
+            two_task_store().stack().scores(np.ones((1, 6)))
+
+    def test_zero_norms_rejected(self):
+        store = two_task_store()
+        with pytest.raises(SelectorError):
+            store.stack().scores(embed([0.0, 0.0], [1.0, 0.0])[None])
+        store._keys[0] = keys_from(0, [0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(SelectorError, match="task 0 have zero norm"):
+            store.stack()
+
+    def test_zero_norm_view_names_its_row(self):
+        keys = two_task_store().stack()
+        ok = embed([1.0, 0.0], [0.0, 1.0])
+        for view, bad in (("image", embed([0.0, 0.0], [1.0, 0.0])), ("text", embed([1.0, 0.0], [0.0, 0.0]))):
+            x = np.vstack([ok, ok, bad, ok, bad])
+            with pytest.raises(SelectorError, match=f"^input row 2: its {view} view has zero norm$"):
+                keys.scores(x)
+
+
+class TestSelectTask:
     def test_picks_best_aligned_task(self):
-        store = self.build_store()
-        assert bc.select_task(embed([0.9, 0.1], [1.0, 0.0]), store.stack()) == 0
-        assert bc.select_task(embed([0.1, 0.9], [0.0, 1.0]), store.stack()) == 1
+        store = two_task_store()
+        assert pick(store, embed([0.9, 0.1], [1.0, 0.0])) == 0
+        assert pick(store, embed([0.1, 0.9], [0.0, 1.0])) == 1
 
     def test_tie_breaks_to_lowest_task(self):
         store = bc.KeyStore()
         store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         store._keys[1] = keys_from(1, [1.0, 0.0], [1.0, 0.0])
-        assert bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), store.stack()) == 0
+        assert pick(store, embed([1.0, 0.0], [1.0, 0.0])) == 0
+        # the highest score wins, its task id is returned, and of two
+        # equal scores the one at the lower index
+        store = bc.KeyStore()
+        for t in (3, 7, 9):
+            store._keys[t] = keys_from(t, [1.0, 0.0], [1.0, 0.0])
+        keys = store.stack()
+        assert bc.select_task(np.array([0.5, 2.0, 2.0]), keys) == 7
+        assert bc.select_task(np.array([0.5, 1.0, 2.0]), keys) == 9
+        assert bc.select_task(np.array([-1.0, -1.0, -1.0]), keys) == 3
 
     def test_one_view_can_outvote_the_other(self):
         # img view slightly prefers task 1, txt view strongly prefers task 0
-        store = self.build_store()
-        e = embed([0.4, 0.6], [1.0, 0.0])
-        assert bc.select_task(e, store.stack()) == 0
+        store = two_task_store()
+        assert pick(store, embed([0.4, 0.6], [1.0, 0.0])) == 0
 
     def test_matches_per_key_loop(self):
         # the stacked keys are scored with the same arithmetic as one key
@@ -220,12 +284,26 @@ class TestSelectTask:
         for _ in range(500):
             tasks = int(rng.integers(1, 9))
             pairs = [(rng.standard_normal(8), rng.standard_normal(8)) for _ in range(tasks)]
-            store = bc.KeyStore()
-            for t, (ki, kt) in enumerate(pairs):
-                keys = store.add(t, 8, np.random.default_rng(t))
-                keys.k_img.data[0], keys.k_txt.data[0] = ki, kt
             x = rng.standard_normal(16)
-            assert bc.select_task(x, store.stack()) == select_task_oracle(x, pairs)
+            assert pick(store_of(pairs, 8), x) == select_task_oracle(x, pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tasks=st.integers(1, 8),
+        rows=st.integers(1, 24),
+        half=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_scored_once_picks_what_the_oracle_picks(self, tasks, rows, half, seed):
+        # a split scored in one pass picks, row by row, what scoring each
+        # row alone against one key pair at a time picks
+        rng = np.random.default_rng(seed)
+        pairs = [(rng.standard_normal(half), rng.standard_normal(half)) for _ in range(tasks)]
+        keys = store_of(pairs, half).stack()
+        x = rng.standard_normal((rows, 2 * half))
+        scores = keys.scores(x)
+        for i in range(rows):
+            assert bc.select_task(scores[i], keys) == select_task_oracle(x[i], pairs)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -241,46 +319,24 @@ class TestSelectTask:
         # can hold the very same keys and score exactly alike
         held = [p % len(pool) for p in picks]  # the pool entry each task holds
         pairs = [(np.array(pool[i][:3], float), np.array(pool[i][3:], float)) for i in held]
-        store = bc.KeyStore()
-        for t, (ki, kt) in enumerate(pairs):
-            keys = store.add(t, 3, np.random.default_rng(t))
-            keys.k_img.data[0], keys.k_txt.data[0] = ki, kt
         row = np.array(x, dtype=np.float64)
         if not (row[:3].any() and row[3:].any()):
             row[[0, 3]] = 1.0
-        chosen = bc.select_task(row, store.stack())
+        chosen = pick(store_of(pairs, 3), row)
         assert chosen == select_task_oracle(row, pairs)
         assert chosen == held.index(held[chosen])
 
     def test_takes_exactly_one_row(self):
-        store = self.build_store()
-        keys = store.stack()
-        row = embed([0.1, 0.9], [0.0, 1.0])
-        assert bc.select_task(row, keys) == bc.select_task(row[None], keys) == 1
-        for bad in (np.vstack([row, row]), row[None, None], np.float64(1.0), row[:, None]):
-            with pytest.raises(DimensionError, match="one input row"):
+        keys = two_task_store().stack()
+        scores = keys.scores(np.vstack([embed([0.1, 0.9], [0.0, 1.0])] * 2))
+        assert bc.select_task(scores[0], keys) == 1
+        for bad in (scores, scores[0][:1], np.ones(3), np.float64(1.0), scores[:1].T):
+            with pytest.raises(DimensionError, match="one row of 2 task scores"):
                 bc.select_task(bad, keys)
-
-    def test_width_mismatch_rejected(self):
-        # a 6-wide row has 3-wide views, the keys are 2 wide
-        with pytest.raises(DimensionError, match="3 wide.*2 wide"):
-            bc.select_task(np.ones(6), self.build_store().stack())
 
     def test_empty_store_rejected(self):
         with pytest.raises(SelectorError):
-            bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), bc.KeyStore().stack())
-
-    def test_odd_width_rejected(self):
-        with pytest.raises(DimensionError):
-            bc.select_task(np.array([1.0, 2.0, 3.0]), self.build_store().stack())
-
-    def test_zero_norms_rejected(self):
-        store = self.build_store()
-        with pytest.raises(SelectorError):
-            bc.select_task(embed([0.0, 0.0], [1.0, 0.0]), store.stack())
-        store._keys[0] = keys_from(0, [0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(SelectorError):
-            bc.select_task(embed([1.0, 0.0], [1.0, 0.0]), store.stack())
+            bc.KeyStore().stack()
 
 
 class TestSelectorAccuracy:
@@ -313,14 +369,14 @@ class TestSelectorAccuracy:
             batch_scores = keys.scores(x)
             for i, row in enumerate(x):
                 np.testing.assert_array_equal(batch_scores[i], keys.scores(row[None])[0])
-            hits = sum(bc.select_task(row, keys) == tid for row, tid in zip(x, ids))
+            hits = sum(bc.select_task(keys.scores(row[None])[0], keys) == tid for row, tid in zip(x, ids))
             assert bc.selector_accuracy(x, ids, store) == hits / len(x)
 
     def test_zero_norm_row_rejected(self):
         store = bc.KeyStore()
         store._keys[0] = keys_from(0, [1.0, 0.0], [1.0, 0.0])
         x = np.array([embed([1.0, 0.0], [1.0, 0.0]), embed([0.0, 0.0], [1.0, 0.0])])
-        with pytest.raises(SelectorError):
+        with pytest.raises(SelectorError, match="^input row 1: its image view has zero norm$"):
             bc.selector_accuracy(x, np.array([0, 0]), store)
 
     def test_empty_rejected(self):
