@@ -46,6 +46,7 @@ each BranchLoRA router at a tiny Gaussian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -87,10 +88,11 @@ class AdapterHyperparams:
             raise ParameterError(
                 f"top_k {self.top_k} out of range for {self.experts} experts"
             )
-        if self.alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.align_weight < 0:
-            raise ParameterError(f"align_weight must be >= 0, got {self.align_weight}")
+        # a NaN fails every comparison, so it is rejected with the infinities
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.align_weight < math.inf:
+            raise ParameterError(f"align_weight must be >= 0 and finite, got {self.align_weight}")
 
     @property
     def per_expert_rank(self) -> int:
@@ -178,7 +180,7 @@ class BackboneLayer(AdapterLayer):
         return [("backbone", self.backbone)]
 
 
-def _check_adapter(backbone: Matrix, x: np.ndarray, a: list, b: list) -> None:
+def _check_adapter(backbone: Matrix, x: np.ndarray, a: list[Matrix], b: list[Matrix]) -> None:
     """Raise unless the backbone is a constant and x, W, each A and each B
     chain: x is B x d_in, W d_in x d_out, and each B_j r x d_out, r the
     width of the A it follows (``a`` holds one A per B, or one shared A)."""
@@ -187,11 +189,16 @@ def _check_adapter(backbone: Matrix, x: np.ndarray, a: list, b: list) -> None:
     w = backbone.data
     d_in = x.shape[1]
     d_out = w.shape[1]
-    shared_a = len(a) == 1
     chained = w.shape[0] == d_in
-    for j, bj in enumerate(b):
-        a_shape = a[0 if shared_a else j].shape
-        chained = chained and a_shape[0] == d_in and bj.shape == (a_shape[1], d_out)
+    if len(a) == 1:
+        a_in, r = a[0].data.shape
+        b_shape = (r, d_out)
+        for bj in b:
+            chained = chained and a_in == d_in and bj.data.shape == b_shape
+    else:
+        for j, bj in enumerate(b):
+            a_in, r = a[j].data.shape
+            chained = chained and a_in == d_in and bj.data.shape == (r, d_out)
     if not chained:
         raise DimensionError(
             f"adapter: shapes do not chain, x {x.shape}, w {w.shape}, "
@@ -209,8 +216,8 @@ class LoRALayer(AdapterLayer):
 
     def forward(self, x: np.ndarray, task_id: int | None = None, per_row: bool = False,
                 tape: Tape | None = None) -> tuple[np.ndarray, None]:
+        _check_adapter(self.backbone, x, [self.a], [self.b])
         a, b = self.a.data, self.b.data
-        _check_adapter(self.backbone, x, [a], [b])
         xa = x @ a
         delta = xa @ b
         h = x @ self.backbone.data
@@ -253,8 +260,19 @@ def top_k_gate(
     exactly 0.0, and ties break toward the lowest column of each row. With k
     equal to the router's width this is a plain softmax and the mask is
     None; otherwise the mask has the gate's shape, 1.0 for each kept column
-    and 0.0 for each dropped one. A row with a NaN or inf score comes out
-    all NaN.
+    and 0.0 for each dropped one. A row with a NaN or +inf score, or with
+    every score -inf, comes out all NaN.
+
+    Each row's scores are shifted by their largest before the exponential.
+    One scored row (every batch gated by its first row, every one-row
+    forward) takes its largest with Python's ``max`` over the row's floats
+    instead of a numpy reduction, which costs more than the exponential,
+    and is shifted, exponentiated and normalized in place, by the sum of
+    the whole block, which is that row's sum. This is exact: a max returns
+    one of its inputs, so a finite row is shifted by the same float
+    (exp(±0) is 1 whichever zero is the largest) and gets the same bits,
+    and a row that the reduction makes all NaN comes out all NaN. A block
+    of several rows keeps the reductions.
     """
     d, n = router.shape
     if x.shape[1] != d:
@@ -262,20 +280,30 @@ def top_k_gate(
     if not 1 <= k <= n:
         raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
     s = (x if per_row else x[0:1]) @ router
-    e = np.exp(s - s.max(axis=1, keepdims=True))
+    one_row = s.shape[0] == 1
+    if one_row:
+        score_rows = s.tolist()
+        s -= max(score_rows[0])
+        e = np.exp(s, out=s)
+    else:
+        score_rows = None
+        e = np.exp(s - s.max(axis=1, keepdims=True))
     mask = None
     if k < n:
+        if score_rows is None:
+            score_rows = s.tolist()
         # each row's columns in stable descending order of score: the first
         # k are kept, the lowest first among ties
         rows = []
-        for row in s.tolist():
+        for row in score_rows:
             keep = [1.0] * n
             for j in sorted(range(n), key=row.__getitem__, reverse=True)[k:]:
                 keep[j] = 0.0
             rows.append(keep)
         mask = np.array(rows)
         e *= mask
-    return e / e.sum(axis=1, keepdims=True), mask
+    e /= e.sum() if one_row else e.sum(axis=1, keepdims=True)
+    return e, mask
 
 
 class _GatedLayer(AdapterLayer):
@@ -292,25 +320,25 @@ class _GatedLayer(AdapterLayer):
         x weighs row i by gate row i, a column per column. Given a tape, each
         unweighted term x A_j B_j is kept for the gate's gradient.
         """
-        ad = [m.data for m in a]
-        bd = [m.data for m in b]
-        _check_adapter(self.backbone, x, ad, bd)
+        _check_adapter(self.backbone, x, a, b)
         if gate.shape[0] == 1:
-            row = gate[0].tolist()
-            live = [j for j, v in enumerate(row) if v != 0.0]
-            weights = [row[j] for j in live]
+            live, weights = [], []
+            for j, v in enumerate(gate[0].tolist()):
+                if v != 0.0:
+                    live.append(j)
+                    weights.append(v)
         else:
             live = np.flatnonzero((gate != 0.0).any(axis=0)).tolist()
             weights = [gate[:, j : j + 1] for j in live]
-        if len(ad) == 1:
-            xas = [x @ ad[0]] * len(live) if live else []
+        if len(a) == 1:
+            xas = [x @ a[0].data] * len(live) if live else []
         else:
-            xas = [x @ ad[j] for j in live]
+            xas = [x @ a[j].data for j in live]
         w = self.backbone.data
         delta = np.zeros((x.shape[0], w.shape[1]))
         terms = []
         for j, wj, xa in zip(live, weights, xas):
-            p = xa @ bd[j]
+            p = xa @ b[j].data
             delta += wj * p
             if tape is not None:
                 terms.append(p)

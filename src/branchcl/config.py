@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,6 +147,12 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError naming the first field out of its range.
+
+    JSON's ``NaN`` and ``Infinity`` parse as floats, so each float field's
+    range is written so that a NaN, which fails every comparison, and the
+    infinities fall outside it.
+    """
     s, a, t = cfg.stream, cfg.adapter, cfg.train
     if s.tasks < 1:
         raise ConfigError(f"stream.tasks: must be >= 1, got {s.tasks}")
@@ -158,10 +165,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"stream.train_samples/test_samples: must cover {s.classes} classes, "
             f"got {s.train_samples}/{s.test_samples}"
         )
-    if s.noise <= 0:
-        raise ConfigError(f"stream.noise: must be positive, got {s.noise}")
-    if s.separation < 0:
-        raise ConfigError(f"stream.separation: must be >= 0, got {s.separation}")
+    if not 0 < s.noise < math.inf:
+        raise ConfigError(f"stream.noise: must be positive and finite, got {s.noise}")
+    if not 0 <= s.separation < math.inf:
+        raise ConfigError(f"stream.separation: must be >= 0 and finite, got {s.separation}")
     try:
         a.hyperparams()
     except BranchclError as err:
@@ -178,8 +185,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"train.epochs: must be >= 1, got {t.epochs}")
     if t.batch_size < 1:
         raise ConfigError(f"train.batch_size: must be >= 1, got {t.batch_size}")
-    if t.lr <= 0:
-        raise ConfigError(f"train.lr: must be positive, got {t.lr}")
+    if not 0 < t.lr < math.inf:
+        raise ConfigError(f"train.lr: must be positive and finite, got {t.lr}")
     if t.optimizer not in ("adam", "sgd"):
         raise ConfigError(f"train.optimizer: must be 'adam' or 'sgd', got {t.optimizer!r}")
     for i, seed in enumerate(cfg.seeds):

@@ -180,12 +180,12 @@ def select_task(scores: np.ndarray, keys: StackedKeys) -> int:
     Scoring is left to the caller so that a whole split is scored in one
     `StackedKeys.scores` call, which also makes the input checks.
     """
-    if np.shape(scores) != (len(keys.task_ids),):
+    if scores.shape != (len(keys.task_ids),):
         raise DimensionError(
             f"select_task takes one row of {len(keys.task_ids)} task scores, "
-            f"got shape {np.shape(scores)}"
+            f"got shape {scores.shape}"
         )
-    return keys.task_ids[np.argmax(scores)]
+    return keys.task_ids[scores.argmax()]
 
 
 def selector_accuracy(x: np.ndarray, task_ids: np.ndarray, store: KeyStore) -> float:

@@ -10,6 +10,7 @@ tasks tellable apart (and give the task keys something to lock onto).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,8 @@ def generate_stream(
         raise ParameterError(
             f"splits of {train_samples}/{test_samples} samples cannot cover {classes} classes"
         )
-    if noise <= 0 or separation < 0:
+    # a NaN fails every comparison, so it is rejected with the infinities
+    if not (0 < noise < math.inf and 0 <= separation < math.inf):
         raise ParameterError(f"invalid separation/noise: {separation}/{noise}")
 
     out = []

@@ -34,6 +34,11 @@ class TestHyperparams:
             bc.AdapterHyperparams(rank=16, alpha=0.0)
         with pytest.raises(ParameterError):
             bc.AdapterHyperparams(rank=16, align_weight=-1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="^alpha must be positive and finite"):
+                bc.AdapterHyperparams(rank=16, alpha=bad)
+            with pytest.raises(ParameterError, match="^align_weight must be >= 0 and finite"):
+                bc.AdapterHyperparams(rank=16, align_weight=bad)
 
 
 class TestBackbone:

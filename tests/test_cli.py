@@ -129,6 +129,19 @@ class TestRunErrors:
         assert main(["run", "--config", SMOKE, "--seed", "0", "--seed", "0"]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,name", [("train", "lr"), ("stream", "separation")])
+    def test_non_finite_config_value(self, tmp_path, capsys, section, name):
+        obj = json.loads(Path(SMOKE).read_text())
+        obj.setdefault(section, {})[name] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))  # written as the literal NaN
+        assert "NaN" in bad.read_text()
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"branchcl: error: {section}.{name}:")
+        assert not out.exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["run", "--config", SMOKE, "--seed", "-1", "--out", str(out)]) == 2

@@ -1,5 +1,6 @@
 """Config parsing, validation, and serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -72,6 +73,30 @@ def test_rejections_name_the_field(obj, fragment):
     with pytest.raises(ConfigError) as err:
         bc.config_from_dict(obj)
     assert fragment in str(err.value)
+
+
+# every float field of every section: the ones a JSON NaN or Infinity can reach
+FLOAT_FIELDS = [
+    (section, f.name)
+    for section, cls in (("stream", bc.StreamConfig), ("adapter", bc.AdapterConfig),
+                         ("train", bc.TrainConfig))
+    for f in dataclasses.fields(cls)
+    if f.type == "float"
+]
+
+
+def test_float_fields_are_all_listed():
+    assert FLOAT_FIELDS == [("stream", "separation"), ("stream", "noise"),
+                            ("adapter", "alpha"), ("adapter", "align_weight"), ("train", "lr")]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section,name", FLOAT_FIELDS)
+def test_non_finite_floats_are_rejected_by_name(section, name, literal):
+    # json.loads parses these literals as floats
+    obj = json.loads(f'{{"{section}": {{"{name}": {literal}}}}}')
+    with pytest.raises(ConfigError, match=rf"^{section}(\.|: ){name}.* finite, got -?(nan|inf)$"):
+        bc.config_from_dict(obj)
 
 
 def test_load_config_reads_files(tmp_path):

@@ -88,3 +88,8 @@ def test_validation():
         small_stream(noise=0.0)
     with pytest.raises(ParameterError):
         small_stream(separation=-1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError):
+            small_stream(noise=bad)
+        with pytest.raises(ParameterError):
+            small_stream(separation=bad)

@@ -187,6 +187,42 @@ class TestValues:
         # in column order: the values may differ in the last bit
         np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0.0)
 
+    @staticmethod
+    def assert_one_row_gate_is_a_blocks_first_row(scores, second):
+        """One scored row takes its largest score with Python's max, a block
+        of two rows with a numpy reduction per row. x is one column and its
+        first entry 1.0, so the first row's scores are the router's row."""
+        n = scores.shape[1]
+        # a NaN or +inf score, or a row of -inf, makes the whole row NaN
+        nan_row = bool(np.isnan(scores).any() or np.isposinf(scores).any()
+                       or np.isneginf(scores).all())
+        for k in range(1, n + 1):
+            with np.errstate(all="ignore"):  # inf - inf and 0 * inf are NaN
+                one, one_mask = top_k_gate(arr([[1.0]]), scores, k)
+                block, block_mask = top_k_gate(arr([[1.0], [second]]), scores, k, per_row=True)
+            assert np.array_equal(one, block[:1], equal_nan=True)
+            assert (one_mask is None) == (block_mask is None) == (k == n)
+            if one_mask is not None:
+                assert np.array_equal(one_mask, block_mask[:1])
+            assert np.isnan(one).all() == nan_row
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_row_gate_is_the_bits_of_a_blocks_first_row(self, data):
+        # a few values, both zeros among them, give ties
+        n = data.draw(st.integers(1, 6), label="columns")
+        score = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]), st.floats())
+        scores = data.draw(arrays(np.float64, (1, n), elements=score), label="scores")
+        second = data.draw(st.floats(-2.0, 2.0), label="second row's x")
+        self.assert_one_row_gate_is_a_blocks_first_row(scores, second)
+
+    @pytest.mark.parametrize("scores", [
+        [0.0, -0.0], [-0.0, 0.0, 1.0, 1.0], [np.nan, 1.0], [np.inf, 0.0],
+        [-np.inf, 0.0], [-np.inf], [-np.inf, -np.inf],
+    ])
+    def test_one_row_gate_at_signed_zeros_and_non_finite_scores(self, scores):
+        self.assert_one_row_gate_is_a_blocks_first_row(arr([scores]), -1.5)
+
     def test_adapter_weighs_each_gated_pair(self):
         # x = [[1]] and A = [[1]]: each B row is weighted by its gate entry,
         # softmax([0, log 3]) = [0.25, 0.75]
