@@ -162,7 +162,7 @@ def evaluate(
     for the grouped-evaluation item of ROADMAP, which changes the benchmark
     first. Evaluation passes no tape, so no forward builds a record (see
     `ContinualModel.forward`). A row with task selection costs about
-    43 us at eval-many-tasks shapes (two 32-wide layers, eight task keys;
+    41 us at eval-many-tasks shapes (two 32-wide layers, eight task keys;
     the median of ten benchmark runs on a shared 2-core x86 machine), almost
     all of it the fixed cost of a few dozen small numpy calls in its
     forward; a batched moelora row costs about 1.6 us.
