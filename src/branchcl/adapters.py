@@ -6,7 +6,7 @@ constructor draws all of its matrices and ``named_matrices`` is the one
 place that names them; a checkpoint loads by building the layer afresh
 and overwriting those matrices. Three adapter
 kinds compute h = x W_f + (alpha/r) * delta, each in its own ``forward``
-after its gate (if any), once `_check_adapter` has passed:
+after its gate (if any):
 
 * LoRALayer: a single rank-r pair (A, B), delta = x A B.
 * MoELoRALayer: N experts (A_j, B_j) of rank r/N, densely mixed by a
@@ -38,6 +38,10 @@ gradient share; and the gate's share of dx comes after the adapter's.
 BackboneLayer is the zero-shot layer: h = x W_f with no parameters. Every
 layer holds W_f as a plain non-trainable Matrix (`draw_backbone`).
 
+A layer's constructor fixes every matrix's shape from the backbone's and
+the hyperparameters, so a forward checks only what comes from outside: the
+width of x.
+
 A and the per-expert A_j are initialized from a zero-mean Gaussian with
 std 1/sqrt(d_in); B matrices start at zero, so a fresh adapter layer
 computes exactly the backbone output. The MoELoRA router starts at zero,
@@ -52,7 +56,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParameterError, RoutingError
+from .errors import DimensionError, ParameterError, RoutingError
 from .tensor import Matrix, Tape, add_product, linear
 
 
@@ -116,19 +120,19 @@ class AdapterLayer:
     """The contract every layer kind keeps.
 
     The constructor ``cls(rng, backbone, hp)`` draws a fresh layer over a
-    given backbone, and ``init`` does so drawing the backbone too unless one
-    is given. ``named_matrices()`` names every matrix the layer holds, in
-    checkpoint order. ``forward(x, task_id, per_row=False, tape=None)``
-    takes an array and returns the arrays ``(h, gate)``, gate None without
-    a router; a router gates the batch by its first row, or each row on its
-    own with ``per_row`` (ignored by kinds without a router). Handed a
+    given backbone. ``named_matrices()`` names every matrix the layer
+    holds, in checkpoint order. ``forward(x, task_id, per_row=False,
+    tape=None)`` takes an array and returns the arrays ``(h, gate)``, gate
+    None without a router, or raises DimensionError if x is not as wide as
+    the backbone; a router gates the batch by its first row, or each row on
+    its own with ``per_row`` (ignored by kinds without a router). Handed a
     tape, it appends ``backward(g, cache, need_dx)`` and its cache to it
     (see the module docstring); a forward that passes no tape builds no
-    record. ``params()`` are the
-    (name, matrix) pairs of ``named_matrices`` whose ``trainable`` flag is
-    on, in that order: the flag is the only record of what trains, so
-    freezing a matrix is turning it off. ``routers`` (per-task routers) stays empty,
-    and the task hooks do nothing, unless the kind has such parts.
+    record. ``params()`` are the (name, matrix) pairs of ``named_matrices``
+    whose ``trainable`` flag is on, in that order: the flag is the only
+    record of what trains, so freezing a matrix is turning it off.
+    ``routers`` (per-task routers) stays empty, and the task hooks do
+    nothing, unless the kind has such parts.
 
     The model and harness read two facts off a layer, never its kind: a
     router registered by ``start_task`` gives the model a key pair for that
@@ -139,19 +143,6 @@ class AdapterLayer:
 
     routers = MappingProxyType({})
     allow_missing = False
-
-    @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        d_in: int,
-        d_out: int,
-        hp: AdapterHyperparams,
-        backbone: Matrix | None = None,
-    ) -> "AdapterLayer":
-        if backbone is None:
-            backbone = draw_backbone(rng, d_in, d_out)
-        return cls(rng, backbone, hp)
 
     def params(self) -> list[tuple[str, Matrix]]:
         return [(name, m) for name, m in self.named_matrices() if m.trainable]
@@ -180,32 +171,6 @@ class BackboneLayer(AdapterLayer):
         return [("backbone", self.backbone)]
 
 
-def _check_adapter(backbone: Matrix, x: np.ndarray, a: list[Matrix], b: list[Matrix]) -> None:
-    """Raise unless the backbone is a constant and x, W, each A and each B
-    chain: x is B x d_in, W d_in x d_out, and each B_j r x d_out, r the
-    width of the A it follows (``a`` holds one A per B, or one shared A)."""
-    if backbone.trainable:
-        raise ContractError("adapter: w must be a constant")
-    w = backbone.data
-    d_in = x.shape[1]
-    d_out = w.shape[1]
-    chained = w.shape[0] == d_in
-    if len(a) == 1:
-        a_in, r = a[0].data.shape
-        b_shape = (r, d_out)
-        for bj in b:
-            chained = chained and a_in == d_in and bj.data.shape == b_shape
-    else:
-        for j, bj in enumerate(b):
-            a_in, r = a[j].data.shape
-            chained = chained and a_in == d_in and bj.data.shape == (r, d_out)
-    if not chained:
-        raise DimensionError(
-            f"adapter: shapes do not chain, x {x.shape}, w {w.shape}, "
-            f"a {[aj.shape for aj in a]}, b {[bj.shape for bj in b]}"
-        )
-
-
 class LoRALayer(AdapterLayer):
     def __init__(self, rng: np.random.Generator, backbone: Matrix, hp: AdapterHyperparams):
         d_in, d_out = backbone.shape
@@ -216,8 +181,9 @@ class LoRALayer(AdapterLayer):
 
     def forward(self, x: np.ndarray, task_id: int | None = None, per_row: bool = False,
                 tape: Tape | None = None) -> tuple[np.ndarray, None]:
-        _check_adapter(self.backbone, x, [self.a], [self.b])
         a, b = self.a.data, self.b.data
+        if x.shape[1] != a.shape[0]:
+            raise DimensionError(f"lora: x {x.shape} does not chain with A {a.shape}")
         xa = x @ a
         delta = xa @ b
         h = x @ self.backbone.data
@@ -252,7 +218,8 @@ def top_k_gate(
     x: np.ndarray, router: np.ndarray, k: int, per_row: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The gate: softmax over the k largest router scores, zeros elsewhere,
-    and its top-k mask.
+    and its top-k mask. k lies in 1..N, N the router's width: the layers
+    pass ``hp.top_k`` or ``hp.experts``, which `AdapterHyperparams` checks.
 
     By default the scores are x[0] @ router and the gate is 1 x N, shared by
     every row of x. With ``per_row`` each row of x gets its own gate row
@@ -277,8 +244,6 @@ def top_k_gate(
     d, n = router.shape
     if x.shape[1] != d:
         raise DimensionError(f"router_gate: x has {x.shape[1]} columns, router has {d} rows")
-    if not 1 <= k <= n:
-        raise ParameterError(f"router_gate: k={k} out of range for {n} columns")
     s = (x if per_row else x[0:1]) @ router
     one_row = s.shape[0] == 1
     if one_row:
@@ -320,7 +285,6 @@ class _GatedLayer(AdapterLayer):
         x weighs row i by gate row i, a column per column. Given a tape, each
         unweighted term x A_j B_j is kept for the gate's gradient.
         """
-        _check_adapter(self.backbone, x, a, b)
         if gate.shape[0] == 1:
             live, weights = [], []
             for j, v in enumerate(gate[0].tolist()):

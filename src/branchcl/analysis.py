@@ -16,7 +16,7 @@ from statistics import mean, median, pstdev
 
 import numpy as np
 
-from .adapters import LAYERS
+from .adapters import LAYERS, draw_backbone
 from .config import ExperimentConfig
 from .errors import AnalysisError
 from .optim import make_optimizer
@@ -258,7 +258,7 @@ def efficiency_report(
     layers = {}
     opts = {}
     for kind in _LAYER_KINDS:
-        layer = LAYERS[kind].init(rng, dim, dim, hp)
+        layer = LAYERS[kind](rng, draw_backbone(rng, dim, dim), hp)
         layer.start_task(0, rng)
         layers[kind] = layer
         named = layer.params()

@@ -14,12 +14,13 @@ rng states: the next task it starts draws what the saved model would
 have drawn. A manifest whose names or shapes differ from the rebuilt
 model's is rejected, as is a kind, seed, router task list or tensor entry
 of the wrong type, a manifest that is a symbolic link, or a tensor whose
-file is not the one the saver names after it or is a symbolic link. A
-saved flag may turn a matrix off (a frozen branch, a finished router or
-key) but never on: a tensor marked trainable that the rebuilt model holds
-frozen, such as a backbone or the head, is rejected too. The loader does
-not read the manifest's key task ids, nor the per-layer freeze flags of
-older manifests: the tensor names and flags say the same.
+file is not the one the saver names after it, is a symbolic link or holds
+a NaN or an infinity. A saved flag may turn a matrix off (a frozen branch,
+a finished router or key) but never on: a tensor marked trainable that the
+rebuilt model holds frozen, such as a backbone or the head, is rejected
+too. The loader does not read the manifest's key task ids, nor the
+per-layer freeze flags of older manifests: the tensor names and flags say
+the same.
 
 The manifest is written last and atomically (`write_atomic`), so a save
 that stops part way leaves the previous manifest whole.
@@ -101,7 +102,9 @@ def save_model(directory: str | Path, model: ContinualModel) -> Path:
     return directory
 
 
-# each key of a manifest's tensor entry: the type its value must have
+# each key of a manifest's tensor entry: the type its value must have.
+# Here a type is matched exactly: bool is an int subclass, so it is refused
+# where an int is wanted.
 _TENSOR_KEYS = {
     "file": (str, "a string"),
     "rows": (int, "an integer"),
@@ -111,8 +114,7 @@ _TENSOR_KEYS = {
 
 
 def _is_count(value) -> bool:
-    # bool is an int subclass, so it is refused where an int is wanted
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return type(value) is int and value >= 0
 
 
 def _check_tensor_spec(manifest_path: Path, name: str, spec) -> None:
@@ -120,8 +122,7 @@ def _check_tensor_spec(manifest_path: Path, name: str, spec) -> None:
         raise ContractError(f"{manifest_path}: tensor {name}: entry is not a JSON object")
     for key, (kind, what) in _TENSOR_KEYS.items():
         value = spec.get(key)
-        # bool is an int subclass, so it is refused where an int is wanted
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        if type(value) is not kind:
             raise ContractError(
                 f"{manifest_path}: tensor {name}: {key!r} must be {what}, got {value!r}"
             )
@@ -151,7 +152,11 @@ def _read_tensor(directory: Path, spec: dict, name: str, shape: tuple[int, int])
             f"tensor {name}: {path} holds {len(raw)} bytes, manifest says "
             f"{spec['rows']}x{spec['cols']} float64 = {expected} bytes"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(data).all():
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise ContractError(f"tensor {name}: {path} holds {data[i, j]} at [{i}, {j}]")
+    return data
 
 
 def load_model(directory: str | Path) -> ContinualModel:

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import os
+import reprlib
 import statistics
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .errors import BranchclError, ConfigError
+from .errors import BranchclError, ConfigError, ContractError
 from .harness import aggregate_reports, run_seed
 from .metrics import EvalMatrix, task_wise_maa
 
@@ -217,10 +218,23 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _expect(ok: bool, path: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"report schema: {path} must be {what}, got {reprlib.repr(value)}")
+
+
 def _require(obj, key, path: str):
-    if not isinstance(obj, dict) or key not in obj:
+    _expect(isinstance(obj, dict), path.rpartition(".")[0] or "report.json", "an object", obj)
+    if key not in obj:
         raise ConfigError(f"report schema: missing {path}")
     return obj[key]
+
+
+def _number(obj, key, path: str) -> float:
+    value = _require(obj, key, path)
+    # a bool is an int to Python, but not a number in a report
+    _expect(type(value) in (int, float), path, "a number", value)
+    return value
 
 
 def cmd_report(args) -> int:
@@ -237,8 +251,15 @@ def cmd_report(args) -> int:
         ) from err
 
     per_seed = _require(report, "per_seed", "per_seed")
+    _expect(isinstance(per_seed, dict), "per_seed", "an object", per_seed)
+    for seed_key in per_seed:
+        _expect(seed_key.isdecimal(), f"per_seed.{seed_key}", "keyed by a seed number", seed_key)
     cfg_obj = _require(report, "config", "config")
     methods = _require(cfg_obj, "methods", "config.methods")
+    _expect(isinstance(methods, list) and all(isinstance(m, str) for m in methods),
+            "config.methods", "a list of method names", methods)
+    agg = report.get("aggregate", {})
+    _expect(isinstance(agg, dict), "aggregate", "an object", agg)
     out_dir = Path(args.out) if args.out else report_path.parent
 
     curves = []  # (seed, method, task, maa)
@@ -250,15 +271,15 @@ def cmd_report(args) -> int:
         for method in methods:
             base = f"per_seed.{seed_key}.methods.{method}"
             entry = _require(method_map, method, base)
-            rows = _require(entry, "eval_matrix", f"{base}.eval_matrix")
+            try:
+                matrix = EvalMatrix(_require(entry, "eval_matrix", f"{base}.eval_matrix"))
+            except ContractError as err:
+                raise ConfigError(f"report schema: {base}.eval_matrix: {err}") from err
             metrics = _require(entry, "metrics", f"{base}.metrics")
             for key in _METRIC_KEYS:
-                _require(metrics, key, f"{base}.metrics.{key}")
-            matrix = EvalMatrix(rows)
+                _number(metrics, key, f"{base}.metrics.{key}")
             diag = matrix.diagonal()
             final = matrix.final_row()
-            tasks = matrix.num_tasks
-            head = "  ".join(f"t{k}" for k in range(tasks))
             lines.append(f"  {method}")
             lines.append(
                 "    just-trained  "
@@ -273,17 +294,14 @@ def cmd_report(args) -> int:
                 curves.append((seed_key, method, tid, value))
         lines.append("")
 
-    agg = report.get("aggregate", {})
     if agg:
         lines.append("medians")
         for method in methods:
             stats = agg.get(method, {})
-            if all(k in stats for k in _METRIC_KEYS):
-                lines.append(
-                    f"  {method:11s} acc={stats['acc']['median']:.4f} "
-                    f"maa={stats['maa']['median']:.4f} "
-                    f"bwt={stats['bwt']['median']:+.4f}"
-                )
+            if isinstance(stats, dict) and all(k in stats for k in _METRIC_KEYS):
+                acc, maa, bwt = (_number(stats[k], "median", f"aggregate.{method}.{k}.median")
+                                 for k in _METRIC_KEYS)
+                lines.append(f"  {method:11s} acc={acc:.4f} maa={maa:.4f} bwt={bwt:+.4f}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open_atomic(out_dir / "maa_curve.csv") as fh:

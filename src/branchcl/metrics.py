@@ -24,17 +24,21 @@ class Metrics:
 
 
 class EvalMatrix:
-    """Lower-triangular accuracy matrix; rows[i] has exactly i+1 entries."""
+    """Lower-triangular accuracy matrix: a list of rows, rows[i] a list of
+    exactly i+1 numbers in [0, 1]."""
 
     def __init__(self, rows: list[list[float]]):
-        if not rows:
-            raise ContractError("evaluation matrix needs at least one row")
+        if not isinstance(rows, list) or not rows:
+            raise ContractError(f"evaluation matrix needs a list of at least one row, got {rows!r}")
         for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ContractError(f"row {i} is {row!r}, not a list")
             if len(row) != i + 1:
                 raise ContractError(f"row {i} has {len(row)} entries, expected {i + 1}")
             for k, v in enumerate(row):
-                if not 0.0 <= v <= 1.0:
-                    raise ContractError(f"accuracy [{i}][{k}]={v!r} outside [0, 1]")
+                # a bool is an int to Python, but not an accuracy
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+                    raise ContractError(f"accuracy [{i}][{k}]={v!r} is not a number in [0, 1]")
         self.rows = [[float(v) for v in row] for row in rows]
 
     @property

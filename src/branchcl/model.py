@@ -134,8 +134,5 @@ def build_model(kind: str, cfg: ModelConfig, hp: AdapterHyperparams, seed: int) 
     backbones = [draw_backbone(backbone_rng, cfg.width, cfg.width) for _ in range(cfg.layers)]
     head = Matrix.randn(backbone_rng, cfg.width, cfg.classes, std=1.0 / np.sqrt(cfg.width))
     adapter_rng = np.random.default_rng(np.random.SeedSequence([seed, _ADAPTER_TAG]))
-    layers = [
-        layer_cls.init(adapter_rng, cfg.width, cfg.width, hp, backbone=backbone)
-        for backbone in backbones
-    ]
+    layers = [layer_cls(adapter_rng, backbone, hp) for backbone in backbones]
     return ContinualModel(kind, cfg, hp, layers, head, seed)

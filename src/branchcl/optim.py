@@ -58,6 +58,8 @@ advance, matching the usual sparse-update convention).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, NumericError, ParameterError
@@ -81,8 +83,9 @@ class _Arena:
     scratch_rows = 1
 
     def __init__(self, named: NamedMatrices, lr: float = 1e-3, allow_missing: bool = False):
-        if lr <= 0:
-            raise ParameterError(f"{self.kind}: lr must be positive, got {lr}")
+        # a NaN fails every comparison, so it is rejected with the infinities
+        if not 0 < lr < math.inf:
+            raise ParameterError(f"{self.kind}: lr must be positive and finite, got {lr}")
         self._names = [name for name, _ in named]
         self.params = [p for _, p in named]
         seen: set[int] = set()

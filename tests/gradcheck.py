@@ -19,6 +19,7 @@ covered from both ends.
 import numpy as np
 
 import branchcl as bc
+from branchcl.adapters import draw_backbone
 from branchcl.tensor import activation, linear, wrap
 from oracles import fd_gradient
 
@@ -109,12 +110,12 @@ def _randomized(layer, rng):
 
 def _lora(rng, d_in=4, d_out=3):
     hp = bc.AdapterHyperparams(rank=2, alpha=3.0, experts=1, top_k=1)
-    return _randomized(bc.LoRALayer.init(rng, d_in, d_out, hp), rng)
+    return _randomized(bc.LoRALayer(rng, draw_backbone(rng, d_in, d_out), hp), rng)
 
 
 def _moe(rng, d_in=4, d_out=3):
     hp = bc.AdapterHyperparams(rank=6, alpha=4.0, experts=3, top_k=3)
-    layer = _randomized(bc.MoELoRALayer.init(rng, d_in, d_out, hp), rng)
+    layer = _randomized(bc.MoELoRALayer(rng, draw_backbone(rng, d_in, d_out), hp), rng)
     # a router of unit scale saturates the softmax now and then: an expert
     # with a weight near 1e-6 has a gradient below FD's noise
     layer.router.data *= 0.3
@@ -127,7 +128,7 @@ def _branch(rng, x, per_row, frozen=(), d_out=3):
     by >= 1: its top-k selection then stays put under FD perturbation."""
     rows, d_in = x.shape
     hp = bc.AdapterHyperparams(rank=8, alpha=6.0, experts=4, top_k=2)
-    layer = bc.BranchLoRALayer.init(rng, d_in, d_out, hp)
+    layer = bc.BranchLoRALayer(rng, draw_backbone(rng, d_in, d_out), hp)
     layer.start_task(0, rng)
     _randomized(layer, rng)
     scored = x if per_row else x[:1]

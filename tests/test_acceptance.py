@@ -15,6 +15,7 @@ import pytest
 
 import branchcl as bc
 import gradcheck
+from branchcl.adapters import draw_backbone
 from branchcl.cli import main as cli_main
 from oracles import metrics_oracle
 
@@ -109,8 +110,8 @@ def test_criterion_5_efficiency_direction():
             hp = bc.AdapterHyperparams(rank=rank, alpha=2.0 * rank, experts=experts,
                                        top_k=min(2, experts))
             rng = np.random.default_rng(0)
-            moe = bc.MoELoRALayer.init(rng, dim, dim, hp)
-            branch = bc.BranchLoRALayer.init(rng, dim, dim, hp)
+            moe = bc.MoELoRALayer(rng, draw_backbone(rng, dim, dim), hp)
+            branch = bc.BranchLoRALayer(rng, draw_backbone(rng, dim, dim), hp)
             branch.start_task(0, rng)
             n_moe = moe.count_trainable_params()
             n_branch = branch.count_trainable_params()
@@ -192,7 +193,7 @@ def test_criterion_7_selector_quality(default_run):
 def test_criterion_8_sparse_gate_contract():
     hp = bc.AdapterHyperparams(rank=16, alpha=32.0, experts=4, top_k=2)
     rng = np.random.default_rng(88)
-    layer = bc.BranchLoRALayer.init(rng, 32, 32, hp)
+    layer = bc.BranchLoRALayer(rng, draw_backbone(rng, 32, 32), hp)
     n_total = 10_000
     per_router = 1_000
     checked = 0

@@ -46,7 +46,8 @@ class TestBackbone:
         bb = draw_backbone(make_rng(), 8, 8)
         assert bb.shape == (8, 8)
         assert not bb.trainable
-        layer = bc.BackboneLayer.init(make_rng(), 8, 8, HP)
+        rng = make_rng()
+        layer = bc.BackboneLayer(rng, draw_backbone(rng, 8, 8), HP)
         assert layer.params() == []
         assert layer.count_trainable_params() == 0
 
@@ -62,7 +63,7 @@ class TestBackbone:
 class TestLoRA:
     def test_neutral_at_init(self):
         rng = make_rng(2)
-        layer = bc.LoRALayer.init(rng, 8, 8, HP)
+        layer = bc.LoRALayer(rng, draw_backbone(rng, 8, 8), HP)
         x = rng.standard_normal((4, 8))
         out, gate = layer.forward(x)
         assert gate is None
@@ -70,7 +71,7 @@ class TestLoRA:
 
     def test_forward_matches_oracle(self):
         rng = make_rng(3)
-        layer = bc.LoRALayer.init(rng, 8, 8, HP)
+        layer = bc.LoRALayer(rng, draw_backbone(rng, 8, 8), HP)
         layer.b.data[:] = rng.standard_normal(layer.b.shape)
         x = rng.standard_normal((4, 8))
         out, _ = layer.forward(x)
@@ -80,20 +81,21 @@ class TestLoRA:
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_param_count(self):
-        layer = bc.LoRALayer.init(make_rng(), 32, 32, HP)
+        rng = make_rng()
+        layer = bc.LoRALayer(rng, draw_backbone(rng, 32, 32), HP)
         assert layer.count_trainable_params() == 2 * 32 * 16
 
 
 class TestMoELoRA:
     def test_gate_uniform_at_init(self):
         rng = make_rng(4)
-        layer = bc.MoELoRALayer.init(rng, 8, 8, HP)
+        layer = bc.MoELoRALayer(rng, draw_backbone(rng, 8, 8), HP)
         _, gate = layer.forward(rng.standard_normal((3, 8)))
         np.testing.assert_allclose(gate, np.full((1, 4), 0.25), atol=1e-15)
 
     def test_forward_matches_oracle(self):
         rng = make_rng(5)
-        layer = bc.MoELoRALayer.init(rng, 8, 8, HP)
+        layer = bc.MoELoRALayer(rng, draw_backbone(rng, 8, 8), HP)
         layer.router.data[:] = rng.standard_normal(layer.router.shape)
         for _, b in layer.experts:
             b.data[:] = rng.standard_normal(b.shape)
@@ -110,14 +112,15 @@ class TestMoELoRA:
         np.testing.assert_allclose(h, ref_h, atol=1e-12)
 
     def test_param_count(self):
-        layer = bc.MoELoRALayer.init(make_rng(), 32, 32, HP)
+        rng = make_rng()
+        layer = bc.MoELoRALayer(rng, draw_backbone(rng, 32, 32), HP)
         assert layer.count_trainable_params() == 2 * 32 * 16 + 32 * 4
 
 
 class TestBranchLoRA:
     def build(self, seed=6, d=8, randomize=False):
         rng = make_rng(seed)
-        layer = bc.BranchLoRALayer.init(rng, d, d, HP)
+        layer = bc.BranchLoRALayer(rng, draw_backbone(rng, d, d), HP)
         layer.start_task(0, rng)
         if randomize:
             layer.routers[0].data[:] = rng.standard_normal(layer.routers[0].shape)
@@ -142,7 +145,7 @@ class TestBranchLoRA:
 
     def test_zero_router_ties_break_to_lowest_branches(self):
         rng = make_rng(7)
-        layer = bc.BranchLoRALayer.init(rng, 8, 8, HP)
+        layer = bc.BranchLoRALayer(rng, draw_backbone(rng, 8, 8), HP)
         layer.start_task(0, rng)
         layer.routers[0].data[:] = 0.0
         gate, _ = layer.gate_for(rng.standard_normal((2, 8)), 0)
@@ -182,7 +185,7 @@ class TestBranchLoRA:
 
     def test_param_count(self):
         rng = make_rng(8)
-        layer = bc.BranchLoRALayer.init(rng, 32, 32, HP)
+        layer = bc.BranchLoRALayer(rng, draw_backbone(rng, 32, 32), HP)
         layer.start_task(0, rng)
         pr = HP.per_expert_rank
         assert layer.count_trainable_params() == 32 * pr + 4 * pr * 32 + 32 * 4
@@ -191,8 +194,8 @@ class TestBranchLoRA:
 @pytest.mark.parametrize("d,moe_expected,branch_expected", [(32, 1152, 768), (64, 2304, 1536)])
 def test_branch_strictly_smaller_than_moe(d, moe_expected, branch_expected):
     rng = make_rng(9)
-    moe = bc.MoELoRALayer.init(rng, d, d, HP)
-    branch = bc.BranchLoRALayer.init(rng, d, d, HP)
+    moe = bc.MoELoRALayer(rng, draw_backbone(rng, d, d), HP)
+    branch = bc.BranchLoRALayer(rng, draw_backbone(rng, d, d), HP)
     branch.start_task(0, rng)
     assert moe.count_trainable_params() == moe_expected
     assert branch.count_trainable_params() == branch_expected

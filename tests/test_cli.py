@@ -327,6 +327,48 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 2
         assert "metrics" in capsys.readouterr().err
 
+    @staticmethod
+    def _lora(report):
+        return report["per_seed"]["0"]["methods"]["lora"]
+
+    @pytest.mark.parametrize("break_report, path", [
+        pytest.param(lambda r: TestReport._lora(r)["metrics"].update(acc="high"),
+                     "per_seed.0.methods.lora.metrics.acc", id="string-metric"),
+        pytest.param(lambda r: TestReport._lora(r)["metrics"].update(bwt=True),
+                     "per_seed.0.methods.lora.metrics.bwt", id="bool-metric"),
+        pytest.param(lambda r: TestReport._lora(r)["eval_matrix"][1].__setitem__(0, "0.5"),
+                     "per_seed.0.methods.lora.eval_matrix: accuracy [1][0]='0.5'",
+                     id="string-accuracy"),
+        pytest.param(lambda r: TestReport._lora(r).update(eval_matrix=5),
+                     "per_seed.0.methods.lora.eval_matrix: evaluation matrix needs",
+                     id="number-matrix"),
+        pytest.param(lambda r: TestReport._lora(r)["eval_matrix"][1].pop(),
+                     "per_seed.0.methods.lora.eval_matrix: row 1 has 1 entries",
+                     id="short-row"),
+        pytest.param(lambda r: r["per_seed"].update(zero=r["per_seed"].pop("0")),
+                     "per_seed.zero", id="word-seed-key"),
+        pytest.param(lambda r: r["per_seed"].update({"0": 5}),
+                     "per_seed.0 must be an object", id="number-seed-entry"),
+        pytest.param(lambda r: r.update(config=["lora"]),
+                     "config must be an object", id="list-config"),
+        pytest.param(lambda r: r["config"].update(methods="lora"),
+                     "config.methods", id="string-methods"),
+        pytest.param(lambda r: r.update(aggregate=[]), "aggregate", id="list-aggregate"),
+        pytest.param(lambda r: r["aggregate"]["lora"]["acc"].update(median="0.5"),
+                     "aggregate.lora.acc.median", id="string-median"),
+    ])
+    def test_malformed_field_is_one_schema_error(self, run_dir, tmp_path, capsys, break_report,
+                                                 path):
+        # exit 2 and one line naming the field, before any file is written
+        report = json.loads((run_dir / "report.json").read_text())
+        break_report(report)
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"branchcl: error: report schema: {path}")
+        assert not (tmp_path / "maa_curve.csv").exists()
+
 
 class TestRoundTrip:
     def test_final_checkpoint_reproduces_reported_row(self, run_dir):

@@ -93,44 +93,33 @@ def test_untaped_forward_is_the_taped_forward_bit_for_bit(kind, seed, task_id, f
         assert np.array_equal(bare_gate, gate)
 
 
-def assert_both_paths_raise(error, model, x, tid, match=None):
+def assert_both_paths_raise(error, model, x, tid, match=None, per_row=False):
     with pytest.raises(error, match=match):
-        model.forward(bc.Matrix(x), tid, tape=bc.Tape())
+        model.forward(bc.Matrix(x), tid, per_row, tape=bc.Tape())
     with pytest.raises(error, match=match):
-        model.forward(bc.Matrix(x), tid)
+        model.forward(bc.Matrix(x), tid, per_row)
 
 
 @pytest.mark.parametrize("kind", LAYERS)
 def test_untaped_forward_makes_the_checks_the_ops_make(kind):
-    # the same checks, with a tape to record on and without
+    # the same checks, with a tape to record on and without, per_row off
+    # and on
     model = trained_like(kind, seed=5)
     tid = 0 if kind == "branchlora" else None
     x = np.random.default_rng(5).standard_normal((3, WIDTH))
-    assert_both_paths_raise(bc.DimensionError, model, x[:, :-1], tid)
+    # x one column too narrow or too wide (a layer's own forward:
+    # tests/test_tensor.py::TestContracts)
+    for bad in (x[:, :-1], np.hstack([x, x[:, :1]])):
+        for per_row in (False, True):
+            assert_both_paths_raise(bc.DimensionError, model, bad, tid, per_row=per_row)
     if model.layers[0].routers:
         assert_both_paths_raise(bc.RoutingError, model, x, 7, match="task 7")
-    # a weight rebound to the wrong shape: the backbone, then the head
-    layer = model.layers[1]
-    w = layer.backbone.data
-    layer.backbone.data = np.ones((WIDTH + 1, WIDTH))
-    assert_both_paths_raise(bc.DimensionError, model, x, tid)
-    layer.backbone.data = w
+    # the head rebound to the wrong shape
     head = model.head.data
     model.head.data = np.ones((WIDTH - 1, CFG.classes))
     assert_both_paths_raise(bc.DimensionError, model, x, tid, match="matmul")
     model.head.data = head
-    # an adapter's own matrix rebound to the wrong shape
-    named = dict(layer.named_matrices())
-    if len(named) > 1:
-        name = "branch1" if "branch1" in named else next(n for n in named if n.endswith("B"))
-        named[name].data = np.ones((named[name].rows + 1, WIDTH))
-        assert_both_paths_raise(bc.DimensionError, model, x, tid, match="do not chain")
-        named[name].data = named[name].data[:-1]
-        # the backbone must stay a constant
-        layer.backbone.trainable = True
-        assert_both_paths_raise(bc.ContractError, model, x, tid, match="constant")
-        layer.backbone.trainable = False
-    # every weight is back in place, and both paths run again
+    # the head is back in place, and both paths run again
     assert np.array_equal(*(out.data for out, _ in both_paths(model, x, tid)))
 
 

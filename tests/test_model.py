@@ -306,6 +306,23 @@ class TestCheckpoints:
         with pytest.raises(bc.ContractError, match=rf"^{re.escape(str(path))} is a symbolic link$"):
             bc.load_model(ckpt)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_contract_error(self, tmp_path, value):
+        # the file's size and the manifest are right, so only its values can
+        # stop the load
+        model = bc.build_model("branchlora", CFG, HP, seed=7)
+        model.start_task(0)
+        ckpt = bc.save_model(tmp_path / "ckpt", model)
+        tensor = ckpt / "layer0.branch0.f64"
+        data = np.frombuffer(tensor.read_bytes(), dtype="<f8").copy()
+        data[5] = value
+        tensor.write_bytes(data.tobytes())
+        cols = model.layers[0].branches[0].cols
+        match = (rf"^tensor layer0\.branch0: {re.escape(str(tensor))} holds {value} "
+                 rf"at \[{5 // cols}, {5 % cols}\]$")
+        with pytest.raises(bc.ContractError, match=match):
+            bc.load_model(ckpt)
+
 
     @pytest.mark.parametrize("section, key, value", [("model", "width", 16.0),
                                                      ("hyperparams", "rank", 8.0)])
@@ -339,8 +356,9 @@ def test_sizes_must_be_ints(key, value):
 )
 def test_checkpoint_round_trip_property(kind, seed, finished, data):
     # router tasks 0..n-1, each finished or not; every matrix holds fresh
-    # bytes, one of them any float64 (NaN, inf, -0.0, subnormals); each
-    # branch frozen or not
+    # bytes, one of them any finite float64 (-0.0, subnormals; a load
+    # refuses NaN and inf, see test_non_finite_tensor_is_contract_error);
+    # each branch frozen or not
     model = bc.build_model(kind, CFG, HP, seed)
     for t, done in enumerate(finished):
         model.start_task(t)
@@ -349,7 +367,7 @@ def test_checkpoint_round_trip_property(kind, seed, finished, data):
     rng = np.random.default_rng(seed)
     for _, m in model.all_named_matrices():
         m.data = rng.standard_normal(m.shape)
-        m.data.flat[0] = data.draw(st.floats(width=64))
+        m.data.flat[0] = data.draw(st.floats(width=64, allow_nan=False, allow_infinity=False))
     for layer in model.layers:
         for branch in getattr(layer, "branches", ()):
             branch.trainable = data.draw(st.booleans())

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import branchcl as bc
 from branchcl import ContractError, NumericError, optim
+from branchcl.adapters import draw_backbone
 from branchcl.tensor import wrap
 from oracles import RefAdam, RefSgd, named
 
@@ -121,6 +122,15 @@ def test_params_are_views_of_one_buffer():
     for p, v in zip(params, values):
         assert p.data.base is arena
         np.testing.assert_array_equal(p.data, v)
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls", [bc.Adam, bc.Sgd])
+def test_lr_must_be_positive_and_finite(cls, lr):
+    p = bc.Matrix(np.ones((1, 1)), trainable=True)
+    match = rf"^{cls.kind}: lr must be positive and finite, got {lr}$"
+    with pytest.raises(bc.ParameterError, match=match):
+        cls([("p", p)], lr=lr)
 
 
 def test_same_matrix_twice_is_rejected():
@@ -284,7 +294,8 @@ def test_backward_allocates_no_grad_for_optimized_leaves(kind):
 
 
 def test_release_drops_the_grad_slots():
-    layer = bc.LoRALayer.init(np.random.default_rng(0), 2, 2, MODEL_HP)
+    rng = np.random.default_rng(0)
+    layer = bc.LoRALayer(rng, draw_backbone(rng, 2, 2), MODEL_HP)
     w = layer.b
     x = np.arange(6.0).reshape(3, 2)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import branchcl as bc
 from branchcl import ContractError, PolicyError
+from branchcl.adapters import draw_backbone
 
 
 def make_stats(gates, experts=4):
@@ -107,7 +108,7 @@ class TestApplyFreeze:
     def build_layer(self):
         hp = bc.AdapterHyperparams(rank=8, alpha=16.0, experts=4, top_k=2)
         rng = np.random.default_rng(0)
-        layer = bc.BranchLoRALayer.init(rng, 8, 8, hp)
+        layer = bc.BranchLoRALayer(rng, draw_backbone(rng, 8, 8), hp)
         layer.start_task(0, rng)
         return layer
 

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import branchcl as bc
 from branchcl import ContractError, DimensionError, ParameterError
-from branchcl.adapters import LAYERS, top_k_gate
+from branchcl.adapters import LAYERS, draw_backbone, top_k_gate
 from branchcl.tensor import activation, linear, wrap
 import gradcheck
 import oracles
@@ -44,7 +44,7 @@ def layer_with(cls, w, values, experts=1, top_k=1, scaling=1.0):
     rank = arr(values[1]).shape[0] * experts
     hp = bc.AdapterHyperparams(rank=rank, alpha=scaling * rank, experts=experts, top_k=top_k)
     rng = np.random.default_rng(0)
-    layer = cls.init(rng, *w.shape, hp, backbone=bc.Matrix(w))
+    layer = cls(rng, bc.Matrix(w), hp)
     layer.start_task(0, rng)
     for (_, m), v in zip(layer.named_matrices()[1:], values, strict=True):
         m.data = arr(v)
@@ -55,7 +55,7 @@ def layer_of(cls, d_in, d_out, rank, experts, top_k, rng):
     """A layer whose every trainable matrix is drawn afresh (no B at
     zero), with task 0 started."""
     hp = bc.AdapterHyperparams(rank=rank, alpha=1.5 * rank, experts=experts, top_k=top_k)
-    layer = cls.init(rng, d_in, d_out, hp)
+    layer = cls(rng, draw_backbone(rng, d_in, d_out), hp)
     layer.start_task(0, rng)
     for _, m in layer.params():
         m.data = rng.standard_normal(m.shape)
@@ -303,35 +303,29 @@ class TestContracts:
         with pytest.raises(DimensionError, match="^matmul: inner dimensions differ, 1x2 @ 1x2$"):
             linear(arr([[1.0, 2.0]]), arr([[1.0, 2.0]]))
 
-    def test_topk_k_out_of_range(self):
-        with pytest.raises(ParameterError):
-            gate_of([[1.0, 2.0]], k=0)
-        with pytest.raises(ParameterError):
-            gate_of([[1.0, 2.0]], k=3)
-
     def test_router_gate_width_mismatch(self):
         with pytest.raises(DimensionError):
             gate([[1.0, 2.0]], [[1.0, 2.0]], 1)
 
-    def test_adapter_shapes_must_chain_and_w_be_constant(self):
-        # x too wide, an A of the wrong height, a B that does not follow its
-        # A, a B of the wrong width; then a trainable backbone
-        x = np.ones((1, 2))
+    def test_adapter_forward_checks_the_width_of_x(self):
+        # the constructor fixes every matrix's shape, so x is all a forward
+        # checks: one column too narrow or too wide, with per_row off and
+        # on, on a tape and with none
         rng = np.random.default_rng(0)
         for cls in (bc.LoRALayer, bc.MoELoRALayer, bc.BranchLoRALayer):
-            layer = layer_of(cls, 2, 3, 2, 2, 1, rng)
-            assert layer.forward(x, 0)[0].shape == (1, 3)
-            with pytest.raises(DimensionError):
-                layer.forward(np.ones((1, 3)), 0)
-            a, b = (m for _, m in layer.named_matrices()[1:3])
-            for m, shape in ((a, (3, a.cols)), (b, (b.rows + 1, 3)), (b, (b.rows, 2))):
-                kept, m.data = m.data, np.ones(shape)
-                with pytest.raises(DimensionError, match="^adapter: shapes do not chain"):
-                    layer.forward(x, 0)
-                m.data = kept
-            layer.backbone.trainable = True
-            with pytest.raises(ContractError, match="w must be a constant"):
-                layer.forward(x, 0)
+            layer = layer_of(cls, 3, 4, 2, 2, 1, rng)
+            assert layer.forward(np.ones((2, 3)), 0)[0].shape == (2, 4)
+            for cols in (2, 4):
+                want = (
+                    rf"^lora: x \(2, {cols}\) does not chain with A \(3, 2\)$"
+                    if cls is bc.LoRALayer
+                    else rf"^router_gate: x has {cols} columns, router has 3 rows$"
+                )
+                for per_row in (False, True):
+                    for tape in (None, bc.Tape()):
+                        with pytest.raises(DimensionError, match=want):
+                            layer.forward(np.ones((2, cols)), 0, per_row, tape)
+                        assert tape is None or tape.entries == []
 
     def test_cross_entropy_label_validation(self):
         with pytest.raises(DimensionError):
